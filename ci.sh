@@ -36,6 +36,15 @@ cargo run --release -p rtr-bench --bin service_scenario -- \
 cargo run --release -p rtr-bench --bin trace_lint -- \
     --trace "$obs_dir/trace.json" --profile "$obs_dir/profile.json"
 
+echo "== simulated-output identity gate =="
+# Host-speed work must not move one simulated bit. Every paper table and
+# ablation is regenerated and compared byte-for-byte with the committed
+# files; bench_diff below tolerates 15% drift, this gate tolerates none.
+cargo run --release -p rtr-bench --bin tables -- --full --ablations \
+    --json "$obs_dir/tables.json" > "$obs_dir/tables.txt" 2> /dev/null
+cmp "$obs_dir/tables.json" tables_full.json
+cmp "$obs_dir/tables.txt" tables_full.txt
+
 echo "== scheduling-policy smoke run =="
 # The bin asserts swap-aware strictly beats FCFS on makespan and swaps;
 # gate on the JSON claim too so a silently-skipped assert still fails.

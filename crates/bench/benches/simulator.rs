@@ -9,12 +9,14 @@
 //! ```text
 //! cargo bench                    # all benchmarks
 //! cargo bench -- patmatch        # names containing "patmatch"
+//! cargo bench -- interp/         # PPC405 interpreter speed in Minstr/s
 //! ```
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use rtr_apps::{imaging, jenkins, patmatch, sha1};
+use rtr_apps::request::Driver;
+use rtr_apps::{imaging, jenkins, patmatch, sha1, Request, Work};
 use rtr_core::measure::{dma_transfer_time, program_transfer_time, TransferKind};
 use rtr_core::{build_system, SystemKind};
 
@@ -26,11 +28,15 @@ struct Harness {
 }
 
 impl Harness {
+    fn selected(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|filter| name.contains(filter.as_str()))
+    }
+
     fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+        if !self.selected(name) {
+            return;
         }
         for _ in 0..WARMUP {
             black_box(f());
@@ -157,4 +163,31 @@ fn main() {
         m.load_program(&prog);
         m.call(prog.label("entry"), &[], 1_000_000)
     });
+
+    // Interpreter speed on a real kernel: instructions retired per host
+    // second of `Driver::run_sw` with the driver program already resident
+    // (machine construction and the JTAG preload are not timed).
+    let sha1_req = Request::from(Work::Sha1 {
+        msg: key[..2048].to_vec(),
+    });
+    for kind in [SystemKind::Bit32, SystemKind::Bit64] {
+        let name = format!("interp/{kind:?}_sha1_sw");
+        if !h.selected(&name) {
+            continue;
+        }
+        let mut m = build_system(kind);
+        let mut driver = Driver::new();
+        driver.preload_all(&mut m);
+        for _ in 0..WARMUP {
+            black_box(driver.run_sw(&mut m, &sha1_req));
+        }
+        let before = m.cpu.stats.retired;
+        let start = Instant::now();
+        for _ in 0..ITERS {
+            black_box(driver.run_sw(&mut m, &sha1_req));
+        }
+        let elapsed = start.elapsed().as_secs_f64();
+        let minstr_per_s = (m.cpu.stats.retired - before) as f64 / elapsed / 1e6;
+        println!("{name:<44} {minstr_per_s:>9.1} Minstr/s  ({ITERS} iters)");
+    }
 }

@@ -937,6 +937,7 @@ impl Machine {
     }
 
     /// One CPU instruction plus platform catch-up and interrupt sampling.
+    #[inline]
     pub fn step(&mut self) -> StepOutcome {
         let out = self.cpu.step(&mut self.platform);
         self.platform.advance(self.cpu.now());
@@ -1070,6 +1071,23 @@ mod tests {
             assert_eq!(r3, 55, "{kind:?}");
             assert!(t > SimTime::ZERO);
         }
+    }
+
+    #[test]
+    fn reloading_a_cached_slot_executes_the_new_code() {
+        let mut m = build_system(SystemKind::Bit64);
+        let old = assemble("entry:\n li r3, 1\n halt\n", 0x1000).unwrap();
+        let new = assemble("entry:\n li r3, 2\n halt\n", 0x1000).unwrap();
+        m.load_program(&old);
+        assert_eq!(m.call(old.label("entry"), &[], 10).1, 1);
+        let misses = m.cpu.icache.stats.misses;
+        m.load_program(&new);
+        assert_eq!(
+            m.call(new.label("entry"), &[], 10).1,
+            2,
+            "load_program must drop the decoded copies of the old code"
+        );
+        assert_eq!(m.cpu.icache.stats.misses, misses + 1, "refetched");
     }
 
     #[test]

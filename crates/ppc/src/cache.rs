@@ -6,9 +6,29 @@
 //! [`MemoryPort`](crate::mem::MemoryPort) and the consumed time is returned
 //! to the CPU, so a D-cache miss on the 32-bit system is automatically more
 //! expensive than on the 64-bit system (slower bus, bridge crossing).
+//!
+//! # Predecoded instruction cache
+//!
+//! The instruction cache ([`Cache::instruction`]) keeps the decoded
+//! [`Instr`] of each of a line's eight words beside the line's bytes, so a
+//! fetch hit costs no `decode`. The invariant that makes this invisible:
+//! the decoded copy is written only in the miss path, from the very bytes
+//! that fill the line, and it is reachable only while the line is valid, so
+//! every invalidation drops both. A word that does not decode is cached as
+//! `None` and panics only when it executes. Like the modelled I-cache, the
+//! cache is not coherent with memory: code poked into memory while its line
+//! is resident stays stale until the line is invalidated
+//! (`Machine::load_program` invalidates the whole I-cache).
 
+use crate::isa::{decode, Instr};
 use crate::mem::{MemoryPort, LINE_BYTES};
 use vp2_sim::SimTime;
+
+/// `log2(LINE_BYTES)`: the offset bits below the set index.
+const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
+
+/// Instruction words per line.
+const WORDS_PER_LINE: usize = LINE_BYTES / 4;
 
 #[derive(Debug, Clone)]
 struct Line {
@@ -46,9 +66,15 @@ pub struct CacheStats {
 /// A set-associative write-back cache.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
-    set_shift: u32,
+    /// Every line, way `w` of set `s` at index `s * ways + w`.
+    lines: Vec<Line>,
+    /// The decoded words of each line, indexed like `lines`; empty unless
+    /// this is an instruction cache.
+    decoded: Vec<[Option<Instr>; WORDS_PER_LINE]>,
+    ways: usize,
     set_mask: u32,
+    /// `LINE_SHIFT + log2(sets)`: the address bits above the set index.
+    tag_shift: u32,
     tick: u64,
     /// Statistics.
     pub stats: CacheStats,
@@ -66,12 +92,22 @@ impl Cache {
         let nsets = lines / ways;
         assert!(nsets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            sets: vec![vec![Line::empty(); ways]; nsets],
-            set_shift: LINE_BYTES.trailing_zeros(),
+            lines: vec![Line::empty(); lines],
+            decoded: Vec::new(),
+            ways,
             set_mask: (nsets - 1) as u32,
+            tag_shift: LINE_SHIFT + nsets.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Builds an instruction cache: [`Cache::new`] plus a decoded copy of
+    /// every resident line, read by [`Cache::fetch`].
+    pub fn instruction(size_bytes: usize, ways: usize) -> Self {
+        let mut cache = Cache::new(size_bytes, ways);
+        cache.decoded = vec![[None; WORDS_PER_LINE]; cache.lines.len()];
+        cache
     }
 
     /// The 405's 16 KB 2-way configuration.
@@ -79,14 +115,10 @@ impl Cache {
         Cache::new(16 * 1024, 2)
     }
 
+    /// Index of way 0 of the set `addr` maps to.
     #[inline]
-    fn set_index(&self, addr: u32) -> usize {
-        ((addr >> self.set_shift) & self.set_mask) as usize
-    }
-
-    #[inline]
-    fn tag_of(&self, addr: u32) -> u32 {
-        addr >> self.set_shift >> (self.set_mask.count_ones())
+    fn set_base(&self, addr: u32) -> usize {
+        ((addr >> LINE_SHIFT) & self.set_mask) as usize * self.ways
     }
 
     #[inline]
@@ -94,95 +126,140 @@ impl Cache {
         addr & !(LINE_BYTES as u32 - 1)
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    #[inline]
+    fn touch(&mut self, i: usize) {
         self.tick += 1;
-        self.sets[set][way].lru = self.tick;
+        self.lines[i].lru = self.tick;
     }
 
-    fn find(&self, set: usize, tag: u32) -> Option<usize> {
-        self.sets[set].iter().position(|l| l.valid && l.tag == tag)
+    /// Index of the valid line holding `addr`, if resident.
+    #[inline]
+    fn find(&self, addr: u32) -> Option<usize> {
+        let base = self.set_base(addr);
+        let tag = addr >> self.tag_shift;
+        self.lines[base..base + self.ways]
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
+            .map(|way| base + way)
     }
 
     /// Ensures the line containing `addr` is resident; returns
-    /// `(way, time_spent)`.
-    fn fill(&mut self, now: SimTime, addr: u32, mem: &mut dyn MemoryPort) -> (usize, SimTime) {
-        let set = self.set_index(addr);
-        let tag = self.tag_of(addr);
-        if let Some(way) = self.find(set, tag) {
+    /// `(line index, time_spent)`.
+    #[inline]
+    fn fill<M: MemoryPort + ?Sized>(
+        &mut self,
+        now: SimTime,
+        addr: u32,
+        mem: &mut M,
+    ) -> (usize, SimTime) {
+        if let Some(i) = self.find(addr) {
             self.stats.hits += 1;
-            self.touch(set, way);
-            return (way, SimTime::ZERO);
+            self.touch(i);
+            return (i, SimTime::ZERO);
         }
+        self.miss(now, addr, mem)
+    }
+
+    /// The miss path of [`Cache::fill`]: picks a victim, writes it back if
+    /// dirty, and fills it (and its decoded copy) from memory.
+    fn miss<M: MemoryPort + ?Sized>(
+        &mut self,
+        now: SimTime,
+        addr: u32,
+        mem: &mut M,
+    ) -> (usize, SimTime) {
         self.stats.misses += 1;
+        let base = self.set_base(addr);
+        let set = &self.lines[base..base + self.ways];
         // Victim: invalid first, else LRU.
-        let way = self.sets[set]
-            .iter()
-            .position(|l| !l.valid)
-            .unwrap_or_else(|| {
-                self.sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.lru)
-                    .map(|(i, _)| i)
-                    .expect("ways > 0")
-            });
+        let way = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
+            set.iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.lru)
+                .map(|(i, _)| i)
+                .expect("ways > 0")
+        });
+        let i = base + way;
         let mut spent = SimTime::ZERO;
-        let nsets = self.set_mask + 1;
         // Write back a dirty victim.
-        if self.sets[set][way].valid && self.sets[set][way].dirty {
+        if self.lines[i].valid && self.lines[i].dirty {
             self.stats.writebacks += 1;
-            let victim_tag = self.sets[set][way].tag;
-            let victim_addr = (victim_tag << (self.set_shift + nsets.trailing_zeros()))
-                | ((set as u32) << self.set_shift);
-            let data = self.sets[set][way].data;
-            spent += mem.write_line(now + spent, victim_addr, &data);
+            let victim_addr =
+                (self.lines[i].tag << self.tag_shift) | (addr & (self.set_mask << LINE_SHIFT));
+            spent += mem.write_line(now + spent, victim_addr, &self.lines[i].data);
         }
-        let base = Self::line_base(addr);
         let mut buf = [0u8; LINE_BYTES];
-        spent += mem.read_line(now + spent, base, &mut buf);
-        let line = &mut self.sets[set][way];
+        spent += mem.read_line(now + spent, Self::line_base(addr), &mut buf);
+        if let Some(decoded) = self.decoded.get_mut(i) {
+            *decoded = std::array::from_fn(|w| decode(word_at(&buf, 4 * w)));
+        }
+        let line = &mut self.lines[i];
         line.valid = true;
         line.dirty = false;
-        line.tag = tag;
+        line.tag = addr >> self.tag_shift;
         line.data = buf;
-        self.touch(set, way);
-        (way, spent)
+        self.touch(i);
+        (i, spent)
     }
 
     /// Cached read of `size` ∈ {1,2,4} bytes; returns `(data, time)`.
-    pub fn read(
+    #[inline]
+    pub fn read<M: MemoryPort + ?Sized>(
         &mut self,
         now: SimTime,
         addr: u32,
         size: u8,
-        mem: &mut dyn MemoryPort,
+        mem: &mut M,
     ) -> (u32, SimTime) {
-        let (way, spent) = self.fill(now, addr, mem);
-        let set = self.set_index(addr);
+        let (i, spent) = self.fill(now, addr, mem);
         let off = (addr as usize) & (LINE_BYTES - 1);
-        let d = &self.sets[set][way].data;
+        let d = &self.lines[i].data;
         let v = match size {
             1 => u32::from(d[off]),
             2 => u32::from(u16::from_be_bytes(d[off..off + 2].try_into().unwrap())),
-            4 => u32::from_be_bytes(d[off..off + 4].try_into().unwrap()),
+            4 => word_at(d, off),
             _ => panic!("bad size {size}"),
         };
         (v, spent)
     }
 
+    /// Cached instruction fetch of the word-aligned `addr` through an
+    /// [`instruction`](Cache::instruction) cache. Returns the decoded
+    /// instruction, or `Err(word)` if the word does not decode, and the
+    /// time spent. Hits, misses and LRU ticks count exactly as for a
+    /// 4-byte [`Cache::read`].
+    #[inline]
+    pub fn fetch<M: MemoryPort + ?Sized>(
+        &mut self,
+        now: SimTime,
+        addr: u32,
+        mem: &mut M,
+    ) -> (Result<Instr, u32>, SimTime) {
+        debug_assert!(!self.decoded.is_empty(), "fetch through a data cache");
+        let (i, spent) = self.fill(now, addr, mem);
+        let w = (addr as usize >> 2) & (WORDS_PER_LINE - 1);
+        let instr = self.decoded[i][w].ok_or_else(|| word_at(&self.lines[i].data, 4 * w));
+        (instr, spent)
+    }
+
     /// Cached write (write-back, write-allocate); returns time spent.
-    pub fn write(
+    #[inline]
+    pub fn write<M: MemoryPort + ?Sized>(
         &mut self,
         now: SimTime,
         addr: u32,
         size: u8,
         data: u32,
-        mem: &mut dyn MemoryPort,
+        mem: &mut M,
     ) -> SimTime {
-        let (way, spent) = self.fill(now, addr, mem);
-        let set = self.set_index(addr);
+        // A write would leave the line's decoded copy stale.
+        assert!(
+            self.decoded.is_empty(),
+            "write through an instruction cache"
+        );
+        let (i, spent) = self.fill(now, addr, mem);
         let off = (addr as usize) & (LINE_BYTES - 1);
-        let line = &mut self.sets[set][way];
+        let line = &mut self.lines[i];
         match size {
             1 => line.data[off] = data as u8,
             2 => line.data[off..off + 2].copy_from_slice(&(data as u16).to_be_bytes()),
@@ -195,41 +272,44 @@ impl Cache {
 
     /// Flushes (writes back if dirty, then invalidates) the line containing
     /// `addr`; returns time spent. The `dcbf` instruction.
-    pub fn flush_line(&mut self, now: SimTime, addr: u32, mem: &mut dyn MemoryPort) -> SimTime {
-        let set = self.set_index(addr);
-        let tag = self.tag_of(addr);
-        if let Some(way) = self.find(set, tag) {
-            let mut spent = SimTime::ZERO;
-            if self.sets[set][way].dirty {
-                self.stats.writebacks += 1;
-                let data = self.sets[set][way].data;
-                spent += mem.write_line(now, Self::line_base(addr), &data);
-            }
-            self.sets[set][way].valid = false;
-            spent
-        } else {
-            SimTime::ZERO
+    pub fn flush_line<M: MemoryPort + ?Sized>(
+        &mut self,
+        now: SimTime,
+        addr: u32,
+        mem: &mut M,
+    ) -> SimTime {
+        let Some(i) = self.find(addr) else {
+            return SimTime::ZERO;
+        };
+        let mut spent = SimTime::ZERO;
+        if self.lines[i].dirty {
+            self.stats.writebacks += 1;
+            spent += mem.write_line(now, Self::line_base(addr), &self.lines[i].data);
         }
+        self.lines[i].valid = false;
+        spent
     }
 
     /// Invalidates (without writeback) the line containing `addr`. The
     /// `dcbi` instruction — used before reading DMA-produced buffers.
     pub fn invalidate_line(&mut self, addr: u32) {
-        let set = self.set_index(addr);
-        let tag = self.tag_of(addr);
-        if let Some(way) = self.find(set, tag) {
-            self.sets[set][way].valid = false;
+        if let Some(i) = self.find(addr) {
+            self.lines[i].valid = false;
         }
     }
 
     /// Invalidates everything (no writeback).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-            }
+        for line in &mut self.lines {
+            line.valid = false;
         }
     }
+}
+
+/// The big-endian word at byte offset `off` of a line.
+#[inline]
+fn word_at(data: &[u8; LINE_BYTES], off: usize) -> u32 {
+    u32::from_be_bytes(data[off..off + 4].try_into().unwrap())
 }
 
 #[cfg(test)]
@@ -324,6 +404,40 @@ mod tests {
         c.read(SimTime::ZERO, 0, 4, &mut m);
         let t = c.flush_line(SimTime::ZERO, 0, &mut m);
         assert_eq!(t, SimTime::ZERO, "clean line: no writeback");
+    }
+
+    #[test]
+    fn undecodable_word_fills_and_fetches_as_err() {
+        let mut c = Cache::instruction(1024, 2);
+        let mut m = FlatMem::new(4096);
+        m.store_u32(64, crate::isa::encode(Instr::Halt));
+        m.store_u32(68, 0xFC00_0000);
+        let (i, t) = c.fetch(SimTime::ZERO, 64, &mut m);
+        assert_eq!(i, Ok(Instr::Halt));
+        assert_eq!(t, m.line_time, "the fill decoded the whole line");
+        let (i, t) = c.fetch(SimTime::ZERO, 68, &mut m);
+        assert_eq!(i, Err(0xFC00_0000), "the word comes back undecoded");
+        assert_eq!(t, SimTime::ZERO);
+        assert_eq!((c.stats.hits, c.stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn invalidation_drops_the_decoded_copy() {
+        let mut c = Cache::instruction(1024, 2);
+        let mut m = FlatMem::new(4096);
+        m.store_u32(0, crate::isa::encode(Instr::Nop));
+        assert_eq!(c.fetch(SimTime::ZERO, 0, &mut m).0, Ok(Instr::Nop));
+        m.store_u32(0, crate::isa::encode(Instr::Halt));
+        assert_eq!(c.fetch(SimTime::ZERO, 0, &mut m).0, Ok(Instr::Nop), "stale");
+        c.invalidate_all();
+        assert_eq!(c.fetch(SimTime::ZERO, 0, &mut m).0, Ok(Instr::Halt));
+    }
+
+    #[test]
+    #[should_panic(expected = "write through an instruction cache")]
+    fn instruction_cache_rejects_writes() {
+        let mut c = Cache::instruction(1024, 2);
+        c.write(SimTime::ZERO, 0, 4, 0, &mut FlatMem::new(4096));
     }
 
     #[test]

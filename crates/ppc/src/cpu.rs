@@ -3,8 +3,15 @@
 //! The core executes one instruction at a time, advancing its own
 //! [`SimTime`] by the instruction's base cycles plus whatever time the
 //! memory system reports for cache misses and uncached (MMIO) accesses.
-//! `rtr-core` interleaves the core with the rest of the machine by running
-//! it up to the next discrete event (`run_until`).
+//! `rtr-core` interleaves the core with the rest of the machine one step at
+//! a time (`Machine::step`).
+//!
+//! Every method that touches memory is generic over the [`MemoryPort`], so
+//! the machine's interpreter loop is monomorphised over its platform and
+//! the cache hit paths inline. With caches on, fetches come predecoded from
+//! the instruction cache (see [`crate::cache`]); with caches off, every
+//! fetch reads memory and runs [`decode`], which keeps the cache-off
+//! ablation a decode-per-fetch reference for the predecoded path.
 
 use crate::cache::Cache;
 use crate::isa::{base_cycles, decode, Instr};
@@ -102,7 +109,7 @@ pub struct Cpu {
 impl Cpu {
     /// Builds a core; PC starts at 0.
     pub fn new(cfg: CpuConfig) -> Self {
-        let icache = Cache::new(cfg.icache_bytes, cfg.ways);
+        let icache = Cache::instruction(cfg.icache_bytes, cfg.ways);
         let dcache = Cache::new(cfg.dcache_bytes, cfg.ways);
         Cpu {
             regs: [0; 32],
@@ -193,7 +200,8 @@ impl Cpu {
         self.now += self.cfg.clock.cycles(cycles) + mem_time;
     }
 
-    fn load(&mut self, addr: u32, size: u8, mem: &mut dyn MemoryPort) -> u32 {
+    #[inline]
+    fn load<M: MemoryPort + ?Sized>(&mut self, addr: u32, size: u8, mem: &mut M) -> u32 {
         assert_eq!(
             addr % u32::from(size),
             0,
@@ -211,7 +219,8 @@ impl Cpu {
         }
     }
 
-    fn store(&mut self, addr: u32, size: u8, data: u32, mem: &mut dyn MemoryPort) {
+    #[inline]
+    fn store<M: MemoryPort + ?Sized>(&mut self, addr: u32, size: u8, data: u32, mem: &mut M) {
         assert_eq!(
             addr % u32::from(size),
             0,
@@ -227,15 +236,23 @@ impl Cpu {
         }
     }
 
-    fn fetch(&mut self, mem: &mut dyn MemoryPort) -> u32 {
+    /// Fetches and decodes the instruction at the PC, or returns
+    /// `Err(word)` if the word there does not decode.
+    #[inline]
+    fn fetch<M: MemoryPort + ?Sized>(&mut self, mem: &mut M) -> Result<Instr, u32> {
+        assert!(
+            self.pc.is_multiple_of(4),
+            "unaligned instruction fetch at {:#010x}",
+            self.pc
+        );
         if self.cfg.caches_enabled && mem.is_cacheable(self.pc) {
-            let (w, t) = self.icache.read(self.now, self.pc, 4, mem);
+            let (instr, t) = self.icache.fetch(self.now, self.pc, mem);
             self.now += t;
-            w
+            instr
         } else {
             let (w, t) = mem.read(self.now, self.pc, 4);
             self.now += t;
-            w
+            decode(w).ok_or(w)
         }
     }
 
@@ -267,7 +284,8 @@ impl Cpu {
     }
 
     /// Executes one instruction (or takes a pending interrupt).
-    pub fn step(&mut self, mem: &mut dyn MemoryPort) -> StepOutcome {
+    #[inline]
+    pub fn step<M: MemoryPort + ?Sized>(&mut self, mem: &mut M) -> StepOutcome {
         if self.halted {
             return StepOutcome::Halted;
         }
@@ -282,9 +300,9 @@ impl Cpu {
             self.now += self.cfg.clock.cycles(4);
         }
 
-        let word = self.fetch(mem);
-        let instr = decode(word)
-            .unwrap_or_else(|| panic!("illegal instruction {word:#010x} at {:#010x}", self.pc));
+        let instr = self
+            .fetch(mem)
+            .unwrap_or_else(|word| panic!("illegal instruction {word:#010x} at {:#010x}", self.pc));
         self.stats.retired += 1;
         self.charge(base_cycles(instr), SimTime::ZERO);
 
@@ -523,26 +541,13 @@ impl Cpu {
     }
 
     /// Runs until `halt` or `max_instrs` retire. Returns `true` if halted.
-    pub fn run_until_halt(&mut self, mem: &mut dyn MemoryPort, max_instrs: u64) -> bool {
+    pub fn run_until_halt<M: MemoryPort + ?Sized>(&mut self, mem: &mut M, max_instrs: u64) -> bool {
         for _ in 0..max_instrs {
             if self.step(mem) == StepOutcome::Halted {
                 return true;
             }
         }
         self.halted
-    }
-
-    /// Runs while the core's local time is before `deadline` and it has not
-    /// halted. Returns the number of instructions retired.
-    pub fn run_until(&mut self, mem: &mut dyn MemoryPort, deadline: SimTime) -> u64 {
-        let mut n = 0;
-        while self.now < deadline && !self.halted {
-            if self.step(mem) == StepOutcome::Halted {
-                break;
-            }
-            n += 1;
-        }
-        n
     }
 }
 
@@ -900,15 +905,34 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_deadline() {
+    #[should_panic(expected = "illegal instruction 0xfc000000 at 0x00000008")]
+    fn executing_an_undecodable_word_panics_with_the_word() {
         let mut mem = FlatMem::new(4096);
-        // Infinite loop.
-        load_program(&mut mem, 0, &[Instr::B { off: 0 }]);
-        let mut cpu = cpu200();
-        let retired = cpu.run_until(&mut mem, SimTime::from_us(1));
-        assert!(retired > 0);
-        assert!(cpu.now() >= SimTime::from_us(1));
-        assert!(!cpu.halted());
+        load_program(&mut mem, 0, &[Instr::Nop, Instr::Nop]);
+        mem.store_u32(8, 0xFC00_0000);
+        // The fill decodes the whole line, illegal word included; only
+        // executing it may panic.
+        cpu200().run_until_halt(&mut mem, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned instruction fetch at 0x00000006")]
+    fn unaligned_fetch_panics() {
+        let mut mem = FlatMem::new(4096);
+        load_program(
+            &mut mem,
+            0,
+            &[
+                Instr::Addi {
+                    rd: 3,
+                    ra: 0,
+                    imm: 6,
+                },
+                Instr::Mtlr { ra: 3 },
+                Instr::Blr,
+            ],
+        );
+        cpu200().run_until_halt(&mut mem, 10);
     }
 
     #[test]
