@@ -12,6 +12,13 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q --workspace
 
+echo "== benchmark package =="
+# benchmark/ is a workspace of its own, so the builds above never touch
+# it: build and test it here so a Service/Cluster/Federation API change
+# cannot break it silently.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -12,7 +12,8 @@
 //! * **parallel**: the same 8-shard workload executed inline and on the
 //!   `--threads` worker pool. The two snapshots must be byte-identical
 //!   (asserted — the determinism contract), and the wall-clock ratio is
-//!   reported (asserted against `--min-speedup` when given).
+//!   reported (asserted against `--min-speedup` when given), with boot
+//!   and serve timed separately for each thread count.
 //!
 //! ```text
 //! cluster_scenario                   # default workloads, inline
@@ -228,27 +229,34 @@ fn main() {
             threads,
             ..ClusterConfig::uniform(SystemKind::Bit32, par_shards, RoutePolicy::RoundRobin)
         });
+        let boot = start.elapsed();
         let snap = cluster.run(parallel_traffic.stream());
         let wall = start.elapsed();
         assert_eq!(
             snap.total.completed as usize, par_requests,
             "all requests served"
         );
-        (snap.to_json().render_pretty(), wall)
+        (snap.to_json().render_pretty(), wall, boot, wall - boot)
     };
-    let (snap_inline, wall_inline) = run_parallel(1);
-    let (snap_pool, wall_pool) = run_parallel(threads);
+    let (snap_inline, wall_inline, boot_inline, serve_inline) = run_parallel(1);
+    let (snap_pool, wall_pool, boot_pool, serve_pool) = run_parallel(threads);
     assert_eq!(
         snap_inline, snap_pool,
         "parallel execution must be byte-identical to inline"
     );
     let speedup = wall_inline.as_secs_f64() / wall_pool.as_secs_f64().max(1e-9);
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     eprintln!(
         "[cluster]   wall {:.1} ms inline vs {:.1} ms on {threads} thread(s) — \
-         {speedup:.2}x ({host_cpus} host cpu(s))",
-        wall_inline.as_secs_f64() * 1e3,
-        wall_pool.as_secs_f64() * 1e3
+         {speedup:.2}x ({host_cpus} host cpu(s)); boot {:.1} vs {:.1} ms, \
+         serve {:.1} vs {:.1} ms",
+        ms(wall_inline),
+        ms(wall_pool),
+        ms(boot_inline),
+        ms(boot_pool),
+        ms(serve_inline),
+        ms(serve_pool)
     );
     // The speedup gate only means something on hardware that can run
     // the workers concurrently: on a single-core host every thread
@@ -280,8 +288,12 @@ fn main() {
         .field("requests", par_requests)
         .field("threads", threads)
         .field("host_cpus", host_cpus)
-        .field("wall_ms_threads1", wall_inline.as_secs_f64() * 1e3)
-        .field("wall_ms_threadsN", wall_pool.as_secs_f64() * 1e3)
+        .field("wall_ms_threads1", ms(wall_inline))
+        .field("wall_ms_threadsN", ms(wall_pool))
+        .field("boot_ms_threads1", ms(boot_inline))
+        .field("boot_ms_threadsN", ms(boot_pool))
+        .field("serve_ms_threads1", ms(serve_inline))
+        .field("serve_ms_threadsN", ms(serve_pool))
         .field("speedup", speedup)
         .field("speedup_gate_enforced", gate_enforced)
         .field("identical", true);

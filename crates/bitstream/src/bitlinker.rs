@@ -31,7 +31,7 @@ use vp2_netlist::place::Placement;
 
 /// A relocatable component: a placed netlist plus the bus macros through
 /// which it talks to the static side (or to other components).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     /// Component name (reports, diagnostics).
     pub name: String,

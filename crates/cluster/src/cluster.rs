@@ -4,7 +4,7 @@ use std::sync::mpsc;
 
 use rtr_apps::request::{Kernel, Request};
 use rtr_core::SystemKind;
-use rtr_service::{BatchPolicy, Service, ServiceConfig};
+use rtr_service::{BatchPolicy, BootShare, Service, ServiceConfig};
 use rtr_telemetry::Telemetry;
 use rtr_trace::Tracer;
 use vp2_sim::SimTime;
@@ -192,12 +192,27 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Boots every shard (each builds, calibrates and warms up its own
-    /// machine) and an empty front-end.
+    /// Boots every shard and an empty front-end. The shards share one
+    /// [`BootShare`] for this call: each `(SystemKind, kernels)` pair is
+    /// calibrated once and each module image (system kind, component,
+    /// origin, slot plan) is linked once, then every shard takes a clone.
+    /// Each shard still builds and warms up its own machine. The share is
+    /// dropped with the last shard boot, so a later `Cluster::new` boots
+    /// from scratch.
     ///
     /// # Panics
     /// Panics if `config.shards` is empty or `flush_depth` is zero.
     pub fn new(config: ClusterConfig) -> Cluster {
+        Cluster::boot(config, &BootShare::new())
+    }
+
+    /// Boots like [`Cluster::new`], but through `share`, so shards of
+    /// several clusters (the pools of one federation) share calibrations
+    /// and images too.
+    ///
+    /// # Panics
+    /// Panics if `config.shards` is empty or `flush_depth` is zero.
+    pub fn boot(config: ClusterConfig, share: &BootShare) -> Cluster {
         assert!(
             !config.shards.is_empty(),
             "a cluster needs at least one shard"
@@ -222,17 +237,20 @@ impl Cluster {
             })
             .collect();
         // Boot every shard — build, calibrate, warm up its machine.
-        // Boots are independent and deterministic per shard, so with a
-        // pool they run in parallel; results are collected in shard
-        // order, so the outcome is identical either way.
+        // Boots are deterministic per shard and the shared products are
+        // pure functions of their keys, so with a pool they run in
+        // parallel (a shard needing a product another shard is computing
+        // waits for it); results are collected in shard order, so the
+        // outcome is identical either way.
         let services: Vec<Box<Service>> = match &pool {
             Some(pool) => {
                 let rxs: Vec<mpsc::Receiver<Box<Service>>> = service_configs
                     .into_iter()
                     .map(|cfg| {
                         let (tx, rx) = mpsc::channel();
+                        let share = share.clone();
                         pool.submit(Box::new(move || {
-                            let _ = tx.send(Box::new(Service::new(cfg)));
+                            let _ = tx.send(Box::new(Service::boot(cfg, &share)));
                         }));
                         rx
                     })
@@ -246,7 +264,7 @@ impl Cluster {
             }
             None => service_configs
                 .into_iter()
-                .map(|cfg| Box::new(Service::new(cfg)))
+                .map(|cfg| Box::new(Service::boot(cfg, share)))
                 .collect(),
         };
         let shards: Vec<Shard> = services

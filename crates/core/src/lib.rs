@@ -25,14 +25,16 @@ pub mod machine;
 pub mod manager;
 pub mod measure;
 pub mod resources;
+pub mod share;
 pub mod system;
 pub mod timing;
 
 pub use machine::{Machine, Platform};
 pub use manager::{
-    LoadError, LoadOutcome, ModuleHealth, ModuleManager, RegisteredModule, RetryPolicy,
-    ScrubPolicy, ScrubStats,
+    ImageTable, LinkedImage, LoadError, LoadOutcome, ModuleHealth, ModuleManager, RegisteredModule,
+    RetryPolicy, ScrubPolicy, ScrubStats,
 };
+pub use share::OnceTable;
 pub use system::{build_system, SystemKind};
 pub use timing::SystemTiming;
 pub use vp2_bitstream::{BurstConfig, BurstPlan, FaultPlan};

@@ -4,7 +4,9 @@
 //! components (each paired with a factory for its behavioural model) and
 //! the load state of the dynamic region. Loading a module:
 //!
-//! 1. links a **complete** partial configuration (cached per module);
+//! 1. links a **complete** partial configuration (once per module at
+//!    registration, shared through an [`ImageTable`] by every manager
+//!    booted with the same table);
 //! 2. feeds every bitstream word to the OPB HWICAP over the bus (charging
 //!    the real per-word transfer cost) and commits, which applies the
 //!    stream to the live configuration memory with IDCODE + CRC checks;
@@ -17,6 +19,7 @@
 //! module's own.
 
 use crate::machine::{Docks, Machine};
+use crate::share::OnceTable;
 use crate::system::{bitlinker_for, SystemKind};
 use coreconnect_sim::map;
 use dock::DynamicModule;
@@ -27,6 +30,7 @@ use rtr_configplane::{
 };
 use rtr_trace::{EventKind, Tracer};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use vp2_bitstream::{AssembleError, BitLinker, Bitstream, Component};
 use vp2_fabric::{ConfigMemory, FrameAddress};
 use vp2_sim::SimTime;
@@ -34,10 +38,45 @@ use vp2_sim::SimTime;
 /// Factory producing a fresh behavioural model for a module.
 pub type ModuleFactory = Box<dyn Fn() -> Box<dyn DynamicModule> + Send>;
 
+/// A linked image: the full slot bitstream plus the expected post-load
+/// configuration state.
+pub type LinkedImage = (Bitstream, ConfigMemory);
+
+/// Everything that decides a registration's linked images: the system
+/// (device, region, dock macros), the sub-slot floorplan (each slot's
+/// origin, frames and macro contract), the component and its origin
+/// within a slot.
+#[derive(PartialEq)]
+struct ImageKey {
+    kind: SystemKind,
+    slot_plan: SlotPlan,
+    component: Arc<Component>,
+    origin: (u16, u16),
+}
+
+/// One registration's images, by the sub-slot they were linked for, or
+/// the first linking error when the component fits no slot.
+type SlotImages = Result<Vec<(usize, Arc<LinkedImage>)>, AssembleError>;
+
+/// Linked images shared between module managers. A registration looks up
+/// its system kind, slot plan, component and origin here and links only on
+/// a miss, so managers booted with one table hold one copy of each image. Cloning the table shares it;
+/// [`ModuleManager::new`] gives a manager a private one.
+#[derive(Clone, Default, Debug)]
+pub struct ImageTable(OnceTable<ImageKey, SlotImages>);
+
+impl ImageTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        ImageTable::default()
+    }
+}
+
 /// A registered dynamic module.
 pub struct RegisteredModule {
-    /// The placed, validated component.
-    pub component: Component,
+    /// The placed, validated component (the same allocation its
+    /// [`ImageTable`] entry is keyed by).
+    pub component: Arc<Component>,
     /// Region-relative origin.
     pub origin: (u16, u16),
     /// Behavioural-model factory.
@@ -210,7 +249,9 @@ pub struct ModuleManager {
     /// Linked images per (module, sub-slot): full slot bitstream plus the
     /// expected post-load state. With the default single-slot floorplan
     /// this is the original per-module configuration cache.
-    images: HashMap<(String, usize), (Bitstream, ConfigMemory)>,
+    images: HashMap<(String, usize), Arc<LinkedImage>>,
+    /// Where registrations take their images from.
+    image_table: ImageTable,
     /// Module the dock is bound to.
     active: Option<String>,
     /// Configuration-plane feature knobs (default: everything off).
@@ -259,8 +300,15 @@ impl std::fmt::Debug for ModuleManager {
 }
 
 impl ModuleManager {
-    /// Manager for one of the two systems.
+    /// Manager for one of the two systems, linking its own images.
     pub fn new(kind: SystemKind) -> Self {
+        ModuleManager::with_images(kind, ImageTable::new())
+    }
+
+    /// Manager for one of the two systems whose registrations take their
+    /// linked images from `images`, linking only what no manager sharing
+    /// the table has linked yet.
+    pub fn with_images(kind: SystemKind, images: ImageTable) -> Self {
         let linker = bitlinker_for(kind);
         let slot_plan = SlotPlan::single(linker.region());
         ModuleManager {
@@ -268,6 +316,7 @@ impl ModuleManager {
             linker,
             modules: HashMap::new(),
             images: HashMap::new(),
+            image_table: images,
             active: None,
             plane: ConfigPlaneConfig::default(),
             residents: vec![None],
@@ -512,33 +561,29 @@ impl ModuleManager {
     /// at design time). With a multi-module floorplan one image is linked
     /// per sub-slot the component fits, at that slot's origin; `origin` is
     /// the offset within the slot. A component that fits no slot is
-    /// rejected with the first linking error.
+    /// rejected with the first linking error. The images come from the
+    /// manager's [`ImageTable`]; only a registration no manager sharing
+    /// it has made yet links them.
     pub fn register(
         &mut self,
         component: Component,
         origin: (u16, u16),
         factory: ModuleFactory,
     ) -> Result<(), AssembleError> {
+        let component = Arc::new(component);
+        let key = ImageKey {
+            kind: self.kind,
+            slot_plan: self.slot_plan.clone(),
+            component: Arc::clone(&component),
+            origin,
+        };
+        let linked = self
+            .image_table
+            .0
+            .get_or_init(key, || self.link_images(&component, origin))?;
         let name = component.name.clone();
-        let idcode = vp2_bitstream::idcode_for(self.linker.device().kind);
-        let mut first_err = None;
-        let mut linked_any = false;
-        for slot in &self.slot_plan.slots {
-            let slot_origin = (slot.cols.start + origin.0, origin.1);
-            match self.linker.linked_state(&component, slot_origin) {
-                Ok(expected) => {
-                    let bs = vp2_bitstream::partial_bitstream(&expected, &slot.frames, idcode);
-                    self.images
-                        .insert((name.clone(), slot.index), (bs, expected));
-                    linked_any = true;
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if !linked_any {
-            return Err(first_err.expect("a plan always has at least one slot"));
+        for (slot, image) in linked {
+            self.images.insert((name.clone(), slot), image);
         }
         self.modules.insert(
             name,
@@ -549,6 +594,34 @@ impl ModuleManager {
             },
         );
         Ok(())
+    }
+
+    /// Links `component` at `origin` within every sub-slot it fits.
+    fn link_images(&self, component: &Component, origin: (u16, u16)) -> SlotImages {
+        let idcode = vp2_bitstream::idcode_for(self.linker.device().kind);
+        let mut first_err = None;
+        let mut linked = Vec::new();
+        for slot in &self.slot_plan.slots {
+            let slot_origin = (slot.cols.start + origin.0, origin.1);
+            match self.linker.linked_state(component, slot_origin) {
+                Ok(expected) => {
+                    let bs = vp2_bitstream::partial_bitstream(&expected, &slot.frames, idcode);
+                    linked.push((slot.index, Arc::new((bs, expected))));
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        if linked.is_empty() {
+            return Err(first_err.expect("a plan always has at least one slot"));
+        }
+        Ok(linked)
+    }
+
+    /// The image `name` was linked to for sub-slot `slot`, if any.
+    pub fn linked_image(&self, name: &str, slot: usize) -> Option<&Arc<LinkedImage>> {
+        self.images.get(&(name.to_string(), slot))
     }
 
     /// Registered module names (sorted).
@@ -656,7 +729,7 @@ impl ModuleManager {
             }
         }
 
-        let (full_bs, expected) = self
+        let (full_bs, expected) = &**self
             .images
             .get(&(name.to_string(), slot_idx))
             .expect("candidate slots have images");
@@ -1056,6 +1129,50 @@ mod tests {
         let t2 = t + machine.platform.write(t, map::DOCK_BASE, 4, 0x0000_00FF);
         let (v, _) = machine.platform.read(t2, map::DOCK_BASE, 4);
         assert_eq!(v, 0xFFFF_FF00);
+    }
+
+    /// A component latching the dock's write bus unchanged.
+    fn latch_component(kind: SystemKind, name: &str) -> Component {
+        let dm = DockMacros::for_width(kind.dock_width());
+        let mut nl = Netlist::new(name);
+        let mut placer = AutoPlacer::new();
+        let din = dm.write.instantiate_input(&mut nl, &mut placer, "din");
+        let wr = dm.strobe.instantiate_input(&mut nl, &mut placer, "wr");
+        let q = components::register(&mut nl, &din, Some(wr[0]));
+        dm.read.instantiate_output(&mut nl, &mut placer, "dout", &q);
+        let placement = placer
+            .place(&nl, kind.region().width(), kind.region().height())
+            .unwrap();
+        Component::new(name, nl, placement, vec![dm.write, dm.read, dm.strobe]).unwrap()
+    }
+
+    #[test]
+    fn managers_sharing_a_table_link_each_distinct_registration_once() {
+        let kind = SystemKind::Bit32;
+        let table = ImageTable::new();
+        let register = |component: Component, origin| {
+            let mut mgr = ModuleManager::with_images(kind, table.clone());
+            let linked = mgr.register(component, origin, Box::new(|| Box::new(Inverter(0))));
+            linked.map(|()| mgr.linked_image("inv1", 0).unwrap().clone())
+        };
+        let first = register(inverter_component(kind, 1), (0, 0)).unwrap();
+        let again = register(inverter_component(kind, 1), (0, 0)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a repeat registration shares");
+        // Same name, other logic: linked anew, exactly as on its own.
+        let other = || latch_component(kind, "inv1");
+        let shared = register(other(), (0, 0)).unwrap();
+        let mut alone = ModuleManager::new(kind);
+        alone
+            .register(other(), (0, 0), Box::new(|| Box::new(Inverter(0))))
+            .unwrap();
+        assert_eq!(*shared, **alone.linked_image("inv1", 0).unwrap());
+        assert_ne!(shared.0, first.0, "different logic, different image");
+        // Same component at an origin it does not fit: the cached link at
+        // (0, 0) must not answer for it.
+        assert!(matches!(
+            register(inverter_component(kind, 1), (1, 0)),
+            Err(AssembleError::DoesNotFit { .. })
+        ));
     }
 
     #[test]

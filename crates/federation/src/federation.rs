@@ -2,6 +2,7 @@
 
 use rtr_apps::request::Request;
 use rtr_cluster::{Cluster, ClusterConfig};
+use rtr_service::BootShare;
 use rtr_telemetry::{Gauge, Telemetry};
 use rtr_trace::{EventKind, Tracer, FEDERATION_SHARD};
 use vp2_sim::SimTime;
@@ -116,8 +117,14 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// Boots every pool (in order, each with its shard-id base and the
-    /// shared journal installed).
+    /// Boots every pool, each with its shard-id base and the shared
+    /// journal installed: inline one after another, or concurrently when
+    /// any pool has worker threads. All pools boot through one
+    /// [`BootShare`], so across the whole federation each
+    /// `(SystemKind, kernels)` pair is calibrated once and each module
+    /// image (system kind, component, origin, slot plan) is linked once;
+    /// every shard still builds and warms up its own machine and keeps its
+    /// own cost-model clone. The share is dropped when this call returns.
     ///
     /// # Panics
     /// Panics if `config.pools` is empty, a pool has more than
@@ -129,7 +136,8 @@ impl Federation {
         );
         assert!(config.steal_batch > 0, "steal_batch must be positive");
         let n = config.pools.len();
-        let pools: Vec<Cluster> = config
+        let pooled = config.pools.iter().any(|cfg| cfg.threads > 1);
+        let configs: Vec<ClusterConfig> = config
             .pools
             .into_iter()
             .enumerate()
@@ -142,9 +150,30 @@ impl Federation {
                 cfg.shard_base = p as u32 * POOL_STRIDE;
                 cfg.trace = config.trace.clone();
                 cfg.telemetry = config.telemetry.clone();
-                Cluster::new(cfg)
+                cfg
             })
             .collect();
+        // With worker threads the pools boot concurrently too, so one
+        // pool's calibration never waits for another's. Every shard's boot
+        // is independent of the order, so the federation is the same.
+        let share = BootShare::new();
+        let pools: Vec<Cluster> = if pooled {
+            std::thread::scope(|scope| {
+                let boots: Vec<_> = configs
+                    .into_iter()
+                    .map(|cfg| scope.spawn(|| Cluster::boot(cfg, &share)))
+                    .collect();
+                boots
+                    .into_iter()
+                    .map(|boot| boot.join().expect("pool boot panicked"))
+                    .collect()
+            })
+        } else {
+            configs
+                .into_iter()
+                .map(|cfg| Cluster::boot(cfg, &share))
+                .collect()
+        };
         Federation {
             pools,
             policy: config.policy,

@@ -106,7 +106,7 @@ impl fmt::Display for NetlistError {
 impl std::error::Error for NetlistError {}
 
 /// A structural netlist.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Netlist {
     /// Module name (for reports and bitstream metadata).
     pub name: String,

@@ -60,7 +60,7 @@ impl std::error::Error for PlaceError {}
 
 /// A completed placement: every LUT and FF cell mapped to a site inside a
 /// `width × height` CLB bounding box anchored at local (0,0).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// Bounding-box width in CLB columns.
     pub width: u16,

@@ -15,7 +15,7 @@ use rtr_core::{build_system, SystemKind};
 use vp2_sim::{SimTime, SplitMix64};
 
 /// Linear time estimate for one (kernel, path): `base + per_byte * bytes`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathEstimate {
     /// Fixed per-item overhead in picoseconds.
     pub base_ps: f64,
@@ -55,7 +55,7 @@ const PROBE_SMALL: usize = 256;
 const PROBE_LARGE: usize = 2048;
 
 /// The calibrated model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     sw: [PathEstimate; Kernel::ALL.len()],
     hw: [Option<PathEstimate>; Kernel::ALL.len()],

@@ -32,6 +32,7 @@ pub mod metrics;
 pub mod queue;
 pub mod sched;
 pub mod service;
+pub mod share;
 pub mod traffic;
 
 pub use cost::{CostModel, PathEstimate};
@@ -41,4 +42,5 @@ pub use rtr_configplane::{ConfigPlaneConfig, ConfigPlaneStats};
 pub use rtr_core::{BurstConfig, RetryPolicy, ScrubPolicy, ScrubStats};
 pub use sched::{BatchPolicy, Candidate, LaneRank};
 pub use service::{Policy, Service, ServiceConfig, ServiceError};
+pub use share::BootShare;
 pub use traffic::{FlashCrowd, TrafficConfig, TrafficStream};

@@ -22,6 +22,7 @@ use crate::cost::CostModel;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{AdmissionQueues, Pending};
 use crate::sched::{lane_rank, BatchPolicy, Candidate, LaneRank};
+use crate::share::BootShare;
 
 /// Batch-path selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,8 +198,19 @@ impl Service {
     /// into the manager's cache), downloads the driver programs, runs
     /// the two-point calibration, and performs one warm-up load so the
     /// reconfiguration-time estimate starts from a measurement instead
-    /// of a guess.
+    /// of a guess. Nothing is shared: the boot calibrates and links
+    /// through a private [`BootShare`] that is dropped when it returns.
     pub fn new(config: ServiceConfig) -> Self {
+        Service::boot(config, &BootShare::new())
+    }
+
+    /// Boots the service like [`Service::new`], but takes the calibrated
+    /// cost model (keyed by system kind and kernels) and the linked module
+    /// images (keyed by system kind, component, origin and slot plan) from
+    /// `share`, computing only what no earlier boot through it has. The
+    /// machine, warm-up load, clock and cost-model EWMAs stay this
+    /// service's own, so the result is identical to [`Service::new`].
+    pub fn boot(config: ServiceConfig, share: &BootShare) -> Self {
         let kernels: Vec<Kernel> = if config.kernels.is_empty() {
             Kernel::ALL.to_vec()
         } else {
@@ -211,7 +223,7 @@ impl Service {
                 .icap
                 .set_fault_plan(Some(FaultPlan::new(config.fault_seed, config.fault_rate)));
         }
-        let mut manager = ModuleManager::new(config.kind);
+        let mut manager = ModuleManager::with_images(config.kind, share.images().clone());
         manager
             .configure_plane(config.plane.clone())
             .unwrap_or_else(|e| panic!("configuration plane: {e}"));
@@ -240,7 +252,7 @@ impl Service {
         let telemetry = config.telemetry.clone();
         machine.set_tracer(tracer.clone());
         manager.set_tracer(tracer.clone());
-        let mut cost = CostModel::calibrate(config.kind, &kernels);
+        let mut cost = share.calibration(config.kind, &kernels);
         // With the configuration plane active, swap costs genuinely differ
         // per kernel (cached or differential images vs cold loads), so the
         // cost model tracks them individually.

@@ -1,8 +1,9 @@
 //! Deterministic integration tests for the sharded cluster: equal seeds
 //! reproduce identical routing decisions and metrics, a quarantined
-//! shard sheds hardware-path work until its cooldown expires, and the
+//! shard sheds hardware-path work until its cooldown expires, the
 //! streaming admission layer never materialises more than the bounded
-//! per-shard buffers.
+//! per-shard buffers, and shards sharing one boot still hold exactly the
+//! images their own floorplans link.
 
 use vp2_repro::apps::request::{Kernel, Request};
 use vp2_repro::cluster::{Cluster, ClusterConfig, RoutePolicy, ShardSpec};
@@ -401,4 +402,94 @@ fn per_shard_batch_policies_are_honored_and_deterministic() {
             .and_then(vp2_repro::sim::Json::as_f64),
         Some(0.0)
     );
+}
+
+#[test]
+fn same_kind_shards_with_different_floorplans_link_their_own_images() {
+    use vp2_repro::apps::request::{component_for, component_for_slot, factory_for};
+    use vp2_repro::configplane::ConfigPlaneConfig;
+    use vp2_repro::rtr::ModuleManager;
+
+    // Three Bit64 shards in one cluster, so one boot share: a single-slot
+    // region with region-wide components, and two mirrored two-slot
+    // floorplans whose components are identical (both sized for the
+    // narrower slot) but whose slots cover different columns.
+    let kind = SystemKind::Bit64;
+    let kernels = vec![Kernel::Jenkins, Kernel::Brightness];
+    let width = kind.region().width();
+    let floorplans = [vec![], vec![12, width - 12], vec![width - 12, 12]];
+    let plane = |slot_widths: &Vec<u16>| ConfigPlaneConfig {
+        slot_widths: slot_widths.clone(),
+        ..ConfigPlaneConfig::default()
+    };
+    let mut cluster = Cluster::new(ClusterConfig {
+        shards: floorplans
+            .iter()
+            .map(|w| ShardSpec::new(kind).with_plane(plane(w)))
+            .collect(),
+        kernels: kernels.clone(),
+        flush_depth: 4,
+        ..ClusterConfig::uniform(kind, 1, RoutePolicy::RoundRobin)
+    });
+
+    // Every shard holds exactly the images a manager linking on its own
+    // would, for every module and sub-slot of its floorplan.
+    let mut slot0_images = Vec::new();
+    for (shard, slot_widths) in cluster.shards().iter().zip(&floorplans) {
+        let manager = shard.service().manager();
+        let mut alone = ModuleManager::new(kind);
+        alone.configure_plane(plane(slot_widths)).unwrap();
+        for &kernel in &kernels {
+            let component = match slot_widths.iter().min() {
+                Some(&w) => component_for_slot(kernel, kind, w),
+                None => component_for(kernel, kind),
+            }
+            .expect("both kernels fit every floorplan's narrowest slot");
+            alone
+                .register(component, (0, 0), factory_for(kernel))
+                .unwrap();
+        }
+        for &kernel in &kernels {
+            let name = kernel.module_name();
+            for slot in 0..manager.slot_plan().len() {
+                assert_eq!(
+                    manager.linked_image(name, slot).map(|i| &**i),
+                    alone.linked_image(name, slot).map(|i| &**i),
+                    "shard {} {name} slot {slot}: shared image differs from its own link",
+                    shard.id()
+                );
+            }
+        }
+        slot0_images.push(
+            manager
+                .linked_image(Kernel::Jenkins.module_name(), 0)
+                .unwrap()
+                .clone(),
+        );
+    }
+    for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+        assert_ne!(
+            slot0_images[a].0, slot0_images[b].0,
+            "shards {a} and {b} differ in floorplan, so in their images"
+        );
+    }
+
+    // And every shard serves verified requests on its hardware path.
+    let traffic = TrafficConfig {
+        requests: 36,
+        kernels,
+        min_payload: 4 * 1024,
+        max_payload: 8 * 1024,
+        ..TrafficConfig::default()
+    };
+    let snap = cluster.run(traffic.stream());
+    assert_eq!(snap.total.completed, 36, "every request served");
+    for shard in &snap.shards {
+        assert_eq!(shard.metrics.verify_failures, 0, "shard {}", shard.id);
+        assert!(
+            shard.metrics.hw_items > 0,
+            "shard {} ran hardware",
+            shard.id
+        );
+    }
 }

@@ -1,14 +1,16 @@
 //! Integration tests for the multi-cluster federation tier: equal seeds
 //! must produce byte-identical federated snapshots and merged journals
 //! at every thread count and at every pool count, cost-model routing
-//! must beat round-robin-over-pools on the skewed workload, and the
-//! flash crowd must engage bounded work stealing.
+//! must beat round-robin-over-pools on the skewed workload, the
+//! flash crowd must engage bounded work stealing, and every shard must
+//! boot with the cost model a standalone calibration gives.
 
 use vp2_repro::apps::request::Kernel;
 use vp2_repro::cluster::{ClusterConfig, RoutePolicy, ShardSpec};
 use vp2_repro::federation::{FedPolicy, Federation, FederationConfig, FederationSnapshot};
 use vp2_repro::rtr::SystemKind;
-use vp2_repro::service::{FlashCrowd, TrafficConfig};
+use vp2_repro::service::cost::kernel_has_hw;
+use vp2_repro::service::{CostModel, FlashCrowd, TrafficConfig};
 use vp2_repro::sim::SimTime;
 use vp2_repro::trace::Tracer;
 
@@ -183,4 +185,60 @@ fn cost_model_routing_beats_round_robin_and_the_flash_crowd_engages_stealing() {
         cost.sheds > 0,
         "the backed-up home pool must shed deadline traffic"
     );
+}
+
+#[test]
+fn shared_boots_match_standalone_calibrations_at_any_thread_count() {
+    // One federation boot shares calibrations and images between every
+    // shard; each shard must still end up with exactly the cost model a
+    // standalone calibration of its kind and kernels yields, plus its own
+    // warm-up observation. The mixed pool serves fewer kernels, so its
+    // shards need calibrations of their own.
+    let mixed_kernels = vec![Kernel::Brightness, Kernel::Jenkins];
+    let mut standalone: Vec<((SystemKind, Vec<Kernel>), CostModel)> = Vec::new();
+    for threads in [1, 4] {
+        let mut configs = pools(3, threads);
+        configs[2].kernels = mixed_kernels.clone();
+        let kernels: Vec<Vec<Kernel>> = configs.iter().map(|c| c.kernels.clone()).collect();
+        let fed = Federation::new(FederationConfig::new(configs));
+        let mut images = Vec::new();
+        for (pool, kernels) in fed.pools().iter().zip(&kernels) {
+            for shard in pool.shards() {
+                let svc = shard.service();
+                let key = (svc.kind(), kernels.clone());
+                let mut expected = match standalone.iter().find(|(k, _)| *k == key) {
+                    Some((_, model)) => model.clone(),
+                    None => {
+                        let model = CostModel::calibrate(key.0, &key.1);
+                        standalone.push((key.clone(), model.clone()));
+                        model
+                    }
+                };
+                let warmup = *kernels
+                    .iter()
+                    .find(|&&k| kernel_has_hw(k, key.0))
+                    .expect("every pool has a hardware kernel");
+                expected.observe_reconfig_for(warmup, svc.manager().total_reconfig_time);
+                assert_eq!(
+                    svc.cost_model(),
+                    &expected,
+                    "{key:?} shard {} at {threads} threads",
+                    shard.id()
+                );
+                // Shards of one kind hold the very same linked images.
+                let jenkins = Kernel::Jenkins.module_name();
+                let image = svc.manager().linked_image(jenkins, 0).unwrap();
+                match images.iter().find(|(kind, _)| *kind == key.0) {
+                    Some((_, first)) => assert!(
+                        std::sync::Arc::ptr_eq(first, image),
+                        "{:?} shards share one image",
+                        key.0
+                    ),
+                    None => images.push((key.0, image.clone())),
+                }
+            }
+        }
+        assert_eq!(images.len(), 2, "the pools mix both kinds");
+    }
+    assert_eq!(standalone.len(), 4, "two kernel sets on each kind");
 }
