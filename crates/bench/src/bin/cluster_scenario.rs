@@ -306,6 +306,5 @@ fn main() {
             .field("parallel", parallel_json),
     );
     scenario::emit("cluster", json_path.as_deref(), &summary);
-    scenario::export_trace("cluster", &args, &tracer);
-    scenario::export_telemetry("cluster", &args, &telemetry);
+    scenario::export("cluster", &args, &tracer, &telemetry);
 }

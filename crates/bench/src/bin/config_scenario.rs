@@ -393,6 +393,5 @@ fn main() {
             ),
     );
     scenario::emit("config", json_path.as_deref(), &summary);
-    scenario::export_trace("config", &args, &tracer);
-    scenario::export_telemetry("config", &args, &telemetry);
+    scenario::export("config", &args, &tracer, &telemetry);
 }

@@ -303,8 +303,7 @@ fn main() {
                 ),
         );
     scenario::emit("fault", json_path.as_deref(), &summary);
-    scenario::export_trace("fault", &args, &tracer);
-    scenario::export_telemetry("fault", &args, &telemetry);
+    scenario::export("fault", &args, &tracer, &telemetry);
     assert!(rate0_identical, "a rate-0 burst plan must leave no trace");
     assert!(
         claim_scrub,

@@ -247,6 +247,5 @@ fn main() {
             .field("cost_model", fed_summary_json(&cost)),
     );
     scenario::emit("federation", json_path.as_deref(), &summary);
-    scenario::export_trace("federation", &args, &tracer);
-    scenario::export_telemetry("federation", &args, &telemetry);
+    scenario::export("federation", &args, &tracer, &telemetry);
 }

@@ -202,6 +202,5 @@ fn main() {
             ),
     );
     scenario::emit("sched", json_path.as_deref(), &summary);
-    scenario::export_trace("sched", &args, &tracer);
-    scenario::export_telemetry("sched", &args, &telemetry);
+    scenario::export("sched", &args, &tracer, &telemetry);
 }

@@ -86,6 +86,5 @@ fn main() {
 
     let summary = Json::obj().field("service_scenarios", Json::Arr(systems));
     scenario::emit("service", json_path.as_deref(), &summary);
-    scenario::export_trace("service", &args, &tracer);
-    scenario::export_telemetry("service", &args, &telemetry);
+    scenario::export("service", &args, &tracer, &telemetry);
 }

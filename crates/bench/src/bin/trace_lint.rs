@@ -36,14 +36,19 @@
 //!   the same per-line checks, plus the `(tick, shard, seq)` key must
 //!   strictly increase — the total order the merge sorts by.
 //!
+//! Both stream kinds go through one checker, [`rtr_bench::lint`], which
+//! reads the key field names from each row type's journal declaration.
+//!
 //! Exits non-zero with one line per violation; CI runs it after the
 //! scenario smoke runs so a malformed export fails the build.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+use rtr_bench::lint::{lint_stream, StreamLint};
 use rtr_bench::scenario::ScenarioArgs;
-use rtr_trace::KIND_NAMES;
+use rtr_telemetry::TelemetryRow;
+use rtr_trace::TraceEvent;
 use vp2_sim::Json;
 
 /// Tolerance on the per-shard fraction sum.
@@ -314,11 +319,9 @@ fn lint_trace(path: &str, doc: &Json, problems: &mut Vec<String>) {
     );
 }
 
-/// Checks a streamed JSONL journal. `merged` selects the ordering
-/// invariant: a per-shard stream is in emission order (strictly
-/// increasing `seq`, one constant shard id), the merged file is in the
-/// canonical `(time_ps, shard, seq)` total order.
-fn lint_journal(path: &str, merged: bool, problems: &mut Vec<String>) {
+/// Checks one streamed JSONL file of `R` rows with the shared stream
+/// checker and reports its line count.
+fn lint_file<R: StreamLint>(path: &str, merged: bool, problems: &mut Vec<String>) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -326,265 +329,9 @@ fn lint_journal(path: &str, merged: bool, problems: &mut Vec<String>) {
             return;
         }
     };
-    let mut lines = 0usize;
-    let mut stream_shard: Option<i64> = None;
-    let mut last_seq: Option<i64> = None;
-    let mut last_key: Option<(i64, i64, i64)> = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let ev = match Json::parse(line) {
-            Ok(ev) => ev,
-            Err(e) => {
-                problems.push(format!("{path}: line {}: not valid JSON: {e}", i + 1));
-                continue;
-            }
-        };
-        let int = |key: &str| ev.get(key).and_then(Json::as_f64).map(|v| v as i64);
-        let kind = ev.get("kind").and_then(Json::as_str);
-        let (Some(time), Some(shard), Some(seq), Some(kind)) =
-            (int("time_ps"), int("shard"), int("seq"), kind)
-        else {
-            problems.push(format!(
-                "{path}: line {}: missing one of time_ps/shard/seq/kind",
-                i + 1
-            ));
-            continue;
-        };
-        if !KIND_NAMES.contains(&kind) {
-            problems.push(format!(
-                "{path}: line {}: unknown event kind {kind:?}",
-                i + 1
-            ));
-        }
-        // Federation decisions must be self-describing in the raw
-        // journal too, not just in the Chrome export.
-        match kind {
-            "fed_route" => {
-                let kernel = ev.get("kernel").and_then(Json::as_str);
-                if int("pool").is_none_or(|p| p < 0)
-                    || kernel.is_none_or(str::is_empty)
-                    || int("estimate_ps").is_none_or(|e| e < 0)
-                {
-                    problems.push(format!(
-                        "{path}: line {}: fed_route missing pool/kernel/estimate_ps",
-                        i + 1
-                    ));
-                }
-            }
-            "fed_steal" | "fed_shed" => {
-                match (int("from_pool"), int("to_pool")) {
-                    (Some(from), Some(to)) if from == to => {
-                        problems.push(format!(
-                            "{path}: line {}: {kind} from pool {from} to itself",
-                            i + 1
-                        ));
-                    }
-                    (Some(_), Some(_)) => {}
-                    _ => problems.push(format!(
-                        "{path}: line {}: {kind} missing from_pool/to_pool",
-                        i + 1
-                    )),
-                }
-                if kind == "fed_steal" && int("moved").is_none_or(|m| m < 1) {
-                    problems.push(format!(
-                        "{path}: line {}: fed_steal moved fewer than one request",
-                        i + 1
-                    ));
-                }
-            }
-            // Scrub and canary events carry the same invariants in the
-            // raw journal as in the Chrome export.
-            "scrub_pass" => match (int("frames"), int("mismatched")) {
-                (Some(frames), Some(mismatched)) if mismatched > frames => {
-                    problems.push(format!(
-                        "{path}: line {}: scrub_pass found {mismatched} \
-                         mismatches in only {frames} frames",
-                        i + 1
-                    ));
-                }
-                (Some(_), Some(_)) => {}
-                _ => problems.push(format!(
-                    "{path}: line {}: scrub_pass missing frames/mismatched",
-                    i + 1
-                )),
-            },
-            "scrub_repair" if int("frames").is_none_or(|f| f < 1) => {
-                problems.push(format!(
-                    "{path}: line {}: scrub_repair re-wrote fewer than one frame",
-                    i + 1
-                ));
-            }
-            "canary_probe" | "canary_result" => {
-                let kernel = ev.get("kernel").and_then(Json::as_str);
-                if kernel.is_none_or(str::is_empty) {
-                    problems.push(format!("{path}: line {}: {kind} without a kernel", i + 1));
-                }
-                if kind == "canary_result" && !matches!(ev.get("admitted"), Some(Json::Bool(_))) {
-                    problems.push(format!(
-                        "{path}: line {}: canary_result without a boolean verdict",
-                        i + 1
-                    ));
-                }
-            }
-            _ => {}
-        }
-        if merged {
-            let key = (time, shard, seq);
-            if let Some(last) = last_key {
-                if key <= last {
-                    problems.push(format!(
-                        "{path}: line {}: (time_ps, shard, seq) key {key:?} \
-                         does not advance past {last:?}",
-                        i + 1
-                    ));
-                }
-            }
-            last_key = Some(key);
-        } else {
-            match stream_shard {
-                None => stream_shard = Some(shard),
-                Some(expected) if expected != shard => {
-                    problems.push(format!(
-                        "{path}: line {}: shard {shard} in a shard-{expected} stream",
-                        i + 1
-                    ));
-                }
-                Some(_) => {}
-            }
-            if let Some(last) = last_seq {
-                if seq <= last {
-                    problems.push(format!(
-                        "{path}: line {}: seq {seq} does not advance past {last}",
-                        i + 1
-                    ));
-                }
-            }
-            last_seq = Some(seq);
-        }
-    }
-    if lines == 0 {
-        problems.push(format!("{path}: journal is empty"));
-    }
+    let lines = lint_stream::<R>(path, &text, merged, problems);
     let flavor = if merged { "merged" } else { "per-shard" };
-    eprintln!("[lint] {path}: {lines} {flavor} journal event(s)");
-}
-
-/// Checks a streamed telemetry time-series. `merged` selects the
-/// ordering invariant: a per-shard stream carries one constant shard
-/// id, a never-decreasing `tick` and a strictly increasing `seq`; the
-/// merged file is in the canonical `(tick, shard, seq)` total order.
-/// Every row must be self-describing: a non-empty scope and a
-/// non-empty gauge map whose values are all finite numbers.
-fn lint_telemetry(path: &str, merged: bool, problems: &mut Vec<String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            problems.push(format!("{path}: cannot read: {e}"));
-            return;
-        }
-    };
-    let mut lines = 0usize;
-    let mut stream_shard: Option<i64> = None;
-    let mut last_tick: Option<i64> = None;
-    let mut last_seq: Option<i64> = None;
-    let mut last_key: Option<(i64, i64, i64)> = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let ev = match Json::parse(line) {
-            Ok(ev) => ev,
-            Err(e) => {
-                problems.push(format!("{path}: line {}: not valid JSON: {e}", i + 1));
-                continue;
-            }
-        };
-        let int = |key: &str| ev.get(key).and_then(Json::as_f64).map(|v| v as i64);
-        let scope = ev.get("scope").and_then(Json::as_str);
-        let (Some(tick), Some(_), Some(shard), Some(seq), Some(scope)) =
-            (int("tick"), int("time_ps"), int("shard"), int("seq"), scope)
-        else {
-            problems.push(format!(
-                "{path}: line {}: missing one of tick/time_ps/shard/seq/scope",
-                i + 1
-            ));
-            continue;
-        };
-        if scope.is_empty() {
-            problems.push(format!("{path}: line {}: empty scope", i + 1));
-        }
-        // Each sample must describe itself: at least one gauge, every
-        // value a finite number (NaN/inf would poison any aggregation
-        // downstream and render as invalid JSON anyway).
-        match ev.get("gauges") {
-            Some(Json::Obj(gauges)) if !gauges.is_empty() => {
-                for (name, value) in gauges {
-                    match value.as_f64() {
-                        Some(v) if v.is_finite() => {}
-                        _ => problems.push(format!(
-                            "{path}: line {}: gauge {name:?} is not a finite number",
-                            i + 1
-                        )),
-                    }
-                }
-            }
-            _ => problems.push(format!(
-                "{path}: line {}: missing or empty gauges object",
-                i + 1
-            )),
-        }
-        if merged {
-            let key = (tick, shard, seq);
-            if let Some(last) = last_key {
-                if key <= last {
-                    problems.push(format!(
-                        "{path}: line {}: (tick, shard, seq) key {key:?} \
-                         does not advance past {last:?}",
-                        i + 1
-                    ));
-                }
-            }
-            last_key = Some(key);
-        } else {
-            match stream_shard {
-                None => stream_shard = Some(shard),
-                Some(expected) if expected != shard => {
-                    problems.push(format!(
-                        "{path}: line {}: shard {shard} in a shard-{expected} stream",
-                        i + 1
-                    ));
-                }
-                Some(_) => {}
-            }
-            if let Some(last) = last_tick {
-                if tick < last {
-                    problems.push(format!(
-                        "{path}: line {}: tick {tick} steps back from {last}",
-                        i + 1
-                    ));
-                }
-            }
-            last_tick = Some(tick);
-            if let Some(last) = last_seq {
-                if seq <= last {
-                    problems.push(format!(
-                        "{path}: line {}: seq {seq} does not advance past {last}",
-                        i + 1
-                    ));
-                }
-            }
-            last_seq = Some(seq);
-        }
-    }
-    if lines == 0 {
-        problems.push(format!("{path}: telemetry stream is empty"));
-    }
-    let flavor = if merged { "merged" } else { "per-shard" };
-    eprintln!("[lint] {path}: {lines} {flavor} telemetry sample(s)");
+    eprintln!("[lint] {path}: {lines} {flavor} {} line(s)", R::NOUN);
 }
 
 /// Checks that each shard's fractions partition its makespan.
@@ -633,21 +380,17 @@ fn main() -> ExitCode {
             lint_profile(&path, &doc, &mut problems);
         }
     }
-    if let Some(path) = args.value_of("--journal") {
-        checked += 1;
-        lint_journal(&path, false, &mut problems);
+    for (flag, merged) in [("--journal", false), ("--journal-merged", true)] {
+        if let Some(path) = args.value_of(flag) {
+            checked += 1;
+            lint_file::<TraceEvent>(&path, merged, &mut problems);
+        }
     }
-    if let Some(path) = args.value_of("--journal-merged") {
-        checked += 1;
-        lint_journal(&path, true, &mut problems);
-    }
-    if let Some(path) = args.value_of("--telemetry") {
-        checked += 1;
-        lint_telemetry(&path, false, &mut problems);
-    }
-    if let Some(path) = args.value_of("--telemetry-merged") {
-        checked += 1;
-        lint_telemetry(&path, true, &mut problems);
+    for (flag, merged) in [("--telemetry", false), ("--telemetry-merged", true)] {
+        if let Some(path) = args.value_of(flag) {
+            checked += 1;
+            lint_file::<TelemetryRow>(&path, merged, &mut problems);
+        }
     }
     if checked == 0 {
         eprintln!(

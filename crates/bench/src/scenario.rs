@@ -9,7 +9,7 @@ use std::io::Write as _;
 use std::str::FromStr;
 
 use rtr_telemetry::Telemetry;
-use rtr_trace::{chrome_trace, Profiler, Tracer};
+use rtr_trace::{chrome_trace, Journal, JournalRow, Profiler, Tracer};
 use vp2_sim::{Json, SimTime};
 
 /// Parsed command-line arguments of a scenario binary.
@@ -93,9 +93,7 @@ impl ScenarioArgs {
             return Telemetry::disabled();
         };
         let telemetry = Telemetry::with_tick(SimTime::from_ps(self.tick_ps()));
-        telemetry
-            .stream_to(&base)
-            .unwrap_or_else(|e| panic!("telemetry stream {base}: {e}"));
+        stream(&telemetry, Some(base));
         telemetry
     }
 
@@ -112,11 +110,7 @@ impl ScenarioArgs {
             return Tracer::disabled();
         }
         let tracer = Tracer::enabled();
-        if let Some(base) = self.journal_base() {
-            tracer
-                .stream_to(&base)
-                .unwrap_or_else(|e| panic!("journal stream {base}: {e}"));
-        }
+        stream(&tracer, self.journal_base());
         tracer
     }
 }
@@ -142,66 +136,63 @@ pub fn emit(tag: &str, json_path: Option<&str>, summary: &Json) {
     }
 }
 
-/// Exports the journal the scenario's traced run accumulated: the Chrome
-/// trace to `--trace`, the makespan attribution to `--profile` (with the
-/// human-readable table echoed to stderr). No-op on a disabled tracer.
-pub fn export_trace(tag: &str, args: &ScenarioArgs, tracer: &Tracer) {
-    if !tracer.on() {
-        return;
-    }
-    if let Some(path) = args.trace_path() {
-        let rendered = chrome_trace(&tracer.events()).render();
-        std::fs::write(&path, rendered).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!(
-            "[{tag}] wrote {path} ({} events, {} dropped)",
-            tracer.len(),
-            tracer.dropped()
-        );
-    }
-    if let Some(path) = args.profile_path() {
-        let report = Profiler.fold(tracer);
-        std::fs::write(&path, report.to_json().render_pretty())
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("[{tag}] wrote {path}");
-        eprint!("{report}");
-    }
-    if let Some(base) = args.journal_base() {
-        let shard_files = tracer
-            .flush_streams()
-            .unwrap_or_else(|e| panic!("flush journal streams {base}: {e}"));
-        let merged = format!("{base}.merged.jsonl");
-        let lines = tracer
-            .merge_streams(&merged)
-            .unwrap_or_else(|e| panic!("merge journal streams {base}: {e}"));
-        eprintln!(
-            "[{tag}] wrote {merged} ({lines} events from {} shard journal(s))",
-            shard_files.len()
-        );
+/// Attaches per-shard stream files under `base` (when given) to either
+/// plane's journal.
+fn stream<R: JournalRow, S>(journal: &Journal<R, S>, base: Option<String>) {
+    if let Some(base) = base {
+        journal
+            .stream_to(&base)
+            .unwrap_or_else(|e| panic!("{} stream {base}: {e}", R::NOUN));
     }
 }
 
-/// Exports the telemetry streams the scenario's sampled run produced:
-/// flushes every per-shard `.tl.jsonl` sink and writes the merged,
-/// `(tick, shard, seq)`-ordered series to `{base}.merged.tl.jsonl`.
-/// No-op on a disabled handle.
-pub fn export_telemetry(tag: &str, args: &ScenarioArgs, telemetry: &Telemetry) {
-    if !telemetry.on() {
-        return;
-    }
-    let Some(base) = args.telemetry_base() else {
+/// Flushes either plane's per-shard stream files under `base` (when
+/// given) and merges them into `<base>.merged<suffix>`, ordered by the
+/// row kind's merge key. No-op on a disabled handle.
+fn merge<R: JournalRow, S>(tag: &str, journal: &Journal<R, S>, base: Option<String>) {
+    let Some(base) = base.filter(|_| journal.on()) else {
         return;
     };
-    let shard_files = telemetry
+    let noun = R::NOUN;
+    let shard_files = journal
         .flush_streams()
-        .unwrap_or_else(|e| panic!("flush telemetry streams {base}: {e}"));
-    let merged = format!("{base}.merged.tl.jsonl");
-    let rows = telemetry
+        .unwrap_or_else(|e| panic!("flush {noun} streams {base}: {e}"));
+    let merged = Journal::<R, S>::merged_path(&base);
+    let lines = journal
         .merge_streams(&merged)
-        .unwrap_or_else(|e| panic!("merge telemetry streams {base}: {e}"));
+        .unwrap_or_else(|e| panic!("merge {noun} streams {base}: {e}"));
     eprintln!(
-        "[{tag}] wrote {merged} ({rows} samples from {} shard series)",
+        "[{tag}] wrote {merged} ({lines} {noun} lines from {} shard stream(s))",
         shard_files.len()
     );
+}
+
+/// Exports what the scenario's designated run recorded: the Chrome
+/// trace to `--trace`, the makespan attribution to `--profile` (with
+/// the human-readable table echoed to stderr), and the merged journal
+/// and telemetry streams under `--journal` and `--telemetry`. Each part
+/// is a no-op when its handle is disabled.
+pub fn export(tag: &str, args: &ScenarioArgs, tracer: &Tracer, telemetry: &Telemetry) {
+    if tracer.on() {
+        if let Some(path) = args.trace_path() {
+            let rendered = chrome_trace(&tracer.events()).render();
+            std::fs::write(&path, rendered).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            eprintln!(
+                "[{tag}] wrote {path} ({} events, {} dropped)",
+                tracer.len(),
+                tracer.dropped()
+            );
+        }
+        if let Some(path) = args.profile_path() {
+            let report = Profiler.fold(tracer);
+            std::fs::write(&path, report.to_json().render_pretty())
+                .unwrap_or_else(|e| panic!("write {path}: {e}"));
+            eprintln!("[{tag}] wrote {path}");
+            eprint!("{report}");
+        }
+    }
+    merge(tag, tracer, args.journal_base());
+    merge(tag, telemetry, args.telemetry_base());
 }
 
 #[cfg(test)]

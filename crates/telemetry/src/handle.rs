@@ -1,22 +1,19 @@
-//! The telemetry handle, its per-shard series, and the streaming sink.
+//! The telemetry handle: a [`Journal`] of [`TelemetryRow`]s.
 //!
-//! Structurally a sibling of `rtr_trace::Tracer`: a registry of
-//! per-shard series behind `Arc<Mutex<_>>`, handles resolved once at
-//! creation so the sampling path never touches the registry lock, JSONL
-//! sinks attached per series, and a `(tick, shard, seq)` merge that is
-//! a total order independent of thread interleaving.
-//!
-//! What is *not* shared with the tracer is the emission model: instead
-//! of journaling every event, a series accepts at most one row per
-//! `(scope, tick)` — the caller samples opportunistically (every batch,
-//! every flush) and the handle throttles to the tick grid, so a 10×
-//! busier run emits the same number of rows per simulated second.
+//! The registry, the per-shard `seq`, the bounded ring, the JSONL sinks
+//! and the `(tick, shard, seq)` merge are the journal's, shared with
+//! `rtr_trace::Tracer`. What is particular to telemetry is the emission
+//! model: instead of journaling every event, a series accepts at most
+//! one row per `(scope, tick)` — the caller samples opportunistically
+//! (every batch, every flush) and the handle throttles to the tick
+//! grid, so a 10× busier run emits the same number of rows per
+//! simulated second. The dedup, rate and lane-window state lives in the
+//! journal's per-shard slot, under the same lock as the ring.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::ops::Deref;
 
+use rtr_trace::{Journal, JournalRow};
 use vp2_sim::{Json, SimTime};
 
 use crate::row::{Gauge, GaugeKind, TelemetryRow};
@@ -73,14 +70,9 @@ impl Ring {
     }
 }
 
-/// One shard's series: the bounded row ring, the per-scope tick dedup
-/// and rate state, the per-lane latency windows, and the optional
-/// streaming sink.
-struct Series {
-    rows: VecDeque<TelemetryRow>,
-    capacity: usize,
-    dropped: u64,
-    next_seq: u64,
+/// One shard's sampling state, kept in its journal slot: the per-scope
+/// tick dedup and rate memory, and the per-lane latency windows.
+pub struct Series {
     /// Last tick a row was emitted for, per scope — the dedup that
     /// bounds the emission rate to the tick grid.
     last_tick: BTreeMap<&'static str, u64>,
@@ -89,61 +81,33 @@ struct Series {
     prev: BTreeMap<(&'static str, &'static str), (u64, f64)>,
     deadline_ring: Ring,
     effort_ring: Ring,
-    sink: Option<BufWriter<File>>,
-    sink_path: Option<String>,
 }
 
-impl Series {
-    fn new(capacity: usize, lane_window: usize) -> Series {
+impl Default for Series {
+    fn default() -> Series {
         Series {
-            rows: VecDeque::new(),
-            capacity,
-            dropped: 0,
-            next_seq: 0,
             last_tick: BTreeMap::new(),
             prev: BTreeMap::new(),
-            deadline_ring: Ring::new(lane_window),
-            effort_ring: Ring::new(lane_window),
-            sink: None,
-            sink_path: None,
+            deadline_ring: Ring::new(LANE_WINDOW),
+            effort_ring: Ring::new(LANE_WINDOW),
         }
     }
+}
 
-    fn attach_sink(&mut self, path: &str) -> std::io::Result<()> {
-        self.sink = Some(BufWriter::new(File::create(path)?));
-        self.sink_path = Some(path.to_string());
-        Ok(())
+impl JournalRow for TelemetryRow {
+    const KEY_FIELDS: [&'static str; 3] = ["tick", "shard", "seq"];
+    /// The `.tl.` infix keeps telemetry streams distinct from the trace
+    /// journals that may share a base path.
+    const SUFFIX: &'static str = ".tl.jsonl";
+    const NOUN: &'static str = "telemetry";
+
+    fn merge_key(&self) -> (u64, u32, u64) {
+        self.key()
     }
-}
 
-/// State shared by every clone of an enabled telemetry handle.
-struct Shared {
-    capacity: usize,
-    tick_ps: u64,
-    lane_window: usize,
-    series: Mutex<BTreeMap<u32, Arc<Mutex<Series>>>>,
-    /// JSONL stream base path, once [`Telemetry::stream_to`] was
-    /// called; series registered later attach their sink on creation.
-    stream_base: Mutex<Option<String>>,
-}
-
-impl Shared {
-    /// The series in shard order (the deterministic fold order).
-    fn series(&self) -> Vec<(u32, Arc<Mutex<Series>>)> {
-        self.series
-            .lock()
-            .expect("series registry poisoned")
-            .iter()
-            .map(|(shard, s)| (*shard, Arc::clone(s)))
-            .collect()
+    fn to_line(&self) -> Json {
+        self.to_json()
     }
-}
-
-/// The JSONL file one shard's streamed series lands in. The `.tl.`
-/// infix keeps telemetry streams distinct from the trace journals that
-/// may share a base path.
-fn shard_stream_path(base: &str, shard: u32) -> String {
-    format!("{base}.shard{shard:03}.tl.jsonl")
 }
 
 /// A cheaply cloneable, `Send` handle onto a set of per-shard telemetry
@@ -152,29 +116,37 @@ fn shard_stream_path(base: &str, shard: u32) -> String {
 /// [`Telemetry::with_shard`] derives a handle bound to that shard's
 /// series (created on first use), which is how one cluster-level handle
 /// fans out across a pool whose shards flush on worker threads. The
-/// disabled handle is a `None`: [`Telemetry::on`] is a single branch
-/// and [`Telemetry::sample`] a no-op, so instrumentation costs nothing
-/// when telemetry is off.
+/// disabled handle is a `None`: `on` is a single branch and
+/// [`Telemetry::sample`] a no-op, so instrumentation costs nothing when
+/// telemetry is off. The ring, drop and streaming methods are the
+/// [`Journal`]'s, reached through `Deref`.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    shared: Option<Arc<Shared>>,
-    /// This handle's shard series, resolved once at handle creation so
-    /// the sampling path never touches the registry lock.
-    series: Option<Arc<Mutex<Series>>>,
-    shard: u32,
+    journal: Journal<TelemetryRow, Series>,
+    /// The tick period in picoseconds (0 when disabled).
+    tick_ps: u64,
+}
+
+impl Deref for Telemetry {
+    type Target = Journal<TelemetryRow, Series>;
+
+    fn deref(&self) -> &Journal<TelemetryRow, Series> {
+        &self.journal
+    }
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.shared {
-            Some(shared) => write!(
+        if self.on() {
+            write!(
                 f,
                 "Telemetry(shard {}, tick {} ps, {} rows)",
-                self.shard,
-                shared.tick_ps,
+                self.shard(),
+                self.tick_ps,
                 self.len()
-            ),
-            None => write!(f, "Telemetry(disabled)"),
+            )
+        } else {
+            write!(f, "Telemetry(disabled)")
         }
     }
 }
@@ -196,63 +168,24 @@ impl Telemetry {
     /// Panics if `tick` is zero — a zero period has no tick grid.
     pub fn with_tick(tick: SimTime) -> Telemetry {
         assert!(!tick.is_zero(), "the tick period must be positive");
-        let shared = Arc::new(Shared {
-            capacity: DEFAULT_CAPACITY,
-            tick_ps: tick.as_ps(),
-            lane_window: LANE_WINDOW,
-            series: Mutex::new(BTreeMap::new()),
-            stream_base: Mutex::new(None),
-        });
-        let telemetry = Telemetry {
-            shared: Some(shared),
-            series: None,
-            shard: 0,
-        };
-        telemetry.with_shard(0)
-    }
-
-    /// A handle bound to `shard`'s series (created on first use, with a
-    /// streaming sink attached when [`Telemetry::stream_to`] is
-    /// active).
-    pub fn with_shard(&self, shard: u32) -> Telemetry {
-        let Some(shared) = &self.shared else {
-            return Telemetry::disabled();
-        };
-        let mut registry = shared.series.lock().expect("series registry poisoned");
-        let series = registry
-            .entry(shard)
-            .or_insert_with(|| {
-                let mut series = Series::new(shared.capacity, shared.lane_window);
-                let base = shared.stream_base.lock().expect("stream base poisoned");
-                if let Some(base) = base.as_deref() {
-                    let path = shard_stream_path(base, shard);
-                    series
-                        .attach_sink(&path)
-                        .unwrap_or_else(|e| panic!("telemetry stream: cannot create {path}: {e}"));
-                }
-                Arc::new(Mutex::new(series))
-            })
-            .clone();
-        drop(registry);
         Telemetry {
-            shared: Some(Arc::clone(shared)),
-            series: Some(series),
-            shard,
+            journal: Journal::with_capacity(DEFAULT_CAPACITY),
+            tick_ps: tick.as_ps(),
         }
     }
 
-    /// Is this handle recording? Check before gathering gauge values
-    /// whose computation costs anything.
-    #[inline]
-    pub fn on(&self) -> bool {
-        self.shared.is_some()
+    /// A handle bound to `shard`'s series (created on first use, with a
+    /// streaming sink attached when `stream_to` is active).
+    pub fn with_shard(&self, shard: u32) -> Telemetry {
+        Telemetry {
+            journal: self.journal.with_shard(shard),
+            tick_ps: self.tick_ps,
+        }
     }
 
     /// The sampling tick period ([`SimTime::ZERO`] when disabled).
     pub fn tick_period(&self) -> SimTime {
-        self.shared
-            .as_ref()
-            .map_or(SimTime::ZERO, |s| SimTime::from_ps(s.tick_ps))
+        SimTime::from_ps(self.tick_ps)
     }
 
     /// Feeds one completed request's latency into this shard's per-lane
@@ -260,13 +193,14 @@ impl Telemetry {
     /// [`Telemetry::sample_with_tails`] computes p99 gauges over —
     /// constant memory however long the run.
     pub fn record_latency(&self, deadline: bool, latency: SimTime) {
-        let Some(series) = &self.series else { return };
-        let mut s = series.lock().expect("series poisoned");
-        if deadline {
-            s.deadline_ring.push(latency.as_ps());
-        } else {
-            s.effort_ring.push(latency.as_ps());
-        }
+        self.journal.update_state(|s| {
+            let ring = if deadline {
+                &mut s.deadline_ring
+            } else {
+                &mut s.effort_ring
+            };
+            ring.push(latency.as_ps());
+        });
     }
 
     /// Takes one sample at simulated instant `time` under `scope`. At
@@ -290,186 +224,52 @@ impl Telemetry {
     }
 
     fn sample_inner(&self, time: SimTime, scope: &'static str, gauges: &[Gauge], tails: bool) {
-        let (Some(series), Some(shared)) = (&self.series, &self.shared) else {
-            return;
-        };
-        let tick = time.as_ps() / shared.tick_ps;
-        let mut s = series.lock().expect("series poisoned");
-        if s.last_tick.get(scope) == Some(&tick) {
-            return;
-        }
-        s.last_tick.insert(scope, tick);
-        let mut values: Vec<(&'static str, f64)> = Vec::with_capacity(gauges.len() + 2);
-        for gauge in gauges {
-            match gauge.kind {
-                GaugeKind::Value(v) => values.push((gauge.name, v)),
-                GaugeKind::Rate(total) => {
-                    let (prev_ps, prev_total) = s
-                        .prev
-                        .get(&(scope, gauge.name))
-                        .copied()
-                        .unwrap_or((0, 0.0));
-                    // The first sample of a run can land at time 0;
-                    // charge it one tick so the rate stays finite.
-                    let dt_ps = match time.as_ps().saturating_sub(prev_ps) {
-                        0 => shared.tick_ps,
-                        dt => dt,
-                    };
-                    let rate = (total - prev_total).max(0.0) / (dt_ps as f64 * 1e-12);
-                    s.prev.insert((scope, gauge.name), (time.as_ps(), total));
-                    values.push((gauge.name, rate));
+        let tick_ps = self.tick_ps;
+        self.journal.emit_with(|s, shard, seq| {
+            let tick = time.as_ps() / tick_ps;
+            if s.last_tick.get(scope) == Some(&tick) {
+                return None;
+            }
+            s.last_tick.insert(scope, tick);
+            let mut values: Vec<(&'static str, f64)> = Vec::with_capacity(gauges.len() + 2);
+            for gauge in gauges {
+                match gauge.kind {
+                    GaugeKind::Value(v) => values.push((gauge.name, v)),
+                    GaugeKind::Rate(total) => {
+                        let (prev_ps, prev_total) = s
+                            .prev
+                            .get(&(scope, gauge.name))
+                            .copied()
+                            .unwrap_or((0, 0.0));
+                        // The first sample of a run can land at time 0;
+                        // charge it one tick so the rate stays finite.
+                        let dt_ps = match time.as_ps().saturating_sub(prev_ps) {
+                            0 => tick_ps,
+                            dt => dt,
+                        };
+                        let rate = (total - prev_total).max(0.0) / (dt_ps as f64 * 1e-12);
+                        s.prev.insert((scope, gauge.name), (time.as_ps(), total));
+                        values.push((gauge.name, rate));
+                    }
                 }
             }
-        }
-        if tails {
-            if let Some(p99) = s.deadline_ring.p99() {
-                values.push(("p99_deadline_us", SimTime::from_ps(p99).as_us_f64()));
+            if tails {
+                if let Some(p99) = s.deadline_ring.p99() {
+                    values.push(("p99_deadline_us", SimTime::from_ps(p99).as_us_f64()));
+                }
+                if let Some(p99) = s.effort_ring.p99() {
+                    values.push(("p99_effort_us", SimTime::from_ps(p99).as_us_f64()));
+                }
             }
-            if let Some(p99) = s.effort_ring.p99() {
-                values.push(("p99_effort_us", SimTime::from_ps(p99).as_us_f64()));
-            }
-        }
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        let row = TelemetryRow {
-            tick,
-            time,
-            shard: self.shard,
-            seq,
-            scope,
-            gauges: values,
-        };
-        if let Some(sink) = &mut s.sink {
-            let mut line = row.to_json().render();
-            line.push('\n');
-            sink.write_all(line.as_bytes())
-                .expect("telemetry stream: write failed");
-        }
-        if s.rows.len() == s.capacity {
-            s.rows.pop_front();
-            s.dropped += 1;
-        }
-        s.rows.push_back(row);
-    }
-
-    /// Snapshot of the merged in-memory rows, ordered by
-    /// `(tick, shard, seq)` — the same total order the streamed merge
-    /// sorts by, independent of how shard threads interleaved.
-    pub fn rows(&self) -> Vec<TelemetryRow> {
-        let Some(shared) = &self.shared else {
-            return Vec::new();
-        };
-        let mut all = Vec::new();
-        for (_, series) in shared.series() {
-            let s = series.lock().expect("series poisoned");
-            all.extend(s.rows.iter().cloned());
-        }
-        all.sort_by_key(TelemetryRow::key);
-        all
-    }
-
-    /// Rows currently held across every shard's in-memory ring.
-    pub fn len(&self) -> usize {
-        let Some(shared) = &self.shared else { return 0 };
-        shared
-            .series()
-            .iter()
-            .map(|(_, s)| s.lock().expect("series poisoned").rows.len())
-            .sum()
-    }
-
-    /// Is the series empty (always true when disabled)?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Rows evicted by the per-shard capacity bound, summed.
-    pub fn dropped(&self) -> u64 {
-        let Some(shared) = &self.shared else { return 0 };
-        shared
-            .series()
-            .iter()
-            .map(|(_, s)| s.lock().expect("series poisoned").dropped)
-            .sum()
-    }
-
-    /// Attaches a buffered JSONL sink to every series: each shard's
-    /// rows append to `<base>.shardNNN.tl.jsonl` as they are emitted.
-    /// Series created later (new shards) attach their sink on creation.
-    /// Call before the run — rows emitted earlier are not replayed.
-    pub fn stream_to(&self, base: &str) -> std::io::Result<()> {
-        let Some(shared) = &self.shared else {
-            return Ok(());
-        };
-        *shared.stream_base.lock().expect("stream base poisoned") = Some(base.to_string());
-        for (shard, series) in shared.series() {
-            let mut s = series.lock().expect("series poisoned");
-            if s.sink.is_none() {
-                s.attach_sink(&shard_stream_path(base, shard))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes every streaming sink and returns the per-shard file
-    /// paths in shard order (empty when streaming is off).
-    pub fn flush_streams(&self) -> std::io::Result<Vec<String>> {
-        let Some(shared) = &self.shared else {
-            return Ok(Vec::new());
-        };
-        let mut paths = Vec::new();
-        for (_, series) in shared.series() {
-            let mut s = series.lock().expect("series poisoned");
-            if let Some(sink) = &mut s.sink {
-                sink.flush()?;
-            }
-            if let Some(path) = &s.sink_path {
-                paths.push(path.clone());
-            }
-        }
-        Ok(paths)
-    }
-
-    /// Merges the per-shard streamed series into one JSONL file at
-    /// `out`, ordered by `(tick, shard, seq)` — so the merged file is
-    /// byte-identical across thread counts. Returns the number of
-    /// merged lines. The merge holds the lines in memory; per-shard
-    /// files are the scalable artifact for very long runs.
-    pub fn merge_streams(&self, out: &str) -> std::io::Result<usize> {
-        let paths = self.flush_streams()?;
-        let mut lines: Vec<((u64, u32, u64), String)> = Vec::new();
-        for path in &paths {
-            let text = std::fs::read_to_string(path)?;
-            for line in text.lines() {
-                let doc = Json::parse(line).map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("{path}: bad telemetry line: {e}"),
-                    )
-                })?;
-                let num = |key: &str| {
-                    doc.get(key)
-                        .and_then(Json::as_f64)
-                        .map(|x| x as u64)
-                        .ok_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!("{path}: telemetry line missing {key}"),
-                            )
-                        })
-                };
-                let key = (num("tick")?, num("shard")? as u32, num("seq")?);
-                lines.push((key, line.to_string()));
-            }
-        }
-        lines.sort_by_key(|(key, _)| *key);
-        let mut f = BufWriter::new(File::create(out)?);
-        for (_, line) in &lines {
-            f.write_all(line.as_bytes())?;
-            f.write_all(b"\n")?;
-        }
-        f.flush()?;
-        Ok(lines.len())
+            Some(TelemetryRow {
+                tick,
+                time,
+                shard,
+                seq,
+                scope,
+                gauges: values,
+            })
+        });
     }
 }
 
@@ -485,13 +285,33 @@ mod tests {
     }
 
     #[test]
-    fn disabled_records_nothing() {
+    fn disabled_records_nothing_and_stays_disabled_per_shard() {
         let t = Telemetry::disabled();
-        assert!(!t.on());
-        t.sample(SimTime::from_us(1), "service", &[Gauge::value("q", 1.0)]);
-        t.record_latency(false, SimTime::from_us(5));
-        assert!(t.is_empty());
-        assert_eq!(t.tick_period(), SimTime::ZERO);
+        let s = t.with_shard(4);
+        for h in [&t, &s] {
+            assert!(!h.on());
+            h.sample(SimTime::from_us(1), "service", &[Gauge::value("q", 1.0)]);
+            h.record_latency(false, SimTime::from_us(5));
+            assert_eq!(h.tick_period(), SimTime::ZERO);
+        }
+        assert!(t.is_empty() && s.is_empty());
+        assert_eq!(format!("{s:?}"), "Telemetry(disabled)");
+    }
+
+    #[test]
+    fn seq_counts_emitted_rows_only() {
+        let t = Telemetry::with_tick(SimTime::from_us(100)).with_shard(5);
+        // Tick 0: the first sample per scope emits, the rest are
+        // deduplicated and must not consume a sequence number.
+        t.sample(SimTime::from_us(10), "service", &[Gauge::value("q", 1.0)]);
+        t.sample(SimTime::from_us(20), "service", &[Gauge::value("q", 2.0)]);
+        t.sample(SimTime::from_us(30), "buffer", &[Gauge::value("d", 1.0)]);
+        t.sample(SimTime::from_us(40), "service", &[Gauge::rate("c", 4.0)]);
+        t.sample(SimTime::from_us(50), "buffer", &[Gauge::value("d", 2.0)]);
+        // Tick 1 reopens the service scope.
+        t.sample(SimTime::from_us(150), "service", &[Gauge::value("q", 3.0)]);
+        let stamps: Vec<(u64, u32, u64)> = t.rows().iter().map(|r| r.key()).collect();
+        assert_eq!(stamps, vec![(0, 5, 0), (0, 5, 1), (1, 5, 2)]);
     }
 
     #[test]
@@ -567,43 +387,6 @@ mod tests {
             "the window forgot the slow samples: {}",
             rows[2].gauges[0].1
         );
-    }
-
-    #[test]
-    fn streaming_merges_by_tick_shard_seq() {
-        let base = std::env::temp_dir().join(format!("rtr_tl_stream_{}", std::process::id()));
-        let base = base.to_str().expect("utf-8 temp path").to_string();
-        let t = Telemetry::with_tick(SimTime::from_us(100));
-        t.stream_to(&base).expect("attach sinks");
-        let s1 = t.with_shard(1);
-        // Shard 1 emits an earlier tick *after* shard 0 emitted later
-        // ones: the merge must reorder by (tick, shard, seq).
-        t.sample(SimTime::from_us(150), "service", &[Gauge::value("q", 1.0)]);
-        t.sample(SimTime::from_us(250), "service", &[Gauge::value("q", 2.0)]);
-        s1.sample(SimTime::from_us(50), "service", &[Gauge::value("q", 3.0)]);
-        let paths = t.flush_streams().expect("flush");
-        assert_eq!(paths.len(), 2);
-        assert!(paths[0].ends_with(".shard000.tl.jsonl"));
-        let merged_path = format!("{base}.merged.tl.jsonl");
-        let merged = t.merge_streams(&merged_path).expect("merge");
-        assert_eq!(merged, 3);
-        let text = std::fs::read_to_string(&merged_path).expect("read merged");
-        let keys: Vec<(u64, u64, u64)> = text
-            .lines()
-            .map(|l| {
-                let doc = Json::parse(l).expect("line parses");
-                let num = |k: &str| doc.get(k).and_then(Json::as_f64).unwrap() as u64;
-                (num("tick"), num("shard"), num("seq"))
-            })
-            .collect();
-        assert_eq!(keys[0], (0, 1, 0), "shard 1's early tick merges first");
-        assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "merged telemetry is strictly (tick, shard, seq)-ordered: {keys:?}"
-        );
-        for path in paths.iter().chain([&merged_path]) {
-            let _ = std::fs::remove_file(path);
-        }
     }
 
     #[test]

@@ -3,13 +3,19 @@
 //! The paper's whole argument is a time-accounting one: reconfiguration
 //! overhead vs amortized hardware speedup. The service and cluster
 //! layers report end-of-run aggregates; this crate records *where the
-//! time went*. A [`Tracer`] is a cheaply cloneable, `Send` handle onto
-//! a registry of **per-shard journals** — bounded rings of typed
-//! [`TraceEvent`]s carrying a per-shard sequence number — threaded
+//! time went*. A [`Tracer`] is a cheaply cloneable, `Send` handle onto a
+//! [`Journal`] of typed [`TraceEvent`]s: a registry of **per-shard
+//! rings** whose rows carry a per-shard sequence number, threaded
 //! through every layer of the stack (admission buffers, queues, the
 //! module manager's retry ladder, the HWICAP, the DMA engine and the
-//! quarantine machinery). [`Tracer::stream_to`] adds a buffered JSONL
-//! sink per journal so run length is disk-bounded, not ring-bounded.
+//! quarantine machinery). `stream_to` adds a buffered JSONL sink per
+//! shard so run length is disk-bounded, not ring-bounded.
+//!
+//! The [`Journal`] is generic over its row type ([`JournalRow`] declares
+//! the merge key, its JSON field names and the stream-file suffix).
+//! `rtr-telemetry`'s time-series plane is a second view over the same
+//! journal, so both planes share one registry, one `seq` stamp, one
+//! ring bound and one stream/merge path.
 //!
 //! Design rules:
 //!
@@ -24,7 +30,7 @@
 //!   or any model state: a traced run produces bit-identical results to
 //!   an untraced one.
 //! * **No-op when disabled.** [`Tracer::disabled`] is a `None` handle;
-//!   the hot path pays one branch ([`Tracer::on`]) and nothing else.
+//!   the hot path pays one branch ([`Journal::on`]) and nothing else.
 //!
 //! On top of the journal sit three consumers:
 //!
@@ -43,12 +49,14 @@
 
 pub mod chrome;
 pub mod event;
+pub mod journal;
 pub mod profile;
 pub mod span;
 pub mod tracer;
 
 pub use chrome::chrome_trace;
 pub use event::{EventKind, TraceEvent, FEDERATION_SHARD, KIND_NAMES};
+pub use journal::{Journal, JournalRow};
 pub use profile::{AttributionReport, Profiler, ShardAttribution};
 pub use span::{spans, RequestSpan};
 pub use tracer::Tracer;

@@ -1,115 +1,66 @@
-//! The tracer handle, its per-shard journals, and the streaming sink.
+//! The tracer: a [`Journal`] of [`TraceEvent`]s.
 //!
-//! The journal used to be one `Rc<RefCell<Ring>>` shared by every
-//! handle, which pinned the whole stack to one thread. It is now a
-//! registry of **per-shard journals** behind `Arc<Mutex<_>>`: each
-//! shard's events land in its own ring (stamped with a per-shard
-//! sequence number), handles are `Send`, and a shard's `Service` can
-//! run on a worker thread while other shards emit concurrently — no
-//! cross-shard ordering is ever observed at emission time.
-//! [`Tracer::events`] merges the journals by `(time, shard, seq)`, a
-//! total order independent of thread interleaving, so a parallel run
-//! exports byte-identical artifacts to a single-threaded one.
-//!
-//! [`Tracer::stream_to`] attaches a buffered JSONL sink per shard
-//! journal, so the ring capacity no longer bounds traced run length:
-//! every event is appended to `<base>.shardNNN.jsonl` as it is emitted
-//! (deterministic per shard), and [`Tracer::merge_streams`] folds the
-//! per-shard files into one `(time, shard, seq)`-ordered journal.
+//! Each shard's events land in its own ring of the per-shard journal,
+//! stamped with a per-shard sequence number, so a shard's `Service` can
+//! run on a worker thread while other shards emit concurrently.
+//! [`Tracer::events`] merges the rings by `(time, shard, seq)`, and
+//! `stream_to`/`merge_streams` (from [`Journal`]) write every event to
+//! `<base>.shardNNN.jsonl` and fold those into one ordered file.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
 
 use vp2_sim::{Json, SimTime};
 
 use crate::event::{EventKind, TraceEvent};
+use crate::journal::{Journal, JournalRow};
 
 /// Default per-shard ring capacity: big enough for every workload in
 /// the repo's benches; a multi-hour stream wraps and keeps the newest
-/// events (attach [`Tracer::stream_to`] to keep all of them).
+/// events (attach [`Journal::stream_to`] to keep all of them).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// One shard's journal: a bounded ring plus the optional streaming sink.
-struct Journal {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-    next_seq: u64,
-    sink: Option<BufWriter<File>>,
-    sink_path: Option<String>,
-}
+impl JournalRow for TraceEvent {
+    const KEY_FIELDS: [&'static str; 3] = ["time_ps", "shard", "seq"];
+    const SUFFIX: &'static str = ".jsonl";
+    const NOUN: &'static str = "journal";
 
-impl Journal {
-    fn new(capacity: usize) -> Journal {
-        Journal {
-            events: VecDeque::new(),
-            capacity,
-            dropped: 0,
-            next_seq: 0,
-            sink: None,
-            sink_path: None,
-        }
+    fn merge_key(&self) -> (u64, u32, u64) {
+        (self.time.as_ps(), self.shard, self.seq)
     }
 
-    fn attach_sink(&mut self, path: &str) -> std::io::Result<()> {
-        self.sink = Some(BufWriter::new(File::create(path)?));
-        self.sink_path = Some(path.to_string());
-        Ok(())
+    fn to_line(&self) -> Json {
+        self.to_json()
     }
 }
 
-/// State shared by every clone of an enabled tracer.
-struct Shared {
-    capacity: usize,
-    journals: Mutex<BTreeMap<u32, Arc<Mutex<Journal>>>>,
-    /// JSONL stream base path, once [`Tracer::stream_to`] was called;
-    /// journals registered later attach their sink on creation.
-    stream_base: Mutex<Option<String>>,
-}
-
-impl Shared {
-    /// The journals in shard order (the deterministic fold order).
-    fn journals(&self) -> Vec<(u32, Arc<Mutex<Journal>>)> {
-        self.journals
-            .lock()
-            .expect("journal registry poisoned")
-            .iter()
-            .map(|(shard, j)| (*shard, Arc::clone(j)))
-            .collect()
-    }
-}
-
-/// The JSONL file one shard's streamed journal lands in.
-fn shard_stream_path(base: &str, shard: u32) -> String {
-    format!("{base}.shard{shard:03}.jsonl")
-}
-
-/// A cheaply cloneable, `Send` handle onto a set of per-shard journals.
+/// A cheaply cloneable, `Send` handle onto a set of per-shard event
+/// journals.
 ///
 /// [`Tracer::with_shard`] derives a handle bound to that shard's
 /// journal (created on first use), which is how one cluster-level
 /// tracer fans out across a pool whose shards flush on worker threads.
-/// The disabled tracer is a `None` handle: [`Tracer::on`] is a single
-/// branch and [`Tracer::emit`] a no-op, so instrumentation costs
-/// nothing when tracing is off.
+/// The disabled tracer is a `None` handle: `on` is a single branch and
+/// [`Tracer::emit`] a no-op, so instrumentation costs nothing when
+/// tracing is off. The ring, drop, clear and streaming methods are the
+/// [`Journal`]'s, reached through `Deref`.
 #[derive(Clone, Default)]
-pub struct Tracer {
-    shared: Option<Arc<Shared>>,
-    /// This handle's shard journal, resolved once at handle creation so
-    /// the emit path never touches the registry lock.
-    journal: Option<Arc<Mutex<Journal>>>,
-    shard: u32,
+pub struct Tracer(Journal<TraceEvent>);
+
+impl Deref for Tracer {
+    type Target = Journal<TraceEvent>;
+
+    fn deref(&self) -> &Journal<TraceEvent> {
+        &self.0
+    }
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.shared.is_some() {
+        if self.on() {
             write!(
                 f,
                 "Tracer(shard {}, {} events, {} dropped)",
-                self.shard,
+                self.shard(),
                 self.len(),
                 self.dropped()
             )
@@ -137,216 +88,33 @@ impl Tracer {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Tracer {
-        assert!(capacity > 0, "a zero-capacity ring records nothing");
-        let shared = Arc::new(Shared {
-            capacity,
-            journals: Mutex::new(BTreeMap::new()),
-            stream_base: Mutex::new(None),
-        });
-        let tracer = Tracer {
-            shared: Some(shared),
-            journal: None,
-            shard: 0,
-        };
-        tracer.with_shard(0)
+        Tracer(Journal::with_capacity(capacity))
     }
 
     /// A handle bound to `shard`'s journal (created on first use, with
-    /// a streaming sink attached when [`Tracer::stream_to`] is active).
+    /// a streaming sink attached when `stream_to` is active).
     pub fn with_shard(&self, shard: u32) -> Tracer {
-        let Some(shared) = &self.shared else {
-            return Tracer::disabled();
-        };
-        let mut journals = shared.journals.lock().expect("journal registry poisoned");
-        let journal = journals
-            .entry(shard)
-            .or_insert_with(|| {
-                let mut journal = Journal::new(shared.capacity);
-                let base = shared.stream_base.lock().expect("stream base poisoned");
-                if let Some(base) = base.as_deref() {
-                    let path = shard_stream_path(base, shard);
-                    journal
-                        .attach_sink(&path)
-                        .unwrap_or_else(|e| panic!("journal stream: cannot create {path}: {e}"));
-                }
-                Arc::new(Mutex::new(journal))
-            })
-            .clone();
-        drop(journals);
-        Tracer {
-            shared: Some(Arc::clone(shared)),
-            journal: Some(journal),
-            shard,
-        }
-    }
-
-    /// Is this handle recording? Check before building an event whose
-    /// construction allocates.
-    #[inline]
-    pub fn on(&self) -> bool {
-        self.shared.is_some()
+        Tracer(self.0.with_shard(shard))
     }
 
     /// Records one event at simulated instant `time`.
     #[inline]
     pub fn emit(&self, time: SimTime, kind: EventKind) {
-        let Some(journal) = &self.journal else { return };
-        let mut j = journal.lock().expect("journal poisoned");
-        let seq = j.next_seq;
-        j.next_seq += 1;
-        let event = TraceEvent {
-            time,
-            shard: self.shard,
-            seq,
-            kind,
-        };
-        if let Some(sink) = &mut j.sink {
-            let mut line = event.to_json().render();
-            line.push('\n');
-            sink.write_all(line.as_bytes())
-                .expect("journal stream: write failed");
-        }
-        if j.events.len() == j.capacity {
-            j.events.pop_front();
-            j.dropped += 1;
-        }
-        j.events.push_back(event);
+        self.0.emit_with(|_, shard, seq| {
+            Some(TraceEvent {
+                time,
+                shard,
+                seq,
+                kind,
+            })
+        });
     }
 
     /// Snapshot of the merged journal, ordered by `(time, shard, seq)` —
     /// a total order independent of how shard threads interleaved, so
     /// equal seeds yield identical views at any thread count.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let Some(shared) = &self.shared else {
-            return Vec::new();
-        };
-        let mut all = Vec::new();
-        for (_, journal) in shared.journals() {
-            let j = journal.lock().expect("journal poisoned");
-            all.extend(j.events.iter().cloned());
-        }
-        all.sort_by_key(TraceEvent::key);
-        all
-    }
-
-    /// Events currently held across every shard's ring.
-    pub fn len(&self) -> usize {
-        let Some(shared) = &self.shared else { return 0 };
-        shared
-            .journals()
-            .iter()
-            .map(|(_, j)| j.lock().expect("journal poisoned").events.len())
-            .sum()
-    }
-
-    /// Is the journal empty (always true when disabled)?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted by the per-shard capacity bound, summed.
-    pub fn dropped(&self) -> u64 {
-        let Some(shared) = &self.shared else { return 0 };
-        shared
-            .journals()
-            .iter()
-            .map(|(_, j)| j.lock().expect("journal poisoned").dropped)
-            .sum()
-    }
-
-    /// Clears every shard's ring **and** its drop counter, so a
-    /// profiler fold over a post-clear window never reports stale
-    /// `dropped_events` from before the clear. Sequence numbers keep
-    /// counting (streamed journals stay strictly monotone per shard).
-    pub fn clear(&self) {
-        let Some(shared) = &self.shared else { return };
-        for (_, journal) in shared.journals() {
-            let mut j = journal.lock().expect("journal poisoned");
-            j.events.clear();
-            j.dropped = 0;
-        }
-    }
-
-    /// Attaches a buffered JSONL sink to every journal: each shard's
-    /// events append to `<base>.shardNNN.jsonl` as they are emitted, so
-    /// the ring capacity no longer bounds traced run length. Journals
-    /// created later (new shards) attach their sink on creation. Call
-    /// before the run — events emitted earlier are not replayed into
-    /// the files.
-    pub fn stream_to(&self, base: &str) -> std::io::Result<()> {
-        let Some(shared) = &self.shared else {
-            return Ok(());
-        };
-        *shared.stream_base.lock().expect("stream base poisoned") = Some(base.to_string());
-        for (shard, journal) in shared.journals() {
-            let mut j = journal.lock().expect("journal poisoned");
-            if j.sink.is_none() {
-                j.attach_sink(&shard_stream_path(base, shard))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes every streaming sink and returns the per-shard file
-    /// paths in shard order (empty when streaming is off).
-    pub fn flush_streams(&self) -> std::io::Result<Vec<String>> {
-        let Some(shared) = &self.shared else {
-            return Ok(Vec::new());
-        };
-        let mut paths = Vec::new();
-        for (_, journal) in shared.journals() {
-            let mut j = journal.lock().expect("journal poisoned");
-            if let Some(sink) = &mut j.sink {
-                sink.flush()?;
-            }
-            if let Some(path) = &j.sink_path {
-                paths.push(path.clone());
-            }
-        }
-        Ok(paths)
-    }
-
-    /// Merges the per-shard streamed journals into one JSONL file at
-    /// `out`, ordered by `(time, shard, seq)` — the same total order as
-    /// [`Tracer::events`], so the merged file is byte-identical across
-    /// thread counts. Returns the number of merged lines. The merge
-    /// holds the lines in memory; per-shard files are the scalable
-    /// artifact for very long runs.
-    pub fn merge_streams(&self, out: &str) -> std::io::Result<usize> {
-        let paths = self.flush_streams()?;
-        let mut lines: Vec<((u64, u32, u64), String)> = Vec::new();
-        for path in &paths {
-            let text = std::fs::read_to_string(path)?;
-            for line in text.lines() {
-                let doc = Json::parse(line).map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("{path}: bad journal line: {e}"),
-                    )
-                })?;
-                let num = |key: &str| {
-                    doc.get(key)
-                        .and_then(Json::as_f64)
-                        .map(|x| x as u64)
-                        .ok_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!("{path}: journal line missing {key}"),
-                            )
-                        })
-                };
-                let key = (num("time_ps")?, num("shard")? as u32, num("seq")?);
-                lines.push((key, line.to_string()));
-            }
-        }
-        lines.sort_by_key(|(key, _)| *key);
-        let mut f = BufWriter::new(File::create(out)?);
-        for (_, line) in &lines {
-            f.write_all(line.as_bytes())?;
-            f.write_all(b"\n")?;
-        }
-        f.flush()?;
-        Ok(lines.len())
+        self.rows()
     }
 }
 
@@ -362,121 +130,31 @@ mod tests {
     }
 
     #[test]
-    fn disabled_records_nothing() {
+    fn disabled_records_nothing_and_stays_disabled_per_shard() {
         let t = Tracer::disabled();
-        assert!(!t.on());
-        t.emit(SimTime::from_us(1), EventKind::BufferFlush { count: 3 });
-        assert!(t.is_empty());
+        let s = t.with_shard(4);
+        for h in [&t, &s] {
+            assert!(!h.on());
+            h.emit(SimTime::from_us(1), EventKind::BufferFlush { count: 3 });
+        }
+        assert!(t.is_empty() && s.is_empty());
         assert_eq!(t.dropped(), 0);
+        assert_eq!(format!("{s:?}"), "Tracer(disabled)");
     }
 
     #[test]
-    fn shard_handles_merge_by_time_shard_seq() {
-        let t = Tracer::with_capacity(8);
-        let s1 = t.with_shard(1);
-        // Emitted out of time order across shards: the merged view is
-        // ordered by (time, shard, seq), not by emission interleaving.
-        s1.emit(SimTime::from_us(2), EventKind::BufferFlush { count: 2 });
-        t.emit(SimTime::from_us(1), EventKind::BufferFlush { count: 1 });
-        t.emit(SimTime::from_us(2), EventKind::BufferFlush { count: 3 });
+    fn events_carry_their_shard_and_lead_with_the_key_fields() {
+        let t = Tracer::with_capacity(8).with_shard(2);
+        t.emit(SimTime::from_us(5), EventKind::BufferFlush { count: 1 });
+        t.emit(SimTime::from_us(4), EventKind::BufferFlush { count: 2 });
         let ev = t.events();
-        assert_eq!(ev.len(), 3);
-        assert_eq!(
-            (ev[0].time, ev[0].shard, ev[0].seq),
-            (SimTime::from_us(1), 0, 0)
-        );
-        assert_eq!(
-            (ev[1].time, ev[1].shard, ev[1].seq),
-            (SimTime::from_us(2), 0, 1)
-        );
-        assert_eq!(
-            (ev[2].time, ev[2].shard, ev[2].seq),
-            (SimTime::from_us(2), 1, 0)
-        );
-    }
-
-    #[test]
-    fn ring_drops_oldest_and_counts() {
-        let t = Tracer::with_capacity(2);
-        for i in 0..5u32 {
-            t.emit(
-                SimTime::from_us(u64::from(i)),
-                EventKind::BufferFlush { count: i },
-            );
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
-        let ev = t.events();
-        assert_eq!(ev[0].kind, EventKind::BufferFlush { count: 3 });
-        assert_eq!(ev[1].kind, EventKind::BufferFlush { count: 4 });
-    }
-
-    #[test]
-    fn clear_resets_the_drop_counter() {
-        let t = Tracer::with_capacity(2);
-        for i in 0..5u32 {
-            t.emit(
-                SimTime::from_us(u64::from(i)),
-                EventKind::BufferFlush { count: i },
-            );
-        }
-        assert_eq!(t.dropped(), 3);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0, "a post-clear window starts from zero");
-        // Sequence numbers keep counting across the clear.
-        t.emit(SimTime::from_us(9), EventKind::BufferFlush { count: 9 });
-        assert_eq!(t.events()[0].seq, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-capacity")]
-    fn zero_capacity_is_rejected() {
-        let _ = Tracer::with_capacity(0);
-    }
-
-    #[test]
-    fn streaming_outlives_the_ring_and_merges_sorted() {
-        let base = std::env::temp_dir().join(format!("rtr_trace_stream_{}", std::process::id()));
-        let base = base.to_str().expect("utf-8 temp path").to_string();
-        let t = Tracer::with_capacity(2);
-        t.stream_to(&base).expect("attach sinks");
-        let s1 = t.with_shard(1);
-        for i in 0..6u32 {
-            t.emit(
-                SimTime::from_us(u64::from(i)),
-                EventKind::BufferFlush { count: i },
-            );
-        }
-        s1.emit(SimTime::from_us(3), EventKind::BufferFlush { count: 99 });
-        assert_eq!(t.dropped(), 4, "the ring wrapped");
-        let paths = t.flush_streams().expect("flush");
-        assert_eq!(paths.len(), 2);
-        let shard0 = std::fs::read_to_string(&paths[0]).expect("read shard 0");
-        assert_eq!(
-            shard0.lines().count(),
-            6,
-            "the stream kept every event the ring dropped"
-        );
-        assert!(shard0.lines().next().unwrap().contains("\"seq\":0"));
-        let merged_path = format!("{base}.merged.jsonl");
-        let merged = t.merge_streams(&merged_path).expect("merge");
-        assert_eq!(merged, 7);
-        let text = std::fs::read_to_string(&merged_path).expect("read merged");
-        let keys: Vec<(u64, u64, u64)> = text
-            .lines()
-            .map(|l| {
-                let doc = Json::parse(l).expect("line parses");
-                let num = |k: &str| doc.get(k).and_then(Json::as_f64).unwrap() as u64;
-                (num("time_ps"), num("shard"), num("seq"))
-            })
-            .collect();
+        assert_eq!(ev[0].key(), (SimTime::from_us(4), 2, 1));
+        assert_eq!(ev[1].merge_key(), (SimTime::from_us(5).as_ps(), 2, 0));
+        let [lead, shard, seq] = TraceEvent::KEY_FIELDS;
+        let line = ev[0].to_line().render();
         assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "merged journal is strictly (time, shard, seq)-ordered: {keys:?}"
+            line.starts_with(&format!("{{\"{lead}\":4000000,\"{shard}\":2,\"{seq}\":1,")),
+            "{line}"
         );
-        for path in paths.iter().chain([&merged_path]) {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
