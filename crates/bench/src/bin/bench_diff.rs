@@ -15,10 +15,15 @@
 //! bench_diff ... --inject-makespan-scale 2   # self-test: must fail
 //! ```
 //!
+//! Boolean headline claims are gated too, by [`rtr_bench::claims`]:
+//! every leaf under a `claims` object must be `true`, and every claim
+//! the baseline summary carries must still be present.
+//!
 //! A summary present today but missing from the baseline is reported
-//! and skipped (first run after adding a scenario), and a current-only
-//! metric inside a paired summary only warns — but a metric the
-//! baseline tracks that the current summary *dropped* fails the gate:
+//! and its metrics skipped (first run after adding a scenario; its
+//! claims are still checked), and a current-only metric inside a paired
+//! summary only warns — but a metric the baseline tracks that the
+//! current summary *dropped* fails the gate:
 //! retiring a gated claim must be an explicit baseline edit, never a
 //! silent skip. A *worse-than* `--threshold` relative increase on any
 //! compared metric exits non-zero with one line per regression. `--inject-makespan-scale`
@@ -27,6 +32,7 @@
 
 use std::process::ExitCode;
 
+use rtr_bench::claims;
 use rtr_bench::scenario::ScenarioArgs;
 use vp2_sim::Json;
 
@@ -104,13 +110,6 @@ fn main() -> ExitCode {
     for name in &names {
         let cur_path = format!("{current_dir}/{name}");
         let base_path = format!("{baseline_dir}/{name}");
-        let base_text = match std::fs::read_to_string(&base_path) {
-            Ok(text) => text,
-            Err(_) => {
-                eprintln!("[diff] {name}: no baseline yet — skipped");
-                continue;
-            }
-        };
         let cur_text = match std::fs::read_to_string(&cur_path) {
             Ok(text) => text,
             Err(e) => {
@@ -121,10 +120,24 @@ fn main() -> ExitCode {
         let parse = |path: &str, text: &str| {
             Json::parse(text).unwrap_or_else(|e| panic!("{path}: not valid JSON: {e}"))
         };
+        let cur = parse(&cur_path, &cur_text);
+        let base = std::fs::read_to_string(&base_path)
+            .ok()
+            .map(|text| parse(&base_path, &text));
+        // Claims gate every current summary, baseline or not.
+        regressions.extend(
+            claims::check(&cur, base.as_ref())
+                .into_iter()
+                .map(|problem| format!("{name}: {problem}")),
+        );
+        let Some(base) = base else {
+            eprintln!("[diff] {name}: no baseline yet — skipped");
+            continue;
+        };
         let mut base_metrics = Vec::new();
         let mut cur_metrics = Vec::new();
-        collect(&parse(&base_path, &base_text), "", &mut base_metrics);
-        collect(&parse(&cur_path, &cur_text), "", &mut cur_metrics);
+        collect(&base, "", &mut base_metrics);
+        collect(&cur, "", &mut cur_metrics);
         // A metric the baseline tracked but the current summary no
         // longer exports is a regression, not a skip: a silently
         // dropped key would otherwise retire a gated claim without

@@ -356,7 +356,7 @@ fn main() {
             .field("swaps", loads)
             .field("rounds", rounds)
             .field("seed", seed)
-            .field("plane_beats_baseline", true)
+            .field("claims", Json::obj().field("plane_beats_baseline", true))
             .field(
                 "differential",
                 Json::obj()

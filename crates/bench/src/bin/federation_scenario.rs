@@ -28,10 +28,10 @@
 
 use rtr_apps::request::Kernel;
 use rtr_bench::scenario::{self, ScenarioArgs};
-use rtr_cluster::{ClusterConfig, RoutePolicy, ShardSpec};
+use rtr_cluster::{ClusterConfig, RoutePolicy};
 use rtr_core::SystemKind;
 use rtr_federation::{FedPolicy, Federation, FederationConfig, FederationSnapshot};
-use rtr_service::{FlashCrowd, TrafficConfig};
+use rtr_service::{FlashCrowd, ServiceConfig, TrafficConfig};
 use vp2_sim::{Json, SimTime};
 
 /// The three heterogeneous pools: an all-Bit32 pool (order-of-magnitude
@@ -39,7 +39,7 @@ use vp2_sim::{Json, SimTime};
 /// a mixed pool. Inner routing is least-loaded on stale estimates, so
 /// the pools stay pipelined under any thread count.
 fn pool_configs(threads: usize) -> Vec<ClusterConfig> {
-    let pool = |shards: Vec<ShardSpec>| ClusterConfig {
+    let pool = |shards: Vec<ServiceConfig>| ClusterConfig {
         shards,
         kernels: vec![Kernel::Sha1, Kernel::Brightness, Kernel::Jenkins],
         stale_estimates: true,
@@ -48,16 +48,16 @@ fn pool_configs(threads: usize) -> Vec<ClusterConfig> {
     };
     vec![
         pool(vec![
-            ShardSpec::new(SystemKind::Bit32),
-            ShardSpec::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit32),
         ]),
         pool(vec![
-            ShardSpec::new(SystemKind::Bit64),
-            ShardSpec::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit64),
         ]),
         pool(vec![
-            ShardSpec::new(SystemKind::Bit32),
-            ShardSpec::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit64),
         ]),
     ]
 }
@@ -232,12 +232,16 @@ fn main() {
             .field("threads", threads)
             .field("pool_count", 3u64)
             .field(
-                "cost_model_beats_round_robin",
-                cost.makespan < rr.makespan
-                    && cost.total.latency_p99_deadline < rr.total.latency_p99_deadline,
+                "claims",
+                Json::obj()
+                    .field(
+                        "cost_model_beats_round_robin",
+                        cost.makespan < rr.makespan
+                            && cost.total.latency_p99_deadline < rr.total.latency_p99_deadline,
+                    )
+                    .field("steal_engaged", cost.steal_events > 0)
+                    .field("shed_engaged", cost.sheds > 0),
             )
-            .field("steal_engaged", cost.steal_events > 0)
-            .field("shed_engaged", cost.sheds > 0)
             .field("identical", true)
             .field(
                 "makespan_ratio",

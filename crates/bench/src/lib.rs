@@ -13,6 +13,7 @@
 //!   own throughput (how fast the reproduction runs), which is the
 //!   conventional meaning of `cargo bench`.
 
+pub mod claims;
 pub mod lint;
 pub mod scenario;
 

@@ -4,7 +4,7 @@ use std::sync::mpsc;
 
 use rtr_apps::request::{Kernel, Request};
 use rtr_core::SystemKind;
-use rtr_service::{BatchPolicy, BootShare, Service, ServiceConfig};
+use rtr_service::{BootShare, Service, ServiceConfig};
 use rtr_telemetry::Telemetry;
 use rtr_trace::Tracer;
 use vp2_sim::SimTime;
@@ -22,111 +22,45 @@ const _: fn() = || {
     assert_send::<Service>();
 };
 
-/// How to build one shard of the pool.
-#[derive(Debug, Clone)]
-pub struct ShardSpec {
-    /// Which of the paper's two systems this shard simulates.
-    pub kind: SystemKind,
-    /// Per-frame configuration-corruption probability on this shard
-    /// (0 disables fault injection).
-    pub fault_rate: f64,
-    /// Seed for the shard's deterministic fault plan.
-    pub fault_seed: u64,
-    /// Batch-scheduling policy for this shard's service. Per-shard so a
-    /// pool can mix policies (e.g. one lanes shard for deadline traffic
-    /// in front of swap-aware bulk shards).
-    pub batch: BatchPolicy,
-    /// Configuration-plane features (bitstream cache, differential frame
-    /// compression, multi-module sub-slots) for this shard's service.
-    /// Per-shard: a pool can dedicate a multi-module shard to small
-    /// co-resident kernels while the rest run whole-region swaps.
-    pub plane: rtr_configplane::ConfigPlaneConfig,
-    /// Correlated ambient-upset bursts striking this shard's fabric
-    /// (`None` disables them). Per-shard so a pool can model one rack
-    /// position catching more radiation than another.
-    pub burst: Option<rtr_service::BurstConfig>,
-    /// Background configuration scrubbing on this shard (`None` leaves
-    /// the scrubber off).
-    pub scrub: Option<rtr_service::ScrubPolicy>,
-}
-
-impl ShardSpec {
-    /// A fault-free shard of the given system, scheduling FCFS.
-    pub fn new(kind: SystemKind) -> ShardSpec {
-        ShardSpec {
-            kind,
-            fault_rate: 0.0,
-            fault_seed: 0x5EED_FA57,
-            batch: BatchPolicy::FcfsDrain,
-            plane: rtr_configplane::ConfigPlaneConfig::default(),
-            burst: None,
-            scrub: None,
-        }
-    }
-
-    /// Same shard with a hostile configuration plane.
-    pub fn with_faults(kind: SystemKind, rate: f64, seed: u64) -> ShardSpec {
-        ShardSpec {
-            fault_rate: rate,
-            fault_seed: seed,
-            ..ShardSpec::new(kind)
-        }
-    }
-
-    /// Same shard under a different batch-scheduling policy.
-    pub fn with_batch(self, batch: BatchPolicy) -> ShardSpec {
-        ShardSpec { batch, ..self }
-    }
-
-    /// Same shard with the given configuration-plane features.
-    pub fn with_plane(self, plane: rtr_configplane::ConfigPlaneConfig) -> ShardSpec {
-        ShardSpec { plane, ..self }
-    }
-
-    /// Same shard under correlated ambient-upset bursts.
-    pub fn with_burst(self, burst: rtr_service::BurstConfig) -> ShardSpec {
-        ShardSpec {
-            burst: Some(burst),
-            ..self
-        }
-    }
-
-    /// Same shard with background scrubbing on.
-    pub fn with_scrub(self, scrub: rtr_service::ScrubPolicy) -> ShardSpec {
-        ShardSpec {
-            scrub: Some(scrub),
-            ..self
-        }
-    }
-}
-
 /// Cluster construction parameters.
+///
+/// Each shard is described by its own [`ServiceConfig`], which
+/// [`Cluster::boot`] hands to that shard's service unchanged except for
+/// three pool-wide values the cluster owns:
+///
+/// * `kernels` — every shard accepts exactly [`ClusterConfig::kernels`],
+///   so the router may place any admitted request on any shard;
+/// * `trace` and `telemetry` — every shard journals and samples through
+///   the cluster's handles, re-tagged with its own shard id
+///   (`shard_base + id`, see [`Cluster::boot`]).
+///
+/// Everything else — system kind, fault plan, path and batch policies,
+/// verification, quarantine and canary settings, retry ladder, bursts,
+/// scrubbing and the configuration plane — is per shard.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// One spec per shard (mixing 32- and 64-bit profiles is fine).
-    pub shards: Vec<ShardSpec>,
+    /// One service config per shard (mixing 32- and 64-bit profiles, or
+    /// any other per-service setting, is fine).
+    pub shards: Vec<ServiceConfig>,
     /// Routing policy.
     pub policy: RoutePolicy,
-    /// Kernels the cluster accepts (empty defaults to all six). Shards
-    /// only calibrate and register what is listed, so a narrow workload
-    /// boots a narrow — and cheaper — pool.
+    /// Kernels the cluster accepts (empty defaults to all six),
+    /// overriding every shard's own `kernels`. Shards only calibrate and
+    /// register what is listed, so a narrow workload boots a narrow —
+    /// and cheaper — pool.
     pub kernels: Vec<Kernel>,
     /// Admission-buffer bound per shard: a shard flushes its buffer into
     /// its machine once this many requests are waiting. Peak resident
     /// work is `shards × flush_depth` regardless of stream length.
     pub flush_depth: usize,
-    /// Check every response against the Rust reference implementation.
-    pub verify: bool,
-    /// How long a kernel stays quarantined from a shard's hardware path
-    /// after repeated load failures.
-    pub quarantine_cooldown: SimTime,
-    /// Trace journal handle, fanned out to every shard (each shard's
-    /// events carry its id). Disabled by default.
+    /// Trace journal handle, fanned out to every shard in place of the
+    /// shard's own `trace` (each shard's events carry its id). Disabled
+    /// by default.
     pub trace: Tracer,
     /// Telemetry handle, fanned out to every shard like the tracer
-    /// (each shard samples into its own series, offset by
-    /// `shard_base`). Disabled by default; sampling is read-only, so
-    /// snapshots are byte-identical with it on or off.
+    /// (each shard samples into its own series). Disabled by default;
+    /// sampling is read-only, so snapshots are byte-identical with it
+    /// on or off.
     pub telemetry: Telemetry,
     /// When set, each shard's merged metrics window keeps only this
     /// many of the most recent latency samples — constant memory for
@@ -135,10 +69,6 @@ pub struct ClusterConfig {
     /// instead of the full history. `None` (the default) keeps the
     /// exact unbounded series, byte-identical to prior builds.
     pub bounded_windows: Option<usize>,
-    /// Offset added to every shard's trace id, so several clusters can
-    /// share one journal registry with disjoint shard-id spaces (the
-    /// federation gives pool `p` base `100·p`). Zero by default.
-    pub shard_base: u32,
     /// Compare shards on *stale* ready estimates instead of settling
     /// every in-flight flush per routing decision. Off (the default),
     /// load-estimating policies see exact state but serialize the pool;
@@ -157,19 +87,17 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// `n` identical fault-free shards under the given policy.
+    /// `n` identical fault-free shards under the given policy, each a
+    /// default [`ServiceConfig::new`] of `kind`.
     pub fn uniform(kind: SystemKind, n: usize, policy: RoutePolicy) -> ClusterConfig {
         ClusterConfig {
-            shards: vec![ShardSpec::new(kind); n],
+            shards: vec![ServiceConfig::new(kind); n],
             policy,
             kernels: Vec::new(),
             flush_depth: 8,
-            verify: true,
-            quarantine_cooldown: SimTime::from_ms(5),
             trace: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
             bounded_windows: None,
-            shard_base: 0,
             stale_estimates: false,
             threads: 1,
         }
@@ -203,16 +131,21 @@ impl Cluster {
     /// # Panics
     /// Panics if `config.shards` is empty or `flush_depth` is zero.
     pub fn new(config: ClusterConfig) -> Cluster {
-        Cluster::boot(config, &BootShare::new())
+        Cluster::boot(config, &BootShare::new(), 0)
     }
 
     /// Boots like [`Cluster::new`], but through `share`, so shards of
     /// several clusters (the pools of one federation) share calibrations
-    /// and images too.
+    /// and images too, and with shard `id` journaling and sampling as
+    /// `shard_base + id`, so several clusters can share one journal
+    /// registry with disjoint shard-id spaces. Each shard's
+    /// [`ServiceConfig`] reaches its service unchanged except for the
+    /// pool-wide `kernels`, `trace` and `telemetry` documented on
+    /// [`ClusterConfig`].
     ///
     /// # Panics
     /// Panics if `config.shards` is empty or `flush_depth` is zero.
-    pub fn boot(config: ClusterConfig, share: &BootShare) -> Cluster {
+    pub fn boot(config: ClusterConfig, share: &BootShare, shard_base: u32) -> Cluster {
         assert!(
             !config.shards.is_empty(),
             "a cluster needs at least one shard"
@@ -221,19 +154,13 @@ impl Cluster {
         let pool = (config.threads > 1).then(|| WorkerPool::new(config.threads));
         let service_configs: Vec<ServiceConfig> = config
             .shards
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(id, spec)| ServiceConfig {
-                verify: config.verify,
                 kernels: config.kernels.clone(),
-                batch: spec.batch,
-                plane: spec.plane.clone(),
-                quarantine_cooldown: config.quarantine_cooldown,
-                burst: spec.burst,
-                scrub: spec.scrub,
-                trace: config.trace.with_shard(config.shard_base + id as u32),
-                telemetry: config.telemetry.with_shard(config.shard_base + id as u32),
-                ..ServiceConfig::with_faults(spec.kind, spec.fault_rate, spec.fault_seed)
+                trace: config.trace.with_shard(shard_base + id as u32),
+                telemetry: config.telemetry.with_shard(shard_base + id as u32),
+                ..spec
             })
             .collect();
         // Boot every shard — build, calibrate, warm up its machine.
@@ -269,12 +196,8 @@ impl Cluster {
         };
         let shards: Vec<Shard> = services
             .into_iter()
-            .zip(&config.shards)
             .enumerate()
-            .map(|(id, (service, spec))| {
-                let faulty = spec.fault_rate > 0.0 || spec.burst.is_some();
-                Shard::new(id, service, faulty, config.bounded_windows)
-            })
+            .map(|(id, service)| Shard::new(id, service, config.bounded_windows))
             .collect();
         Cluster {
             shards,
@@ -506,6 +429,67 @@ mod tests {
             );
         }
         assert_eq!(snap.total.completed, 24);
+    }
+
+    #[test]
+    fn boot_overrides_exactly_kernels_trace_and_telemetry() {
+        // The spec asks for its own kernel and journals; the pool's
+        // kernel set and handles win, re-tagged as `shard_base + id`.
+        let cluster_kernels = vec![Kernel::Jenkins, Kernel::PatMatch];
+        let own_trace = Tracer::enabled();
+        let own_telemetry = Telemetry::enabled();
+        let spec = ServiceConfig {
+            kernels: vec![Kernel::Brightness],
+            trace: own_trace.clone(),
+            telemetry: own_telemetry.clone(),
+            ..ServiceConfig::new(SystemKind::Bit32)
+        };
+        let tracer = Tracer::enabled();
+        let telemetry = Telemetry::enabled();
+        let base = 300;
+        let mut cluster = Cluster::boot(
+            ClusterConfig {
+                shards: vec![spec; 2],
+                kernels: cluster_kernels.clone(),
+                flush_depth: 4,
+                trace: tracer.clone(),
+                telemetry: telemetry.clone(),
+                ..ClusterConfig::uniform(SystemKind::Bit32, 1, RoutePolicy::RoundRobin)
+            },
+            &BootShare::new(),
+            base,
+        );
+        for shard in cluster.shards() {
+            let service = shard.service();
+            for kernel in Kernel::ALL {
+                assert_eq!(
+                    service.hardware_available(kernel),
+                    cluster_kernels.contains(&kernel),
+                    "shard {} {kernel}",
+                    shard.id()
+                );
+            }
+            let id = base + shard.id() as u32;
+            assert_eq!(service.tracer().shard(), id);
+            assert_eq!(service.telemetry().shard(), id);
+        }
+        let cfg = TrafficConfig {
+            requests: 8,
+            kernels: cluster_kernels,
+            burst_percent: 0,
+            ..TrafficConfig::default()
+        };
+        let snap = cluster.run(cfg.stream());
+        assert_eq!(snap.total.completed, 8);
+        let mut journaled: Vec<u32> = tracer.events().iter().map(|ev| ev.shard).collect();
+        journaled.sort_unstable();
+        journaled.dedup();
+        assert_eq!(journaled, [base, base + 1]);
+        assert!(
+            !telemetry.rows().is_empty(),
+            "shards sample the pool's series"
+        );
+        assert!(own_trace.is_empty() && own_telemetry.is_empty());
     }
 
     #[test]

@@ -49,7 +49,14 @@ pub mod route;
 pub mod shard;
 pub mod snapshot;
 
-pub use cluster::{Cluster, ClusterConfig, ShardSpec};
+pub use cluster::{Cluster, ClusterConfig};
 pub use route::{RoutePolicy, RoutingStats};
 pub use shard::Shard;
 pub use snapshot::{ClusterSnapshot, ShardSnapshot};
+
+/// A shard is a full [`rtr_service::Service`], so it is built from that
+/// service's own [`ServiceConfig`](rtr_service::ServiceConfig), and code
+/// in this workspace writes `ServiceConfig`. The alias survives only
+/// because the standalone benchmark package builds fleet shards as
+/// `ShardSpec::new(kind)`.
+pub use rtr_service::ServiceConfig as ShardSpec;

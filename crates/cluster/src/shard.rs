@@ -53,10 +53,9 @@ pub struct Shard {
     /// model — the same model inline execution would have used) and
     /// cached until the next admit or flush.
     cost_cache: Option<SimTime>,
-    /// Can this shard ever quarantine a kernel? Strikes only arise from
-    /// fault-induced degraded loads or verify fallbacks, so a shard
-    /// whose fault plan is empty (`fault_rate == 0`) answers `sheds`
-    /// without settling an in-flight flush.
+    /// [`Service::can_quarantine`], read once at boot: a shard that
+    /// cannot quarantine answers `sheds` without settling an in-flight
+    /// flush.
     can_quarantine: bool,
     window: Metrics,
     admitted: u64,
@@ -88,12 +87,8 @@ impl Shard {
     /// `bounded_window` set, the shard's merged window keeps only that
     /// many of the most recent latency samples (counters stay exact) —
     /// the constant-memory mode for very long runs.
-    pub(crate) fn new(
-        id: usize,
-        service: Box<Service>,
-        can_quarantine: bool,
-        bounded_window: Option<usize>,
-    ) -> Shard {
+    pub(crate) fn new(id: usize, service: Box<Service>, bounded_window: Option<usize>) -> Shard {
+        let can_quarantine = service.can_quarantine();
         let origin = service.now();
         let cost_snapshot = service.cost_model().clone();
         let telemetry = service.telemetry().clone();

@@ -47,8 +47,9 @@ impl std::fmt::Display for FedPolicy {
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
     /// One cluster config per pool (heterogeneous mixes welcome — that
-    /// is the point). The federation overrides each pool's `trace`
-    /// handle and `shard_base` so all pools share one journal registry
+    /// is the point). The federation replaces each pool's `trace` and
+    /// `telemetry` handles with its own and boots pool `p` with shard-id
+    /// base `p · POOL_STRIDE`, so all pools share one journal registry
     /// with disjoint shard-id spaces.
     pub pools: Vec<ClusterConfig>,
     /// Home-pool selection policy.
@@ -147,7 +148,6 @@ impl Federation {
                     "pool {p} has {} shards; at most {POOL_STRIDE} fit a shard-id slot",
                     cfg.shards.len()
                 );
-                cfg.shard_base = p as u32 * POOL_STRIDE;
                 cfg.trace = config.trace.clone();
                 cfg.telemetry = config.telemetry.clone();
                 cfg
@@ -157,11 +157,14 @@ impl Federation {
         // pool's calibration never waits for another's. Every shard's boot
         // is independent of the order, so the federation is the same.
         let share = BootShare::new();
+        let boot =
+            |(p, cfg): (usize, ClusterConfig)| Cluster::boot(cfg, &share, p as u32 * POOL_STRIDE);
         let pools: Vec<Cluster> = if pooled {
             std::thread::scope(|scope| {
                 let boots: Vec<_> = configs
                     .into_iter()
-                    .map(|cfg| scope.spawn(|| Cluster::boot(cfg, &share)))
+                    .enumerate()
+                    .map(|pool| scope.spawn(move || boot(pool)))
                     .collect();
                 boots
                     .into_iter()
@@ -169,10 +172,7 @@ impl Federation {
                     .collect()
             })
         } else {
-            configs
-                .into_iter()
-                .map(|cfg| Cluster::boot(cfg, &share))
-                .collect()
+            configs.into_iter().enumerate().map(boot).collect()
         };
         Federation {
             pools,

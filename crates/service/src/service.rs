@@ -922,6 +922,15 @@ impl Service {
             .is_some_and(|until| self.machine.now() < until)
     }
 
+    /// Can any kernel ever be quarantined on this service? Strikes only
+    /// arise from fault-induced degraded loads or verify fallbacks, so a
+    /// service with neither fault injection nor upset bursts never
+    /// quarantines and callers may skip the live [`Service::quarantined`]
+    /// probe.
+    pub fn can_quarantine(&self) -> bool {
+        self.config.fault_rate > 0.0 || self.config.burst.is_some()
+    }
+
     /// True when the kernel can run in the dynamic region of this service.
     pub fn hardware_available(&self, kernel: Kernel) -> bool {
         self.hw_ready[kernel.index()]

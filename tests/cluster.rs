@@ -6,9 +6,9 @@
 //! images their own floorplans link.
 
 use vp2_repro::apps::request::{Kernel, Request};
-use vp2_repro::cluster::{Cluster, ClusterConfig, RoutePolicy, ShardSpec};
+use vp2_repro::cluster::{Cluster, ClusterConfig, RoutePolicy};
 use vp2_repro::rtr::SystemKind;
-use vp2_repro::service::TrafficConfig;
+use vp2_repro::service::{ServiceConfig, TrafficConfig};
 use vp2_repro::sim::{SimTime, SplitMix64};
 
 /// A small two-shard cluster restricted to two kernels so that boot
@@ -52,12 +52,17 @@ fn quarantined_shard_sheds_hardware_work_until_cooldown_expires() {
     let cooldown = SimTime::from_us(200);
     let mut cluster = Cluster::new(ClusterConfig {
         shards: vec![
-            ShardSpec::with_faults(SystemKind::Bit32, 1.0, 0xBAD),
-            ShardSpec::new(SystemKind::Bit32),
+            ServiceConfig {
+                quarantine_cooldown: cooldown,
+                ..ServiceConfig::with_faults(SystemKind::Bit32, 1.0, 0xBAD)
+            },
+            ServiceConfig {
+                quarantine_cooldown: cooldown,
+                ..ServiceConfig::new(SystemKind::Bit32)
+            },
         ],
         kernels: vec![Kernel::PatMatch, Kernel::Jenkins],
         flush_depth: 1, // flush every admission: failures surface at once
-        quarantine_cooldown: cooldown,
         ..ClusterConfig::uniform(SystemKind::Bit32, 2, RoutePolicy::RoundRobin)
     });
     let mut rng = SplitMix64::new(9);
@@ -141,10 +146,12 @@ fn quarantine_deadline_lives_on_the_machine_clock_not_stream_time() {
     let margin = SimTime::from_us(50);
     let boot = || {
         Cluster::new(ClusterConfig {
-            shards: vec![ShardSpec::with_faults(SystemKind::Bit32, 1.0, 0xBAD)],
+            shards: vec![ServiceConfig {
+                quarantine_cooldown: cooldown,
+                ..ServiceConfig::with_faults(SystemKind::Bit32, 1.0, 0xBAD)
+            }],
             kernels: vec![Kernel::PatMatch],
             flush_depth: 1, // flush every admission: failures surface at once
-            quarantine_cooldown: cooldown,
             ..ClusterConfig::uniform(SystemKind::Bit32, 1, RoutePolicy::RoundRobin)
         })
     };
@@ -218,12 +225,17 @@ fn least_loaded_counts_quarantine_diversions_as_shed() {
     // machine clock — is the shard the load estimate would have picked.
     let mut cluster = Cluster::new(ClusterConfig {
         shards: vec![
-            ShardSpec::with_faults(SystemKind::Bit32, 1.0, 0xBAD),
-            ShardSpec::new(SystemKind::Bit32),
+            ServiceConfig {
+                quarantine_cooldown: SimTime::from_ms(500),
+                ..ServiceConfig::with_faults(SystemKind::Bit32, 1.0, 0xBAD)
+            },
+            ServiceConfig {
+                quarantine_cooldown: SimTime::from_ms(500),
+                ..ServiceConfig::new(SystemKind::Bit32)
+            },
         ],
         kernels: vec![Kernel::PatMatch],
         flush_depth: 1,
-        quarantine_cooldown: SimTime::from_ms(500),
         ..ClusterConfig::uniform(SystemKind::Bit32, 2, RoutePolicy::LeastLoaded)
     });
     let mut rng = SplitMix64::new(13);
@@ -376,8 +388,14 @@ fn per_shard_batch_policies_are_honored_and_deterministic() {
     let run = || {
         let mut cluster = Cluster::new(ClusterConfig {
             shards: vec![
-                ShardSpec::new(SystemKind::Bit32).with_batch(BatchPolicy::swap_aware()),
-                ShardSpec::new(SystemKind::Bit32).with_batch(BatchPolicy::Lanes),
+                ServiceConfig {
+                    batch: BatchPolicy::swap_aware(),
+                    ..ServiceConfig::new(SystemKind::Bit32)
+                },
+                ServiceConfig {
+                    batch: BatchPolicy::Lanes,
+                    ..ServiceConfig::new(SystemKind::Bit32)
+                },
             ],
             kernels: vec![Kernel::Jenkins, Kernel::PatMatch],
             flush_depth: 4,
@@ -425,7 +443,10 @@ fn same_kind_shards_with_different_floorplans_link_their_own_images() {
     let mut cluster = Cluster::new(ClusterConfig {
         shards: floorplans
             .iter()
-            .map(|w| ShardSpec::new(kind).with_plane(plane(w)))
+            .map(|w| ServiceConfig {
+                plane: plane(w),
+                ..ServiceConfig::new(kind)
+            })
             .collect(),
         kernels: kernels.clone(),
         flush_depth: 4,
@@ -491,5 +512,50 @@ fn same_kind_shards_with_different_floorplans_link_their_own_images() {
             "shard {} ran hardware",
             shard.id
         );
+    }
+}
+
+#[test]
+fn a_shard_keeps_its_own_service_policy() {
+    // A pool shard is a full `ServiceConfig`, so settings the cluster
+    // does not own reach the shard's service unchanged: shard 0 runs the
+    // paper's software-only baseline beside two cost-model shards.
+    use vp2_repro::service::Policy;
+    let kind = SystemKind::Bit64;
+    let kernels = vec![Kernel::Jenkins, Kernel::Brightness];
+    let mut cluster = Cluster::new(ClusterConfig {
+        shards: vec![
+            ServiceConfig {
+                policy: Policy::SwOnly,
+                ..ServiceConfig::new(kind)
+            },
+            ServiceConfig::new(kind),
+            ServiceConfig::new(kind),
+        ],
+        kernels: kernels.clone(),
+        flush_depth: 4,
+        ..ClusterConfig::uniform(kind, 3, RoutePolicy::RoundRobin)
+    });
+    let traffic = TrafficConfig {
+        requests: 36,
+        kernels,
+        min_payload: 4 * 1024,
+        max_payload: 8 * 1024,
+        ..TrafficConfig::default()
+    };
+    let snap = cluster.run(traffic.stream());
+    assert_eq!(snap.total.completed, 36, "every request served");
+    assert_eq!(snap.total.verify_failures, 0, "every response verified");
+    for shard in &snap.shards {
+        assert_eq!(shard.metrics.verify_failures, 0, "shard {}", shard.id);
+        if shard.id == 0 {
+            assert_eq!(shard.metrics.hw_items, 0, "the SwOnly shard ran hardware");
+        } else {
+            assert!(
+                shard.metrics.hw_items > 0,
+                "cost-model shard {} never ran hardware",
+                shard.id
+            );
+        }
     }
 }

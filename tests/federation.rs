@@ -6,12 +6,15 @@
 //! boot with the cost model a standalone calibration gives.
 
 use vp2_repro::apps::request::Kernel;
-use vp2_repro::cluster::{ClusterConfig, RoutePolicy, ShardSpec};
-use vp2_repro::federation::{FedPolicy, Federation, FederationConfig, FederationSnapshot};
+use vp2_repro::cluster::{ClusterConfig, RoutePolicy};
+use vp2_repro::federation::{
+    FedPolicy, Federation, FederationConfig, FederationSnapshot, POOL_STRIDE,
+};
 use vp2_repro::rtr::SystemKind;
 use vp2_repro::service::cost::kernel_has_hw;
-use vp2_repro::service::{CostModel, FlashCrowd, TrafficConfig};
+use vp2_repro::service::{CostModel, FlashCrowd, ServiceConfig, TrafficConfig};
 use vp2_repro::sim::SimTime;
+use vp2_repro::telemetry::Telemetry;
 use vp2_repro::trace::Tracer;
 
 /// Thread counts every determinism assertion sweeps: inline, a pool
@@ -23,7 +26,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// pool. `count` trims the list from the front — `count == 1` leaves a
 /// single all-Bit32 pool, the degenerate federation.
 fn pools(count: usize, threads: usize) -> Vec<ClusterConfig> {
-    let pool = |shards: Vec<ShardSpec>| ClusterConfig {
+    let pool = |shards: Vec<ServiceConfig>| ClusterConfig {
         shards,
         kernels: vec![Kernel::Sha1, Kernel::Brightness, Kernel::Jenkins],
         stale_estimates: true,
@@ -32,16 +35,16 @@ fn pools(count: usize, threads: usize) -> Vec<ClusterConfig> {
     };
     let mut all = vec![
         pool(vec![
-            ShardSpec::new(SystemKind::Bit32),
-            ShardSpec::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit32),
         ]),
         pool(vec![
-            ShardSpec::new(SystemKind::Bit64),
-            ShardSpec::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit64),
         ]),
         pool(vec![
-            ShardSpec::new(SystemKind::Bit32),
-            ShardSpec::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit64),
         ]),
     ];
     all.truncate(count);
@@ -241,4 +244,31 @@ fn shared_boots_match_standalone_calibrations_at_any_thread_count() {
         assert_eq!(images.len(), 2, "the pools mix both kinds");
     }
     assert_eq!(standalone.len(), 4, "two kernel sets on each kind");
+}
+
+#[test]
+fn pool_shards_journal_under_their_pool_stride() {
+    // The federation boots pool `p` with shard-id base `p · POOL_STRIDE`:
+    // every shard's journal and telemetry handles carry that id, and the
+    // boot-time warm-up loads already journal under it.
+    let tracer = Tracer::enabled();
+    let fed = Federation::new(FederationConfig {
+        trace: tracer.clone(),
+        telemetry: Telemetry::enabled(),
+        ..FederationConfig::new(pools(3, 1))
+    });
+    let mut expected = Vec::new();
+    for (p, pool) in fed.pools().iter().enumerate() {
+        for shard in pool.shards() {
+            let id = p as u32 * POOL_STRIDE + shard.id() as u32;
+            assert_eq!(shard.service().tracer().shard(), id);
+            assert_eq!(shard.service().telemetry().shard(), id);
+            expected.push(id);
+        }
+    }
+    assert_eq!(expected, [0, 1, 100, 101, 200, 201]);
+    let mut journaled: Vec<u32> = tracer.events().iter().map(|ev| ev.shard).collect();
+    journaled.sort_unstable();
+    journaled.dedup();
+    assert_eq!(journaled, expected, "boot events journal under pool ids");
 }

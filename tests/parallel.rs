@@ -6,9 +6,9 @@
 //! files on disk.
 
 use vp2_repro::apps::request::Kernel;
-use vp2_repro::cluster::{Cluster, ClusterConfig, RoutePolicy, ShardSpec};
+use vp2_repro::cluster::{Cluster, ClusterConfig, RoutePolicy};
 use vp2_repro::rtr::SystemKind;
-use vp2_repro::service::TrafficConfig;
+use vp2_repro::service::{ServiceConfig, TrafficConfig};
 use vp2_repro::sim::Json;
 use vp2_repro::trace::{chrome_trace, Tracer};
 
@@ -47,8 +47,8 @@ fn traced_run(threads: usize) -> (String, String) {
 /// JSON again, with the router forced through the join-before-read path
 /// on every admission.
 fn faulted_run(threads: usize) -> String {
-    let mut shards = vec![ShardSpec::new(SystemKind::Bit32); 3];
-    shards[0] = ShardSpec::with_faults(SystemKind::Bit32, 1.0, 0xBAD);
+    let mut shards = vec![ServiceConfig::new(SystemKind::Bit32); 3];
+    shards[0] = ServiceConfig::with_faults(SystemKind::Bit32, 1.0, 0xBAD);
     let mut cluster = Cluster::new(ClusterConfig {
         shards,
         kernels: vec![Kernel::Jenkins],
@@ -130,11 +130,16 @@ fn scrubbed_run(threads: usize) -> (String, String) {
     tracer.stream_to(&base).expect("attach journal streams");
     let mut cluster = Cluster::new(ClusterConfig {
         shards: vec![
-            ShardSpec::new(SystemKind::Bit32)
-                .with_burst(burst)
-                .with_scrub(scrub),
-            ShardSpec::new(SystemKind::Bit32).with_scrub(scrub),
-            ShardSpec::new(SystemKind::Bit32),
+            ServiceConfig {
+                burst: Some(burst),
+                scrub: Some(scrub),
+                ..ServiceConfig::new(SystemKind::Bit32)
+            },
+            ServiceConfig {
+                scrub: Some(scrub),
+                ..ServiceConfig::new(SystemKind::Bit32)
+            },
+            ServiceConfig::new(SystemKind::Bit32),
         ],
         kernels: vec![Kernel::Jenkins, Kernel::PatMatch],
         flush_depth: 4,

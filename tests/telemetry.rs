@@ -6,10 +6,10 @@
 //! parallel execution.
 
 use vp2_repro::apps::request::Kernel;
-use vp2_repro::cluster::{Cluster, ClusterConfig, RoutePolicy, ShardSpec};
+use vp2_repro::cluster::{Cluster, ClusterConfig, RoutePolicy};
 use vp2_repro::federation::{FedPolicy, Federation, FederationConfig};
 use vp2_repro::rtr::SystemKind;
-use vp2_repro::service::{FlashCrowd, TrafficConfig};
+use vp2_repro::service::{FlashCrowd, ServiceConfig, TrafficConfig};
 use vp2_repro::sim::SimTime;
 use vp2_repro::telemetry::Telemetry;
 
@@ -20,7 +20,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// Heterogeneous pools, scaled down from `federation_scenario` (same
 /// shape as `tests/federation.rs`).
 fn pools(threads: usize) -> Vec<ClusterConfig> {
-    let pool = |shards: Vec<ShardSpec>| ClusterConfig {
+    let pool = |shards: Vec<ServiceConfig>| ClusterConfig {
         shards,
         kernels: vec![Kernel::Sha1, Kernel::Brightness, Kernel::Jenkins],
         stale_estimates: true,
@@ -29,16 +29,16 @@ fn pools(threads: usize) -> Vec<ClusterConfig> {
     };
     vec![
         pool(vec![
-            ShardSpec::new(SystemKind::Bit32),
-            ShardSpec::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit32),
         ]),
         pool(vec![
-            ShardSpec::new(SystemKind::Bit64),
-            ShardSpec::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit64),
         ]),
         pool(vec![
-            ShardSpec::new(SystemKind::Bit32),
-            ShardSpec::new(SystemKind::Bit64),
+            ServiceConfig::new(SystemKind::Bit32),
+            ServiceConfig::new(SystemKind::Bit64),
         ]),
     ]
 }
