@@ -129,7 +129,6 @@ fn main() {
             shed_watermark,
             steal_watermark,
             steal_batch: 3,
-            steal_budget: u64::MAX,
             trace,
             telemetry,
             ..FederationConfig::new(pool_configs(threads))

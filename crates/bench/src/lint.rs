@@ -9,6 +9,8 @@
 //! Each row kind adds its own self-description checks through
 //! [`StreamLint`].
 
+use std::collections::BTreeMap;
+
 use rtr_telemetry::TelemetryRow;
 use rtr_trace::{JournalRow, TraceEvent, KIND_NAMES};
 use vp2_sim::Json;
@@ -28,63 +30,131 @@ impl StreamLint for TraceEvent {
     const LEAD_MONOTONE: bool = false;
 
     fn line_problems(ev: &Json) -> Vec<String> {
-        let mut problems = Vec::new();
-        let int = |key: &str| ev.get(key).and_then(Json::as_f64).map(|v| v as i64);
-        let Some(kind) = ev.get("kind").and_then(Json::as_str) else {
-            return vec!["missing one of time_ps/shard/seq/kind".into()];
-        };
-        if !KIND_NAMES.contains(&kind) {
-            problems.push(format!("unknown event kind {kind:?}"));
+        match ev.get("kind").and_then(Json::as_str) {
+            Some(kind) => event_problems(kind, ev),
+            None => vec!["missing one of time_ps/shard/seq/kind".into()],
         }
-        // Federation, scrub and canary decisions must be self-describing
-        // in the raw journal too, not just in the Chrome export.
-        match kind {
-            "fed_route" => {
-                let kernel = ev.get("kernel").and_then(Json::as_str);
-                if int("pool").is_none_or(|p| p < 0)
-                    || kernel.is_none_or(str::is_empty)
-                    || int("estimate_ps").is_none_or(|e| e < 0)
-                {
-                    problems.push("fed_route missing pool/kernel/estimate_ps".into());
+    }
+}
+
+/// The per-kind content rules, one place for both views of an event:
+/// `payload` is a journal line (its key fields are ignored) or a Chrome
+/// instant's `args`, and `kind` the line's `kind` or the instant's
+/// `name`. Every decision and configuration-plane event must describe
+/// itself.
+pub fn event_problems(kind: &str, payload: &Json) -> Vec<String> {
+    let mut problems = Vec::new();
+    let int = |key: &str| payload.get(key).and_then(Json::as_f64).map(|v| v as i64);
+    let named = |key: &str| {
+        payload
+            .get(key)
+            .and_then(Json::as_str)
+            .is_some_and(|s| !s.is_empty())
+    };
+    let flag = |key: &str| matches!(payload.get(key), Some(Json::Bool(_)));
+    if !KIND_NAMES.contains(&kind) {
+        problems.push(format!("unknown event kind {kind:?}"));
+    }
+    match kind {
+        // A scheduling decision names the policy that decided, the
+        // kernel it chose and the candidate set it chose from, with the
+        // choice in the set.
+        "sched_decision" => {
+            let chosen = payload.get("chosen").and_then(Json::as_str);
+            let candidates = payload.get("candidates").and_then(Json::as_arr);
+            match (named("policy"), chosen, candidates) {
+                (true, Some(_), Some([])) => {
+                    problems.push("sched_decision with an empty candidate set".into());
                 }
-            }
-            "fed_steal" | "fed_shed" => {
-                match (int("from_pool"), int("to_pool")) {
-                    (Some(from), Some(to)) if from == to => {
-                        problems.push(format!("{kind} from pool {from} to itself"));
+                (true, Some(chosen), Some(cands)) => {
+                    if !cands.iter().any(|c| c.as_str() == Some(chosen)) {
+                        problems.push(format!(
+                            "sched_decision chose {chosen:?} but it is not among the candidates"
+                        ));
                     }
-                    (Some(_), Some(_)) => {}
-                    _ => problems.push(format!("{kind} missing from_pool/to_pool")),
                 }
-                if kind == "fed_steal" && int("moved").is_none_or(|m| m < 1) {
-                    problems.push("fed_steal moved fewer than one request".into());
-                }
+                _ => problems.push("sched_decision missing policy/chosen/candidates".into()),
             }
-            "scrub_pass" => match (int("frames"), int("mismatched")) {
-                (Some(frames), Some(mismatched)) if mismatched > frames => {
+        }
+        // Configuration-plane events name their module, and the
+        // differential accounting never claims to have sent more than
+        // the full image holds.
+        "cache_lookup" if !named("module") || !flag("hit") => {
+            problems.push("cache_lookup missing module/hit".into());
+        }
+        "diff_swap" => {
+            match (
+                int("frames_full"),
+                int("frames_sent"),
+                int("words_full"),
+                int("words_sent"),
+            ) {
+                (Some(ff), Some(fs), Some(wf), Some(ws)) if fs > ff || ws > wf => {
                     problems.push(format!(
-                        "scrub_pass found {mismatched} mismatches in only {frames} frames"
+                        "diff_swap sent more than the full image \
+                         ({fs}/{ff} frames, {ws}/{wf} words)"
                     ));
                 }
-                (Some(_), Some(_)) => {}
-                _ => problems.push("scrub_pass missing frames/mismatched".into()),
-            },
-            "scrub_repair" if int("frames").is_none_or(|f| f < 1) => {
-                problems.push("scrub_repair re-wrote fewer than one frame".into());
+                (Some(_), Some(_), Some(_), Some(_)) => {}
+                _ => problems.push("diff_swap missing frame/word accounting".into()),
             }
-            "canary_probe" | "canary_result" => {
-                let kernel = ev.get("kernel").and_then(Json::as_str);
-                if kernel.is_none_or(str::is_empty) {
-                    problems.push(format!("{kind} without a kernel"));
-                }
-                if kind == "canary_result" && !matches!(ev.get("admitted"), Some(Json::Bool(_))) {
-                    problems.push("canary_result without a boolean verdict".into());
-                }
+            if !named("module") {
+                problems.push("diff_swap without a module".into());
             }
-            _ => {}
         }
-        problems
+        "slot_activate" | "slot_evict" if !named("module") || int("slot").is_none_or(|s| s < 0) => {
+            problems.push(format!("{kind} missing module/slot"));
+        }
+        // Federation decisions: a route names its pool, kernel and the
+        // estimate it was scored on; a steal moves at least one request
+        // between two distinct pools; a shed diverts between two.
+        "fed_route"
+            if int("pool").is_none_or(|p| p < 0)
+                || !named("kernel")
+                || int("estimate_ps").is_none_or(|e| e < 0) =>
+        {
+            problems.push("fed_route missing pool/kernel/estimate_ps".into());
+        }
+        "fed_steal" | "fed_shed" => {
+            match (int("from_pool"), int("to_pool")) {
+                (Some(from), Some(to)) if from == to => {
+                    problems.push(format!("{kind} from pool {from} to itself"));
+                }
+                (Some(_), Some(_)) => {}
+                _ => problems.push(format!("{kind} missing from_pool/to_pool")),
+            }
+            if kind == "fed_steal" && int("moved").is_none_or(|m| m < 1) {
+                problems.push("fed_steal moved fewer than one request".into());
+            }
+        }
+        // Scrub events account for themselves: a pass never finds more
+        // mismatches than frames it compared, and a repair re-writes at
+        // least one frame.
+        "scrub_pass" => match (int("frames"), int("mismatched")) {
+            (Some(frames), Some(mismatched)) if mismatched > frames => {
+                problems.push(format!(
+                    "scrub_pass found {mismatched} mismatches in only {frames} frames"
+                ));
+            }
+            (Some(_), Some(_)) => {}
+            _ => problems.push("scrub_pass missing frames/mismatched".into()),
+        },
+        "scrub_repair" if int("frames").is_none_or(|f| f < 1) => {
+            problems.push("scrub_repair re-wrote fewer than one frame".into());
+        }
+        // Canary events name their kernel; a result also says whether
+        // the probe readmitted it.
+        "canary_probe" | "canary_result" => {
+            if !named("kernel") {
+                problems.push(format!("{kind} without a kernel"));
+            }
+            if kind == "canary_result" && !flag("admitted") {
+                problems.push("canary_result without a boolean verdict".into());
+            }
+        }
+        _ => {}
     }
+    problems
 }
 
 impl StreamLint for TelemetryRow {
@@ -189,10 +259,73 @@ pub fn lint_stream<R: StreamLint>(
     lines
 }
 
+/// Checks a Chrome trace-event document (`doc`, read from `path`) for
+/// the format's own invariants: every entry carries `name`/`ph`/`ts`/
+/// `pid`/`tid`, `B`/`E` slices balance per `(pid, tid)` track without
+/// dipping negative, async `b`/`e` arrows pair per `id`, and `X` slices
+/// carry a non-negative `dur`. Each instant's `name` and `args` go
+/// through [`event_problems`], the rules journal lines get. Returns the
+/// number of trace events checked; every violation is pushed onto
+/// `problems` as one `path: …` line.
+pub fn lint_chrome(path: &str, doc: &Json, problems: &mut Vec<String>) -> usize {
+    let Some(events) = doc.get("traceEvents").and_then(Json::as_arr) else {
+        problems.push(format!("{path}: no traceEvents array"));
+        return 0;
+    };
+    // Open-slice depth per (pid, tid); open async arrows per id.
+    let mut depth: BTreeMap<(i64, i64), i64> = BTreeMap::new();
+    let mut arrows: BTreeMap<&str, i64> = BTreeMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        let mut report = |msg: String| problems.push(format!("{path}: event {i}: {msg}"));
+        let name = ev.get("name").and_then(Json::as_str);
+        let ph = ev.get("ph").and_then(Json::as_str);
+        let [ts, pid, tid] = ["ts", "pid", "tid"].map(|key| ev.get(key).and_then(Json::as_f64));
+        let (Some(name), Some(ph), Some(_), Some(pid), Some(tid)) = (name, ph, ts, pid, tid) else {
+            report("missing one of name/ph/ts/pid/tid".into());
+            continue;
+        };
+        let track = (pid as i64, tid as i64);
+        match ph {
+            "i" => {
+                let args = ev.get("args").unwrap_or(&Json::Null);
+                event_problems(name, args).into_iter().for_each(report);
+            }
+            "B" => *depth.entry(track).or_default() += 1,
+            "E" => {
+                let d = depth.entry(track).or_default();
+                *d -= 1;
+                if *d < 0 {
+                    report(format!("E without a matching B on track {track:?}"));
+                    *d = 0;
+                }
+            }
+            "b" | "e" => match ev.get("id").and_then(Json::as_str) {
+                Some(id) => *arrows.entry(id).or_default() += if ph == "b" { 1 } else { -1 },
+                None => report(format!("async {ph} without an id")),
+            },
+            "X" => match ev.get("dur").and_then(Json::as_f64) {
+                Some(dur) if dur >= 0.0 => {}
+                Some(dur) => report(format!("X slice with negative dur {dur}")),
+                None => report("X slice without a dur".into()),
+            },
+            _ => {}
+        }
+    }
+    for (track, d) in depth.into_iter().filter(|&(_, d)| d != 0) {
+        problems.push(format!(
+            "{path}: track {track:?} ends with {d} unclosed B slice(s)"
+        ));
+    }
+    for (id, d) in arrows.into_iter().filter(|&(_, d)| d != 0) {
+        problems.push(format!("{path}: async arrow {id} is unbalanced ({d:+})"));
+    }
+    events.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_trace::EventKind;
+    use rtr_trace::{chrome_trace, EventKind};
     use vp2_sim::SimTime;
 
     fn event(us: u64, shard: u32, seq: u64) -> String {
@@ -274,16 +407,56 @@ mod tests {
         let bad_kind = event(1, 0, 0).replace("buffer_flush", "warp_drive");
         let unnamed = r#"{"time_ps":1,"shard":0,"seq":1}"#.to_string();
         let self_steal = r#"{"time_ps":2,"shard":0,"seq":2,"kind":"fed_steal","from_pool":1,"to_pool":1,"moved":0}"#;
-        let problems = lint::<TraceEvent>(&[bad_kind, unnamed, self_steal.into()], false);
+        let stray_choice = r#"{"time_ps":3,"shard":0,"seq":3,"kind":"sched_decision","policy":"swap_aware","chosen":"a","candidates":["b"]}"#;
+        let no_candidates = r#"{"time_ps":3,"shard":0,"seq":4,"kind":"sched_decision","policy":"lanes","chosen":"a","candidates":[]}"#;
+        let oversent = r#"{"time_ps":4,"shard":0,"seq":5,"kind":"diff_swap","module":"m","frames_full":2,"frames_sent":3,"words_full":40,"words_sent":40,"compressed":false}"#;
+        let fuzzy_hit =
+            r#"{"time_ps":4,"shard":0,"seq":6,"kind":"cache_lookup","module":"m","hit":1}"#;
+        let no_slot = r#"{"time_ps":4,"shard":0,"seq":7,"kind":"slot_evict","module":"m"}"#;
+        let lines = [
+            bad_kind,
+            unnamed,
+            self_steal.into(),
+            stray_choice.into(),
+            no_candidates.into(),
+            oversent.into(),
+            fuzzy_hit.into(),
+            no_slot.into(),
+        ];
         assert_eq!(
-            problems,
+            lint::<TraceEvent>(&lines, false),
             vec![
                 "s: line 1: unknown event kind \"warp_drive\"",
                 "s: line 2: missing one of time_ps/shard/seq/kind",
                 "s: line 3: fed_steal from pool 1 to itself",
                 "s: line 3: fed_steal moved fewer than one request",
+                "s: line 4: sched_decision chose \"a\" but it is not among the candidates",
+                "s: line 5: sched_decision with an empty candidate set",
+                "s: line 6: diff_swap sent more than the full image (3/2 frames, 40/40 words)",
+                "s: line 7: cache_lookup missing module/hit",
+                "s: line 8: slot_evict missing module/slot",
             ]
         );
+        // A Chrome instant breaking a rule gets the journal line's
+        // message: both views go through the same per-kind rules.
+        let stray = TraceEvent {
+            time: SimTime::from_us(3),
+            shard: 0,
+            seq: 0,
+            kind: EventKind::SchedDecision {
+                policy: "swap_aware",
+                chosen: "a",
+                candidates: vec!["b"],
+            },
+        };
+        let journal = lint::<TraceEvent>(&[stray.to_json().render()], false);
+        let mut chrome = Vec::new();
+        lint_chrome("c", &chrome_trace(&[stray]), &mut chrome);
+        let why = "sched_decision chose \"a\" but it is not among the candidates";
+        // Events 0-3 name the shard's process and its three tracks.
+        assert_eq!(journal, vec![format!("s: line 1: {why}")]);
+        assert_eq!(chrome, vec![format!("c: event 4: {why}")]);
+
         let no_key = r#"{"time_ps":1,"shard":0,"seq":0,"scope":"service","gauges":{"q":1}}"#;
         let empty = r#"{"tick":1,"time_ps":1,"shard":0,"seq":1,"scope":"","gauges":{}}"#;
         let problems = lint::<TelemetryRow>(&[no_key.into(), empty.into()], false);
@@ -295,5 +468,154 @@ mod tests {
                 "s: line 2: missing or empty gauges object",
             ]
         );
+    }
+
+    /// One event of every kind, in [`KIND_NAMES`] order, each passing
+    /// its content rules; the admit/complete and begin/end pairs match.
+    fn every_kind() -> Vec<TraceEvent> {
+        let us = SimTime::from_us;
+        let kinds = vec![
+            EventKind::RequestBuffer {
+                id: 0,
+                kernel: "k",
+                arrival: us(0),
+            },
+            EventKind::BufferFlush { count: 1 },
+            EventKind::RequestAdmit {
+                id: 0,
+                kernel: "k",
+                arrival: us(0),
+            },
+            EventKind::RequestDequeue { id: 0 },
+            EventKind::SchedDecision {
+                policy: "swap_aware",
+                chosen: "k",
+                candidates: vec!["j", "k"],
+            },
+            EventKind::RequestComplete {
+                id: 0,
+                kernel: "k",
+                hw: true,
+            },
+            EventKind::BatchBegin {
+                kernel: "k",
+                size: 1,
+                hw: true,
+            },
+            EventKind::BatchEnd {
+                kernel: "k",
+                hw: true,
+            },
+            EventKind::SwapBegin { module: "k".into() },
+            EventKind::SwapEnd {
+                module: "k".into(),
+                frames: 2,
+                words: 40,
+                attempts: 1,
+                repaired_frames: 0,
+                verified: true,
+            },
+            EventKind::CacheLookup {
+                module: "k".into(),
+                hit: false,
+            },
+            EventKind::DiffSwap {
+                module: "k".into(),
+                frames_full: 2,
+                frames_sent: 1,
+                words_full: 40,
+                words_sent: 20,
+                compressed: true,
+            },
+            EventKind::SlotActivate {
+                module: "k".into(),
+                slot: 1,
+            },
+            EventKind::SlotEvict {
+                module: "j".into(),
+                slot: 0,
+            },
+            EventKind::IcapBurst {
+                words: 40,
+                done: us(30),
+            },
+            EventKind::FaultHit { frames: 1 },
+            EventKind::VerifyFail { frames: 1 },
+            EventKind::Repair { frames: 1 },
+            EventKind::DmaProgram {
+                bytes: 64,
+                to_dock: true,
+                interleaved: false,
+            },
+            EventKind::DmaComplete { bytes_moved: 64 },
+            EventKind::QuarantineEnter { kernel: "k" },
+            EventKind::QuarantineHalfOpen { kernel: "k" },
+            EventKind::QuarantineExit { kernel: "k" },
+            EventKind::FedRoute {
+                pool: 1,
+                kernel: "k",
+                estimate: us(5),
+            },
+            EventKind::FedSteal {
+                from_pool: 0,
+                to_pool: 1,
+                moved: 2,
+            },
+            EventKind::FedShed {
+                from_pool: 1,
+                to_pool: 0,
+                kernel: "k",
+                deadline: true,
+            },
+            EventKind::ScrubPass {
+                frames: 4,
+                mismatched: 1,
+            },
+            EventKind::ScrubRepair { frames: 1 },
+            EventKind::CanaryProbe { kernel: "k" },
+            EventKind::CanaryResult {
+                kernel: "k",
+                admitted: true,
+            },
+        ];
+        (0..)
+            .zip(kinds)
+            .map(|(seq, kind)| TraceEvent {
+                time: us(seq + 1),
+                shard: 0,
+                seq,
+                kind,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_kind_has_one_encoding_that_both_views_accept() {
+        let journal = every_kind();
+        let names: Vec<&str> = journal.iter().map(|ev| ev.kind.name()).collect();
+        assert_eq!(names, KIND_NAMES, "name() and KIND_NAMES cover each other");
+
+        // The Chrome view of each event carries its journal payload as
+        // `args`: metadata and per-request X slices aside, the export
+        // holds one entry per journal event, in journal order.
+        let doc = chrome_trace(&journal);
+        let entries: Vec<&Json> = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|e| !matches!(e.get("ph").and_then(Json::as_str), Some("M" | "X")))
+            .collect();
+        assert_eq!(entries.len(), journal.len());
+        for (entry, ev) in entries.iter().zip(&journal) {
+            assert_eq!(entry.get("args"), Some(&ev.kind.payload()), "{ev:?}");
+        }
+
+        let lines: Vec<String> = journal.iter().map(|ev| ev.to_json().render()).collect();
+        assert_eq!(lint::<TraceEvent>(&lines, false), Vec::<String>::new());
+        let mut problems = Vec::new();
+        let rendered = Json::parse(&doc.render()).unwrap();
+        assert!(lint_chrome("c", &rendered, &mut problems) > journal.len());
+        assert_eq!(problems, Vec::<String>::new());
     }
 }

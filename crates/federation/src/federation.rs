@@ -63,10 +63,6 @@ pub struct FederationConfig {
     pub steal_watermark: usize,
     /// Requests moved per steal event.
     pub steal_batch: usize,
-    /// Total requests the run may move by stealing (the bound in
-    /// "bounded work stealing"). `u64::MAX` = limited only by the
-    /// watermark mechanism.
-    pub steal_budget: u64,
     /// Shared trace journal. The federation's own decisions journal
     /// under [`FEDERATION_SHARD`]; pool `p`'s shards under
     /// `p · POOL_STRIDE + shard`.
@@ -79,8 +75,7 @@ pub struct FederationConfig {
 }
 
 impl FederationConfig {
-    /// Cost-model routing over the given pools with moderate watermarks
-    /// and an unbounded steal budget.
+    /// Cost-model routing over the given pools with moderate watermarks.
     pub fn new(pools: Vec<ClusterConfig>) -> FederationConfig {
         FederationConfig {
             pools,
@@ -88,7 +83,6 @@ impl FederationConfig {
             shed_watermark: 12,
             steal_watermark: 24,
             steal_batch: 4,
-            steal_budget: u64::MAX,
             trace: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
         }
@@ -102,7 +96,6 @@ pub struct Federation {
     shed_watermark: usize,
     steal_watermark: usize,
     steal_batch: usize,
-    steal_budget: u64,
     tracer: Tracer,
     telemetry: Telemetry,
     rr_next: usize,
@@ -180,7 +173,6 @@ impl Federation {
             shed_watermark: config.shed_watermark.max(1),
             steal_watermark: config.steal_watermark.max(1),
             steal_batch: config.steal_batch,
-            steal_budget: config.steal_budget,
             tracer: config.trace.with_shard(FEDERATION_SHARD),
             telemetry: config.telemetry.with_shard(FEDERATION_SHARD),
             rr_next: 0,
@@ -339,20 +331,17 @@ impl Federation {
     /// Bounded work stealing: when `from`'s backlog crosses the steal
     /// watermark, move up to `steal_batch` of its newest buffered
     /// requests to the least-backlogged pool — but only if the move
-    /// strictly improves balance (no ping-pong) and budget remains.
+    /// strictly improves balance (no ping-pong). The watermark and that
+    /// balance rule are the bounds.
     fn maybe_steal(&mut self, arrival: SimTime, from: usize) {
-        if self.pools.len() < 2
-            || self.stolen >= self.steal_budget
-            || self.pools[from].backlog() < self.steal_watermark
-        {
+        if self.pools.len() < 2 || self.pools[from].backlog() < self.steal_watermark {
             return;
         }
         let to = self.least_backlogged(from);
-        let budget_left = (self.steal_budget - self.stolen).min(self.steal_batch as u64) as usize;
-        if self.pools[to].backlog() + budget_left > self.pools[from].backlog() {
+        if self.pools[to].backlog() + self.steal_batch > self.pools[from].backlog() {
             return;
         }
-        let moved = self.pools[from].give_back(budget_left);
+        let moved = self.pools[from].give_back(self.steal_batch);
         if moved.is_empty() {
             return;
         }

@@ -29,8 +29,8 @@
 //! * **Bounded work stealing** — when a pool's backlog crosses the
 //!   steal watermark, up to [`FederationConfig::steal_batch`] of its
 //!   newest buffered requests move to the least-backlogged pool,
-//!   guarded so the move strictly improves balance and capped by a
-//!   total budget.
+//!   guarded so the move strictly improves balance. The watermark and
+//!   that balance rule are the only bounds.
 //!
 //! Every route / steal / shed decision journals through `rtr-trace`
 //! under the reserved [`FEDERATION_SHARD`](rtr_trace::FEDERATION_SHARD)

@@ -14,8 +14,10 @@
 //!   strand live queued work for the resident module, the competing
 //!   queue must amortize *two* reconfigurations — the swap there and the
 //!   swap back — not just one. A starvation guard bounds the wait: once
-//!   any queue's head has aged past `max_head_age`, the oldest overdue
-//!   head is served regardless of residency.
+//!   any queue's head has aged past the `max_head_age` the caller passes
+//!   to [`BatchPolicy::choose`], the oldest overdue head is served
+//!   regardless of residency. The service scales that bound with its
+//!   measured reconfiguration time.
 //! * [`BatchPolicy::Lanes`] — priority/deadline lanes. The queue holding
 //!   the best-ranked request (priority class, then earliest absolute
 //!   deadline, then arrival) is served, and the drained batch is executed
@@ -26,9 +28,11 @@ use vp2_sim::SimTime;
 
 use crate::queue::Pending;
 
-/// Fixed starvation bound of [`BatchPolicy::swap_aware_fixed`], and the
-/// fallback the adaptive guard uses until a reconfiguration has been
-/// observed.
+/// The starvation bound the service passes to [`BatchPolicy::choose`]
+/// until it has observed a reconfiguration: roughly ten worst-case swaps
+/// on either simulated system (a reconfiguration alone costs ~6 ms, so a
+/// much tighter bound degenerates the swap-aware policy into FCFS under
+/// load).
 pub const DEFAULT_MAX_HEAD_AGE: SimTime = SimTime::from_ms(60);
 
 /// Which kernel queue the scheduler drains next.
@@ -40,21 +44,10 @@ pub enum BatchPolicy {
     FcfsDrain,
     /// Prefer the resident module's queue until another kernel's queue
     /// matures past its break-even depth, with a bound on how long any
-    /// head may wait.
-    SwapAware {
-        /// Starvation guard: once a queue's head has waited this long,
-        /// it is served next regardless of residency or maturity.
-        max_head_age: SimTime,
-    },
-    /// [`BatchPolicy::SwapAware`] with an adaptive starvation guard: the
-    /// service scales `max_head_age` with its observed reconfiguration
-    /// EWMA (ten swaps' worth) instead of the fixed 60 ms constant, so
-    /// the bound tightens when the configuration plane makes swaps cheap
-    /// and relaxes when they are dear. An explicit
-    /// `SwapAware { max_head_age }` remains the fixed override. Used
-    /// directly (outside a service, with no cost model to consult) the
-    /// policy falls back to the 60 ms default.
-    SwapAwareAdaptive,
+    /// head may wait: once a queue's head has waited `max_head_age` (an
+    /// argument of [`BatchPolicy::choose`]), it is served next regardless
+    /// of residency or maturity.
+    SwapAware,
     /// Serve the queue holding the best-ranked request (priority class,
     /// then earliest deadline, then arrival) and run the drained batch
     /// in rank order.
@@ -80,42 +73,35 @@ pub fn lane_rank(pending: &Pending) -> LaneRank {
 }
 
 impl BatchPolicy {
-    /// The swap-aware policy with the adaptive starvation bound. Before
-    /// the guard adapted, this returned the fixed 60 ms bound — roughly
-    /// ten worst-case swaps on either simulated system (a reconfiguration
-    /// alone costs ~6 ms, so a much tighter bound degenerates the policy
-    /// into FCFS under load); ten observed swaps is what the adaptive
-    /// guard scales to. [`BatchPolicy::swap_aware_fixed`] keeps the old
-    /// constant as an explicit override.
+    /// The swap-aware policy. Its starvation bound adapts: a service
+    /// passes ten times its observed reconfiguration EWMA (or
+    /// [`DEFAULT_MAX_HEAD_AGE`] before the first swap), so the bound
+    /// tightens when the configuration plane makes swaps cheap and
+    /// relaxes when they are dear.
     pub fn swap_aware() -> BatchPolicy {
-        BatchPolicy::SwapAwareAdaptive
+        BatchPolicy::SwapAware
     }
 
-    /// The swap-aware policy with the original fixed 60 ms starvation
-    /// bound, independent of any measured reconfiguration time.
-    pub fn swap_aware_fixed() -> BatchPolicy {
-        BatchPolicy::SwapAware {
-            max_head_age: DEFAULT_MAX_HEAD_AGE,
-        }
-    }
-
-    /// Stable lowercase name (JSON, traces, CLI flags). The adaptive
-    /// variant *is* swap-aware scheduling — same decision procedure,
-    /// different guard constant — so both report `swap_aware` and traces
-    /// stay comparable across the two.
+    /// Stable lowercase name (JSON, traces, CLI flags).
     pub fn name(&self) -> &'static str {
         match self {
             BatchPolicy::FcfsDrain => "fcfs_drain",
-            BatchPolicy::SwapAware { .. } | BatchPolicy::SwapAwareAdaptive => "swap_aware",
+            BatchPolicy::SwapAware => "swap_aware",
             BatchPolicy::Lanes => "lanes",
         }
     }
 
     /// Picks the candidate to drain next; `None` only for an empty set.
-    /// Pure: equal inputs give equal answers, whatever order the
-    /// candidates are listed in (every comparison key ends in the unique
-    /// head submission id).
-    pub fn choose(&self, now: SimTime, candidates: &[Candidate]) -> Option<usize> {
+    /// `max_head_age` is the starvation bound (only
+    /// [`BatchPolicy::SwapAware`] reads it). Pure: equal inputs give
+    /// equal answers, whatever order the candidates are listed in (every
+    /// comparison key ends in the unique head submission id).
+    pub fn choose(
+        &self,
+        now: SimTime,
+        candidates: &[Candidate],
+        max_head_age: SimTime,
+    ) -> Option<usize> {
         if candidates.is_empty() {
             return None;
         }
@@ -129,15 +115,10 @@ impl BatchPolicy {
         };
         match self {
             BatchPolicy::FcfsDrain => fcfs(&|_| true),
-            // Bare adaptive (nobody resolved a measured guard for us):
-            // the fixed default bound.
-            BatchPolicy::SwapAwareAdaptive => {
-                BatchPolicy::swap_aware_fixed().choose(now, candidates)
-            }
-            BatchPolicy::SwapAware { max_head_age } => {
+            BatchPolicy::SwapAware => {
                 // 1. The starvation guard outranks everything: serve the
                 //    earliest overdue head.
-                let overdue = |c: &Candidate| now.saturating_sub(c.head_arrival) >= *max_head_age;
+                let overdue = |c: &Candidate| now.saturating_sub(c.head_arrival) >= max_head_age;
                 if let Some(i) = fcfs(&overdue) {
                     return Some(i);
                 }
@@ -213,6 +194,9 @@ mod tests {
         }
     }
 
+    /// A bound no test head reaches.
+    const NO_GUARD: SimTime = SimTime::from_ms(100_000);
+
     #[test]
     fn fcfs_matches_earliest_head_with_id_ties() {
         let p = BatchPolicy::FcfsDrain;
@@ -223,57 +207,40 @@ mod tests {
             cand(Kernel::Fade, 3, 2),
         ];
         // Earliest head wins; equal arrivals break by submission id.
-        assert_eq!(p.choose(now, &c), Some(1));
-        assert_eq!(p.choose(now, &c[1..]), Some(0));
-        assert_eq!(p.choose(now, &[]), None);
+        assert_eq!(p.choose(now, &c, NO_GUARD), Some(1));
+        assert_eq!(p.choose(now, &c[1..], NO_GUARD), Some(0));
+        assert_eq!(p.choose(now, &[], NO_GUARD), None);
     }
 
     #[test]
     fn swap_aware_sticks_with_resident_until_another_matures() {
-        let p = BatchPolicy::SwapAware {
-            max_head_age: SimTime::from_ms(10),
-        };
+        let p = BatchPolicy::swap_aware();
         let now = SimTime::from_us(100);
         let mut c = vec![cand(Kernel::Jenkins, 5, 1), cand(Kernel::PatMatch, 3, 0)];
         c[0].resident = true;
         // PatMatch arrived first but is below break-even: stay resident.
-        assert_eq!(p.choose(now, &c), Some(0));
+        assert_eq!(p.choose(now, &c, SimTime::from_ms(10)), Some(0));
         // Once PatMatch matures its swap is amortized: switch to it.
         c[1].mature = true;
-        assert_eq!(p.choose(now, &c), Some(1));
+        assert_eq!(p.choose(now, &c, SimTime::from_ms(10)), Some(1));
     }
 
     #[test]
     fn starvation_guard_overrides_residency() {
-        let p = BatchPolicy::SwapAware {
-            max_head_age: SimTime::from_us(50),
-        };
+        let p = BatchPolicy::swap_aware();
+        let guard = SimTime::from_us(50);
         let mut c = vec![cand(Kernel::Jenkins, 5, 1), cand(Kernel::PatMatch, 40, 0)];
         c[1].resident = true;
         // Jenkins' head is 95 µs old — past the 50 µs bound — so it is
         // served even though PatMatch holds the region.
-        assert_eq!(p.choose(SimTime::from_us(100), &c), Some(0));
+        assert_eq!(p.choose(SimTime::from_us(100), &c, guard), Some(0));
         // Below the bound the resident queue keeps the region.
-        assert_eq!(p.choose(SimTime::from_us(30), &c), Some(1));
-    }
-
-    #[test]
-    fn adaptive_swap_aware_defaults_to_the_fixed_bound() {
-        // Outside a service there is no reconfiguration EWMA to scale by,
-        // so the bare adaptive policy must decide exactly like the fixed
-        // 60 ms override — including the starvation guard.
-        let adaptive = BatchPolicy::swap_aware();
-        let fixed = BatchPolicy::swap_aware_fixed();
-        assert_eq!(adaptive, BatchPolicy::SwapAwareAdaptive);
-        assert_eq!(adaptive.name(), "swap_aware");
-        assert_eq!(fixed.name(), "swap_aware");
-        let mut c = vec![cand(Kernel::Jenkins, 5, 1), cand(Kernel::PatMatch, 3, 0)];
-        c[0].resident = true;
-        for now in [SimTime::from_us(100), SimTime::from_ms(61)] {
-            assert_eq!(adaptive.choose(now, &c), fixed.choose(now, &c));
-        }
-        // Past 60 ms the non-resident head is overdue under both.
-        assert_eq!(adaptive.choose(SimTime::from_ms(61), &c), Some(1));
+        assert_eq!(p.choose(SimTime::from_us(30), &c, guard), Some(1));
+        // With the guard out of reach the resident queue keeps it however
+        // long the immature head has waited: the guard, not luck, is what
+        // serves a starving queue.
+        assert_eq!(p.choose(SimTime::from_ms(60_000), &c, NO_GUARD), Some(1));
+        assert_eq!(p.name(), "swap_aware");
     }
 
     #[test]
@@ -287,10 +254,10 @@ mod tests {
         ];
         // A high-priority request beats earlier arrivals...
         c[1].best_rank = (Priority::High, u64::MAX, 9, 1);
-        assert_eq!(p.choose(now, &c), Some(1));
+        assert_eq!(p.choose(now, &c, NO_GUARD), Some(1));
         // ...and among equal priorities the earliest deadline wins.
         c[0].best_rank = (Priority::High, 500, 1, 0);
         c[2].best_rank = (Priority::High, 200, 5, 2);
-        assert_eq!(p.choose(now, &c), Some(2));
+        assert_eq!(p.choose(now, &c, NO_GUARD), Some(2));
     }
 }

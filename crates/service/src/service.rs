@@ -21,7 +21,7 @@ use vp2_sim::SimTime;
 use crate::cost::CostModel;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{AdmissionQueues, Pending};
-use crate::sched::{lane_rank, BatchPolicy, Candidate, LaneRank};
+use crate::sched::{lane_rank, BatchPolicy, Candidate, LaneRank, DEFAULT_MAX_HEAD_AGE};
 use crate::share::BootShare;
 
 /// Batch-path selection policy.
@@ -503,10 +503,10 @@ impl Service {
     /// `dispatch` — so a decision never perturbs the simulation.
     fn pick_kernel(&mut self) -> Option<Kernel> {
         let now = self.machine.now();
-        let batch_policy = self.resolved_batch_policy();
+        let batch_policy = self.config.batch;
         let resident = self.manager.loaded();
-        let want_maturity = matches!(batch_policy, BatchPolicy::SwapAware { .. });
-        let want_ranks = matches!(batch_policy, BatchPolicy::Lanes);
+        let want_maturity = batch_policy == BatchPolicy::SwapAware;
+        let want_ranks = batch_policy == BatchPolicy::Lanes;
         // Does the resident module have queued work? Then leaving the
         // region strands it: the lookahead charges a competitor for the
         // swap back, not just the swap there.
@@ -562,7 +562,7 @@ impl Service {
                 best_rank,
             });
         }
-        let idx = batch_policy.choose(now, &candidates)?;
+        let idx = batch_policy.choose(now, &candidates, self.max_head_age())?;
         let chosen = candidates[idx].kernel;
         if self.tracer.on() {
             self.tracer.emit(
@@ -577,25 +577,16 @@ impl Service {
         Some(chosen)
     }
 
-    /// The batch policy with the adaptive starvation guard resolved
-    /// against the measured reconfiguration EWMA: ten swaps' worth of
-    /// waiting, matching the rationale behind the original 60 ms constant
-    /// (~10 × the ~6 ms full-region load). Until a swap has been observed
-    /// the fixed default applies. Explicit `SwapAware { max_head_age }`
-    /// configurations pass through untouched — the fixed override.
-    fn resolved_batch_policy(&self) -> BatchPolicy {
-        match self.config.batch {
-            BatchPolicy::SwapAwareAdaptive => {
-                let est = self.cost.reconfig_estimate();
-                if est.is_zero() {
-                    BatchPolicy::swap_aware_fixed()
-                } else {
-                    BatchPolicy::SwapAware {
-                        max_head_age: est * 10,
-                    }
-                }
-            }
-            other => other,
+    /// The swap-aware starvation bound: ten swaps' worth of waiting at
+    /// the measured reconfiguration EWMA, matching the rationale behind
+    /// [`DEFAULT_MAX_HEAD_AGE`] (~10 × the ~6 ms full-region load), which
+    /// applies until a swap has been observed.
+    fn max_head_age(&self) -> SimTime {
+        let est = self.cost.reconfig_estimate();
+        if est.is_zero() {
+            DEFAULT_MAX_HEAD_AGE
+        } else {
+            est * 10
         }
     }
 
@@ -627,10 +618,7 @@ impl Service {
         // for the resident module must pay for the swap back too, or the
         // batch runs in software and the region stays put.
         let round_trip = swap_needed
-            && matches!(
-                self.config.batch,
-                BatchPolicy::SwapAware { .. } | BatchPolicy::SwapAwareAdaptive
-            )
+            && self.config.batch == BatchPolicy::SwapAware
             && Kernel::ALL
                 .iter()
                 .any(|k| resident == Some(k.module_name()) && self.queues.head(*k).is_some());

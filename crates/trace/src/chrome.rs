@@ -2,11 +2,15 @@
 //!
 //! Emits the [trace-event format] that Perfetto and `chrome://tracing`
 //! load directly: one *process* per shard with three fixed tracks — the
-//! scheduler (batches as duration slices, scheduling decisions as
-//! instants), the configuration plane (swaps as slices; ICAP bursts,
-//! faults, verify failures, repairs and quarantine transitions as
-//! instants) and the DMA engine — plus, per request, one async arrow
-//! spanning arrival → completion *and* one complete slice on a stacked
+//! scheduler, the configuration plane and the DMA engine. The export is
+//! a view of the journal, not a second encoding of it: every event's
+//! `args` are its journal payload ([`EventKind::payload`], the JSONL line
+//! minus its key fields), and one per-kind table picks its track and
+//! instant scope. Batches and swaps are duration slices (`B`/`E`, named
+//! by kernel and `swap <module>`), each request is an async arrow
+//! (`b`/`e`) spanning arrival → completion, and every other event is an
+//! instant named by its kind ([`EventKind::name`], e.g. `fed_route`).
+//! Per request there is also one complete slice on a stacked
 //! "requests" lane carrying the four phase durations, so a request's
 //! wait can be read off against the swap that caused it.
 //!
@@ -44,6 +48,44 @@ fn meta(name: &str, pid: u32, tid: u32, value: &str) -> Json {
     base(name, "M", 0.0, pid, tid).field("args", Json::obj().field("name", value))
 }
 
+/// The track each kind is drawn on, and the scope of its instant:
+/// `"p"` for a process-wide state change (quarantine, canary, steal,
+/// shed), `"t"` otherwise. The six slice and arrow kinds use only the
+/// track.
+fn track(kind: &EventKind) -> (u32, &'static str) {
+    use EventKind::*;
+    match kind {
+        RequestBuffer { .. }
+        | BufferFlush { .. }
+        | RequestAdmit { .. }
+        | RequestDequeue { .. }
+        | SchedDecision { .. }
+        | RequestComplete { .. }
+        | BatchBegin { .. }
+        | BatchEnd { .. }
+        | FedRoute { .. } => (TID_SCHED, "t"),
+        FedSteal { .. } | FedShed { .. } => (TID_SCHED, "p"),
+        SwapBegin { .. }
+        | SwapEnd { .. }
+        | CacheLookup { .. }
+        | DiffSwap { .. }
+        | SlotActivate { .. }
+        | SlotEvict { .. }
+        | IcapBurst { .. }
+        | FaultHit { .. }
+        | VerifyFail { .. }
+        | Repair { .. }
+        | ScrubPass { .. }
+        | ScrubRepair { .. } => (TID_CONFIG, "t"),
+        QuarantineEnter { .. }
+        | QuarantineHalfOpen { .. }
+        | QuarantineExit { .. }
+        | CanaryProbe { .. }
+        | CanaryResult { .. } => (TID_CONFIG, "p"),
+        DmaProgram { .. } | DmaComplete { .. } => (TID_DMA, "t"),
+    }
+}
+
 /// Converts a journal to Chrome trace-event JSON.
 ///
 /// The result is the standard object form: `{"traceEvents": [...],
@@ -68,343 +110,31 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Json {
         }
         let ts = ev.time.as_us_f64();
         let pid = ev.shard;
-        match &ev.kind {
-            EventKind::RequestBuffer { id, kernel, .. } => {
-                out.push(
-                    base("buffer", "i", ts, pid, TID_SCHED)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj().field("id", *id).field("kernel", *kernel),
-                        ),
-                );
-            }
-            EventKind::BufferFlush { count } => {
-                out.push(
-                    base("flush", "i", ts, pid, TID_SCHED)
-                        .field("s", "t")
-                        .field("args", Json::obj().field("count", *count)),
-                );
-            }
+        let (tid, scope) = track(&ev.kind);
+        let args = ev.kind.payload();
+        let e = match &ev.kind {
+            // Async arrow: opens at the *arrival* instant so the buffered
+            // wait is visible on the track.
             EventKind::RequestAdmit {
                 id,
                 kernel,
                 arrival,
-            } => {
-                // Async arrow: opens at the *arrival* instant so the
-                // buffered wait is visible on the track.
-                out.push(
-                    base(kernel, "b", arrival.as_us_f64(), pid, TID_SCHED)
-                        .field("cat", "request")
-                        .field("id", format!("req-{pid}-{id}"))
-                        .field("args", Json::obj().field("admit_us", ts)),
-                );
-            }
-            EventKind::RequestDequeue { id } => {
-                out.push(
-                    base("dequeue", "i", ts, pid, TID_SCHED)
-                        .field("s", "t")
-                        .field("args", Json::obj().field("id", *id)),
-                );
-            }
-            EventKind::SchedDecision {
-                policy,
-                chosen,
-                candidates,
-            } => {
-                out.push(
-                    base("sched decision", "i", ts, pid, TID_SCHED)
-                        .field("s", "t")
-                        .field("cat", "sched")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("policy", *policy)
-                                .field("chosen", *chosen)
-                                .field(
-                                    "candidates",
-                                    Json::Arr(
-                                        candidates
-                                            .iter()
-                                            .map(|&k| Json::Str(k.to_string()))
-                                            .collect(),
-                                    ),
-                                ),
-                        ),
-                );
-            }
-            EventKind::RequestComplete { id, kernel, hw } => {
-                out.push(
-                    base(kernel, "e", ts, pid, TID_SCHED)
-                        .field("cat", "request")
-                        .field("id", format!("req-{pid}-{id}"))
-                        .field("args", Json::obj().field("hw", *hw)),
-                );
-            }
-            EventKind::BatchBegin { kernel, size, hw } => {
-                out.push(
-                    base(kernel, "B", ts, pid, TID_SCHED)
-                        .field("args", Json::obj().field("size", *size).field("hw", *hw)),
-                );
-            }
-            EventKind::BatchEnd { kernel, hw } => {
-                out.push(
-                    base(kernel, "E", ts, pid, TID_SCHED)
-                        .field("args", Json::obj().field("hw", *hw)),
-                );
-            }
-            EventKind::SwapBegin { module } => {
-                out.push(base(&format!("swap {module}"), "B", ts, pid, TID_CONFIG));
-            }
-            EventKind::SwapEnd {
-                module,
-                frames,
-                words,
-                attempts,
-                repaired_frames,
-                verified,
-            } => {
-                out.push(
-                    base(&format!("swap {module}"), "E", ts, pid, TID_CONFIG).field(
-                        "args",
-                        Json::obj()
-                            .field("frames", *frames)
-                            .field("words", *words)
-                            .field("attempts", *attempts)
-                            .field("repaired_frames", *repaired_frames)
-                            .field("verified", *verified),
-                    ),
-                );
-            }
-            EventKind::CacheLookup { module, hit } => {
-                out.push(
-                    base("cache lookup", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("module", module.as_str())
-                                .field("hit", *hit),
-                        ),
-                );
-            }
-            EventKind::DiffSwap {
-                module,
-                frames_full,
-                frames_sent,
-                words_full,
-                words_sent,
-                compressed,
-            } => {
-                out.push(
-                    base("diff swap", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("module", module.as_str())
-                                .field("frames_full", *frames_full)
-                                .field("frames_sent", *frames_sent)
-                                .field("words_full", *words_full)
-                                .field("words_sent", *words_sent)
-                                .field("compressed", *compressed),
-                        ),
-                );
-            }
-            EventKind::SlotActivate { module, slot } => {
-                out.push(
-                    base("slot activate", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("module", module.as_str())
-                                .field("slot", *slot),
-                        ),
-                );
-            }
-            EventKind::SlotEvict { module, slot } => {
-                out.push(
-                    base("slot evict", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("module", module.as_str())
-                                .field("slot", *slot),
-                        ),
-                );
-            }
-            EventKind::IcapBurst { words, done } => {
-                out.push(
-                    base("icap burst", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("words", *words)
-                                .field("done_us", done.as_us_f64()),
-                        ),
-                );
-            }
-            EventKind::FaultHit { frames } => {
-                out.push(
-                    base("fault hit", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field("args", Json::obj().field("frames", *frames)),
-                );
-            }
-            EventKind::VerifyFail { frames } => {
-                out.push(
-                    base("verify fail", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field("args", Json::obj().field("frames", *frames)),
-                );
-            }
-            EventKind::Repair { frames } => {
-                out.push(
-                    base("repair", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field("args", Json::obj().field("frames", *frames)),
-                );
-            }
-            EventKind::DmaProgram {
-                bytes,
-                to_dock,
-                interleaved,
-            } => {
-                out.push(
-                    base("dma program", "i", ts, pid, TID_DMA)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("bytes", *bytes)
-                                .field("to_dock", *to_dock)
-                                .field("interleaved", *interleaved),
-                        ),
-                );
-            }
-            EventKind::DmaComplete { bytes_moved } => {
-                out.push(
-                    base("dma complete", "i", ts, pid, TID_DMA)
-                        .field("s", "t")
-                        .field("args", Json::obj().field("bytes_moved", *bytes_moved)),
-                );
-            }
-            EventKind::QuarantineEnter { kernel } => {
-                out.push(
-                    base("quarantine enter", "i", ts, pid, TID_CONFIG)
-                        .field("s", "p")
-                        .field("args", Json::obj().field("kernel", *kernel)),
-                );
-            }
-            EventKind::QuarantineHalfOpen { kernel } => {
-                out.push(
-                    base("quarantine half-open", "i", ts, pid, TID_CONFIG)
-                        .field("s", "p")
-                        .field("args", Json::obj().field("kernel", *kernel)),
-                );
-            }
-            EventKind::QuarantineExit { kernel } => {
-                out.push(
-                    base("quarantine exit", "i", ts, pid, TID_CONFIG)
-                        .field("s", "p")
-                        .field("args", Json::obj().field("kernel", *kernel)),
-                );
-            }
-            EventKind::FedRoute {
-                pool,
-                kernel,
-                estimate,
-            } => {
-                out.push(
-                    base("fed route", "i", ts, pid, TID_SCHED)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("pool", *pool)
-                                .field("kernel", *kernel)
-                                .field("estimate_us", estimate.as_us_f64()),
-                        ),
-                );
-            }
-            EventKind::FedSteal {
-                from_pool,
-                to_pool,
-                moved,
-            } => {
-                out.push(
-                    base("fed steal", "i", ts, pid, TID_SCHED)
-                        .field("s", "p")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("from_pool", *from_pool)
-                                .field("to_pool", *to_pool)
-                                .field("moved", *moved),
-                        ),
-                );
-            }
-            EventKind::FedShed {
-                from_pool,
-                to_pool,
-                kernel,
-                deadline,
-            } => {
-                out.push(
-                    base("fed shed", "i", ts, pid, TID_SCHED)
-                        .field("s", "p")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("from_pool", *from_pool)
-                                .field("to_pool", *to_pool)
-                                .field("kernel", *kernel)
-                                .field("deadline", *deadline),
-                        ),
-                );
-            }
-            EventKind::ScrubPass { frames, mismatched } => {
-                out.push(
-                    base("scrub pass", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("frames", *frames)
-                                .field("mismatched", *mismatched),
-                        ),
-                );
-            }
-            EventKind::ScrubRepair { frames } => {
-                out.push(
-                    base("scrub repair", "i", ts, pid, TID_CONFIG)
-                        .field("s", "t")
-                        .field("args", Json::obj().field("frames", *frames)),
-                );
-            }
-            EventKind::CanaryProbe { kernel } => {
-                out.push(
-                    base("canary probe", "i", ts, pid, TID_CONFIG)
-                        .field("s", "p")
-                        .field("args", Json::obj().field("kernel", *kernel)),
-                );
-            }
-            EventKind::CanaryResult { kernel, admitted } => {
-                out.push(
-                    base("canary result", "i", ts, pid, TID_CONFIG)
-                        .field("s", "p")
-                        .field(
-                            "args",
-                            Json::obj()
-                                .field("kernel", *kernel)
-                                .field("admitted", *admitted),
-                        ),
-                );
-            }
-        }
+            } => base(kernel, "b", arrival.as_us_f64(), pid, tid)
+                .field("cat", "request")
+                .field("id", format!("req-{pid}-{id}")),
+            EventKind::RequestComplete { id, kernel, .. } => base(kernel, "e", ts, pid, tid)
+                .field("cat", "request")
+                .field("id", format!("req-{pid}-{id}")),
+            EventKind::BatchBegin { kernel, .. } => base(kernel, "B", ts, pid, tid),
+            EventKind::BatchEnd { kernel, .. } => base(kernel, "E", ts, pid, tid),
+            EventKind::SwapBegin { module } => base(&format!("swap {module}"), "B", ts, pid, tid),
+            EventKind::SwapEnd { module, .. } => base(&format!("swap {module}"), "E", ts, pid, tid),
+            EventKind::SchedDecision { .. } => base(ev.kind.name(), "i", ts, pid, tid)
+                .field("s", scope)
+                .field("cat", "sched"),
+            kind => base(kind.name(), "i", ts, pid, tid).field("s", scope),
+        };
+        out.push(e.field("args", args));
     }
     // Per-request spans as complete ("X") slices — arrival → completion
     // with the four phase durations in args — so queue-wait changes from

@@ -326,6 +326,141 @@ impl EventKind {
             EventKind::CanaryResult { .. } => "canary_result",
         }
     }
+
+    /// The kind-specific fields, as one JSON object: the journal line
+    /// minus its key fields, and the `args` of the event's Chrome view.
+    /// Times are in picoseconds (`*_ps`), like the key's `time_ps`.
+    pub fn payload(&self) -> Json {
+        self.payload_onto(Json::obj())
+    }
+
+    /// Appends the payload fields to the object `obj`.
+    fn payload_onto(&self, obj: Json) -> Json {
+        match self {
+            EventKind::RequestBuffer {
+                id,
+                kernel,
+                arrival,
+            } => obj
+                .field("id", *id)
+                .field("kernel", *kernel)
+                .field("arrival_ps", arrival.as_ps()),
+            EventKind::BufferFlush { count } => obj.field("count", *count),
+            EventKind::RequestAdmit {
+                id,
+                kernel,
+                arrival,
+            } => obj
+                .field("id", *id)
+                .field("kernel", *kernel)
+                .field("arrival_ps", arrival.as_ps()),
+            EventKind::RequestDequeue { id } => obj.field("id", *id),
+            EventKind::SchedDecision {
+                policy,
+                chosen,
+                candidates,
+            } => obj.field("policy", *policy).field("chosen", *chosen).field(
+                "candidates",
+                Json::Arr(candidates.iter().map(|c| Json::Str((*c).into())).collect()),
+            ),
+            EventKind::RequestComplete { id, kernel, hw } => obj
+                .field("id", *id)
+                .field("kernel", *kernel)
+                .field("hw", *hw),
+            EventKind::BatchBegin { kernel, size, hw } => obj
+                .field("kernel", *kernel)
+                .field("size", *size)
+                .field("hw", *hw),
+            EventKind::BatchEnd { kernel, hw } => obj.field("kernel", *kernel).field("hw", *hw),
+            EventKind::SwapBegin { module } => obj.field("module", module.as_str()),
+            EventKind::SwapEnd {
+                module,
+                frames,
+                words,
+                attempts,
+                repaired_frames,
+                verified,
+            } => obj
+                .field("module", module.as_str())
+                .field("frames", *frames)
+                .field("words", *words)
+                .field("attempts", *attempts)
+                .field("repaired_frames", *repaired_frames)
+                .field("verified", *verified),
+            EventKind::CacheLookup { module, hit } => {
+                obj.field("module", module.as_str()).field("hit", *hit)
+            }
+            EventKind::DiffSwap {
+                module,
+                frames_full,
+                frames_sent,
+                words_full,
+                words_sent,
+                compressed,
+            } => obj
+                .field("module", module.as_str())
+                .field("frames_full", *frames_full)
+                .field("frames_sent", *frames_sent)
+                .field("words_full", *words_full)
+                .field("words_sent", *words_sent)
+                .field("compressed", *compressed),
+            EventKind::SlotActivate { module, slot } | EventKind::SlotEvict { module, slot } => {
+                obj.field("module", module.as_str()).field("slot", *slot)
+            }
+            EventKind::IcapBurst { words, done } => {
+                obj.field("words", *words).field("done_ps", done.as_ps())
+            }
+            EventKind::FaultHit { frames }
+            | EventKind::VerifyFail { frames }
+            | EventKind::Repair { frames } => obj.field("frames", *frames),
+            EventKind::DmaProgram {
+                bytes,
+                to_dock,
+                interleaved,
+            } => obj
+                .field("bytes", *bytes)
+                .field("to_dock", *to_dock)
+                .field("interleaved", *interleaved),
+            EventKind::DmaComplete { bytes_moved } => obj.field("bytes_moved", *bytes_moved),
+            EventKind::QuarantineEnter { kernel }
+            | EventKind::QuarantineHalfOpen { kernel }
+            | EventKind::QuarantineExit { kernel } => obj.field("kernel", *kernel),
+            EventKind::FedRoute {
+                pool,
+                kernel,
+                estimate,
+            } => obj
+                .field("pool", *pool)
+                .field("kernel", *kernel)
+                .field("estimate_ps", estimate.as_ps()),
+            EventKind::FedSteal {
+                from_pool,
+                to_pool,
+                moved,
+            } => obj
+                .field("from_pool", *from_pool)
+                .field("to_pool", *to_pool)
+                .field("moved", *moved),
+            EventKind::FedShed {
+                from_pool,
+                to_pool,
+                kernel,
+                deadline,
+            } => obj
+                .field("from_pool", *from_pool)
+                .field("to_pool", *to_pool)
+                .field("kernel", *kernel)
+                .field("deadline", *deadline),
+            EventKind::ScrubPass { frames, mismatched } => obj
+                .field("frames", *frames)
+                .field("mismatched", *mismatched),
+            EventKind::ScrubRepair { frames } => obj.field("frames", *frames),
+            EventKind::CanaryProbe { kernel } => obj.field("kernel", *kernel),
+            EventKind::CanaryResult { kernel, admitted } => {
+                obj.field("kernel", *kernel).field("admitted", *admitted)
+            }
+        }
+    }
 }
 
 /// One journal entry.
@@ -351,139 +486,14 @@ impl TraceEvent {
 
     /// One flat JSON object per event — the streamed-journal (JSONL)
     /// line format. `time_ps`/`shard`/`seq`/`kind` always lead; the
-    /// kind-specific payload fields follow.
+    /// kind's [`EventKind::payload`] fields follow.
     pub fn to_json(&self) -> Json {
-        let base = Json::obj()
-            .field("time_ps", self.time.as_ps())
-            .field("shard", self.shard)
-            .field("seq", self.seq)
-            .field("kind", self.kind.name());
-        match &self.kind {
-            EventKind::RequestBuffer {
-                id,
-                kernel,
-                arrival,
-            } => base
-                .field("id", *id)
-                .field("kernel", *kernel)
-                .field("arrival_ps", arrival.as_ps()),
-            EventKind::BufferFlush { count } => base.field("count", *count),
-            EventKind::RequestAdmit {
-                id,
-                kernel,
-                arrival,
-            } => base
-                .field("id", *id)
-                .field("kernel", *kernel)
-                .field("arrival_ps", arrival.as_ps()),
-            EventKind::RequestDequeue { id } => base.field("id", *id),
-            EventKind::SchedDecision {
-                policy,
-                chosen,
-                candidates,
-            } => base
-                .field("policy", *policy)
-                .field("chosen", *chosen)
-                .field(
-                    "candidates",
-                    Json::Arr(candidates.iter().map(|c| Json::Str((*c).into())).collect()),
-                ),
-            EventKind::RequestComplete { id, kernel, hw } => base
-                .field("id", *id)
-                .field("kernel", *kernel)
-                .field("hw", *hw),
-            EventKind::BatchBegin { kernel, size, hw } => base
-                .field("kernel", *kernel)
-                .field("size", *size)
-                .field("hw", *hw),
-            EventKind::BatchEnd { kernel, hw } => base.field("kernel", *kernel).field("hw", *hw),
-            EventKind::SwapBegin { module } => base.field("module", module.as_str()),
-            EventKind::SwapEnd {
-                module,
-                frames,
-                words,
-                attempts,
-                repaired_frames,
-                verified,
-            } => base
-                .field("module", module.as_str())
-                .field("frames", *frames)
-                .field("words", *words)
-                .field("attempts", *attempts)
-                .field("repaired_frames", *repaired_frames)
-                .field("verified", *verified),
-            EventKind::CacheLookup { module, hit } => {
-                base.field("module", module.as_str()).field("hit", *hit)
-            }
-            EventKind::DiffSwap {
-                module,
-                frames_full,
-                frames_sent,
-                words_full,
-                words_sent,
-                compressed,
-            } => base
-                .field("module", module.as_str())
-                .field("frames_full", *frames_full)
-                .field("frames_sent", *frames_sent)
-                .field("words_full", *words_full)
-                .field("words_sent", *words_sent)
-                .field("compressed", *compressed),
-            EventKind::SlotActivate { module, slot } | EventKind::SlotEvict { module, slot } => {
-                base.field("module", module.as_str()).field("slot", *slot)
-            }
-            EventKind::IcapBurst { words, done } => {
-                base.field("words", *words).field("done_ps", done.as_ps())
-            }
-            EventKind::FaultHit { frames }
-            | EventKind::VerifyFail { frames }
-            | EventKind::Repair { frames } => base.field("frames", *frames),
-            EventKind::DmaProgram {
-                bytes,
-                to_dock,
-                interleaved,
-            } => base
-                .field("bytes", *bytes)
-                .field("to_dock", *to_dock)
-                .field("interleaved", *interleaved),
-            EventKind::DmaComplete { bytes_moved } => base.field("bytes_moved", *bytes_moved),
-            EventKind::QuarantineEnter { kernel }
-            | EventKind::QuarantineHalfOpen { kernel }
-            | EventKind::QuarantineExit { kernel } => base.field("kernel", *kernel),
-            EventKind::FedRoute {
-                pool,
-                kernel,
-                estimate,
-            } => base
-                .field("pool", *pool)
-                .field("kernel", *kernel)
-                .field("estimate_ps", estimate.as_ps()),
-            EventKind::FedSteal {
-                from_pool,
-                to_pool,
-                moved,
-            } => base
-                .field("from_pool", *from_pool)
-                .field("to_pool", *to_pool)
-                .field("moved", *moved),
-            EventKind::FedShed {
-                from_pool,
-                to_pool,
-                kernel,
-                deadline,
-            } => base
-                .field("from_pool", *from_pool)
-                .field("to_pool", *to_pool)
-                .field("kernel", *kernel)
-                .field("deadline", *deadline),
-            EventKind::ScrubPass { frames, mismatched } => base
-                .field("frames", *frames)
-                .field("mismatched", *mismatched),
-            EventKind::ScrubRepair { frames } => base.field("frames", *frames),
-            EventKind::CanaryProbe { kernel } => base.field("kernel", *kernel),
-            EventKind::CanaryResult { kernel, admitted } => {
-                base.field("kernel", *kernel).field("admitted", *admitted)
-            }
-        }
+        self.kind.payload_onto(
+            Json::obj()
+                .field("time_ps", self.time.as_ps())
+                .field("shard", self.shard)
+                .field("seq", self.seq)
+                .field("kind", self.kind.name()),
+        )
     }
 }
