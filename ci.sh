@@ -51,6 +51,21 @@ cargo run --release -p rtr-bench --bin tables -- --full --ablations \
     --json "$obs_dir/tables.json" > "$obs_dir/tables.txt" 2> /dev/null
 cmp "$obs_dir/tables.json" tables_full.json
 cmp "$obs_dir/tables.txt" tables_full.txt
+# The same gate over the service, fault and fleet paths the tables do not
+# reach: one pass of each host-time benchmark workload at its default
+# seed must reproduce the pinned digest of its simulated output.
+for pin in sw_interp:e04cc084f79d10f3 service_mix:fa2fddaad1f79087 \
+    hw_faults:a01152307f187424 fleet:a08b834f91f421cd; do
+    workload="${pin%%:*}"
+    digest="${pin#*:}"
+    bash benchmark/run.sh --workload "$workload" --seconds 0 --trace 0 \
+        --out "$obs_dir/$workload.json" > /dev/null 2>&1
+    if ! grep -q "\"sim_digest\": \"$digest\"" "$obs_dir/$workload.json"; then
+        echo "$workload: sim_digest is not $digest:" >&2
+        grep '"sim_digest"' "$obs_dir/$workload.json" >&2
+        exit 1
+    fi
+done
 
 echo "== scheduling-policy smoke run =="
 # The bin asserts swap-aware strictly beats FCFS on makespan and swaps;

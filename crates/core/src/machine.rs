@@ -388,7 +388,8 @@ impl Platform {
     }
 
     /// Executes every DMA burst whose start time has passed. Called before
-    /// every bus access and after every CPU instruction.
+    /// every bus access and after every CPU step or block (a no-op while
+    /// no DMA is active, which is when blocks run).
     pub fn advance(&mut self, now: SimTime) {
         while let Some(run) = &self.dma_run {
             let ready = run.ready_at;
@@ -946,10 +947,34 @@ impl Machine {
     }
 
     /// Runs until `halt` or `max_instrs`. Returns true if halted.
+    ///
+    /// Leaves exactly the state of [`Machine::step`] repeated, but runs
+    /// whole blocks ([`Cpu::run_block`]) and syncs the platform once per
+    /// block wherever that is the same thing: while no DMA is active,
+    /// [`Platform::advance`] is a no-op and the interrupt level can change
+    /// only through an uncached access, which ends the block. A block also
+    /// needs the CPU's sampled interrupt line to be current when interrupts
+    /// are enabled: DMA that completed during [`Machine::idle_until`]
+    /// raised the level without the line, and a step takes that interrupt
+    /// one instruction late.
     pub fn run_until_halt(&mut self, max_instrs: u64) -> bool {
-        for _ in 0..max_instrs {
-            if self.step() == StepOutcome::Halted {
-                return true;
+        let mut left = max_instrs;
+        while left > 0 && !self.cpu.halted() {
+            let ran = if !self.platform.dma_busy()
+                && (!self.cpu.interrupts_enabled()
+                    || self.cpu.irq_line() == self.platform.irq_level())
+            {
+                self.cpu.run_block(&mut self.platform, left)
+            } else {
+                0
+            };
+            if ran == 0 {
+                self.step();
+                left -= 1;
+            } else {
+                self.platform.advance(self.cpu.now());
+                self.cpu.set_irq(self.platform.irq_level());
+                left -= ran;
             }
         }
         self.cpu.halted()
@@ -1003,9 +1028,9 @@ impl Machine {
         let mut port = FreePort(&mut self.platform);
         while u64::from(a) < end {
             self.cpu.dcache.flush_line(now, a, &mut port);
-            a = a.saturating_add(32);
-            if a == 0 {
-                break;
+            match a.checked_add(32) {
+                Some(next) => a = next,
+                None => break,
             }
         }
     }
@@ -1137,6 +1162,161 @@ mod tests {
         } else {
             panic!("expected OPB dock");
         }
+    }
+
+    #[test]
+    fn flushing_a_range_that_ends_past_4_gib_returns() {
+        let mut m = build_system(SystemKind::Bit32);
+        m.flush_dcache_range(0xFFFF_FFE0, 64);
+    }
+
+    /// Interrupt handler at the 405's vector: records the interrupted loop
+    /// counter, acknowledges the dock (which clears the INTC line too) and
+    /// counts the entry.
+    const HANDLER: &str = r#"
+        handler:
+            mr   r21, r5
+            lis  r28, 0x8001
+            li   r29, 1
+            stw  r29, 24(r28)   # IRQ_ACK
+            addi r20, r20, 1
+            rfi
+    "#;
+
+    /// Entry points driving the dock DMA from the CPU: polled, taken as
+    /// an interrupt, and armed to complete after the program halts.
+    const DMA: &str = r#"
+        poll_dma:               # r3 = bytes, memory -> dock, status polled
+            lis  r8, 0x8001     # dock CSR base
+            lis  r4, 0x2000
+            stw  r4, 0(r8)      # DMA_SRC
+            stw  r3, 8(r8)      # DMA_LEN
+            li   r6, 1
+            stw  r6, 12(r8)     # DMA_CTL: go
+            li   r5, 0
+        poll:
+            addi r5, r5, 1      # cached work between polls
+            mullw r7, r5, r5
+            lwz  r7, 16(r8)     # STATUS
+            andi r7, r7, 2      # done?
+            cmpwi r7, 0
+            beq  poll
+            li   r6, 1
+            stw  r6, 24(r8)     # IRQ_ACK
+            halt
+        irq_dma:                # r3 = bytes; completion taken as an interrupt
+            lis  r9, 0x8003
+            li   r6, 1
+            stw  r6, 4(r9)      # INTC: enable the dock DMA line
+            lis  r8, 0x8001
+            lis  r4, 0x2000
+            stw  r4, 0(r8)
+            stw  r3, 8(r8)
+            li   r20, 0
+            wrteei 1
+            li   r6, 1
+            stw  r6, 12(r8)     # go
+            li   r5, 0
+        spin:
+            addi r5, r5, 1
+            cmpwi r20, 0
+            beq  spin
+            wrteei 0
+            halt
+        arm:                    # r3 = bytes; halts with the DMA in flight
+            lis  r8, 0x8001
+            lis  r4, 0x2000
+            stw  r4, 0(r8)
+            stw  r3, 8(r8)
+            li   r20, 0
+            li   r6, 1
+            stw  r6, 12(r8)     # go
+            wrteei 1
+            halt
+        count:                  # r3 = n; a cached loop
+            li   r5, 0
+        loop:
+            addi r5, r5, 1
+            cmpw r5, r3
+            blt  loop
+            wrteei 0
+            halt
+    "#;
+
+    /// `Machine::call` by hand: one `Machine::step` per instruction.
+    fn step_call(m: &mut Machine, entry: u32, args: &[u32]) {
+        for (i, &a) in args.iter().enumerate() {
+            m.cpu.set_reg(3 + i as u8, a);
+        }
+        m.cpu.set_pc(entry);
+        for _ in 0..1_000_000 {
+            if m.step() == StepOutcome::Halted {
+                return;
+            }
+        }
+        panic!("program did not halt");
+    }
+
+    fn assert_same(a: &Machine, b: &Machine, what: &str) {
+        assert_eq!(a.now(), b.now(), "{what}: now");
+        for r in 0..32 {
+            assert_eq!(a.cpu.reg(r), b.cpu.reg(r), "{what}: r{r}");
+        }
+        assert_eq!(a.cpu.pc(), b.cpu.pc(), "{what}: pc");
+        assert_eq!(a.cpu.stats, b.cpu.stats, "{what}: cpu stats");
+        assert_eq!(a.cpu.icache.stats, b.cpu.icache.stats, "{what}: icache");
+        assert_eq!(a.cpu.dcache.stats, b.cpu.dcache.stats, "{what}: dcache");
+        assert_eq!(
+            (a.cpu.interrupts_enabled(), a.cpu.irq_line()),
+            (b.cpu.interrupts_enabled(), b.cpu.irq_line()),
+            "{what}: interrupt state"
+        );
+        let buses = |m: &Machine| {
+            format!(
+                "{:?} {:?} {:?}",
+                m.platform.plb, m.platform.opb, m.platform.intc
+            )
+        };
+        assert_eq!(buses(a), buses(b), "{what}: buses and INTC");
+    }
+
+    #[test]
+    fn blocks_match_steps_through_dma_and_interrupts() {
+        let handler = assemble(HANDLER, 0x500).unwrap();
+        let prog = assemble(DMA, 0x1000).unwrap();
+        let boot = || {
+            let mut m = build_system(SystemKind::Bit64);
+            crate::measure::bind_echo(&mut m);
+            m.load_program(&handler);
+            m.load_program(&prog);
+            m
+        };
+        let (mut a, mut b) = (boot(), boot());
+        for (entry, arg) in [("poll_dma", 512), ("irq_dma", 512), ("count", 300)] {
+            a.call(prog.label(entry), &[arg], 1_000_000);
+            step_call(&mut b, prog.label(entry), &[arg]);
+            assert_same(&a, &b, entry);
+        }
+        assert_eq!(a.cpu.stats.interrupts, 1, "irq_dma took its interrupt");
+
+        // A DMA that completes while the machine idles raises the level
+        // but not the CPU's sampled line; with MSR[EE] set, a step runs
+        // one instruction before taking that interrupt, and so must a
+        // call.
+        for m in [&mut a, &mut b] {
+            m.call(prog.label("arm"), &[256], 1_000);
+            assert!(m.platform.dma_busy(), "the DMA outlives the program");
+            m.idle_until(m.now() + SimTime::from_us(100));
+            assert!(!m.platform.dma_busy());
+            assert!(m.cpu.interrupts_enabled() && !m.cpu.irq_line());
+            assert!(m.platform.irq_level(), "the line is stale");
+        }
+        assert_same(&a, &b, "arm");
+        a.call(prog.label("count"), &[50], 10_000);
+        step_call(&mut b, prog.label("count"), &[50]);
+        assert_same(&a, &b, "count after a stale interrupt");
+        assert_eq!(a.cpu.stats.interrupts, 2);
+        assert_eq!(a.cpu.reg(21), 0, "taken after the loop's first instruction");
     }
 
     #[test]

@@ -30,7 +30,7 @@ const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
 /// Instruction words per line.
 const WORDS_PER_LINE: usize = LINE_BYTES / 4;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Line {
     valid: bool,
     dirty: bool,
@@ -143,10 +143,13 @@ impl Cache {
             .map(|way| base + way)
     }
 
-    /// Ensures the line containing `addr` is resident; returns
-    /// `(line index, time_spent)`.
+    /// Ensures the line containing `addr` is resident, counting one hit or
+    /// one miss; returns `(line index, time_spent)`. The block engine
+    /// (`Cpu::run_block`) fills a line once, reads its words with
+    /// [`Cache::decoded`], and charges the further fetches with
+    /// [`Cache::charge_hits`].
     #[inline]
-    fn fill<M: MemoryPort + ?Sized>(
+    pub(crate) fn fill<M: MemoryPort + ?Sized>(
         &mut self,
         now: SimTime,
         addr: u32,
@@ -237,9 +240,26 @@ impl Cache {
     ) -> (Result<Instr, u32>, SimTime) {
         debug_assert!(!self.decoded.is_empty(), "fetch through a data cache");
         let (i, spent) = self.fill(now, addr, mem);
+        (self.decoded(i, addr), spent)
+    }
+
+    /// The decoded word at `addr` of the resident line `line` (an index
+    /// returned by [`Cache::fill`]), or `Err(word)` if it does not decode.
+    #[inline]
+    pub(crate) fn decoded(&self, line: usize, addr: u32) -> Result<Instr, u32> {
         let w = (addr as usize >> 2) & (WORDS_PER_LINE - 1);
-        let instr = self.decoded[i][w].ok_or_else(|| word_at(&self.lines[i].data, 4 * w));
-        (instr, spent)
+        self.decoded[line][w].ok_or_else(|| word_at(&self.lines[line].data, 4 * w))
+    }
+
+    /// Counts `n` further hits on the resident line `line`: the state `n`
+    /// fetch hits on it leave, since each hit sets the line's LRU stamp to
+    /// the next tick. With `n = 0` it only re-stamps the line, which is a
+    /// no-op right after the [`Cache::fill`] that returned it.
+    #[inline]
+    pub(crate) fn charge_hits(&mut self, line: usize, n: u64) {
+        self.stats.hits += n;
+        self.tick += n;
+        self.lines[line].lru = self.tick;
     }
 
     /// Cached write (write-back, write-allocate); returns time spent.
@@ -431,6 +451,33 @@ mod tests {
         assert_eq!(c.fetch(SimTime::ZERO, 0, &mut m).0, Ok(Instr::Nop), "stale");
         c.invalidate_all();
         assert_eq!(c.fetch(SimTime::ZERO, 0, &mut m).0, Ok(Instr::Halt));
+    }
+
+    #[test]
+    fn charge_hits_matches_fetch_hits() {
+        // Two ways, two sets: line 0 and line 128 share set 0, so the LRU
+        // stamps decide which one the next conflicting fill evicts.
+        let mut m = FlatMem::new(4096);
+        for addr in (0..256).step_by(4) {
+            m.store_u32(addr, crate::isa::encode(Instr::Nop));
+        }
+        for n in 0..6u64 {
+            let mut fetched = Cache::instruction(128, 2);
+            for addr in [0, 128] {
+                assert_eq!(fetched.fetch(SimTime::ZERO, addr, &mut m).0, Ok(Instr::Nop));
+            }
+            let mut charged = fetched.clone();
+            let (line, t) = charged.fill(SimTime::ZERO, 4, &mut m);
+            assert_eq!(t, SimTime::ZERO, "resident");
+            charged.charge_hits(line, n);
+            for k in 0..=n {
+                let addr = 4 + 4 * (k as u32 % 7);
+                assert_eq!(fetched.fetch(SimTime::ZERO, addr, &mut m).0, Ok(Instr::Nop));
+            }
+            assert_eq!(charged.lines, fetched.lines, "n = {n}: lines");
+            assert_eq!(charged.tick, fetched.tick, "n = {n}: tick");
+            assert_eq!(charged.stats, fetched.stats, "n = {n}: stats");
+        }
     }
 
     #[test]

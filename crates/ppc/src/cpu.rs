@@ -1,10 +1,28 @@
 //! The CPU core: fetch/decode/execute with cycle accounting.
 //!
-//! The core executes one instruction at a time, advancing its own
-//! [`SimTime`] by the instruction's base cycles plus whatever time the
-//! memory system reports for cache misses and uncached (MMIO) accesses.
-//! `rtr-core` interleaves the core with the rest of the machine one step at
-//! a time (`Machine::step`).
+//! Each instruction advances the core's own [`SimTime`] by its base cycles
+//! plus whatever time the memory system reports for cache misses and
+//! uncached (MMIO) accesses. The core has two engines over one shared
+//! `exec`:
+//!
+//! - [`Cpu::step`] executes one instruction, taking a pending interrupt
+//!   first. It is the engine for the DMA, interrupt, uncached and
+//!   cache-off paths, and the oracle the block engine is tested against.
+//! - [`Cpu::run_block`] executes a run of predecoded words straight out of
+//!   resident I-cache lines: it looks each line up once, charges the
+//!   further fetches from it as hits in bulk, and chains to the next line
+//!   on fall-through or a taken branch. `now` is bumped instruction by
+//!   instruction, so it is exact at every load, store and miss. A block
+//!   ends after `halt`, `wrteei`, `rfi`, any uncached load or store, or
+//!   when its instruction budget is spent. It runs nothing (returns 0)
+//!   with caches off, at an unaligned or uncacheable PC, or with an
+//!   interrupt pending (`MSR[EE]` and the line high).
+//!
+//! Nothing outside the core can change its state inside a block: only an
+//! uncached access reaches a device, and every interrupt-mask change ends
+//! the block. `rtr-core` therefore syncs the platform once per block
+//! (`Machine::run_until_halt`) and falls back to one step at a time
+//! while DMA is active (`Machine::step`).
 //!
 //! Every method that touches memory is generic over the [`MemoryPort`], so
 //! the machine's interpreter loop is monomorphised over its platform and
@@ -15,7 +33,7 @@
 
 use crate::cache::Cache;
 use crate::isa::{base_cycles, decode, Instr};
-use crate::mem::MemoryPort;
+use crate::mem::{MemoryPort, LINE_BYTES};
 use vp2_sim::{ClockDomain, SimTime};
 
 /// Condition register field (CR0).
@@ -72,7 +90,7 @@ pub enum StepOutcome {
 }
 
 /// Execution statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuStats {
     /// Instructions retired.
     pub retired: u64,
@@ -132,19 +150,15 @@ impl Cpu {
     /// Reads a register (`r0` is hard zero).
     #[inline]
     pub fn reg(&self, r: u8) -> u32 {
-        if r == 0 {
-            0
-        } else {
-            self.regs[r as usize]
-        }
+        self.regs[usize::from(r & 31)]
     }
 
-    /// Writes a register (writes to `r0` are discarded).
+    /// Writes a register (writes to `r0` are discarded). Branch-free: the
+    /// write lands and `r0` is re-zeroed, so `regs[0]` reads 0 always.
     #[inline]
     pub fn set_reg(&mut self, r: u8, v: u32) {
-        if r != 0 {
-            self.regs[r as usize] = v;
-        }
+        self.regs[usize::from(r & 31)] = v;
+        self.regs[0] = 0;
     }
 
     /// Current program counter.
@@ -196,12 +210,10 @@ impl Cpu {
         self.cfg.clock
     }
 
-    fn charge(&mut self, cycles: u64, mem_time: SimTime) {
-        self.now += self.cfg.clock.cycles(cycles) + mem_time;
-    }
-
+    /// Loads `size` bytes at `addr`; returns the value and whether the
+    /// access went uncached (which ends a block).
     #[inline]
-    fn load<M: MemoryPort + ?Sized>(&mut self, addr: u32, size: u8, mem: &mut M) -> u32 {
+    fn load<M: MemoryPort + ?Sized>(&mut self, addr: u32, size: u8, mem: &mut M) -> (u32, bool) {
         assert_eq!(
             addr % u32::from(size),
             0,
@@ -211,16 +223,24 @@ impl Cpu {
         if self.cfg.caches_enabled && mem.is_cacheable(addr) {
             let (v, t) = self.dcache.read(self.now, addr, size, mem);
             self.now += t;
-            v
+            (v, false)
         } else {
             let (v, t) = mem.read(self.now, addr, size);
             self.now += t;
-            v
+            (v, true)
         }
     }
 
+    /// Stores `size` bytes at `addr`; returns whether the access went
+    /// uncached (which ends a block).
     #[inline]
-    fn store<M: MemoryPort + ?Sized>(&mut self, addr: u32, size: u8, data: u32, mem: &mut M) {
+    fn store<M: MemoryPort + ?Sized>(
+        &mut self,
+        addr: u32,
+        size: u8,
+        data: u32,
+        mem: &mut M,
+    ) -> bool {
         assert_eq!(
             addr % u32::from(size),
             0,
@@ -230,10 +250,44 @@ impl Cpu {
         if self.cfg.caches_enabled && mem.is_cacheable(addr) {
             let t = self.dcache.write(self.now, addr, size, data, mem);
             self.now += t;
+            false
         } else {
             let t = mem.write(self.now, addr, size, data);
             self.now += t;
+            true
         }
+    }
+
+    /// Loads into `rd` and steps the PC; returns whether the access went
+    /// uncached.
+    #[inline]
+    fn load_to<M: MemoryPort + ?Sized>(
+        &mut self,
+        rd: u8,
+        addr: u32,
+        size: u8,
+        mem: &mut M,
+    ) -> bool {
+        let (v, uncached) = self.load(addr, size, mem);
+        self.set_reg(rd, v);
+        self.pc += 4;
+        uncached
+    }
+
+    /// Stores `rd` and steps the PC; returns whether the access went
+    /// uncached.
+    #[inline]
+    fn store_from<M: MemoryPort + ?Sized>(
+        &mut self,
+        rd: u8,
+        addr: u32,
+        size: u8,
+        mem: &mut M,
+    ) -> bool {
+        let v = self.reg(rd);
+        let uncached = self.store(addr, size, v, mem);
+        self.pc += 4;
+        uncached
     }
 
     /// Fetches and decodes the instruction at the PC, or returns
@@ -302,15 +356,75 @@ impl Cpu {
 
         let instr = self
             .fetch(mem)
-            .unwrap_or_else(|word| panic!("illegal instruction {word:#010x} at {:#010x}", self.pc));
+            .unwrap_or_else(|word| illegal(word, self.pc));
+        self.exec(instr, mem);
+        if self.halted {
+            StepOutcome::Halted
+        } else {
+            StepOutcome::Executed
+        }
+    }
+
+    /// Runs a block: predecoded instructions out of resident I-cache lines,
+    /// from the PC on, until `halt`, `wrteei`, `rfi`, an uncached load or
+    /// store, `budget` retired instructions, or a PC the block cannot fetch
+    /// (unaligned or uncacheable). Returns the instructions retired; 0
+    /// means nothing ran and the caller must [`step`](Cpu::step) — with
+    /// caches off, when halted, or with an interrupt pending. Leaves
+    /// exactly the state that many steps would, provided no one drives the
+    /// interrupt line in between.
+    ///
+    /// # Panics
+    /// Panics like [`Cpu::step`] on an undecodable word.
+    #[inline]
+    pub fn run_block<M: MemoryPort + ?Sized>(&mut self, mem: &mut M, budget: u64) -> u64 {
+        if self.halted || !self.cfg.caches_enabled || (self.msr_ee && self.irq_line) {
+            return 0;
+        }
+        let mut ran = 0;
+        while ran < budget && self.pc.is_multiple_of(4) && mem.is_cacheable(self.pc) {
+            // One lookup per line: its first fetch counts the hit or miss,
+            // the rest are charged as hits when the block leaves the line.
+            let (line, t) = self.icache.fill(self.now, self.pc, mem);
+            self.now += t;
+            let mut in_line = 0;
+            let stop = loop {
+                let pc = self.pc;
+                let instr = self
+                    .icache
+                    .decoded(line, pc)
+                    .unwrap_or_else(|word| illegal(word, pc));
+                in_line += 1;
+                ran += 1;
+                if self.exec(instr, mem) || ran == budget {
+                    break true;
+                }
+                let next = pc.wrapping_add(4);
+                if self.pc != next || next.is_multiple_of(LINE_BYTES as u32) {
+                    break false;
+                }
+            };
+            self.icache.charge_hits(line, in_line - 1);
+            if stop {
+                break;
+            }
+        }
+        ran
+    }
+
+    /// Executes a fetched instruction: counts it retired, charges its base
+    /// cycles and performs it. Returns `true` if it must end a block:
+    /// `halt`, `wrteei`, `rfi`, or an uncached load or store.
+    #[inline(always)]
+    fn exec<M: MemoryPort + ?Sized>(&mut self, instr: Instr, mem: &mut M) -> bool {
         self.stats.retired += 1;
-        self.charge(base_cycles(instr), SimTime::ZERO);
+        self.now += self.cfg.clock.cycles(base_cycles(instr));
 
         use Instr::*;
         match instr {
             Halt => {
                 self.halted = true;
-                return StepOutcome::Halted;
+                return true;
             }
             Addi { rd, ra, imm } => {
                 let v = self.reg(ra).wrapping_add(imm as i32 as u32);
@@ -404,69 +518,47 @@ impl Cpu {
             }
             Lwz { rd, ra, imm } => {
                 let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                let v = self.load(addr, 4, mem);
-                self.set_reg(rd, v);
-                self.pc += 4;
+                return self.load_to(rd, addr, 4, mem);
             }
             Lbz { rd, ra, imm } => {
                 let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                let v = self.load(addr, 1, mem);
-                self.set_reg(rd, v);
-                self.pc += 4;
+                return self.load_to(rd, addr, 1, mem);
             }
             Lhz { rd, ra, imm } => {
                 let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                let v = self.load(addr, 2, mem);
-                self.set_reg(rd, v);
-                self.pc += 4;
+                return self.load_to(rd, addr, 2, mem);
             }
             Stw { rd, ra, imm } => {
                 let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                let v = self.reg(rd);
-                self.store(addr, 4, v, mem);
-                self.pc += 4;
+                return self.store_from(rd, addr, 4, mem);
             }
             Stb { rd, ra, imm } => {
                 let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                let v = self.reg(rd);
-                self.store(addr, 1, v, mem);
-                self.pc += 4;
+                return self.store_from(rd, addr, 1, mem);
             }
             Sth { rd, ra, imm } => {
                 let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                let v = self.reg(rd);
-                self.store(addr, 2, v, mem);
-                self.pc += 4;
+                return self.store_from(rd, addr, 2, mem);
             }
             Lwzx { rd, ra, rb } => {
                 let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                let v = self.load(addr, 4, mem);
-                self.set_reg(rd, v);
-                self.pc += 4;
+                return self.load_to(rd, addr, 4, mem);
             }
             Stwx { rd, ra, rb } => {
                 let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                let v = self.reg(rd);
-                self.store(addr, 4, v, mem);
-                self.pc += 4;
+                return self.store_from(rd, addr, 4, mem);
             }
             Lbzx { rd, ra, rb } => {
                 let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                let v = self.load(addr, 1, mem);
-                self.set_reg(rd, v);
-                self.pc += 4;
+                return self.load_to(rd, addr, 1, mem);
             }
             Lhzx { rd, ra, rb } => {
                 let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                let v = self.load(addr, 2, mem);
-                self.set_reg(rd, v);
-                self.pc += 4;
+                return self.load_to(rd, addr, 2, mem);
             }
             Stbx { rd, ra, rb } => {
                 let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                let v = self.reg(rd);
-                self.store(addr, 1, v, mem);
-                self.pc += 4;
+                return self.store_from(rd, addr, 1, mem);
             }
             Cmpw { ra, rb } => {
                 self.set_cr_signed(self.reg(ra) as i32, self.reg(rb) as i32);
@@ -518,11 +610,13 @@ impl Cpu {
             Wrteei { imm } => {
                 self.msr_ee = imm & 1 == 1;
                 self.pc += 4;
+                return true;
             }
             Rfi => {
                 self.pc = self.srr0;
                 self.msr_ee = self.srr1_ee;
                 self.now += self.cfg.clock.cycles(2);
+                return true;
             }
             Mflr { rd } => {
                 let lr = self.lr;
@@ -537,18 +631,31 @@ impl Cpu {
                 self.pc += 4;
             }
         }
-        StepOutcome::Executed
+        false
     }
 
     /// Runs until `halt` or `max_instrs` retire. Returns `true` if halted.
+    /// Nothing drives the interrupt line in between, so whole blocks run
+    /// wherever [`Cpu::run_block`] can.
     pub fn run_until_halt<M: MemoryPort + ?Sized>(&mut self, mem: &mut M, max_instrs: u64) -> bool {
-        for _ in 0..max_instrs {
-            if self.step(mem) == StepOutcome::Halted {
-                return true;
-            }
+        let mut left = max_instrs;
+        while left > 0 && !self.halted {
+            left -= match self.run_block(mem, left) {
+                0 => {
+                    self.step(mem);
+                    1
+                }
+                ran => ran,
+            };
         }
         self.halted
     }
+}
+
+/// The panic for executing an undecodable word.
+#[cold]
+fn illegal(word: u32, pc: u32) -> ! {
+    panic!("illegal instruction {word:#010x} at {pc:#010x}")
 }
 
 #[cfg(test)]
