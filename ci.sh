@@ -23,6 +23,11 @@ echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== example smoke runs =="
+# Each example asserts its own results against the reference
+# implementations and exits non-zero on a mismatch.
+cargo run --release --example quickstart > /dev/null
+cargo run --release --example hashing_service > /dev/null
+cargo run --release --example image_pipeline > /dev/null
 cargo run --release --example service_traffic > /dev/null
 cargo run --release --example fault_tolerance > /dev/null
 cargo run --release --example cluster_traffic > /dev/null

@@ -28,7 +28,8 @@ pub fn hi_lo(addr: u32) -> (u32, u32) {
 }
 
 /// Assembles `src`, loads it, runs `entry` with `args`, returns
-/// `(elapsed, r3, program)`.
+/// `(elapsed, r3)`. Only the programs outside [`crate::request::Driver`]
+/// (table 12's DMA path and the software-quality ablation) run this way.
 ///
 /// # Panics
 /// Panics on assembly errors or if the program fails to halt — both are
@@ -43,10 +44,7 @@ pub fn run_asm(m: &mut Machine, src: &str, args: &[u32], max_instrs: u64) -> (Si
 /// this fast path; the reconfiguration path (BitLinker → ICAP → verify →
 /// bind) is exercised by `ModuleManager` tests and the examples.
 pub fn bind(m: &mut Machine, module: Box<dyn DynamicModule>) {
-    match &mut m.platform.dock {
-        Docks::Opb(d) => d.bind_module(module),
-        Docks::Plb(d) => d.bind_module(module),
-    }
+    m.platform.dock.bind(module);
 }
 
 /// Enables/disables FIFO capture on the PLB dock (64-bit system only).
@@ -60,20 +58,7 @@ pub fn set_fifo_capture(m: &mut Machine, on: bool) {
 /// drops any stale cached copies of the range.
 pub fn store_bytes(m: &mut Machine, addr: u32, bytes: &[u8]) {
     m.platform.poke_bytes(addr, bytes);
-    invalidate_range(m, addr, bytes.len());
-}
-
-/// Invalidates cached lines covering `[addr, addr+len)`.
-pub fn invalidate_range(m: &mut Machine, addr: u32, len: usize) {
-    let mut a = addr & !31;
-    let end = addr as u64 + len as u64;
-    while u64::from(a) < end {
-        m.cpu.dcache.invalidate_line(a);
-        a = a.saturating_add(32);
-        if a == 0 {
-            break;
-        }
-    }
+    m.invalidate_dcache_range(addr, bytes.len());
 }
 
 /// Reads a byte buffer back from simulated memory (flushing any dirty
@@ -88,7 +73,7 @@ pub fn store_words(m: &mut Machine, addr: u32, words: &[u32]) {
     for (i, &w) in words.iter().enumerate() {
         m.platform.poke_mem(addr + 4 * i as u32, w);
     }
-    invalidate_range(m, addr, words.len() * 4);
+    m.invalidate_dcache_range(addr, words.len() * 4);
 }
 
 /// Loads a sequence of big-endian words (flushing covering cache lines).

@@ -16,7 +16,7 @@
 //! becomes an explicit **data-preparation** pass over memory (the paper
 //! reports it as its own column in table 12).
 
-use crate::harness::{self, bind, run_asm, set_fifo_capture, Comparison, AUX, DST, SRC_A, SRC_B};
+use crate::harness::{self, bind, run_asm, set_fifo_capture, AUX, DST, SRC_A, SRC_B};
 use dock::{DynamicModule, ModuleOutput};
 use rtr_core::machine::Machine;
 use vp2_netlist::components as c;
@@ -616,43 +616,21 @@ flsh:
     halt
 "#;
 
-/// Runs the software kernel; returns `(time, result)`.
-pub fn sw_run(m: &mut Machine, task: Task, a: &[u8], b: &[u8], param: i32) -> (SimTime, Vec<u8>) {
-    harness::store_bytes(m, SRC_A, a);
-    if task.two_sources() {
-        harness::store_bytes(m, SRC_B, b);
-    }
-    let n = a.len() as u32;
-    assert_eq!(n % 64, 0, "image sizes are multiples of 64 pixels");
-    let (w, h) = (64u32, n / 64);
-    let max = u64::from(n) * 80 + 100_000;
-    let (t, _) = match task {
-        Task::Brightness => run_asm(m, SW_BRIGHT, &[w, h, SRC_A, DST, param as u32], max),
-        Task::Blend => run_asm(m, SW_BLEND, &[w, h, SRC_A, SRC_B, DST], max),
-        Task::Fade => run_asm(m, SW_FADE, &[w, h, SRC_A, SRC_B, DST, param as u32], max),
+/// The inputs tables 5 and 12 measure `task` on: two `n`-pixel source
+/// images drawn from one seeded stream (A first, then B) and the tables'
+/// fixed parameter (brightness −37, fade factor 144). Returns `(a, b, param)`.
+pub fn paper_inputs(task: Task, n: usize, seed: u64) -> (Vec<u8>, Vec<u8>, i32) {
+    let mut rng = SplitMix64::new(seed);
+    let mut a = vec![0u8; n];
+    let mut b = vec![0u8; n];
+    rng.fill_bytes(&mut a);
+    rng.fill_bytes(&mut b);
+    let param = match task {
+        Task::Brightness => -37,
+        Task::Blend => 0,
+        Task::Fade => 144,
     };
-    let out = harness::load_bytes(m, DST, a.len());
-    (t, out)
-}
-
-/// Runs the CPU-controlled hardware version (tables 5 and the unmodified
-/// transfers of table 12's sibling measurements); returns `(time, result)`.
-pub fn hw_run(m: &mut Machine, task: Task, a: &[u8], b: &[u8], param: i32) -> (SimTime, Vec<u8>) {
-    bind(m, Box::new(ImagingModule::new(task)));
-    harness::store_bytes(m, SRC_A, a);
-    if task.two_sources() {
-        harness::store_bytes(m, SRC_B, b);
-    }
-    let n = a.len() as u32;
-    let p9 = (param as u32) & 0x1FF;
-    let max = u64::from(n) * 80 + 100_000;
-    let (t, _) = match task {
-        Task::Brightness => run_asm(m, HW_BRIGHT, &[n / 4, SRC_A, DST, p9], max),
-        Task::Blend | Task::Fade => run_asm(m, HW_COMBINE, &[n / 2, SRC_A, SRC_B, DST, p9], max),
-    };
-    // Results land in memory in pixel order on every path.
-    let out = harness::load_bytes(m, DST, a.len());
-    (t, out)
+    (a, b, param)
 }
 
 /// Runs the DMA-controlled hardware version on the 64-bit system
@@ -695,60 +673,10 @@ pub fn dma_run(
     (t, prep, out)
 }
 
-/// Measured comparison, CPU-controlled transfers (table 5 / table 12's
-/// sw column).
-pub fn compare(kind: rtr_core::SystemKind, task: Task, n: usize, seed: u64) -> Comparison {
-    let mut rng = SplitMix64::new(seed);
-    let mut a = vec![0u8; n];
-    let mut b = vec![0u8; n];
-    rng.fill_bytes(&mut a);
-    rng.fill_bytes(&mut b);
-    let param = match task {
-        Task::Brightness => -37,
-        Task::Blend => 0,
-        Task::Fade => 144,
-    };
-    let want = reference_image(task, &a, &b, param);
-    let mut m = rtr_core::build_system(kind);
-    let (sw, got) = sw_run(&mut m, task, &a, &b, param);
-    assert_eq!(got, want, "sw {task:?}");
-    let mut m = rtr_core::build_system(kind);
-    let (hw, got) = hw_run(&mut m, task, &a, &b, param);
-    assert_eq!(got, want, "hw {task:?}");
-    Comparison {
-        sw,
-        hw,
-        prep: SimTime::ZERO,
-    }
-}
-
-/// Measured comparison on the 64-bit DMA path (table 12): sw vs DMA hw
-/// with the data-preparation time reported separately.
-pub fn compare_dma(task: Task, n: usize, seed: u64) -> Comparison {
-    let mut rng = SplitMix64::new(seed);
-    let mut a = vec![0u8; n];
-    let mut b = vec![0u8; n];
-    rng.fill_bytes(&mut a);
-    rng.fill_bytes(&mut b);
-    let param = match task {
-        Task::Brightness => -37,
-        Task::Blend => 0,
-        Task::Fade => 144,
-    };
-    let want = reference_image(task, &a, &b, param);
-    let kind = rtr_core::SystemKind::Bit64;
-    let mut m = rtr_core::build_system(kind);
-    let (sw, got) = sw_run(&mut m, task, &a, &b, param);
-    assert_eq!(got, want, "sw {task:?}");
-    let mut m = rtr_core::build_system(kind);
-    let (hw, prep, got) = dma_run(&mut m, task, &a, &b, param);
-    assert_eq!(got, want, "dma hw {task:?}");
-    Comparison { sw, hw, prep }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{Driver, Request, Work};
     use dock::GateLevelModule;
     use rtr_core::SystemKind;
 
@@ -855,25 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn hw_cpu_controlled_matches_reference() {
-        for task in [Task::Brightness, Task::Blend, Task::Fade] {
-            let a = rand_image(64, 5);
-            let b = rand_image(64, 6);
-            let param = match task {
-                Task::Brightness => -37,
-                Task::Blend => 0,
-                Task::Fade => 144,
-            };
-            let want = reference_image(task, &a, &b, param);
-            for kind in [SystemKind::Bit32, SystemKind::Bit64] {
-                let mut m = rtr_core::build_system(kind);
-                let (_, got) = hw_run(&mut m, task, &a, &b, param);
-                assert_eq!(got, want, "{task:?} {kind:?}");
-            }
-        }
-    }
-
-    #[test]
     fn dma_path_matches_reference() {
         for task in [Task::Brightness, Task::Blend, Task::Fade] {
             let a = rand_image(256, 7);
@@ -901,39 +810,21 @@ mod tests {
     fn dma_speedups_follow_the_paper_shape() {
         // Table 12: brightness gains clearly more from DMA (no data
         // preparation) than the two-source tasks; fade beats blend.
-        let n = 4096;
-        let bright = compare_dma(Task::Brightness, n, 21);
-        let blend = compare_dma(Task::Blend, n, 22);
-        let fade = compare_dma(Task::Fade, n, 23);
-        assert!(
-            bright.speedup() > blend.speedup(),
-            "brightness {:.2} vs blend {:.2}",
-            bright.speedup(),
-            blend.speedup()
-        );
-        assert!(
-            fade.speedup() > blend.speedup(),
-            "fade {:.2} vs blend {:.2}",
-            fade.speedup(),
-            blend.speedup()
-        );
-        assert!(bright.speedup() > 1.5, "brightness {:.2}", bright.speedup());
-    }
-
-    #[test]
-    fn sw_kernels_match_reference() {
-        for task in [Task::Brightness, Task::Blend, Task::Fade] {
-            let a = rand_image(128, 3);
-            let b = rand_image(128, 4);
-            let param = match task {
-                Task::Brightness => -37,
-                Task::Blend => 0,
-                Task::Fade => 144,
-            };
-            let want = reference_image(task, &a, &b, param);
-            let mut m = rtr_core::build_system(SystemKind::Bit32);
-            let (_, got) = sw_run(&mut m, task, &a, &b, param);
-            assert_eq!(got, want, "{task:?}");
-        }
+        let speedup = |task: Task, seed: u64| {
+            let (a, b, param) = paper_inputs(task, 4096, seed);
+            let mut m = rtr_core::build_system(SystemKind::Bit64);
+            let (hw, _, got) = dma_run(&mut m, task, &a, &b, param);
+            assert_eq!(got, reference_image(task, &a, &b, param), "{task:?}");
+            let req = Request::from(Work::Imaging { task, a, b, param });
+            let mut m = rtr_core::build_system(SystemKind::Bit64);
+            let (sw, _) = Driver::new().run_sw(&mut m, &req);
+            sw.as_ps() as f64 / hw.as_ps() as f64
+        };
+        let bright = speedup(Task::Brightness, 21);
+        let blend = speedup(Task::Blend, 22);
+        let fade = speedup(Task::Fade, 23);
+        assert!(bright > blend, "brightness {bright:.2} vs blend {blend:.2}");
+        assert!(fade > blend, "fade {fade:.2} vs blend {blend:.2}");
+        assert!(bright > 1.5, "brightness {bright:.2}");
     }
 }

@@ -15,10 +15,7 @@
 //!   — but those transfers dominate, which is why the paper calls the
 //!   speedup "much more modest" than pattern matching.
 
-use crate::harness::{self, bind, run_asm, Comparison, DST, SRC_A};
 use dock::{DynamicModule, ModuleOutput};
-use rtr_core::machine::Machine;
-use vp2_sim::SimTime;
 
 /// The golden ratio initialiser of lookup2.
 pub const GOLDEN: u32 = 0x9E37_79B9;
@@ -394,49 +391,10 @@ sendloop:
     halt
 "#;
 
-/// Runs the software hash; returns `(time, hash)`.
-pub fn sw_run(m: &mut Machine, key: &[u8], initval: u32) -> (SimTime, u32) {
-    harness::store_bytes(m, SRC_A, key);
-    let max = key.len() as u64 * 200 + 100_000;
-    run_asm(m, SW_ASM, &[SRC_A, key.len() as u32, initval], max)
-}
-
-/// Runs the hardware hash; returns `(time, hash)`.
-pub fn hw_run(m: &mut Machine, key: &[u8], initval: u32) -> (SimTime, u32) {
-    bind(m, Box::new(JenkinsModule::new()));
-    // Zero-padded, whole 3-word groups.
-    let blocks = key.len() / 12;
-    let padded_len = (blocks * 3 + 3) * 4;
-    let mut padded = key.to_vec();
-    padded.resize(padded_len.max(key.len()), 0);
-    harness::store_bytes(m, SRC_A, &padded);
-    let max = key.len() as u64 * 60 + 100_000;
-    run_asm(m, HW_ASM, &[SRC_A, key.len() as u32, initval], max)
-}
-
-/// Measured comparison for one key length.
-pub fn compare(kind: rtr_core::SystemKind, len: usize, seed: u64) -> Comparison {
-    let mut rng = vp2_sim::SplitMix64::new(seed);
-    let mut key = vec![0u8; len];
-    rng.fill_bytes(&mut key);
-    let want = hash_reference(&key, 0x1234_5678);
-    let mut m = rtr_core::build_system(kind);
-    let (sw, h) = sw_run(&mut m, &key, 0x1234_5678);
-    assert_eq!(h, want, "software hash mismatch (len {len})");
-    let mut m = rtr_core::build_system(kind);
-    let (hw, h) = hw_run(&mut m, &key, 0x1234_5678);
-    assert_eq!(h, want, "hardware hash mismatch (len {len})");
-    let _ = DST;
-    Comparison {
-        sw,
-        hw,
-        prep: SimTime::ZERO,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{compare, Request, Work};
     use rtr_core::SystemKind;
 
     #[test]
@@ -501,31 +459,17 @@ mod tests {
     }
 
     #[test]
-    fn sw_matches_reference_on_machine() {
-        let mut key = vec![0u8; 53];
-        vp2_sim::SplitMix64::new(5).fill_bytes(&mut key);
-        let want = hash_reference(&key, 99);
-        let mut m = rtr_core::build_system(SystemKind::Bit32);
-        let (_, h) = sw_run(&mut m, &key, 99);
-        assert_eq!(h, want);
-    }
-
-    #[test]
-    fn hw_matches_reference_on_machine() {
-        let mut key = vec![0u8; 100];
-        vp2_sim::SplitMix64::new(6).fill_bytes(&mut key);
-        let want = hash_reference(&key, 1);
-        let mut m = rtr_core::build_system(SystemKind::Bit64);
-        let (_, h) = hw_run(&mut m, &key, 1);
-        assert_eq!(h, want);
-    }
-
-    #[test]
     fn speedup_is_modest() {
         // Paper: "the speedup in this case is much more modest" — a small
         // factor, far below pattern matching's, but hardware still ahead
         // for block-dominated keys.
-        let cmp = compare(SystemKind::Bit32, 4096, 11);
+        let mut key = vec![0u8; 4096];
+        vp2_sim::SplitMix64::new(11).fill_bytes(&mut key);
+        let req = Request::from(Work::Jenkins {
+            key,
+            initval: 0x1234_5678,
+        });
+        let cmp = compare(SystemKind::Bit32, &req);
         let s = cmp.speedup();
         assert!(
             (0.8..6.0).contains(&s),

@@ -11,7 +11,12 @@
 //! 3. a **hardware module**: a fast behavioural model implementing the dock
 //!    protocol, plus a placed gate-level netlist that is property-tested
 //!    for equivalence and provides honest area numbers,
-//! 4. a **driver** measuring the hw/sw versions on either system.
+//! 4. a **driver** program for each version. One [`request::Driver`]
+//!    runs all of them on either system — for the service, the benchmark
+//!    replay and the paper tables alike ([`request::compare`] times one
+//!    request both ways). Only table 12's DMA programs
+//!    ([`imaging::dma_run`]) and the table-driven software ablation
+//!    ([`patmatch::sw_run_optimized`]) run outside it.
 //!
 //! Workloads: 8×8 bilevel [`patmatch`], Jenkins lookup2 [`jenkins`],
 //! [`sha1`], and the three grayscale [`imaging`] tasks (brightness,

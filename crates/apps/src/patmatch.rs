@@ -16,7 +16,7 @@
 //!   pipeline is primed. Per 32-pixel word written the module produces 4
 //!   window results — the bit-parallelism the CPU cannot express.
 
-use crate::harness::{self, bind, run_asm, Comparison, DST, SRC_A, SRC_B};
+use crate::harness::{self, run_asm, DST, SRC_A, SRC_B};
 use dock::{DynamicModule, ModuleOutput};
 use rtr_core::machine::Machine;
 use std::collections::VecDeque;
@@ -746,67 +746,10 @@ noread:
     halt
 "#;
 
-/// Runs the software version on `m`; returns `(time, counts)`.
-pub fn sw_run(m: &mut Machine, img: &BinaryImage, pattern: &[u8; 8]) -> (SimTime, Vec<Vec<u8>>) {
-    harness::store_words(m, SRC_A, &img.data);
-    harness::store_bytes(m, SRC_B, pattern);
-    let (w, h) = (img.width as u32, img.height as u32);
-    let max = u64::from(w) * u64::from(h) * 3000 + 100_000;
-    let (t, _) = run_asm(m, SW_ASM, &[w, h, SRC_A, SRC_B, DST], max);
-    let out = harness::load_bytes(m, DST, (img.width - 7) * (img.height - 7));
-    let counts = out.chunks(img.width - 7).map(<[u8]>::to_vec).collect();
-    (t, counts)
-}
-
-/// Runs the hardware version (behavioural module bound to the dock);
-/// returns `(time, counts)`.
-pub fn hw_run(m: &mut Machine, img: &BinaryImage, pattern: &[u8; 8]) -> (SimTime, Vec<Vec<u8>>) {
-    bind(m, Box::new(PatMatchModule::new()));
-    harness::store_words(m, SRC_A, &img.data);
-    harness::store_bytes(m, SRC_B, pattern);
-    let bands = (img.height - 7) as u32;
-    let blocks = (img.width / 32) as u32;
-    let max = u64::from(bands) * u64::from(blocks + 2) * 400 + 100_000;
-    let (t, _) = run_asm(m, HW_ASM, &[bands, blocks, SRC_A, SRC_B, DST], max);
-    // Unpack: per band, B blocks x 8 words x 4 counts.
-    let words = harness::load_words(m, DST, bands as usize * blocks as usize * 8);
-    let mut counts = vec![vec![0u8; img.width - 7]; bands as usize];
-    let mut it = words.iter();
-    for band in counts.iter_mut() {
-        for b in 0..blocks as usize {
-            for w in 0..8 {
-                let word = *it.next().expect("exact count");
-                for k in 0..4 {
-                    let x = 32 * b + 4 * w + k;
-                    if x < band.len() {
-                        band[x] = ((word >> (24 - 8 * k)) & 0xFF) as u8;
-                    }
-                }
-            }
-        }
-    }
-    (t, counts)
-}
-
-/// Full comparison on a machine pair (tables 3 and 9 rows).
-pub fn compare(kind: rtr_core::SystemKind, img: &BinaryImage, pattern: &[u8; 8]) -> Comparison {
-    let reference = match_counts_reference(img, pattern);
-    let mut m = rtr_core::build_system(kind);
-    let (sw, sw_counts) = sw_run(&mut m, img, pattern);
-    assert_eq!(sw_counts, reference, "software result mismatch");
-    let mut m = rtr_core::build_system(kind);
-    let (hw, hw_counts) = hw_run(&mut m, img, pattern);
-    assert_eq!(hw_counts, reference, "hardware result mismatch");
-    Comparison {
-        sw,
-        hw,
-        prep: SimTime::ZERO,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{compare, Driver, Request, Work};
     use dock::GateLevelModule;
     use rtr_core::SystemKind;
 
@@ -912,27 +855,15 @@ mod tests {
     }
 
     #[test]
-    fn sw_matches_reference_on_machine() {
-        let img = BinaryImage::random(32, 10, 7);
-        let mut m = rtr_core::build_system(SystemKind::Bit32);
-        let (_, counts) = sw_run(&mut m, &img, &PATTERN);
-        assert_eq!(counts, match_counts_reference(&img, &PATTERN));
-    }
-
-    #[test]
-    fn hw_matches_reference_on_machine() {
-        let img = BinaryImage::random(64, 12, 9);
-        let mut m = rtr_core::build_system(SystemKind::Bit32);
-        let (_, counts) = hw_run(&mut m, &img, &PATTERN);
-        assert_eq!(counts, match_counts_reference(&img, &PATTERN));
-    }
-
-    #[test]
     fn optimized_sw_matches_reference_and_is_faster() {
         let img = BinaryImage::random(64, 14, 11);
+        let req = Request::from(Work::PatMatch {
+            image: img.clone(),
+            pattern: PATTERN,
+        });
         let mut m = rtr_core::build_system(SystemKind::Bit32);
-        let (t_naive, counts) = sw_run(&mut m, &img, &PATTERN);
-        assert_eq!(counts, match_counts_reference(&img, &PATTERN));
+        let (t_naive, counts) = Driver::new().run_sw(&mut m, &req);
+        assert_eq!(counts, req.reference());
         let mut m = rtr_core::build_system(SystemKind::Bit32);
         let (t_opt, counts) = sw_run_optimized(&mut m, &img, &PATTERN);
         assert_eq!(counts, match_counts_reference(&img, &PATTERN));
@@ -944,8 +875,11 @@ mod tests {
 
     #[test]
     fn speedup_is_large_on_the_32bit_system() {
-        let img = BinaryImage::random(64, 16, 3);
-        let cmp = compare(SystemKind::Bit32, &img, &PATTERN);
+        let req = Request::from(Work::PatMatch {
+            image: BinaryImage::random(64, 16, 3),
+            pattern: PATTERN,
+        });
+        let cmp = compare(SystemKind::Bit32, &req);
         assert!(
             cmp.speedup() > 10.0,
             "expected a large speedup, got {:.1} (sw {}, hw {})",

@@ -10,10 +10,12 @@
 //!   item (each program lives at its own OCM slot and is JTAG-loaded once,
 //!   like a resident firmware image — per-request reloads would charge
 //!   ~0.8 ms/KB of JTAG time and drown the differences being measured);
+//! * [`compare`] — one request timed in software and in hardware on fresh
+//!   machines: a row of the paper's speedup tables;
 //! * [`component_for`] / [`factory_for`] — what the `ModuleManager` needs
 //!   to register each kernel's dynamic module on a given system.
 
-use crate::harness::{self, DST, SRC_A, SRC_B};
+use crate::harness::{self, Comparison, DST, SRC_A, SRC_B};
 use crate::imaging::{self, ImagingModule, Task};
 use crate::jenkins::{self, JenkinsModule};
 use crate::patmatch::{self, BinaryImage, PatMatchModule};
@@ -21,7 +23,7 @@ use crate::sha1::{self, Sha1Module};
 use ppc405_sim::{assemble, Program};
 use rtr_core::machine::Machine;
 use rtr_core::manager::ModuleFactory;
-use rtr_core::SystemKind;
+use rtr_core::{build_system, SystemKind};
 use vp2_bitstream::Component;
 use vp2_netlist::components as c;
 use vp2_netlist::graph::Netlist;
@@ -346,25 +348,7 @@ fn jenkins_carrier_netlist() -> Netlist {
 /// when the kernel has no hardware form there (SHA-1's unrolled core does
 /// not fit the 32-bit system's 308-CLB region — the paper's table-11 note).
 pub fn component_for(kernel: Kernel, kind: SystemKind) -> Option<Component> {
-    if kernel == Kernel::Sha1 && kind == SystemKind::Bit32 {
-        return None;
-    }
-    let region = kind.region();
-    let width = kind.dock_width();
-    let nl = match kernel {
-        Kernel::Sha1 => sha1::sha1_netlist(),
-        Kernel::Jenkins => jenkins_carrier_netlist(),
-        Kernel::PatMatch => patmatch::patmatch_netlist(),
-        Kernel::Brightness | Kernel::Blend | Kernel::Fade => {
-            imaging::imaging_netlist(kernel.imaging_task().expect("imaging kernel"))
-        }
-    };
-    Some(patmatch::build_component(
-        nl,
-        width,
-        region.width(),
-        region.height(),
-    ))
+    component_for_slot(kernel, kind, kind.region().width())
 }
 
 /// Like [`component_for`], but placed into a `slot_width`-column
@@ -376,15 +360,24 @@ pub fn component_for_slot(kernel: Kernel, kind: SystemKind, slot_width: u16) -> 
     if kernel == Kernel::Sha1 && kind == SystemKind::Bit32 {
         return None;
     }
-    let nl = match kernel {
+    patmatch::try_build_component(
+        netlist_for(kernel),
+        kind.dock_width(),
+        slot_width,
+        kind.region().height(),
+    )
+}
+
+/// The netlist behind a kernel's configuration image.
+fn netlist_for(kernel: Kernel) -> Netlist {
+    match kernel {
         Kernel::Sha1 => sha1::sha1_netlist(),
         Kernel::Jenkins => jenkins_carrier_netlist(),
         Kernel::PatMatch => patmatch::patmatch_netlist(),
         Kernel::Brightness | Kernel::Blend | Kernel::Fade => {
             imaging::imaging_netlist(kernel.imaging_task().expect("imaging kernel"))
         }
-    };
-    patmatch::try_build_component(nl, kind.dock_width(), slot_width, kind.region().height())
+    }
 }
 
 /// Behavioural-model factory for a kernel (what `ModuleManager::register`
@@ -442,6 +435,10 @@ const SLOT_BYTES: u32 = 0x1000;
 
 /// Executes requests on one machine, keeping every driver program resident
 /// in OCM (one JTAG download per program for the machine's lifetime).
+///
+/// Use one `Driver` per machine: it remembers which programs it has
+/// downloaded, not which machine it downloaded them to, so a driver moved
+/// to a second machine would call programs that machine never received.
 pub struct Driver {
     programs: Vec<Program>,
     downloaded: [bool; PROGS.len()],
@@ -611,6 +608,31 @@ impl Driver {
     }
 }
 
+/// Times `req` both ways on `kind`, as every speedup table of the paper
+/// does: software on one fresh machine, hardware on a second fresh machine
+/// with the kernel's behavioural module bound to the dock. Each machine
+/// gets its own [`Driver`], so both times include a cold program download
+/// and I-cache.
+///
+/// # Panics
+/// Panics if either result differs from [`Request::reference`].
+pub fn compare(kind: SystemKind, req: &Request) -> Comparison {
+    let kernel = req.kernel();
+    let want = req.reference();
+    let mut m = build_system(kind);
+    let (sw, got) = Driver::new().run_sw(&mut m, req);
+    assert_eq!(got, want, "software {kernel} result mismatch on {kind:?}");
+    let mut m = build_system(kind);
+    harness::bind(&mut m, factory_for(kernel)());
+    let (hw, got) = Driver::new().run_hw(&mut m, req);
+    assert_eq!(got, want, "hardware {kernel} result mismatch on {kind:?}");
+    Comparison {
+        sw,
+        hw,
+        prep: SimTime::ZERO,
+    }
+}
+
 /// Reads the software pattern-match result grid from `DST`.
 fn load_counts(m: &mut Machine, image: &BinaryImage) -> Vec<Vec<u8>> {
     let out = harness::load_bytes(m, DST, (image.width - 7) * (image.height - 7));
@@ -641,38 +663,55 @@ fn unpack_counts(m: &mut Machine, image: &BinaryImage, bands: u32, blocks: u32) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::bind;
-    use rtr_core::build_system;
 
-    fn check_both_paths(kind: SystemKind, req: &Request, hw: bool) {
-        let want = req.reference();
-        let mut d = Driver::new();
-        let mut m = build_system(kind);
-        let (t_sw, got) = d.run_sw(&mut m, req);
-        assert_eq!(got, want, "sw {:?} on {kind:?}", req.kernel());
-        assert!(t_sw > SimTime::ZERO);
+    /// Runs `req` on `kind` in software, and in hardware where the kernel
+    /// has a hardware form there, checking both against the reference.
+    fn check_both_paths(kind: SystemKind, req: &Request) {
+        let hw = !(req.kernel() == Kernel::Sha1 && kind == SystemKind::Bit32);
         if hw {
+            let c = compare(kind, req);
+            assert!(c.sw > SimTime::ZERO && c.hw > SimTime::ZERO);
+        } else {
             let mut m = build_system(kind);
-            bind_behavioural(&mut m, req.kernel());
-            let (t_hw, got) = d.run_hw(&mut m, req);
-            assert_eq!(got, want, "hw {:?} on {kind:?}", req.kernel());
-            assert!(t_hw > SimTime::ZERO);
+            let (t_sw, got) = Driver::new().run_sw(&mut m, req);
+            assert_eq!(got, req.reference(), "sw {} on {kind:?}", req.kernel());
+            assert!(t_sw > SimTime::ZERO);
         }
-    }
-
-    fn bind_behavioural(m: &mut Machine, kernel: Kernel) {
-        bind(m, factory_for(kernel)());
     }
 
     #[test]
     fn every_kernel_round_trips_both_paths() {
         let mut rng = SplitMix64::new(0x5EA1_CE01);
-        for kernel in Kernel::ALL {
-            let req = Request::synthetic(kernel, 256, &mut rng);
+        let mut reqs: Vec<Request> = Kernel::ALL
+            .iter()
+            .map(|&kernel| Request::synthetic(kernel, 256, &mut rng))
+            .collect();
+        for (req, kernel) in reqs.iter().zip(Kernel::ALL) {
             assert_eq!(req.kernel(), kernel);
-            // SHA-1 hw only exists on the 64-bit system.
-            check_both_paths(SystemKind::Bit32, &req, kernel != Kernel::Sha1);
-            check_both_paths(SystemKind::Bit64, &req, true);
+        }
+        // Odd sizes: a Jenkins tail, a sub-block SHA-1 message, a single
+        // 32-column patmatch block, and one- and two-row images.
+        for (len, seed, initval) in [(53, 5, 99), (100, 6, 1)] {
+            let mut key = vec![0u8; len];
+            SplitMix64::new(seed).fill_bytes(&mut key);
+            reqs.push(Work::Jenkins { key, initval }.into());
+        }
+        let msg = b"The quick brown fox jumps over the lazy dog".to_vec();
+        reqs.push(Work::Sha1 { msg }.into());
+        for (w, h, seed) in [(32, 10, 7), (64, 12, 9)] {
+            let image = BinaryImage::random(w, h, seed);
+            let pattern = [0b1010_1010, 0xFF, 0x00, 0x81, 0x42, 0x24, 0x18, 0x5A];
+            reqs.push(Work::PatMatch { image, pattern }.into());
+        }
+        for n in [64, 128] {
+            for task in [Task::Brightness, Task::Blend, Task::Fade] {
+                let (a, b, param) = imaging::paper_inputs(task, n, n as u64);
+                reqs.push(Work::Imaging { task, a, b, param }.into());
+            }
+        }
+        for req in &reqs {
+            check_both_paths(SystemKind::Bit32, req);
+            check_both_paths(SystemKind::Bit64, req);
         }
     }
 
@@ -723,5 +762,27 @@ mod tests {
         // Component names match module names (the manager loads by name).
         let comp = component_for(Kernel::Jenkins, SystemKind::Bit32).unwrap();
         assert_eq!(comp.name, Kernel::Jenkins.module_name());
+    }
+
+    #[test]
+    fn a_full_width_slot_is_the_whole_region_component() {
+        for kind in [SystemKind::Bit32, SystemKind::Bit64] {
+            let region = kind.region();
+            for kernel in Kernel::ALL {
+                let whole = component_for(kernel, kind);
+                let slot = component_for_slot(kernel, kind, region.width());
+                assert_eq!(whole, slot, "{kernel} on {kind:?}");
+                // Where it exists, it is what the panicking builder places.
+                if let Some(comp) = whole {
+                    let built = patmatch::build_component(
+                        netlist_for(kernel),
+                        kind.dock_width(),
+                        region.width(),
+                        region.height(),
+                    );
+                    assert_eq!(comp, built, "{kernel} on {kind:?}");
+                }
+            }
+        }
     }
 }

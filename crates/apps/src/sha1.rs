@@ -15,12 +15,9 @@
 //!   reproduce the paper's fits/doesn't-fit result with a real netlist.
 //!   Transfers use 32-bit CPU-controlled stores, as in the paper.
 
-use crate::harness::{self, bind, run_asm, Comparison, DST, SRC_A};
 use dock::{DynamicModule, ModuleOutput};
-use rtr_core::machine::Machine;
 use vp2_netlist::components as c;
 use vp2_netlist::graph::{Bus, NetId, Netlist};
-use vp2_sim::SimTime;
 
 /// SHA-1 initial hash values.
 pub const IV: [u32; 5] = [
@@ -756,46 +753,10 @@ sblk3:
     halt
 "#;
 
-/// Runs the software SHA-1; returns `(time, digest)`.
-pub fn sw_run(m: &mut Machine, msg: &[u8]) -> (SimTime, [u32; 5]) {
-    harness::store_bytes(m, SRC_A, msg);
-    let max = (msg.len() as u64 / 64 + 3) * 40_000 + 200_000;
-    let (t, _) = run_asm(m, SW_ASM, &[SRC_A, msg.len() as u32, DST], max);
-    let words = harness::load_words(m, DST, 5);
-    (t, [words[0], words[1], words[2], words[3], words[4]])
-}
-
-/// Runs the hardware SHA-1 (behavioural core); returns `(time, digest)`.
-pub fn hw_run(m: &mut Machine, msg: &[u8]) -> (SimTime, [u32; 5]) {
-    bind(m, Box::new(Sha1Module::new()));
-    harness::store_bytes(m, SRC_A, msg);
-    let max = (msg.len() as u64 / 64 + 3) * 10_000 + 200_000;
-    let (t, _) = run_asm(m, HW_ASM, &[SRC_A, msg.len() as u32, DST], max);
-    let words = harness::load_words(m, DST, 5);
-    (t, [words[0], words[1], words[2], words[3], words[4]])
-}
-
-/// Measured comparison at a message size (table 11 row).
-pub fn compare(kind: rtr_core::SystemKind, len: usize, seed: u64) -> Comparison {
-    let mut msg = vec![0u8; len];
-    vp2_sim::SplitMix64::new(seed).fill_bytes(&mut msg);
-    let want = sha1_reference(&msg);
-    let mut m = rtr_core::build_system(kind);
-    let (sw, d) = sw_run(&mut m, &msg);
-    assert_eq!(d, want, "software digest mismatch (len {len})");
-    let mut m = rtr_core::build_system(kind);
-    let (hw, d) = hw_run(&mut m, &msg);
-    assert_eq!(d, want, "hardware digest mismatch (len {len})");
-    Comparison {
-        sw,
-        hw,
-        prep: SimTime::ZERO,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{compare, Driver, Request, Work};
     use dock::GateLevelModule;
     use rtr_core::SystemKind;
 
@@ -900,20 +861,10 @@ mod tests {
     }
 
     #[test]
-    fn sw_and_hw_match_reference_on_machine() {
-        let msg = b"The quick brown fox jumps over the lazy dog";
-        let want = sha1_reference(msg);
-        let mut m = rtr_core::build_system(SystemKind::Bit64);
-        let (_, d) = sw_run(&mut m, msg);
-        assert_eq!(d, want, "sw");
-        let mut m = rtr_core::build_system(SystemKind::Bit64);
-        let (_, d) = hw_run(&mut m, msg);
-        assert_eq!(d, want, "hw");
-    }
-
-    #[test]
     fn hardware_gains_considerably() {
-        let cmp = compare(SystemKind::Bit64, 2048, 77);
+        let mut msg = vec![0u8; 2048];
+        vp2_sim::SplitMix64::new(77).fill_bytes(&mut msg);
+        let cmp = compare(SystemKind::Bit64, &Request::from(Work::Sha1 { msg }));
         assert!(
             cmp.speedup() > 2.0,
             "expected a considerable gain, got {:.2}",
@@ -925,10 +876,14 @@ mod tests {
     fn sw_overhead_dominates_small_messages() {
         // Per-byte software cost must be much higher at 64 B than at 8 KiB
         // (the RFC implementation's fixed overhead).
-        let mut m = rtr_core::build_system(SystemKind::Bit64);
-        let (t_small, _) = sw_run(&mut m, &[7u8; 64]);
-        let mut m = rtr_core::build_system(SystemKind::Bit64);
-        let (t_big, _) = sw_run(&mut m, &[7u8; 8192]);
+        let sw_time = |len: usize| {
+            let mut m = rtr_core::build_system(SystemKind::Bit64);
+            let req = Request::from(Work::Sha1 {
+                msg: vec![7u8; len],
+            });
+            Driver::new().run_sw(&mut m, &req).0
+        };
+        let (t_small, t_big) = (sw_time(64), sw_time(8192));
         let per_byte_small = t_small.as_ns_f64() / 64.0;
         let per_byte_big = t_big.as_ns_f64() / 8192.0;
         assert!(

@@ -15,8 +15,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rtr_apps::request::Driver;
-use rtr_apps::{imaging, jenkins, patmatch, sha1, Kernel, Request, Work};
+use rtr_apps::harness;
+use rtr_apps::request::{factory_for, Driver};
+use rtr_apps::{imaging, patmatch, sha1, Kernel, Request, Work};
 use rtr_core::measure::{dma_transfer_time, program_transfer_time, TransferKind};
 use rtr_core::{build_system, SystemKind};
 use vp2_sim::SplitMix64;
@@ -73,44 +74,61 @@ fn main() {
         });
     }
 
+    // Tables 3–5 and 9–12 time each run on a fresh machine and `Driver`,
+    // the hardware runs with the kernel's module bound to the dock.
+    let sw = |kind, req: &Request| Driver::new().run_sw(&mut build_system(kind), req);
+    let hw = |kind, req: &Request| {
+        let mut m = build_system(kind);
+        harness::bind(&mut m, factory_for(req.kernel())());
+        Driver::new().run_hw(&mut m, req)
+    };
+
     // Tables 3 / 9: pattern matching, sw and hw paths.
-    let img = patmatch::BinaryImage::random(64, 16, 1);
-    let pat = [0xA5u8, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7];
+    let patmatch_64x16 = Request::from(Work::PatMatch {
+        image: patmatch::BinaryImage::random(64, 16, 1),
+        pattern: [0xA5u8, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7],
+    });
     h.bench("patmatch/sw_64x16_bit32", || {
-        let mut m = build_system(SystemKind::Bit32);
-        patmatch::sw_run(&mut m, &img, &pat)
+        sw(SystemKind::Bit32, &patmatch_64x16)
     });
     h.bench("patmatch/hw_64x16_bit32", || {
-        let mut m = build_system(SystemKind::Bit32);
-        patmatch::hw_run(&mut m, &img, &pat)
+        hw(SystemKind::Bit32, &patmatch_64x16)
     });
 
     // Tables 4 / 10 / 11: hashing workloads.
     let key = vec![0xABu8; 4096];
+    let jenkins_4k = Request::from(Work::Jenkins {
+        key: key.clone(),
+        initval: 0,
+    });
+    let sha1_2k = Request::from(Work::Sha1 {
+        msg: key[..2048].to_vec(),
+    });
     h.bench("hashing/jenkins_sw_4k_bit32", || {
-        let mut m = build_system(SystemKind::Bit32);
-        jenkins::sw_run(&mut m, &key, 0)
+        sw(SystemKind::Bit32, &jenkins_4k)
     });
     h.bench("hashing/jenkins_hw_4k_bit32", || {
-        let mut m = build_system(SystemKind::Bit32);
-        jenkins::hw_run(&mut m, &key, 0)
+        hw(SystemKind::Bit32, &jenkins_4k)
     });
     h.bench("hashing/sha1_sw_2k_bit64", || {
-        let mut m = build_system(SystemKind::Bit64);
-        sha1::sw_run(&mut m, &key[..2048])
+        sw(SystemKind::Bit64, &sha1_2k)
     });
     h.bench("hashing/sha1_hw_2k_bit64", || {
-        let mut m = build_system(SystemKind::Bit64);
-        sha1::hw_run(&mut m, &key[..2048])
+        hw(SystemKind::Bit64, &sha1_2k)
     });
 
     // Tables 5 / 12: imaging workloads (CPU-controlled and DMA paths).
     let a = vec![0x80u8; 4096];
     let b2 = vec![0x40u8; 4096];
     for task in [imaging::Task::Brightness, imaging::Task::Fade] {
+        let req = Request::from(Work::Imaging {
+            task,
+            a: a.clone(),
+            b: b2.clone(),
+            param: 25,
+        });
         h.bench(&format!("imaging/{task:?}_cpu_bit32"), || {
-            let mut m = build_system(SystemKind::Bit32);
-            imaging::hw_run(&mut m, task, &a, &b2, 25)
+            hw(SystemKind::Bit32, &req)
         });
         h.bench(&format!("imaging/{task:?}_dma_bit64"), || {
             let mut m = build_system(SystemKind::Bit64);
@@ -171,11 +189,8 @@ fn main() {
     // 2 KB, and PatMatch on a 256 B image (the middle of the `sw_interp`
     // benchmark's 64–512 B payloads, where PatMatch retires ~98% of the
     // instructions of an equal six-kernel mix).
-    let sha1_req = Request::from(Work::Sha1 {
-        msg: key[..2048].to_vec(),
-    });
     let patmatch_req = Request::synthetic(Kernel::PatMatch, 256, &mut SplitMix64::new(1));
-    for (kernel, req) in [("sha1", &sha1_req), ("patmatch", &patmatch_req)] {
+    for (kernel, req) in [("sha1", &sha1_2k), ("patmatch", &patmatch_req)] {
         for kind in [SystemKind::Bit32, SystemKind::Bit64] {
             let name = format!("interp/{kind:?}_{kernel}_sw");
             if !h.selected(&name) {

@@ -1,9 +1,11 @@
 //! # rtr-bench — regenerating the paper's evaluation
 //!
-//! One function per table (and figure) of the paper. Each returns a
-//! rendered [`TextTable`] plus a machine-readable [`TableResult`] that the
-//! `tables` binary serialises for EXPERIMENTS.md and that the shape-claim
-//! integration tests assert against.
+//! [`table`] regenerates any table of the paper by number, [`figure`] any
+//! figure. Each table comes back as a rendered [`TextTable`] plus a
+//! machine-readable [`TableResult`] that the `tables` binary serialises
+//! for EXPERIMENTS.md. The speedup tables (3–5 and 9–11) share one
+//! builder: a list of labelled requests, each timed in software and in
+//! hardware by `rtr_apps::request::compare`.
 //!
 //! Two kinds of benchmarks live in this crate:
 //!
@@ -18,11 +20,13 @@ pub mod lint;
 pub mod scenario;
 
 use rtr_apps::harness::Comparison;
-use rtr_apps::{imaging, jenkins, patmatch, sha1};
+use rtr_apps::imaging::{self, Task};
+use rtr_apps::request::{compare, Driver};
+use rtr_apps::{patmatch, sha1, Request, Response, Work};
 use rtr_core::measure::{self, TransferKind};
 use rtr_core::{build_system, SystemKind};
 use vp2_sim::table::{fmt_sig, TextTable};
-use vp2_sim::{Json, SimTime};
+use vp2_sim::{Json, SimTime, SplitMix64};
 
 /// Scaling knob: `Quick` for tests/CI, `Full` for the printed tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,11 +138,7 @@ pub fn table_resources(kind: SystemKind) -> TableResult {
             "  (module) patmatch8x8".to_string(),
             patmatch::patmatch_component(region.width(), region.height()).slices_used(),
         )];
-        for task in [
-            imaging::Task::Brightness,
-            imaging::Task::Blend,
-            imaging::Task::Fade,
-        ] {
+        for task in IMAGING_TASKS {
             let nl = imaging::imaging_netlist(task);
             v.push((format!("  (module) {}", nl.name), nl.slice_estimate()));
         }
@@ -258,35 +258,103 @@ pub fn table_transfers_dma(effort: Effort) -> TableResult {
     }
 }
 
-/// Tables 3 / 9: pattern matching.
-pub fn table_patmatch(kind: SystemKind, effort: Effort) -> TableResult {
-    let number = match kind {
-        SystemKind::Bit32 => 3,
-        SystemKind::Bit64 => 9,
+/// The 8×8 pattern every pattern-matching measurement slides.
+const PATTERN: [u8; 8] = [0xA5, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7];
+
+/// The three imaging tasks, in table order.
+const IMAGING_TASKS: [Task; 3] = [Task::Brightness, Task::Blend, Task::Fade];
+
+/// `len` bytes from a SplitMix64 stream seeded with `len`.
+fn seeded_bytes(len: usize) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    SplitMix64::new(len as u64).fill_bytes(&mut v);
+    v
+}
+
+/// Tables 3–5 and 9–11: one request per row, each timed in software and
+/// in hardware on fresh machines of the table's system ([`compare`]).
+fn speedup_table(number: u32, effort: Effort) -> TableResult {
+    let kind = if number < 6 {
+        SystemKind::Bit32
+    } else {
+        SystemKind::Bit64
     };
-    let sizes: &[usize] = match effort {
-        Effort::Quick => &[64],
-        Effort::Full => &[64, 128, 256],
+    let sizes = |quick: &'static [usize], full: &'static [usize]| match effort {
+        Effort::Quick => quick,
+        Effort::Full => full,
     };
-    let title = match kind {
-        SystemKind::Bit32 => "Table 3. Results for pattern matching in binary images (32 bit)",
-        SystemKind::Bit64 => "Table 9. Results for pattern matching in binary images (64 bit)",
+    let keyed = |sizes: &[usize], work: fn(Vec<u8>) -> Work| -> Vec<(String, Work)> {
+        sizes
+            .iter()
+            .map(|&s| (format!("{s} B"), work(seeded_bytes(s))))
+            .collect()
     };
-    let mut t = TextTable::new(title, &["image", "sw (us)", "hw/sw (us)", "speedup"]);
-    let mut rows = Vec::new();
-    let pattern = [0xA5u8, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7];
-    for &s in sizes {
-        let img = patmatch::BinaryImage::random(s, s, s as u64);
-        let c = patmatch::compare(kind, &img, &pattern);
-        let label = format!("{s}x{s}");
-        t.row(&[
-            label.clone(),
-            fmt_sig(us(c.sw)),
-            fmt_sig(us(c.hw)),
-            fmt_sig(c.speedup()),
-        ]);
-        rows.push(cmp_row(label, &c));
-    }
+    let (title, input, rows) = match number {
+        3 | 9 => (
+            if number == 3 {
+                "Table 3. Results for pattern matching in binary images (32 bit)"
+            } else {
+                "Table 9. Results for pattern matching in binary images (64 bit)"
+            },
+            "image",
+            sizes(&[64], &[64, 128, 256])
+                .iter()
+                .map(|&s| {
+                    let image = patmatch::BinaryImage::random(s, s, s as u64);
+                    let pattern = PATTERN;
+                    (format!("{s}x{s}"), Work::PatMatch { image, pattern })
+                })
+                .collect(),
+        ),
+        4 | 10 => (
+            if number == 4 {
+                "Table 4. Results for hash function (32 bit)"
+            } else {
+                "Table 10. Results for a hash function implementation (64 bit)"
+            },
+            "key size",
+            keyed(sizes(&[4096], &[256, 4096, 65536]), |key| Work::Jenkins {
+                key,
+                initval: 0x1234_5678,
+            }),
+        ),
+        11 => (
+            "Table 11. Results for SHA-1 implementation",
+            "message size",
+            keyed(sizes(&[64, 2048], &[64, 1024, 16384, 262_144]), |msg| {
+                Work::Sha1 { msg }
+            }),
+        ),
+        5 => (
+            "Table 5. Speedups for simple image processing tasks (32 bit)",
+            "task",
+            IMAGING_TASKS
+                .iter()
+                .map(|&task| {
+                    let (a, b, param) = imaging_inputs(task, effort);
+                    (
+                        task.label().to_string(),
+                        Work::Imaging { task, a, b, param },
+                    )
+                })
+                .collect(),
+        ),
+        other => panic!("table {other} is not a speedup table"),
+    };
+    let mut t = TextTable::new(title, &[input, "sw (us)", "hw/sw (us)", "speedup"]);
+    let rows = rows
+        .into_iter()
+        .map(|(label, work)| {
+            let c = compare(kind, &Request::from(work));
+            t.row(&[
+                label.clone(),
+                fmt_sig(us(c.sw)),
+                fmt_sig(us(c.hw)),
+                fmt_sig(c.speedup()),
+            ]);
+            cmp_row(label, &c)
+        })
+        .collect();
     TableResult {
         number,
         title: title.to_string(),
@@ -295,107 +363,18 @@ pub fn table_patmatch(kind: SystemKind, effort: Effort) -> TableResult {
     }
 }
 
-/// Tables 4 / 10: Jenkins hash.
-pub fn table_jenkins(kind: SystemKind, effort: Effort) -> TableResult {
-    let number = match kind {
-        SystemKind::Bit32 => 4,
-        SystemKind::Bit64 => 10,
-    };
-    let sizes: &[usize] = match effort {
-        Effort::Quick => &[4096],
-        Effort::Full => &[256, 4096, 65536],
-    };
-    let title = match kind {
-        SystemKind::Bit32 => "Table 4. Results for hash function (32 bit)",
-        SystemKind::Bit64 => "Table 10. Results for a hash function implementation (64 bit)",
-    };
-    let mut t = TextTable::new(title, &["key size", "sw (us)", "hw/sw (us)", "speedup"]);
-    let mut rows = Vec::new();
-    for &s in sizes {
-        let c = jenkins::compare(kind, s, s as u64);
-        let label = format!("{s} B");
-        t.row(&[
-            label.clone(),
-            fmt_sig(us(c.sw)),
-            fmt_sig(us(c.hw)),
-            fmt_sig(c.speedup()),
-        ]);
-        rows.push(cmp_row(label, &c));
-    }
-    TableResult {
-        number,
-        title: title.to_string(),
-        rows,
-        rendered: t.render(),
-    }
-}
-
-/// Table 11: SHA-1 (64-bit system only).
-pub fn table_sha1(effort: Effort) -> TableResult {
-    let sizes: &[usize] = match effort {
-        Effort::Quick => &[64, 2048],
-        Effort::Full => &[64, 1024, 16384, 262_144],
-    };
-    let title = "Table 11. Results for SHA-1 implementation";
-    let mut t = TextTable::new(title, &["message size", "sw (us)", "hw/sw (us)", "speedup"]);
-    let mut rows = Vec::new();
-    for &s in sizes {
-        let c = sha1::compare(SystemKind::Bit64, s, s as u64);
-        let label = format!("{s} B");
-        t.row(&[
-            label.clone(),
-            fmt_sig(us(c.sw)),
-            fmt_sig(us(c.hw)),
-            fmt_sig(c.speedup()),
-        ]);
-        rows.push(cmp_row(label, &c));
-    }
-    TableResult {
-        number: 11,
-        title: title.to_string(),
-        rows,
-        rendered: t.render(),
-    }
-}
-
-/// Table 5: image-processing speedups, 32-bit system (CPU-controlled).
-pub fn table_imaging32(effort: Effort) -> TableResult {
+/// The inputs tables 5 and 12 measure `task` on.
+fn imaging_inputs(task: Task, effort: Effort) -> (Vec<u8>, Vec<u8>, i32) {
     let n = match effort {
         Effort::Quick => 4096,
         Effort::Full => 65536,
     };
-    let title = "Table 5. Speedups for simple image processing tasks (32 bit)";
-    let mut t = TextTable::new(title, &["task", "sw (us)", "hw/sw (us)", "speedup"]);
-    let mut rows = Vec::new();
-    for task in [
-        imaging::Task::Brightness,
-        imaging::Task::Blend,
-        imaging::Task::Fade,
-    ] {
-        let c = imaging::compare(SystemKind::Bit32, task, n, n as u64);
-        t.row(&[
-            task.label().to_string(),
-            fmt_sig(us(c.sw)),
-            fmt_sig(us(c.hw)),
-            fmt_sig(c.speedup()),
-        ]);
-        rows.push(cmp_row(task.label(), &c));
-    }
-    TableResult {
-        number: 5,
-        title: title.to_string(),
-        rows,
-        rendered: t.render(),
-    }
+    imaging::paper_inputs(task, n, n as u64)
 }
 
 /// Table 12: image-processing on the 64-bit DMA path, with the data
 /// preparation column.
 pub fn table_imaging64(effort: Effort) -> TableResult {
-    let n = match effort {
-        Effort::Quick => 4096,
-        Effort::Full => 65536,
-    };
     let title = "Table 12. Results for simple image processing tasks (64 bit)";
     let mut t = TextTable::new(
         title,
@@ -408,12 +387,17 @@ pub fn table_imaging64(effort: Effort) -> TableResult {
         ],
     );
     let mut rows = Vec::new();
-    for task in [
-        imaging::Task::Brightness,
-        imaging::Task::Blend,
-        imaging::Task::Fade,
-    ] {
-        let c = imaging::compare_dma(task, n, n as u64);
+    for task in IMAGING_TASKS {
+        let (a, b, param) = imaging_inputs(task, effort);
+        let mut m = build_system(SystemKind::Bit64);
+        let (hw, prep, got) = imaging::dma_run(&mut m, task, &a, &b, param);
+        let req = Request::from(Work::Imaging { task, a, b, param });
+        let want = req.reference();
+        assert_eq!(Response::Image(got), want, "dma hw {task:?}");
+        let mut m = build_system(SystemKind::Bit64);
+        let (sw, got) = Driver::new().run_sw(&mut m, &req);
+        assert_eq!(got, want, "sw {task:?}");
+        let c = Comparison { sw, hw, prep };
         t.row(&[
             task.label().to_string(),
             fmt_sig(us(c.sw)),
@@ -440,15 +424,10 @@ pub fn table(number: u32, effort: Effort) -> TableResult {
     match number {
         1 => table_resources(SystemKind::Bit32),
         2 => table_transfers_cpu(SystemKind::Bit32, effort),
-        3 => table_patmatch(SystemKind::Bit32, effort),
-        4 => table_jenkins(SystemKind::Bit32, effort),
-        5 => table_imaging32(effort),
+        3..=5 | 9..=11 => speedup_table(number, effort),
         6 => table_resources(SystemKind::Bit64),
         7 => table_transfers_cpu(SystemKind::Bit64, effort),
         8 => table_transfers_dma(effort),
-        9 => table_patmatch(SystemKind::Bit64, effort),
-        10 => table_jenkins(SystemKind::Bit64, effort),
-        11 => table_sha1(effort),
         12 => table_imaging64(effort),
         other => panic!("the paper has tables 1..=12, not {other}"),
     }
@@ -540,33 +519,28 @@ pub fn ablation_reconfig() -> TextTable {
 /// software version does to it.
 pub fn ablation_sw_quality() -> TextTable {
     let kind = SystemKind::Bit32;
-    let img = patmatch::BinaryImage::random(96, 24, 17);
-    let pattern = [0xA5u8, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7];
-    let reference = patmatch::match_counts_reference(&img, &pattern);
-
-    let mut m = build_system(kind);
-    let (t_naive, c1) = patmatch::sw_run(&mut m, &img, &pattern);
-    assert_eq!(c1, reference);
-    let mut m = build_system(kind);
-    let (t_opt, c2) = patmatch::sw_run_optimized(&mut m, &img, &pattern);
-    assert_eq!(c2, reference);
-    let mut m = build_system(kind);
-    let (t_hw, c3) = patmatch::hw_run(&mut m, &img, &pattern);
-    assert_eq!(c3, reference);
+    let image = patmatch::BinaryImage::random(96, 24, 17);
+    let (t_opt, counts) = patmatch::sw_run_optimized(&mut build_system(kind), &image, &PATTERN);
+    let req = Request::from(Work::PatMatch {
+        image,
+        pattern: PATTERN,
+    });
+    assert_eq!(Response::Counts(counts), req.reference());
+    let c = compare(kind, &req);
 
     let mut t = TextTable::new(
         "Ablation: software-baseline quality (pattern matching, 32-bit system, 96x24)",
         &["implementation", "time (us)", "hw speedup vs it"],
     );
     for (label, time) in [
-        ("sw, straightforward C translation", t_naive),
+        ("sw, straightforward C translation", c.sw),
         ("sw, popcount-table optimised", t_opt),
-        ("hw (dynamic region)", t_hw),
+        ("hw (dynamic region)", c.hw),
     ] {
         t.row(&[
             label.to_string(),
             fmt_sig(us(time)),
-            fmt_sig(time.as_ps() as f64 / t_hw.as_ps() as f64),
+            fmt_sig(time.as_ps() as f64 / c.hw.as_ps() as f64),
         ]);
     }
     t
@@ -582,13 +556,41 @@ mod tests {
         assert_eq!(t.row_count(), 3);
     }
 
+    /// Tables whose quick run shrinks an input its row labels do not
+    /// name (transfer counts, image sizes): a shared label is not a shared
+    /// measurement there.
+    const SIZE_NOT_IN_LABEL: [u32; 5] = [2, 5, 7, 8, 12];
+
     #[test]
     fn every_table_regenerates_quick() {
+        let committed = Json::parse(include_str!("../../../tables_full.json")).expect("parses");
+        let committed = committed.as_arr().expect("array of tables");
         for n in 1..=12 {
             let r = table(n, Effort::Quick);
             assert_eq!(r.number, n);
             assert!(!r.rows.is_empty(), "table {n} has rows");
             assert!(r.rendered.contains("Table"), "table {n} renders");
+            if SIZE_NOT_IN_LABEL.contains(&n) {
+                continue;
+            }
+            // A quick row measuring an input the full run also measures
+            // must reproduce the committed row exactly.
+            let full = committed
+                .iter()
+                .find(|t| t.get("number").and_then(Json::as_f64) == Some(f64::from(n)))
+                .and_then(|t| t.get("rows"))
+                .and_then(Json::as_arr)
+                .expect("committed table");
+            for row in &r.rows {
+                let label = Some(row.label.as_str());
+                if let Some(want) = full
+                    .iter()
+                    .find(|w| w.get("label").and_then(Json::as_str) == label)
+                {
+                    let got = Json::parse(&row.to_json().render()).expect("parses");
+                    assert_eq!(&got, want, "table {n}, row {:?}", row.label);
+                }
+            }
         }
     }
 

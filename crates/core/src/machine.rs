@@ -13,7 +13,7 @@ use coreconnect_sim::dma::{DmaDirection, DmaStatus};
 use coreconnect_sim::memory::{DdrController, MemArray, OcmRam, SramController};
 use coreconnect_sim::periph::{Gpio, JtagPpc, Uart};
 use coreconnect_sim::{map, Bridge, Bus, BusTiming, HwIcap, InterruptController};
-use dock::{OpbDock, PlbDock};
+use dock::{DynamicModule, OpbDock, PlbDock};
 use ppc405_sim::mem::{MemoryPort, LINE_BYTES};
 use ppc405_sim::{Cpu, CpuConfig, Program, StepOutcome};
 use rtr_trace::{EventKind, Tracer};
@@ -56,12 +56,42 @@ pub enum Docks {
     Plb(PlbDock),
 }
 
+impl Docks {
+    /// Attaches `module` to the region's interface, replacing whatever
+    /// was bound.
+    pub fn bind(&mut self, module: Box<dyn DynamicModule>) {
+        match self {
+            Docks::Opb(d) => d.bind_module(module),
+            Docks::Plb(d) => d.bind_module(module),
+        }
+    }
+
+    /// Detaches the bound module, leaving the region empty.
+    pub fn unbind(&mut self) {
+        match self {
+            Docks::Opb(d) => d.unbind(),
+            Docks::Plb(d) => d.unbind(),
+        }
+    }
+}
+
 impl std::fmt::Debug for Docks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Docks::Opb(d) => write!(f, "Docks::Opb({d:?})"),
             Docks::Plb(d) => write!(f, "Docks::Plb({d:?})"),
         }
+    }
+}
+
+/// Calls `f` with the base of every cache line overlapping
+/// `[addr, addr+len)`, stopping at the top of the address space.
+fn for_each_line(addr: u32, len: usize, mut f: impl FnMut(u32)) {
+    let end = u64::from(addr) + len as u64;
+    let mut line = Some(addr & !(LINE_BYTES as u32 - 1));
+    while let Some(a) = line.filter(|&a| u64::from(a) < end) {
+        f(a);
+        line = a.checked_add(LINE_BYTES as u32);
     }
 }
 
@@ -1021,18 +1051,18 @@ impl Machine {
                 true
             }
         }
-        let start = addr & !31;
-        let end = addr as u64 + len as u64;
-        let mut a = start;
         let now = self.cpu.now();
         let mut port = FreePort(&mut self.platform);
-        while u64::from(a) < end {
-            self.cpu.dcache.flush_line(now, a, &mut port);
-            match a.checked_add(32) {
-                Some(next) => a = next,
-                None => break,
-            }
-        }
+        for_each_line(addr, len, |line| {
+            self.cpu.dcache.flush_line(now, line, &mut port);
+        });
+    }
+
+    /// Drops every D-cache line overlapping `[addr, addr+len)` without
+    /// writing it back (observability helper: lets drivers poke fresh
+    /// input into memory behind the cache, at zero simulated cost).
+    pub fn invalidate_dcache_range(&mut self, addr: u32, len: usize) {
+        for_each_line(addr, len, |line| self.cpu.dcache.invalidate_line(line));
     }
 
     /// Advances the whole machine to `t` without executing instructions —
@@ -1168,6 +1198,12 @@ mod tests {
     fn flushing_a_range_that_ends_past_4_gib_returns() {
         let mut m = build_system(SystemKind::Bit32);
         m.flush_dcache_range(0xFFFF_FFE0, 64);
+    }
+
+    #[test]
+    fn invalidating_a_range_that_ends_past_4_gib_returns() {
+        let mut m = build_system(SystemKind::Bit32);
+        m.invalidate_dcache_range(0xFFFF_FFE0, 64);
     }
 
     /// Interrupt handler at the 405's vector: records the interrupted loop

@@ -18,7 +18,7 @@
 //! only attached when the gate-level configuration state is provably the
 //! module's own.
 
-use crate::machine::{Docks, Machine};
+use crate::machine::Machine;
 use crate::share::OnceTable;
 use crate::system::{bitlinker_for, SystemKind};
 use coreconnect_sim::map;
@@ -675,14 +675,7 @@ impl ModuleManager {
                 .position(|r| r.as_deref() == Some(name))
             {
                 let model = (reg.factory)();
-                match &mut m.platform.dock {
-                    Docks::Opb(d) => {
-                        d.bind_module(model);
-                    }
-                    Docks::Plb(d) => {
-                        d.bind_module(model);
-                    }
-                }
+                m.platform.dock.bind(model);
                 self.active = Some(name.to_string());
                 self.slot_tick += 1;
                 self.slot_touched[slot] = self.slot_tick;
@@ -937,10 +930,7 @@ impl ModuleManager {
         if !verified {
             // Scrap the region: unbind whatever model was attached so no
             // request ever runs on an unverified configuration.
-            match &mut m.platform.dock {
-                Docks::Opb(d) => d.unbind(),
-                Docks::Plb(d) => d.unbind(),
-            }
+            m.platform.dock.unbind();
             health.degraded += 1;
             return Ok(LoadOutcome::Degraded { attempts });
         }
@@ -949,14 +939,7 @@ impl ModuleManager {
         // is the module's own.
         health.loads += 1;
         let model = (reg.factory)();
-        match &mut m.platform.dock {
-            Docks::Opb(d) => {
-                d.bind_module(model);
-            }
-            Docks::Plb(d) => {
-                d.bind_module(model);
-            }
-        }
+        m.platform.dock.bind(model);
         self.active = Some(name.to_string());
         self.residents[slot_idx] = Some(name.to_string());
         self.slot_tick += 1;
@@ -973,36 +956,26 @@ impl ModuleManager {
         })
     }
 
-    /// Unloads the current module (loads the blank configuration).
-    pub fn unload(&mut self, m: &mut Machine) -> SimTime {
+    /// Unloads the current module (loads the blank configuration);
+    /// returns the reconfiguration time. A failed ICAP commit leaves the
+    /// module loaded.
+    pub fn unload(&mut self, m: &mut Machine) -> Result<SimTime, LoadError> {
         let (bs, _) = self.linker.blank_configuration();
         let start = m.cpu.now();
-        let mut t = start;
-        for &w in &bs.words {
-            t += m
-                .platform
-                .write(t, map::HWICAP_BASE + map::HWICAP_DATA, 4, w);
-        }
-        t += m
-            .platform
-            .write(t, map::HWICAP_BASE + map::HWICAP_CTL, 4, 1);
-        let done = t.max(m.platform.icap.busy_until());
-        m.cpu.advance_time_to(done);
-        match &mut m.platform.dock {
-            Docks::Opb(d) => d.unbind(),
-            Docks::Plb(d) => d.unbind(),
-        }
+        feed(m, &bs)?;
+        m.platform.dock.unbind();
         self.active = None;
         for r in &mut self.residents {
             *r = None;
         }
-        done - start
+        Ok(m.cpu.now() - start)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Docks;
     use crate::system::build_system;
     use dock::{ModuleOutput, NullModule};
     use vp2_netlist::busmacro::DockMacros;
@@ -1537,7 +1510,7 @@ mod tests {
         )
         .unwrap();
         mgr.load(&mut machine, "inv1").unwrap();
-        let t = mgr.unload(&mut machine);
+        let t = mgr.unload(&mut machine).unwrap();
         assert!(t > SimTime::ZERO);
         assert_eq!(mgr.loaded(), None);
         let Docks::Opb(d) = &machine.platform.dock else {

@@ -73,10 +73,7 @@ impl DynamicModule for EchoModule {
 /// Binds an echo module directly to the dock (the transfer experiments
 /// measure the data path, not a particular computation).
 pub fn bind_echo(m: &mut Machine) {
-    match &mut m.platform.dock {
-        Docks::Opb(d) => d.bind_module(Box::new(EchoModule::new())),
-        Docks::Plb(d) => d.bind_module(Box::new(EchoModule::new())),
-    }
+    m.platform.dock.bind(Box::new(EchoModule::new()));
 }
 
 const PROG_BASE: u32 = 0x1000;

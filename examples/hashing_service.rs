@@ -7,7 +7,9 @@
 //! cargo run --release --example hashing_service
 //! ```
 
-use vp2_repro::apps::{jenkins, sha1};
+use vp2_repro::apps::harness;
+use vp2_repro::apps::request::{factory_for, Driver};
+use vp2_repro::apps::{sha1, Request, Response, Work};
 use vp2_repro::rtr::{build_system, SystemKind};
 use vp2_repro::sim::SplitMix64;
 
@@ -49,20 +51,18 @@ fn main() {
             reconfigs += 1;
             loaded = Some(*algo);
         }
+        let request = Request::from(match algo {
+            Algo::Lookup2 => Work::Jenkins { key, initval: 0 },
+            Algo::Sha1 => Work::Sha1 { msg: key },
+        });
         let mut machine = build_system(kind);
-        let (t, digest) = match algo {
-            Algo::Lookup2 => {
-                let want = jenkins::hash_reference(&key, 0);
-                let (t, h) = jenkins::hw_run(&mut machine, &key, 0);
-                assert_eq!(h, want, "request {i} verified");
-                (t, format!("{h:08x}"))
-            }
-            Algo::Sha1 => {
-                let want = sha1::sha1_reference(&key);
-                let (t, d) = sha1::hw_run(&mut machine, &key);
-                assert_eq!(d, want, "request {i} verified");
-                (t, format!("{:08x}{:08x}...", d[0], d[1]))
-            }
+        harness::bind(&mut machine, factory_for(request.kernel())());
+        let (t, result) = Driver::new().run_hw(&mut machine, &request);
+        assert_eq!(result, request.reference(), "request {i} verified");
+        let digest = match result {
+            Response::Hash(h) => format!("{h:08x}"),
+            Response::Digest(d) => format!("{:08x}{:08x}...", d[0], d[1]),
+            other => unreachable!("a hash request answers with a hash: {other:?}"),
         };
         total += t;
         if i < 6 || i % 8 == 0 {

@@ -8,6 +8,8 @@
 //! ```
 
 use vp2_repro::apps::imaging::{self, ImagingModule, Task};
+use vp2_repro::apps::request::Driver;
+use vp2_repro::apps::{Request, Work};
 use vp2_repro::rtr::{build_system, SystemKind};
 use vp2_repro::sim::SplitMix64;
 
@@ -40,8 +42,14 @@ fn main() {
         let (hw_t, prep, got) = imaging::dma_run(&mut machine, task, &current, &frame_b, param);
         assert_eq!(got, want, "{task:?} hardware result verified");
 
+        let request = Request::from(Work::Imaging {
+            task,
+            a: current.clone(),
+            b: frame_b.clone(),
+            param,
+        });
         let mut machine_sw = build_system(kind);
-        let (sw_t, _) = imaging::sw_run(&mut machine_sw, task, &current, &frame_b, param);
+        let (sw_t, _) = Driver::new().run_sw(&mut machine_sw, &request);
 
         println!(
             "{:<24} sw {:>10}   hw(DMA) {:>10}   prep {:>10}   speedup {:>5.1}x",

@@ -7,6 +7,8 @@
 //! ```
 
 use vp2_repro::apps::patmatch::{self, BinaryImage, PatMatchModule};
+use vp2_repro::apps::request::Driver;
+use vp2_repro::apps::{Request, Work};
 use vp2_repro::rtr::manager::{LoadOutcome, ModuleManager};
 use vp2_repro::rtr::{build_system, SystemKind};
 
@@ -52,13 +54,15 @@ fn main() {
     // Run the task: hardware vs software.
     let image = BinaryImage::random(128, 64, 42);
     let pattern = [0xA5u8, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7];
-    let reference = patmatch::match_counts_reference(&image, &pattern);
+    let request = Request::from(Work::PatMatch { image, pattern });
+    let reference = request.reference();
 
-    let (hw_time, hw_counts) = patmatch::hw_run(&mut machine, &image, &pattern);
+    // The manager bound the pattern matcher, so the driver runs on it as is.
+    let (hw_time, hw_counts) = Driver::new().run_hw(&mut machine, &request);
     assert_eq!(hw_counts, reference, "hardware result verified");
 
     let mut machine_sw = build_system(kind);
-    let (sw_time, sw_counts) = patmatch::sw_run(&mut machine_sw, &image, &pattern);
+    let (sw_time, sw_counts) = Driver::new().run_sw(&mut machine_sw, &request);
     assert_eq!(sw_counts, reference, "software result verified");
 
     println!(

@@ -2,9 +2,50 @@
 //! reproduction's measurements. Each test quotes the prose it checks.
 //! EXPERIMENTS.md discusses the two documented deviations.
 
-use vp2_repro::apps::{imaging, jenkins, patmatch, sha1};
+use vp2_repro::apps::harness::Comparison;
+use vp2_repro::apps::imaging::{self, Task};
+use vp2_repro::apps::request::{compare, Driver};
+use vp2_repro::apps::{patmatch, sha1, Request, Response, Work};
 use vp2_repro::rtr::measure::{dma_transfer_time, program_transfer_time, TransferKind};
 use vp2_repro::rtr::{build_system, SystemKind};
+use vp2_repro::sim::SplitMix64;
+
+const PATTERN: [u8; 8] = [0xA5, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7];
+
+/// Pattern matching over a seeded random `w`×`h` image.
+fn patmatch_request(w: usize, h: usize, seed: u64) -> Request {
+    let image = patmatch::BinaryImage::random(w, h, seed);
+    Work::PatMatch {
+        image,
+        pattern: PATTERN,
+    }
+    .into()
+}
+
+/// `len` bytes from a SplitMix64 stream seeded with `seed`.
+fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    SplitMix64::new(seed).fill_bytes(&mut v);
+    v
+}
+
+/// A table-5 style imaging request on `n` pixels.
+fn imaging_request(task: Task, n: usize, seed: u64) -> Request {
+    let (a, b, param) = imaging::paper_inputs(task, n, seed);
+    Work::Imaging { task, a, b, param }.into()
+}
+
+/// Table 12's measurement: software on the 64-bit system against the DMA
+/// hardware path, with the data preparation reported separately.
+fn dma_comparison(task: Task, n: usize, seed: u64) -> Comparison {
+    let (a, b, param) = imaging::paper_inputs(task, n, seed);
+    let (hw, prep, got) =
+        imaging::dma_run(&mut build_system(SystemKind::Bit64), task, &a, &b, param);
+    let req = Request::from(Work::Imaging { task, a, b, param });
+    assert_eq!(Response::Image(got), req.reference(), "dma hw {task:?}");
+    let (sw, _) = Driver::new().run_sw(&mut build_system(SystemKind::Bit64), &req);
+    Comparison { sw, hw, prep }
+}
 
 /// "A decrease in transfer time between 4 and 6 times, depending on the
 /// transfer type, can be observed." (Table 7 vs Table 2.)
@@ -46,9 +87,7 @@ fn dma_beats_cpu_controlled() {
 /// "Speedup factors of more than 26 were obtained" (Table 3).
 #[test]
 fn patmatch_speedup_exceeds_26x_on_the_32bit_system() {
-    let img = patmatch::BinaryImage::random(96, 32, 5);
-    let pattern = [0xA5u8, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7];
-    let c = patmatch::compare(SystemKind::Bit32, &img, &pattern);
+    let c = compare(SystemKind::Bit32, &patmatch_request(96, 32, 5));
     assert!(c.speedup() > 26.0, "got {:.1}", c.speedup());
 }
 
@@ -56,10 +95,9 @@ fn patmatch_speedup_exceeds_26x_on_the_32bit_system() {
 /// hardware implementations perform considerably better." (Table 9.)
 #[test]
 fn patmatch_absolute_times_improve_on_the_64bit_system() {
-    let img = patmatch::BinaryImage::random(64, 16, 6);
-    let pattern = [0xA5u8, 0x3C, 0x7E, 0x81, 0x42, 0x99, 0x18, 0xE7];
-    let c32 = patmatch::compare(SystemKind::Bit32, &img, &pattern);
-    let c64 = patmatch::compare(SystemKind::Bit64, &img, &pattern);
+    let req = patmatch_request(64, 16, 6);
+    let c32 = compare(SystemKind::Bit32, &req);
+    let c64 = compare(SystemKind::Bit64, &req);
     assert!(c64.sw < c32.sw, "software improves");
     assert!(c64.hw < c32.hw, "hardware improves");
     assert!(
@@ -73,13 +111,17 @@ fn patmatch_absolute_times_improve_on_the_64bit_system() {
 /// system shows "a slightly better speedup" (Table 10).
 #[test]
 fn jenkins_speedup_is_modest_and_improves_slightly() {
-    let c32 = jenkins::compare(SystemKind::Bit32, 8192, 9);
+    let req = Request::from(Work::Jenkins {
+        key: seeded_bytes(8192, 9),
+        initval: 0x1234_5678,
+    });
+    let c32 = compare(SystemKind::Bit32, &req);
     assert!(
         (0.8..6.0).contains(&c32.speedup()),
         "32-bit: {:.2}",
         c32.speedup()
     );
-    let c64 = jenkins::compare(SystemKind::Bit64, 8192, 9);
+    let c64 = compare(SystemKind::Bit64, &req);
     assert!(
         c64.speedup() > c32.speedup() * 0.9,
         "64-bit at least comparable: {:.2} vs {:.2}",
@@ -110,7 +152,8 @@ fn sha1_fits_only_the_64bit_region() {
 /// hardware implementation."
 #[test]
 fn sha1_gains_considerably() {
-    let c = sha1::compare(SystemKind::Bit64, 4096, 10);
+    let msg = seeded_bytes(4096, 10);
+    let c = compare(SystemKind::Bit64, &Work::Sha1 { msg }.into());
     assert!(c.speedup() > 3.0, "got {:.2}", c.speedup());
 }
 
@@ -119,10 +162,15 @@ fn sha1_gains_considerably() {
 /// sets."
 #[test]
 fn sha1_software_overhead_shrinks_with_size() {
-    let mut m = build_system(SystemKind::Bit64);
-    let (t_small, _) = sha1::sw_run(&mut m, &[1u8; 64]);
-    let mut m = build_system(SystemKind::Bit64);
-    let (t_large, _) = sha1::sw_run(&mut m, &[1u8; 16384]);
+    let sw_time = |len: usize| {
+        let req = Request::from(Work::Sha1 {
+            msg: vec![1u8; len],
+        });
+        Driver::new()
+            .run_sw(&mut build_system(SystemKind::Bit64), &req)
+            .0
+    };
+    let (t_small, t_large) = (sw_time(64), sw_time(16384));
     let per_byte_small = t_small.as_ns_f64() / 64.0;
     let per_byte_large = t_large.as_ns_f64() / 16384.0;
     assert!(per_byte_small > 1.5 * per_byte_large);
@@ -134,9 +182,9 @@ fn sha1_software_overhead_shrinks_with_size() {
 #[test]
 fn imaging32_all_speedups_above_one_and_fade_beats_blend() {
     let n = 4096;
-    let bright = imaging::compare(SystemKind::Bit32, imaging::Task::Brightness, n, 31);
-    let blend = imaging::compare(SystemKind::Bit32, imaging::Task::Blend, n, 32);
-    let fade = imaging::compare(SystemKind::Bit32, imaging::Task::Fade, n, 33);
+    let bright = compare(SystemKind::Bit32, &imaging_request(Task::Brightness, n, 31));
+    let blend = compare(SystemKind::Bit32, &imaging_request(Task::Blend, n, 32));
+    let fade = compare(SystemKind::Bit32, &imaging_request(Task::Fade, n, 33));
     assert!(bright.speedup() > 1.0, "brightness {:.2}", bright.speedup());
     assert!(blend.speedup() > 1.0, "blend {:.2}", blend.speedup());
     assert!(fade.speedup() > 1.0, "fade {:.2}", fade.speedup());
@@ -155,9 +203,9 @@ fn imaging32_all_speedups_above_one_and_fade_beats_blend() {
 #[test]
 fn imaging64_dma_shape() {
     let n = 4096;
-    let bright = imaging::compare_dma(imaging::Task::Brightness, n, 41);
-    let blend = imaging::compare_dma(imaging::Task::Blend, n, 42);
-    let fade = imaging::compare_dma(imaging::Task::Fade, n, 43);
+    let bright = dma_comparison(Task::Brightness, n, 41);
+    let blend = dma_comparison(Task::Blend, n, 42);
+    let fade = dma_comparison(Task::Fade, n, 43);
     // Brightness profits most (no preparation).
     assert!(bright.speedup() > 2.0 * blend.speedup());
     assert!(bright.speedup() > 5.0, "brightness {:.2}", bright.speedup());
