@@ -31,6 +31,8 @@ cargo run --release --example image_pipeline > /dev/null
 cargo run --release --example service_traffic > /dev/null
 cargo run --release --example fault_tolerance > /dev/null
 cargo run --release --example cluster_traffic > /dev/null
+cargo run --release --example partial_reconfig_tour > /dev/null
+cargo run --release --example transfer_explorer > /dev/null
 
 echo "== observability smoke run =="
 # Scenario summaries land in the repo root as BENCH_*.json so every CI

@@ -67,12 +67,19 @@ pub fn reference_pixel(task: Task, a: u8, b: u8, param: i32) -> u8 {
     }
 }
 
-/// Reference over whole images.
+/// Reference over whole images (`b` is zero-filled where it is shorter
+/// than `a`). One loop per task: the match on `task` stays outside it.
 pub fn reference_image(task: Task, a: &[u8], b: &[u8], param: i32) -> Vec<u8> {
-    a.iter()
-        .zip(b.iter().chain(std::iter::repeat(&0)))
-        .map(|(&x, &y)| reference_pixel(task, x, y, param))
-        .collect()
+    fn each(a: &[u8], b: &[u8], f: impl Fn(u8, u8) -> u8) -> Vec<u8> {
+        let n = a.len().min(b.len());
+        let pairs = a[..n].iter().zip(&b[..n]).map(|(&x, &y)| f(x, y));
+        pairs.chain(a[n..].iter().map(|&x| f(x, 0))).collect()
+    }
+    match task {
+        Task::Brightness => each(a, b, |x, y| reference_pixel(Task::Brightness, x, y, param)),
+        Task::Blend => each(a, b, |x, y| reference_pixel(Task::Blend, x, y, param)),
+        Task::Fade => each(a, b, |x, y| reference_pixel(Task::Fade, x, y, param)),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -696,6 +703,33 @@ mod tests {
         assert_eq!(reference_pixel(Task::Fade, 100, 50, 256), 100);
         assert_eq!(reference_pixel(Task::Fade, 100, 50, 0), 50);
         assert_eq!(reference_pixel(Task::Fade, 100, 50, 128), 75);
+    }
+
+    #[test]
+    fn reference_image_is_reference_pixel_per_pixel() {
+        let per_pixel = |task, a: &[u8], b: &[u8], param| -> Vec<u8> {
+            let b = |i| b.get(i).copied().unwrap_or(0);
+            (0..a.len())
+                .map(|i| reference_pixel(task, a[i], b(i), param))
+                .collect()
+        };
+        let (a, b) = (rand_image(300, 3), rand_image(300, 4));
+        let cases = (-255..=255)
+            .map(|param| (Task::Brightness, param))
+            .chain([(Task::Blend, 0), (Task::Blend, -1)])
+            // Fade factors with bits above 0x1FF, which both forms mask off.
+            .chain((-600..=1200).step_by(7).map(|param| (Task::Fade, param)))
+            .chain([(Task::Fade, 0x7FFF_FE80), (Task::Fade, i32::MIN + 0x100)]);
+        for (task, param) in cases {
+            for b in [&b[..], &b[..123], &[]] {
+                assert_eq!(
+                    reference_image(task, &a, b, param),
+                    per_pixel(task, &a, b, param),
+                    "{task:?} param {param} |b| {}",
+                    b.len()
+                );
+            }
+        }
     }
 
     #[test]

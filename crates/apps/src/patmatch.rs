@@ -15,6 +15,12 @@
 //!   them; the driver reads one packed result word per write once the
 //!   pipeline is primed. Per 32-pixel word written the module produces 4
 //!   window results — the bit-parallelism the CPU cannot express.
+//! * **Host side**: the behavioural model and [`match_counts_reference`]
+//!   share one bit-parallel row kernel (`row_window` cuts a window row out
+//!   of two row words as a byte; `mismatches` XORs a window's eight packed
+//!   rows with the packed pattern and counts the differing pixels with one
+//!   `count_ones`), so both run at native speed. The gate-level netlist
+//!   stays the independent check of the model.
 
 use crate::harness::{self, run_asm, DST, SRC_A, SRC_B};
 use dock::{DynamicModule, ModuleOutput};
@@ -91,29 +97,40 @@ impl BinaryImage {
     }
 }
 
-/// Pattern bit: row `r`, column `j` → bit `7 - j` of byte `r`.
-fn pattern_bit(pattern: &[u8; 8], r: usize, j: usize) -> bool {
-    (pattern[r] >> (7 - j)) & 1 == 1
+/// The row kernel both host-side matchers share (this reference and the
+/// behavioural [`PatMatchModule`]): the 8 pixels starting at column `p`
+/// (`p <= 56`) of a big-endian pair of row words, as one byte.
+fn row_window(pair: u64, p: usize) -> u8 {
+    (pair >> (56 - p)) as u8
+}
+
+/// Mismatching pixels of a whole window: its eight row bytes packed with
+/// row `r` in byte `r`, XORed with the pattern packed the same way. One
+/// `count_ones` does the hardware's eight XNOR + popcount stages and their
+/// sum (as mismatches, so matches are `64 -` this).
+fn mismatches(window: u64, pattern: u64) -> u32 {
+    (window ^ pattern).count_ones()
 }
 
 /// Reference implementation: `counts[y][x]` = matching pixels of the
 /// window whose top-left corner is `(x, y)`.
 pub fn match_counts_reference(img: &BinaryImage, pattern: &[u8; 8]) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    for y in 0..=img.height - 8 {
-        let mut row = Vec::new();
-        for x in 0..=img.width - 8 {
-            let mut cnt = 0u8;
-            for r in 0..8 {
-                for j in 0..8 {
-                    if img.pixel(x + j, y + r) == pattern_bit(pattern, r, j) {
-                        cnt += 1;
-                    }
-                }
-            }
-            row.push(cnt);
+    let pattern = u64::from_le_bytes(*pattern);
+    // Column `x`'s window over the last 8 image rows, newest row in the top
+    // byte: each row's window bytes are extracted once and stay for the 8
+    // windows that cover the row.
+    let mut columns = vec![0u64; img.width - 7];
+    let mut out = Vec::with_capacity(img.height - 7);
+    for (y, row) in img.data.chunks(img.words_per_row()).enumerate() {
+        for (x, column) in columns.iter_mut().enumerate() {
+            let next = row.get(x / 32 + 1).copied().unwrap_or(0);
+            let window = row_window(u64::from(row[x / 32]) << 32 | u64::from(next), x % 32);
+            *column = *column >> 8 | u64::from(window) << 56;
         }
-        out.push(row);
+        if y >= 7 {
+            let counts = columns.iter().map(|&w| 64 - mismatches(w, pattern) as u8);
+            out.push(counts.collect());
+        }
     }
     out
 }
@@ -162,21 +179,11 @@ impl PatMatchModule {
     /// Count for the window starting at column `p` (0..32) of the `prev2`
     /// block (columns ≥ 32 spill into `prev`).
     fn window_count(&self, p: usize) -> u8 {
-        let mut cnt = 0u8;
-        for r in 0..8 {
-            for j in 0..8 {
-                let col = p + j;
-                let bit = if col < 32 {
-                    (self.prev2[r] >> (31 - col)) & 1 == 1
-                } else {
-                    (self.prev[r] >> (31 - (col - 32))) & 1 == 1
-                };
-                if bit == pattern_bit(&self.pattern, r, j) {
-                    cnt += 1;
-                }
-            }
-        }
-        cnt
+        let window = (0..8).fold(0u64, |window, r| {
+            let pair = u64::from(self.prev2[r]) << 32 | u64::from(self.prev[r]);
+            window | u64::from(row_window(pair, p)) << (8 * r)
+        });
+        64 - mismatches(window, u64::from_le_bytes(self.pattern)) as u8
     }
 }
 
@@ -755,6 +762,86 @@ mod tests {
 
     const PATTERN: [u8; 8] = [0b1010_1010, 0xFF, 0x00, 0x81, 0x42, 0x24, 0x18, 0x5A];
 
+    /// Pattern bit: row `r`, column `j` → bit `7 - j` of byte `r`.
+    fn pattern_bit(pattern: &[u8; 8], r: usize, j: usize) -> bool {
+        (pattern[r] >> (7 - j)) & 1 == 1
+    }
+
+    /// The per-pixel oracle: compares every pixel of every window.
+    fn naive_counts(img: &BinaryImage, pattern: &[u8; 8]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for y in 0..=img.height - 8 {
+            let mut row = Vec::new();
+            for x in 0..=img.width - 8 {
+                let mut cnt = 0u8;
+                for r in 0..8 {
+                    for j in 0..8 {
+                        if img.pixel(x + j, y + r) == pattern_bit(pattern, r, j) {
+                            cnt += 1;
+                        }
+                    }
+                }
+                row.push(cnt);
+            }
+            out.push(row);
+        }
+        out
+    }
+
+    #[test]
+    fn reference_matches_the_per_pixel_oracle() {
+        let mut rng = SplitMix64::new(0x0AC1E);
+        for width in [32, 64, 96, 128] {
+            for height in 8..=40 {
+                // Every image kind meets every pattern kind at each width.
+                let mut img = BinaryImage::random(width, height, rng.next_u64());
+                match height % 3 {
+                    0 => {}
+                    fill => img.data.fill(if fill == 1 { 0 } else { u32::MAX }),
+                }
+                let pattern: [u8; 8] = match (height / 3) % 3 {
+                    0 => std::array::from_fn(|_| rng.next_u32() as u8),
+                    1 => [0; 8],
+                    _ => [0xFF; 8],
+                };
+                assert_eq!(
+                    match_counts_reference(&img, &pattern),
+                    naive_counts(&img, &pattern),
+                    "{width}x{height} pattern {pattern:02x?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_count_matches_a_per_pixel_count_at_every_column() {
+        let mut rng = SplitMix64::new(0xB10C);
+        for _ in 0..64 {
+            let mut module = PatMatchModule::new();
+            module.pattern = std::array::from_fn(|_| rng.next_u32() as u8);
+            module.prev2 = std::array::from_fn(|_| rng.next_u32());
+            module.prev = std::array::from_fn(|_| rng.next_u32());
+            for p in 0..32 {
+                let mut want = 0u8;
+                for r in 0..8 {
+                    for j in 0..8 {
+                        let col = p + j;
+                        let word = if col < 32 {
+                            module.prev2[r]
+                        } else {
+                            module.prev[r]
+                        };
+                        let bit = (word >> (31 - col % 32)) & 1 == 1;
+                        if bit == pattern_bit(&module.pattern, r, j) {
+                            want += 1;
+                        }
+                    }
+                }
+                assert_eq!(module.window_count(p), want, "p = {p}");
+            }
+        }
+    }
+
     #[test]
     fn reference_self_match_is_64() {
         // An image equal to the tiled pattern matches perfectly at (0,0).
@@ -831,7 +918,7 @@ mod tests {
         let img = BinaryImage::random(96, 12, 0xFEED);
         let mut module = PatMatchModule::new();
         let got = drive_protocol(&mut module, &img, &PATTERN);
-        assert_eq!(got, match_counts_reference(&img, &PATTERN));
+        assert_eq!(got, naive_counts(&img, &PATTERN));
     }
 
     #[test]

@@ -95,6 +95,24 @@ fn main() {
         hw(SystemKind::Bit32, &patmatch_64x16)
     });
 
+    // The same kernel at a service-sized payload (2 KB) on the 64-bit
+    // system: ~16k window counts by the behavioural module per run.
+    let patmatch_64x256 = Request::from(Work::PatMatch {
+        image: patmatch::BinaryImage::random(64, 256, 2),
+        pattern: [0x5Au8, 0xC3, 0x0F, 0xF0, 0x66, 0x99, 0x3C, 0x81],
+    });
+    h.bench("patmatch/hw_64x256_bit64", || {
+        hw(SystemKind::Bit64, &patmatch_64x256)
+    });
+
+    // The host-side reference checks every served request is verified
+    // against.
+    h.bench("reference/patmatch_64x256", || patmatch_64x256.reference());
+    let (a16, b16) = (vec![0x80u8; 16384], vec![0x40u8; 16384]);
+    h.bench("reference/blend_16k", || {
+        imaging::reference_image(imaging::Task::Blend, &a16, &b16, 0)
+    });
+
     // Tables 4 / 10 / 11: hashing workloads.
     let key = vec![0xABu8; 4096];
     let jenkins_4k = Request::from(Work::Jenkins {
