@@ -22,6 +22,11 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings =="
+# A renamed, deleted or private name must not leave a dangling
+# intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== example smoke runs =="
 # Each example asserts its own results against the reference
 # implementations and exits non-zero on a mismatch.

@@ -22,11 +22,6 @@ pub const AUX: u32 = 0x2040_1900;
 /// Dock data window base.
 pub const DOCK: u32 = 0x8000_0000;
 
-/// Splits an address into `(high, low)` halves for `lis`/`ori` loading.
-pub fn hi_lo(addr: u32) -> (u32, u32) {
-    (addr >> 16, addr & 0xFFFF)
-}
-
 /// Assembles `src`, loads it, runs `entry` with `args`, returns
 /// `(elapsed, r3)`. Only the programs outside [`crate::request::Driver`]
 /// (table 12's DMA path and the software-quality ablation) run this way.

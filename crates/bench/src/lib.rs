@@ -447,7 +447,7 @@ pub fn figure(number: u32) -> String {
 /// Ablation: reconfiguration time, complete (BitLinker) vs differential
 /// partial bitstreams — the trade-off section 2.2 discusses.
 pub fn ablation_reconfig() -> TextTable {
-    use rtr_core::manager::{LoadOutcome, ModuleManager};
+    use rtr_core::manager::{feed, LoadOutcome, ModuleManager};
     let kind = SystemKind::Bit32;
     let mut t = TextTable::new(
         "Ablation: reconfiguration time (32-bit system, pattern matcher)",
@@ -479,36 +479,19 @@ pub fn ablation_reconfig() -> TextTable {
         ]);
     }
 
-    // Differential against the blank-region state.
+    // Differential against the blank-region state, fed like any load.
     let linker = rtr_core::system::bitlinker_for(kind);
     let blank_state = linker.expected_state(&[]).expect("blank state");
-    let (diff_bs, _) = linker
-        .link_differential(&comp, (0, 0), &blank_state)
-        .expect("links");
-    // Feed time: same per-word path as the manager uses.
+    let target = linker.expected_state(&[(&comp, (0, 0))]).expect("links");
+    let idcode = vp2_bitstream::idcode_for(kind.device().kind);
+    let diff_bs = vp2_bitstream::differential_bitstream(&blank_state, &target, idcode);
     let mut machine = build_system(kind);
-    use ppc405_sim::mem::MemoryPort;
     let start = machine.cpu.now();
-    let mut tm = start;
-    for &w in &diff_bs.words {
-        tm += machine.platform.write(
-            tm,
-            coreconnect_sim::map::HWICAP_BASE + coreconnect_sim::map::HWICAP_DATA,
-            4,
-            w,
-        );
-    }
-    tm += machine.platform.write(
-        tm,
-        coreconnect_sim::map::HWICAP_BASE + coreconnect_sim::map::HWICAP_CTL,
-        4,
-        1,
-    );
-    let done = tm.max(machine.platform.icap.busy_until());
+    feed(&mut machine, &diff_bs).expect("the differential stream commits");
     t.row(&[
         "differential (assumes blank region)".to_string(),
         diff_bs.word_count().to_string(),
-        fmt_sig((done - start).as_ms_f64()),
+        fmt_sig((machine.cpu.now() - start).as_ms_f64()),
     ]);
     t
 }

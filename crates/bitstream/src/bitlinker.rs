@@ -16,11 +16,20 @@
 //!
 //! All configurations used in the paper's experiments were produced by
 //! BitLinker; all partial configurations used in this reproduction's
-//! experiments are produced by this module.
+//! experiments are produced by this module, along one path:
+//! [`BitLinker::expected_state`] checks the fit, bus-macro and overlap
+//! contracts and builds the merged device state once, and every stream is
+//! [`partial_bitstream`] of that state over a frame list — the region's
+//! writable frames ([`BitLinker::link`], [`BitLinker::assemble`],
+//! [`BitLinker::blank_configuration`]), one sub-slot's frames (the module
+//! manager's per-slot images), or the frames that differ from an assumed
+//! current state
+//! ([`differential_bitstream`](crate::builder::differential_bitstream)).
 
 use crate::builder::partial_bitstream;
 use crate::packet::Bitstream;
-use vp2_fabric::config::{ConfigMemory, FrameAddress, FrameBlock};
+use std::collections::BTreeSet;
+use vp2_fabric::config::{ConfigMemory, FrameBlock, WORDS_PER_BRAM_BLOCK};
 use vp2_fabric::coords::ClbCoord;
 use vp2_fabric::region::DynamicRegion;
 use vp2_fabric::Device;
@@ -135,8 +144,6 @@ pub struct LinkReport {
     pub frames: usize,
     /// Stream length in words.
     pub words: usize,
-    /// CLBs occupied by the assembled components.
-    pub clbs_used: usize,
 }
 
 /// The BitLinker: bound to one device, one dynamic region and the static
@@ -200,12 +207,41 @@ impl BitLinker {
         self.assemble(&[(component, origin)])
     }
 
-    /// Assembles several components into one complete partial configuration.
+    /// Assembles several components into one complete partial configuration:
+    /// [`BitLinker::expected_state`] over every writable frame of the region.
     pub fn assemble(
         &self,
         parts: &[(&Component, (u16, u16))],
     ) -> Result<(Bitstream, LinkReport), AssembleError> {
-        // Fit + macro checks.
+        let merged = self.expected_state(parts)?;
+        let frames = self.region.writable_frames();
+        let bs = partial_bitstream(&merged, &frames, self.idcode);
+        let report = LinkReport {
+            frames: frames.len(),
+            words: bs.word_count(),
+        };
+        Ok((bs, report))
+    }
+
+    /// Produces the *empty region* configuration (unloads any module).
+    pub fn blank_configuration(&self) -> (Bitstream, LinkReport) {
+        self.assemble(&[])
+            .expect("an empty assembly has nothing to reject")
+    }
+
+    /// The merged full-device state a load of these parts establishes: the
+    /// static base with the region band erased, then every component
+    /// encoded at its origin. This is the one checked merge — each part
+    /// must fit the region and land its dock macros on an agreed
+    /// footprint, and no two parts may share a CLB — that every stream is
+    /// cut from: [`BitLinker::assemble`] takes the region's frames, the
+    /// module manager each sub-slot's frames, and
+    /// [`differential_bitstream`](crate::builder::differential_bitstream)
+    /// the frames that differ from an assumed current state.
+    pub fn expected_state(
+        &self,
+        parts: &[(&Component, (u16, u16))],
+    ) -> Result<ConfigMemory, AssembleError> {
         for &(comp, origin) in parts {
             let (w, h) = comp.extent();
             if origin.0 + w > self.region.width() || origin.1 + h > self.region.height() {
@@ -220,156 +256,25 @@ impl BitLinker {
             }
         }
         // Overlap check on CLB footprints (region-relative).
-        for (i, &(a, ao)) in parts.iter().enumerate() {
-            for &(b, bo) in &parts[i + 1..] {
-                let af: Vec<ClbCoord> = a
-                    .placement
+        let footprints: Vec<BTreeSet<ClbCoord>> = parts
+            .iter()
+            .map(|&(comp, origin)| {
+                comp.placement
                     .used_clbs()
                     .iter()
-                    .map(|c| ClbCoord::new(c.col + ao.0, c.row + ao.1))
-                    .collect();
-                let bf: Vec<ClbCoord> = b
-                    .placement
-                    .used_clbs()
-                    .iter()
-                    .map(|c| ClbCoord::new(c.col + bo.0, c.row + bo.1))
-                    .collect();
-                if af.iter().any(|c| bf.contains(c)) {
-                    return Err(AssembleError::Overlap {
-                        a: a.name.clone(),
-                        b: b.name.clone(),
-                    });
-                }
+                    .map(|c| ClbCoord::new(c.col + origin.0, c.row + origin.1))
+                    .collect()
+            })
+            .collect();
+        for (i, a) in footprints.iter().enumerate() {
+            if let Some(j) = (i + 1..parts.len()).find(|&j| !a.is_disjoint(&footprints[j])) {
+                return Err(AssembleError::Overlap {
+                    a: parts[i].0.name.clone(),
+                    b: parts[j].0.name.clone(),
+                });
             }
         }
 
-        // Merge: static base with the region band erased, then components.
-        let mut merged = self.static_base.clone();
-        self.erase_region_band(&mut merged);
-        let mut clbs_used = 0usize;
-        for &(comp, origin) in parts {
-            let dev_origin = ClbCoord::new(
-                self.region.cols.start + origin.0,
-                self.region.rows.start + origin.1,
-            );
-            let written = encode_placement(&comp.netlist, &comp.placement, dev_origin, &mut merged)
-                .map_err(|e| AssembleError::Encode(e.to_string()))?;
-            clbs_used += written.len();
-        }
-
-        // Complete configuration: every writable frame of the region.
-        let frames = self.region.writable_frames();
-        let bs = partial_bitstream(&merged, &frames, self.idcode);
-        let report = LinkReport {
-            frames: frames.len(),
-            words: bs.word_count(),
-            clbs_used,
-        };
-        Ok((bs, report))
-    }
-
-    /// Like [`BitLinker::link`], but emits only the given frames — the
-    /// complete configuration of one sub-slot of a multi-module
-    /// floorplan. Frames are per-column, so a sub-slot spanning a
-    /// distinct column range owns a disjoint frame set and the emitted
-    /// stream cannot disturb a co-resident neighbour.
-    pub fn link_frames(
-        &self,
-        component: &Component,
-        origin: (u16, u16),
-        frames: &[FrameAddress],
-    ) -> Result<(Bitstream, LinkReport), AssembleError> {
-        let merged = self.linked_state(component, origin)?;
-        let bs = partial_bitstream(&merged, frames, self.idcode);
-        let report = LinkReport {
-            frames: frames.len(),
-            words: bs.word_count(),
-            clbs_used: component.placement.clbs_used(),
-        };
-        Ok((bs, report))
-    }
-
-    /// The merged full-device state `link`/`link_frames` of one component
-    /// establishes (fit and macro contracts checked).
-    pub fn linked_state(
-        &self,
-        component: &Component,
-        origin: (u16, u16),
-    ) -> Result<ConfigMemory, AssembleError> {
-        let (w, h) = component.extent();
-        if origin.0 + w > self.region.width() || origin.1 + h > self.region.height() {
-            return Err(AssembleError::DoesNotFit {
-                component: component.name.clone(),
-                needed: (origin.0 + w, origin.1 + h),
-                region: (self.region.width(), self.region.height()),
-            });
-        }
-        for m in &component.macros {
-            self.check_macro(component, m, origin)?;
-        }
-        self.expected_state(&[(component, origin)])
-    }
-
-    /// Produces the *empty region* configuration (unloads any module).
-    pub fn blank_configuration(&self) -> (Bitstream, LinkReport) {
-        let mut merged = self.static_base.clone();
-        self.erase_region_band(&mut merged);
-        let frames = self.region.writable_frames();
-        let bs = partial_bitstream(&merged, &frames, self.idcode);
-        let words = bs.word_count();
-        (
-            bs,
-            LinkReport {
-                frames: frames.len(),
-                words,
-                clbs_used: 0,
-            },
-        )
-    }
-
-    /// Produces a **differential** configuration for the same load, relative
-    /// to an assumed current state — smaller and faster to load, but only
-    /// correct if the assumption holds (the ablation of design decision 4 in
-    /// DESIGN.md).
-    pub fn link_differential(
-        &self,
-        component: &Component,
-        origin: (u16, u16),
-        assumed_current: &ConfigMemory,
-    ) -> Result<(Bitstream, LinkReport), AssembleError> {
-        let mut merged = self.static_base.clone();
-        self.erase_region_band(&mut merged);
-        let dev_origin = ClbCoord::new(
-            self.region.cols.start + origin.0,
-            self.region.rows.start + origin.1,
-        );
-        encode_placement(
-            &component.netlist,
-            &component.placement,
-            dev_origin,
-            &mut merged,
-        )
-        .map_err(|e| AssembleError::Encode(e.to_string()))?;
-        let changed = merged.diff(assumed_current);
-        let bs = partial_bitstream(&merged, &changed, self.idcode);
-        let words = bs.word_count();
-        Ok((
-            bs,
-            LinkReport {
-                frames: changed.len(),
-                words,
-                clbs_used: component.placement.clbs_used(),
-            },
-        ))
-    }
-
-    /// The merged full-device state a `link` of these parts produces (used
-    /// by tests and by the module manager to know the expected post-load
-    /// state).
-    pub fn expected_state(
-        &self,
-        parts: &[(&Component, (u16, u16))],
-    ) -> Result<ConfigMemory, AssembleError> {
         let mut merged = self.static_base.clone();
         self.erase_region_band(&mut merged);
         for &(comp, origin) in parts {
@@ -389,36 +294,20 @@ impl BitLinker {
     fn erase_region_band(&self, mem: &mut ConfigMemory) {
         let band = ConfigMemory::row_word_range(self.region.rows.clone());
         for addr in self.region.writable_frames() {
+            let mut words = mem.frame(addr).words.clone();
             match addr.block {
                 FrameBlock::Clb { .. } | FrameBlock::BramInterconnect { .. } => {
-                    let mut words = mem.frame(addr).words.clone();
-                    for w in &mut words[band.clone()] {
-                        *w = 0;
-                    }
-                    mem.write_frame(addr, &words);
+                    words[band.clone()].fill(0);
                 }
-                FrameBlock::BramContent { .. } => {
-                    // BRAM blocks allocated to the region are cleared whole.
-                    let words = vec![0u32; mem.frame(addr).words.len()];
-                    let _ = words;
-                    // Only clear the blocks the region owns.
-                    let mut frame = mem.frame(addr).words.clone();
-                    for &(col, block) in &self.region.brams {
-                        if let FrameBlock::BramContent { col: c } = addr.block {
-                            if c == col {
-                                let base =
-                                    block as usize * vp2_fabric::config::WORDS_PER_BRAM_BLOCK;
-                                for w in &mut frame
-                                    [base..base + vp2_fabric::config::WORDS_PER_BRAM_BLOCK]
-                                {
-                                    *w = 0;
-                                }
-                            }
-                        }
+                FrameBlock::BramContent { col } => {
+                    // Only the BRAM blocks the region owns are cleared.
+                    for &(_, block) in self.region.brams.iter().filter(|&&(c, _)| c == col) {
+                        let base = block as usize * WORDS_PER_BRAM_BLOCK;
+                        words[base..base + WORDS_PER_BRAM_BLOCK].fill(0);
                     }
-                    mem.write_frame(addr, &frame);
                 }
             }
+            mem.write_frame(addr, &words);
         }
     }
 
@@ -464,17 +353,12 @@ impl BitLinker {
         }
         Ok(())
     }
-
-    /// Frame addresses a region reconfiguration writes (convenience).
-    pub fn region_frames(&self) -> Vec<FrameAddress> {
-        self.region.writable_frames()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::apply_bitstream;
+    use crate::builder::{apply_bitstream, differential_bitstream};
     use vp2_fabric::coords::{LutIndex, SliceIndex};
     use vp2_fabric::region::region_32bit;
     use vp2_fabric::DeviceKind;
@@ -543,7 +427,7 @@ mod tests {
         let lk = linker();
         let comp = make_component(0);
         let (bs, report) = lk.link(&comp, (0, 0)).unwrap();
-        assert_eq!(report.frames, lk.region_frames().len());
+        assert_eq!(report.frames, lk.region().writable_frames().len());
         assert!(report.words > report.frames, "frames carry payload");
         assert!(bs.parse().is_ok());
     }
@@ -605,18 +489,19 @@ mod tests {
         let b = make_component(2);
         // Differential for B assuming the region currently holds A.
         let state_a = lk.expected_state(&[(&a, (0, 0))]).unwrap();
-        let (diff_b, diff_report) = lk.link_differential(&b, (0, 0), &state_a).unwrap();
+        let state_b = lk.expected_state(&[(&b, (0, 0))]).unwrap();
+        let diff_b = differential_bitstream(&state_a, &state_b, crate::IDCODE_XC2VP7);
         let (_complete_b, full_report) = lk.link(&b, (0, 0)).unwrap();
         assert!(
-            diff_report.words < full_report.words,
+            diff_b.word_count() < full_report.words,
             "differential smaller: {} vs {}",
-            diff_report.words,
+            diff_b.word_count(),
             full_report.words
         );
         // Correct when the assumption holds…
         let mut good = state_a.clone();
         apply_bitstream(&diff_b, &mut good, crate::IDCODE_XC2VP7).unwrap();
-        assert_eq!(good, lk.expected_state(&[(&b, (0, 0))]).unwrap());
+        assert_eq!(good, state_b);
         // …wrong when it does not (region empty instead of holding A).
         let mut bad = lk.static_base.clone();
         // static_base still has pre-erase content in the band? erase to get
@@ -625,8 +510,7 @@ mod tests {
         apply_bitstream(&blank_bs, &mut bad, crate::IDCODE_XC2VP7).unwrap();
         apply_bitstream(&diff_b, &mut bad, crate::IDCODE_XC2VP7).unwrap();
         assert_ne!(
-            bad,
-            lk.expected_state(&[(&b, (0, 0))]).unwrap(),
+            bad, state_b,
             "differential config on the wrong initial state leaves stale bits"
         );
     }
@@ -637,6 +521,9 @@ mod tests {
         let comp = make_component(0);
         let err = lk.link(&comp, (20, 0)).unwrap_err();
         assert!(matches!(err, AssembleError::DoesNotFit { .. }), "{err}");
+        // The merged state every stream is cut from is checked the same
+        // way, so a differential stream cannot bypass the fit check.
+        assert_eq!(lk.expected_state(&[(&comp, (20, 0))]).unwrap_err(), err);
     }
 
     #[test]
@@ -646,6 +533,7 @@ mod tests {
         // Placing at a shifted origin moves the macro off its agreed sites.
         let err = lk.link(&comp, (1, 0)).unwrap_err();
         assert!(matches!(err, AssembleError::MacroMismatch { .. }), "{err}");
+        assert_eq!(lk.expected_state(&[(&comp, (1, 0))]).unwrap_err(), err);
     }
 
     #[test]
@@ -653,8 +541,10 @@ mod tests {
         let lk = linker();
         let a = make_component(1);
         let b = make_component(2);
-        let err = lk.assemble(&[(&a, (0, 0)), (&b, (0, 0))]).unwrap_err();
+        let parts = [(&a, (0, 0)), (&b, (0, 0))];
+        let err = lk.assemble(&parts).unwrap_err();
         assert!(matches!(err, AssembleError::Overlap { .. }), "{err}");
+        assert_eq!(lk.expected_state(&parts).unwrap_err(), err);
     }
 
     #[test]
@@ -668,7 +558,7 @@ mod tests {
         apply_bitstream(&blank, &mut mem, crate::IDCODE_XC2VP7).unwrap();
         // Region band is now all-zero in CLB frames.
         let band = ConfigMemory::row_word_range(lk.region().rows.clone());
-        for addr in lk.region_frames() {
+        for addr in lk.region().writable_frames() {
             if let FrameBlock::Clb { .. } = addr.block {
                 let frame = mem.frame(addr);
                 assert!(frame.words[band.clone()].iter().all(|&w| w == 0));

@@ -148,11 +148,12 @@ pub fn full_bitstream(mem: &ConfigMemory, idcode: u32) -> Bitstream {
 /// given frames (taken from `mem`). Frames are grouped into runs that are
 /// consecutive in device order, each run emitted as one FAR + FDRI pair.
 pub fn partial_bitstream(mem: &ConfigMemory, frames: &[FrameAddress], idcode: u32) -> Bitstream {
-    let order: Vec<FrameAddress> = mem.frame_addresses().collect();
-    let index_of = |a: &FrameAddress| order.iter().position(|x| x == a);
     let mut indexed: Vec<(usize, FrameAddress)> = frames
         .iter()
-        .map(|a| (index_of(a).expect("frame address valid for device"), *a))
+        .map(|&a| {
+            let i = mem.linear_index(a).expect("frame address valid for device");
+            (i, a)
+        })
         .collect();
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.dedup_by_key(|&mut (i, _)| i);
@@ -218,7 +219,6 @@ pub fn apply_bitstream_faulty(
     mut fault: Option<&mut FaultPlan>,
 ) -> Result<ApplyReport, ApplyError> {
     let packets = bs.parse().map_err(ApplyError::Parse)?;
-    let order: Vec<FrameAddress> = mem.frame_addresses().collect();
     let mut crc = CrcAccumulator::new();
     let mut wcfg = false;
     let mut far_index: Option<usize> = None;
@@ -267,9 +267,7 @@ pub fn apply_bitstream_faulty(
                 let raw = *data.first().ok_or(ApplyError::PartialFrame)?;
                 let addr = decode_far(raw).ok_or(ApplyError::BadFrameAddress(raw))?;
                 far_index = Some(
-                    order
-                        .iter()
-                        .position(|a| *a == addr)
+                    mem.linear_index(addr)
                         .ok_or(ApplyError::BadFrameAddress(raw))?,
                 );
             }
@@ -283,7 +281,7 @@ pub fn apply_bitstream_faulty(
                 let mut idx = far_index.ok_or(ApplyError::NoFrameAddress)?;
                 let mut off = 0usize;
                 while off < data.len() {
-                    let addr = *order.get(idx).ok_or(ApplyError::AddressOverflow)?;
+                    let addr = mem.frame_address(idx).ok_or(ApplyError::AddressOverflow)?;
                     let len = mem.frame(addr).words.len();
                     if off + len > data.len() {
                         return Err(ApplyError::PartialFrame);
@@ -505,6 +503,64 @@ mod tests {
         assert_eq!(
             apply_bitstream(&bs, &mut dst, ID).unwrap_err(),
             ApplyError::PartialFrame
+        );
+    }
+
+    /// Applies `packets` after the standard prologue to a blank memory.
+    fn apply_after_prologue(packets: Vec<Packet>) -> Result<ApplyReport, ApplyError> {
+        let mut stream = prologue(ID);
+        stream.extend(packets);
+        let bs = Bitstream::from_packets(&stream);
+        apply_bitstream(&bs, &mut ConfigMemory::new(&dev()), ID)
+    }
+
+    #[test]
+    fn far_off_the_device_rejected() {
+        // The FAR decodes, but the device has no CLB column 200.
+        let far = encode_far(FrameAddress {
+            block: vp2_fabric::config::FrameBlock::Clb { col: 200 },
+            minor: 0,
+        });
+        let packets = vec![Packet::Write {
+            reg: ConfigRegister::Far,
+            data: vec![far],
+        }];
+        assert_eq!(
+            apply_after_prologue(packets).unwrap_err(),
+            ApplyError::BadFrameAddress(far)
+        );
+    }
+
+    #[test]
+    fn fdri_past_the_last_frame_rejected() {
+        let mem = ConfigMemory::new(&dev());
+        let last = mem.frame_address(mem.frame_count() - 1).unwrap();
+        let len = mem.frame(last).words.len();
+        let packets = vec![
+            Packet::Write {
+                reg: ConfigRegister::Far,
+                data: vec![encode_far(last)],
+            },
+            Packet::Write {
+                reg: ConfigRegister::Fdri,
+                data: vec![0; 2 * len],
+            },
+        ];
+        assert_eq!(
+            apply_after_prologue(packets).unwrap_err(),
+            ApplyError::AddressOverflow
+        );
+    }
+
+    #[test]
+    fn fdri_before_any_far_rejected() {
+        let packets = vec![Packet::Write {
+            reg: ConfigRegister::Fdri,
+            data: vec![0; 88],
+        }];
+        assert_eq!(
+            apply_after_prologue(packets).unwrap_err(),
+            ApplyError::NoFrameAddress
         );
     }
 

@@ -17,8 +17,8 @@
 //!   literal words … ]
 //! ```
 //!
-//! Token bytes: `0..=253` index the dictionary, [`TOKEN_LITERAL`] (254)
-//! consumes the next literal word, [`TOKEN_RUN`] (255) is followed by a
+//! Token bytes: `0..=253` index the dictionary, `TOKEN_LITERAL` (254)
+//! consumes the next literal word, `TOKEN_RUN` (255) is followed by a
 //! count byte `n` repeating the previously decoded word `n + 1` more
 //! times. The coder is fully deterministic: the dictionary is the most
 //! frequent words ordered by (count desc, value asc).

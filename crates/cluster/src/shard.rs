@@ -9,9 +9,9 @@
 //!
 //! # Parallel flushes
 //!
-//! With a worker pool, [`Shard::flush`] ships the service (and the
+//! With a worker pool, `Shard::flush` ships the service (and the
 //! drained schedule) to a worker thread and keeps routing; the shard is
-//! then *in flight* until [`Shard::join`] receives the service back
+//! then *in flight* until `Shard::join` receives the service back
 //! along with the window it produced. Determinism rests on a single
 //! discipline — **join before read**: any accessor that needs live
 //! service state (`ready_at`, a `holds` fallback to the resident
@@ -170,11 +170,6 @@ impl Shard {
     /// is in flight (see [`Shard::service`]).
     pub fn sheds(&self, kernel: Kernel) -> bool {
         self.can_quarantine && self.service().quarantined(kernel)
-    }
-
-    /// Is a flush currently running on a worker thread?
-    pub fn in_flight(&self) -> bool {
-        self.inflight.is_some()
     }
 
     /// Waits for the outstanding flush (if any) and folds its window in.

@@ -241,11 +241,6 @@ impl Platform {
         });
     }
 
-    /// The installed burst plan, for reading its counters.
-    pub fn seu_plan(&self) -> Option<&BurstPlan> {
-        self.seu.as_ref().map(|s| &s.plan)
-    }
-
     /// Materializes every ambient upset with a timestamp up to `now`
     /// into live configuration memory; returns upsets applied. Called
     /// at the deterministic sync points where configuration state is

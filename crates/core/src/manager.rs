@@ -221,9 +221,11 @@ impl std::error::Error for LoadError {}
 /// Feeds every word to the HWICAP data register over the bus, then hits
 /// the control register. This is the paper's configuration path:
 /// CPU → OPB → HWICAP → ICAP. The CPU then waits for the ICAP to finish
-/// shifting. Shared by [`ModuleManager::load`]'s retry ladder and the
-/// background scrub repairs.
-fn feed(m: &mut Machine, bs: &Bitstream) -> Result<(), LoadError> {
+/// shifting, so the stream's configuration time is the advance of
+/// `m.cpu.now()`. Every stream the machine loads goes through here:
+/// [`ModuleManager::load`]'s retry ladder, the background scrub repairs,
+/// [`ModuleManager::unload`] and the reconfiguration ablation.
+pub fn feed(m: &mut Machine, bs: &Bitstream) -> Result<(), LoadError> {
     let mut t = m.cpu.now();
     for &w in &bs.words {
         t += m
@@ -603,7 +605,7 @@ impl ModuleManager {
         let mut linked = Vec::new();
         for slot in &self.slot_plan.slots {
             let slot_origin = (slot.cols.start + origin.0, origin.1);
-            match self.linker.linked_state(component, slot_origin) {
+            match self.linker.expected_state(&[(component, slot_origin)]) {
                 Ok(expected) => {
                     let bs = vp2_bitstream::partial_bitstream(&expected, &slot.frames, idcode);
                     linked.push((slot.index, Arc::new((bs, expected))));
@@ -639,11 +641,6 @@ impl ModuleManager {
     /// Health counters for a registered module (None until its first load).
     pub fn module_health(&self, name: &str) -> Option<&ModuleHealth> {
         self.health.get(name)
-    }
-
-    /// Slices a registered module occupies (reports).
-    pub fn module_slices(&self, name: &str) -> Option<usize> {
-        self.modules.get(name).map(|m| m.component.slices_used())
     }
 
     /// Loads `name` into the dynamic region (no-op if already resident).

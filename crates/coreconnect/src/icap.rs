@@ -169,10 +169,12 @@ impl HwIcap {
         }
     }
 
-    /// Convenience for the module manager: feeds and commits an entire
-    /// bitstream, returning `(completion_time, report)`. The feed time
-    /// (CPU/OPB side) is charged by the machine per word; this accounts only
-    /// for the ICAP shift side.
+    /// Feeds and commits an entire bitstream in one call, returning
+    /// `(completion_time, report)`. It accounts only for the ICAP shift
+    /// side and is used by this module's unit tests; a simulated machine
+    /// instead writes each word over the bus to the data register (the
+    /// CPU/OPB feed cost the reconfiguration time is made of) and then
+    /// commits through the control register.
     pub fn load_bitstream(
         &mut self,
         now: SimTime,

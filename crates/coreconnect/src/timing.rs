@@ -120,12 +120,6 @@ impl Bus {
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
     }
-
-    /// Resets occupancy and statistics (between measurement runs).
-    pub fn reset_stats(&mut self) {
-        self.transactions = 0;
-        self.beats = 0;
-    }
 }
 
 #[cfg(test)]

@@ -67,20 +67,10 @@ impl GateLevelModule {
         }
     }
 
-    /// Width of the write channel.
-    pub fn din_width(&self) -> usize {
-        self.sim.input_width("din")
-    }
-
     /// Clocks the module once *without* the strobe (idle cycle).
     pub fn idle_cycle(&mut self) {
         self.sim.set_input("wr", 0);
         self.sim.step();
-    }
-
-    /// Access to the underlying simulator (equivalence tests).
-    pub fn simulator_mut(&mut self) -> &mut Simulator {
-        &mut self.sim
     }
 }
 

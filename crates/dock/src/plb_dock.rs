@@ -127,12 +127,6 @@ impl PlbDock {
         self.module.read_at(offset)
     }
 
-    /// Read channel without a strobe (the high-half view of 32-bit CPU
-    /// loads — must not advance queue-producing modules).
-    pub fn peek_data(&self) -> u64 {
-        self.module.peek()
-    }
-
     /// FIFO occupancy.
     pub fn fifo_level(&self) -> usize {
         self.fifo.len()

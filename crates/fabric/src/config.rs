@@ -141,8 +141,9 @@ impl ConfigMemory {
         self.frames.len()
     }
 
-    /// Validates an address and maps it to the backing index.
-    fn linear_index(&self, addr: FrameAddress) -> Option<usize> {
+    /// Validates an address and maps it to its index in device order (the
+    /// order FAR auto-increment walks and [`Self::frame_addresses`] yields).
+    pub fn linear_index(&self, addr: FrameAddress) -> Option<usize> {
         let clb_frames = self.clb_cols as usize * MINORS_PER_CLB_COL as usize;
         let bri_frames = self.bram_cols as usize * MINORS_PER_BRAM_INTERCONNECT as usize;
         match addr.block {
@@ -166,27 +167,33 @@ impl ConfigMemory {
         }
     }
 
+    /// The inverse of [`Self::linear_index`]: the address of the frame at
+    /// `index` in device order, or `None` past the last frame.
+    pub fn frame_address(&self, index: usize) -> Option<FrameAddress> {
+        let clb_frames = self.clb_cols as usize * MINORS_PER_CLB_COL as usize;
+        let bri_frames = self.bram_cols as usize * MINORS_PER_BRAM_INTERCONNECT as usize;
+        let split = |i: usize, minors: u16| {
+            let (col, minor) = (i / minors as usize, i % minors as usize);
+            (col as u16, minor as u16)
+        };
+        let (block, minor) = if index < clb_frames {
+            let (col, minor) = split(index, MINORS_PER_CLB_COL);
+            (FrameBlock::Clb { col }, minor)
+        } else if index < clb_frames + bri_frames {
+            let (col, minor) = split(index - clb_frames, MINORS_PER_BRAM_INTERCONNECT);
+            (FrameBlock::BramInterconnect { col }, minor)
+        } else if index < self.frames.len() {
+            let (col, minor) = split(index - clb_frames - bri_frames, MINORS_PER_BRAM_CONTENT);
+            (FrameBlock::BramContent { col }, minor)
+        } else {
+            return None;
+        };
+        Some(FrameAddress { block, minor })
+    }
+
     /// Iterates over every frame address in linear (device) order.
     pub fn frame_addresses(&self) -> impl Iterator<Item = FrameAddress> + '_ {
-        let clb = (0..self.clb_cols).flat_map(|col| {
-            (0..MINORS_PER_CLB_COL).map(move |minor| FrameAddress {
-                block: FrameBlock::Clb { col },
-                minor,
-            })
-        });
-        let bri = (0..self.bram_cols).flat_map(|col| {
-            (0..MINORS_PER_BRAM_INTERCONNECT).map(move |minor| FrameAddress {
-                block: FrameBlock::BramInterconnect { col },
-                minor,
-            })
-        });
-        let brc = (0..self.bram_cols).flat_map(|col| {
-            (0..MINORS_PER_BRAM_CONTENT).map(move |minor| FrameAddress {
-                block: FrameBlock::BramContent { col },
-                minor,
-            })
-        });
-        clb.chain(bri).chain(brc)
+        (0..self.frames.len()).filter_map(|i| self.frame_address(i))
     }
 
     /// Reads a frame.
@@ -536,6 +543,16 @@ mod tests {
             block: FrameBlock::Clb { col: 99 },
             minor: 0,
         });
+    }
+
+    #[test]
+    fn frame_address_inverts_linear_index() {
+        let m = mem();
+        for (i, addr) in m.frame_addresses().enumerate() {
+            assert_eq!(m.linear_index(addr), Some(i));
+            assert_eq!(m.frame_address(i), Some(addr));
+        }
+        assert_eq!(m.frame_address(m.frame_count()), None);
     }
 
     #[test]

@@ -66,15 +66,6 @@ pub fn mux2_into(nl: &mut Netlist, a: NetId, b: NetId, s: NetId, out: NetId) {
     );
 }
 
-/// AND driving a pre-allocated net.
-pub fn and2_into(nl: &mut Netlist, a: NetId, b: NetId, out: NetId) {
-    nl.lut_into(
-        truth4(|a, b, _, _| a & b),
-        [Some(a), Some(b), None, None],
-        out,
-    );
-}
-
 /// 3-input XOR (full-adder sum).
 pub fn xor3(nl: &mut Netlist, a: NetId, b: NetId, c: NetId) -> NetId {
     nl.lut(
@@ -114,30 +105,9 @@ pub fn bus_xor(nl: &mut Netlist, a: &[NetId], b: &[NetId]) -> Bus {
     zip_map(nl, a, b, xor2)
 }
 
-/// Bitwise AND of two buses.
-pub fn bus_and(nl: &mut Netlist, a: &[NetId], b: &[NetId]) -> Bus {
-    zip_map(nl, a, b, and2)
-}
-
-/// Bitwise OR of two buses.
-pub fn bus_or(nl: &mut Netlist, a: &[NetId], b: &[NetId]) -> Bus {
-    zip_map(nl, a, b, or2)
-}
-
-/// Bitwise XNOR of two buses.
-pub fn bus_xnor(nl: &mut Netlist, a: &[NetId], b: &[NetId]) -> Bus {
-    zip_map(nl, a, b, xnor2)
-}
-
 /// Bitwise NOT of a bus.
 pub fn bus_not(nl: &mut Netlist, a: &[NetId]) -> Bus {
     a.iter().map(|&x| not(nl, x)).collect()
-}
-
-/// Per-bit 2:1 mux over two buses.
-pub fn bus_mux2(nl: &mut Netlist, a: &[NetId], b: &[NetId], s: NetId) -> Bus {
-    assert_eq!(a.len(), b.len(), "bus width mismatch");
-    a.iter().zip(b).map(|(&x, &y)| mux2(nl, x, y, s)).collect()
 }
 
 /// Ripple-carry adder; returns `(sum, carry_out)`.

@@ -86,19 +86,6 @@ impl Placement {
         s.len()
     }
 
-    /// Distinct CLBs used.
-    pub fn clbs_used(&self) -> usize {
-        let mut s: Vec<ClbCoord> = self
-            .luts
-            .values()
-            .map(|&(sc, _)| sc.clb)
-            .chain(self.ffs.values().map(|&(sc, _)| sc.clb))
-            .collect();
-        s.sort_unstable();
-        s.dedup();
-        s.len()
-    }
-
     /// Every CLB used, deduplicated and sorted (column-major).
     pub fn used_clbs(&self) -> Vec<ClbCoord> {
         let mut s: Vec<ClbCoord> = self
@@ -117,7 +104,6 @@ impl Placement {
 #[derive(Debug, Default)]
 pub struct AutoPlacer {
     lut_pins: HashMap<CellId, LutSite>,
-    ff_pins: HashMap<CellId, FfSite>,
 }
 
 impl AutoPlacer {
@@ -129,12 +115,6 @@ impl AutoPlacer {
     /// Pins a LUT cell to a fixed site (bus-macro contract).
     pub fn pin_lut(&mut self, cell: CellId, site: LutSite) -> &mut Self {
         self.lut_pins.insert(cell, site);
-        self
-    }
-
-    /// Pins a FF cell to a fixed site.
-    pub fn pin_ff(&mut self, cell: CellId, site: FfSite) -> &mut Self {
-        self.ff_pins.insert(cell, site);
         self
     }
 
@@ -162,15 +142,6 @@ impl AutoPlacer {
                 return Err(PlaceError::PinOutOfBounds(site.0));
             }
             if lut_taken.insert(site, cell).is_some() {
-                return Err(PlaceError::PinConflict(site.0));
-            }
-        }
-        let mut ff_taken: HashMap<FfSite, CellId> = HashMap::new();
-        for (&cell, &site) in &self.ff_pins {
-            if !in_bounds(site.0) {
-                return Err(PlaceError::PinOutOfBounds(site.0));
-            }
-            if ff_taken.insert(site, cell).is_some() {
                 return Err(PlaceError::PinConflict(site.0));
             }
         }
@@ -212,14 +183,9 @@ impl AutoPlacer {
             }
         }
 
-        let mut ffs = self.ff_pins.clone();
-        let mut ff_sites = Self::site_iter(width, height)
-            .map(|(sc, idx)| (sc, FfIndex(idx)))
-            .filter(|site| !ff_taken.contains_key(site));
+        let mut ffs = HashMap::new();
+        let mut ff_sites = Self::site_iter(width, height).map(|(sc, idx)| (sc, FfIndex(idx)));
         for &cell in &ff_cells {
-            if ffs.contains_key(&cell) {
-                continue;
-            }
             match ff_sites.next() {
                 Some(site) => {
                     ffs.insert(cell, site);
@@ -276,7 +242,7 @@ mod tests {
         assert_eq!(p.luts.len(), nl.lut_cell_count());
         assert_eq!(p.ffs.len(), nl.ff_cell_count());
         assert!(p.slices_used() > 0);
-        assert!(p.clbs_used() <= 16);
+        assert!(p.used_clbs().len() <= 16);
     }
 
     #[test]

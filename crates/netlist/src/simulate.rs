@@ -185,11 +185,6 @@ impl Simulator {
             self.step();
         }
     }
-
-    /// Reads a raw net value (diagnostics and tests).
-    pub fn net_value(&self, net: NetId) -> bool {
-        self.values[net.0 as usize]
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! write-allocate).
 //!
 //! The cache owns no memory — misses and writebacks go through the
-//! [`MemoryPort`](crate::mem::MemoryPort) and the consumed time is returned
+//! [`MemoryPort`] and the consumed time is returned
 //! to the CPU, so a D-cache miss on the 32-bit system is automatically more
 //! expensive than on the 64-bit system (slower bus, bridge crossing).
 //!

@@ -200,7 +200,7 @@ impl Cpu {
         self.irq_line
     }
 
-    /// Are external interrupts enabled (MSR[EE])?
+    /// Are external interrupts enabled (`MSR[EE]`)?
     pub fn interrupts_enabled(&self) -> bool {
         self.msr_ee
     }

@@ -1,7 +1,7 @@
 //! Instruction set: definition, encoding, decoding.
 //!
-//! Fixed 32-bit encoding: opcode in bits [31:26], `rD` [25:21], `rA`
-//! [20:16], `rB`/shift-amount [15:11], 16-bit immediate [15:0]. Branch
+//! Fixed 32-bit encoding: opcode in bits `[31:26]`, `rD` `[25:21]`,
+//! `rA` `[20:16]`, `rB`/shift-amount `[15:11]`, 16-bit immediate `[15:0]`. Branch
 //! displacements are signed word offsets relative to the branch's own
 //! address.
 

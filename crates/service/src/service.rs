@@ -44,8 +44,6 @@ pub struct ServiceConfig {
     pub batch: BatchPolicy,
     /// Kernels the service accepts (empty defaults to all six).
     pub kernels: Vec<Kernel>,
-    /// Check every response against the Rust reference implementation.
-    pub verify: bool,
     /// Per-frame configuration-corruption probability (0 disables fault
     /// injection entirely — the simulation is then bit-identical to a
     /// build without the fault plane).
@@ -56,8 +54,8 @@ pub struct ServiceConfig {
     /// repeated load failures.
     pub quarantine_cooldown: SimTime,
     /// Readmit quarantined kernels through a canary half-open probe:
-    /// after the cooldown, exactly one batch is admitted to hardware
-    /// with readback-verify forced on; success readmits the kernel,
+    /// after the cooldown, exactly one batch is admitted to hardware as
+    /// a probe; success readmits the kernel,
     /// failure re-quarantines it with exponential cooldown backoff
     /// (doubling per consecutive failed probe, capped at
     /// `quarantine_cooldown_cap`). Off = the pre-canary behavior, where
@@ -100,15 +98,15 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Cost-model scheduling over all kernels, with verification on and
-    /// fault injection off.
+    /// Cost-model scheduling over all kernels, with fault injection off.
+    /// Every response is checked against the Rust reference
+    /// implementation.
     pub fn new(kind: SystemKind) -> Self {
         ServiceConfig {
             kind,
             policy: Policy::CostModel,
             batch: BatchPolicy::FcfsDrain,
             kernels: Vec::new(),
-            verify: true,
             fault_rate: 0.0,
             fault_seed: 0x5EED_FA57,
             quarantine_cooldown: SimTime::from_ms(5),
@@ -655,9 +653,7 @@ impl Service {
             }
         }
         // A half-open kernel's first hardware batch is the canary probe:
-        // result verification is forced on so a still-broken region
-        // cannot slip back in unchecked, and the probe's outcome decides
-        // readmission versus a longer cooldown.
+        // its outcome decides readmission versus a longer cooldown.
         let canary = self.config.canary && use_hw && self.quarantine[kernel.index()].half_open;
         if canary {
             self.metrics.record_canary_probe();
@@ -668,7 +664,6 @@ impl Service {
                 },
             );
         }
-        let verify = self.config.verify || canary;
         let mut struck = false;
         if use_hw && swap_needed {
             match self.manager.load(&mut self.machine, kernel.module_name()) {
@@ -708,21 +703,19 @@ impl Service {
             };
             let mut served_hw = use_hw;
             let mut final_response = response;
-            if verify {
-                let reference = pending.request.reference();
-                if final_response != reference && use_hw {
-                    // Mis-executing hardware: recompute on the PPC405 so
-                    // the client still gets the right answer, and stop
-                    // trusting this kernel's hardware.
-                    self.metrics.record_hw_fallback();
-                    struck = true;
-                    let (_, sw_response) = self.driver.run_sw(&mut self.machine, &pending.request);
-                    final_response = sw_response;
-                    served_hw = false;
-                }
-                if final_response != reference {
-                    self.metrics.record_verify_failure();
-                }
+            let reference = pending.request.reference();
+            if final_response != reference && use_hw {
+                // Mis-executing hardware: recompute on the PPC405 so the
+                // client still gets the right answer, and stop trusting
+                // this kernel's hardware.
+                self.metrics.record_hw_fallback();
+                struck = true;
+                let (_, sw_response) = self.driver.run_sw(&mut self.machine, &pending.request);
+                final_response = sw_response;
+                served_hw = false;
+            }
+            if final_response != reference {
+                self.metrics.record_verify_failure();
             }
             // Latency is wall time on the simulated clock — it includes
             // queueing, the swap and the execution, not just the call.
@@ -965,7 +958,6 @@ mod tests {
         let svc32 = Service::new(ServiceConfig {
             policy: Policy::SwOnly,
             kernels: vec![Kernel::Sha1, Kernel::PatMatch],
-            verify: false,
             ..ServiceConfig::new(SystemKind::Bit32)
         });
         assert!(!svc32.hardware_available(Kernel::Sha1));

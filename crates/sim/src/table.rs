@@ -40,16 +40,6 @@ impl TextTable {
         }
     }
 
-    /// Overrides column alignments.
-    ///
-    /// # Panics
-    /// Panics if the length differs from the header length.
-    pub fn with_aligns(mut self, aligns: &[Align]) -> Self {
-        assert_eq!(aligns.len(), self.header.len(), "alignment arity mismatch");
-        self.aligns = aligns.to_vec();
-        self
-    }
-
     /// Appends one row.
     ///
     /// # Panics

@@ -8,7 +8,7 @@
 //! ```
 
 use vp2_repro::apps::patmatch;
-use vp2_repro::bitstream::{apply_bitstream, idcode_for};
+use vp2_repro::bitstream::{apply_bitstream, differential_bitstream, idcode_for};
 use vp2_repro::rtr::system::{bitlinker_for, static_base};
 use vp2_repro::rtr::SystemKind;
 
@@ -42,18 +42,17 @@ fn main() {
 
     // 3. Differential configuration: smaller, but state-dependent.
     let blank = linker.expected_state(&[]).expect("blank state");
-    let (diff, diff_report) = linker
-        .link_differential(&comp, (0, 0), &blank)
-        .expect("links");
+    let target = linker.expected_state(&[(&comp, (0, 0))]).expect("links");
+    let diff = differential_bitstream(&blank, &target, idcode);
     println!(
         "differential configuration:         {} frames, {} words ({} KiB)",
-        diff_report.frames,
-        diff_report.words,
+        target.diff(&blank).len(),
+        diff.word_count(),
         diff.byte_size() / 1024
     );
     println!(
         "→ the differential stream is {:.1}x smaller, but \"assumes an initial\n  state of the configuration resources\" — correct only over the state it\n  was diffed against (the paper's section 2.2 hazard).\n",
-        report.words as f64 / diff_report.words as f64
+        report.words as f64 / diff.word_count() as f64
     );
 
     // 4. Order-independence of complete configurations, shown by readback.

@@ -6,7 +6,7 @@ use vp2_repro::apps::imaging::{imaging_netlist, ImagingModule, Task};
 use vp2_repro::apps::patmatch::{build_component, patmatch_component, PatMatchModule};
 use vp2_repro::coreconnect::map;
 use vp2_repro::ppc::mem::MemoryPort;
-use vp2_repro::rtr::manager::{LoadError, LoadOutcome, ModuleManager};
+use vp2_repro::rtr::manager::{feed, LoadError, LoadOutcome, ModuleManager};
 use vp2_repro::rtr::{build_system, SystemKind};
 
 #[test]
@@ -120,22 +120,19 @@ fn icap_rejects_corrupted_stream_and_machine_survives() {
     let linker = vp2_repro::rtr::system::bitlinker_for(kind);
     let region = kind.region();
     let comp = patmatch_component(region.width(), region.height());
-    let (mut bs, _) = linker.link(&comp, (0, 0)).expect("links");
-    let mid = bs.words.len() / 2;
-    bs.words[mid] ^= 1;
+    let (bs, _) = linker.link(&comp, (0, 0)).expect("links");
+    let mut corrupted = bs.clone();
+    let mid = corrupted.words.len() / 2;
+    corrupted.words[mid] ^= 1;
 
-    let mut t = machine.cpu.now();
-    for &w in &bs.words {
-        t += machine
-            .platform
-            .write(t, map::HWICAP_BASE + map::HWICAP_DATA, 4, w);
-    }
-    t += machine
-        .platform
-        .write(t, map::HWICAP_BASE + map::HWICAP_CTL, 4, 1);
+    let err = feed(&mut machine, &corrupted).unwrap_err();
+    assert!(matches!(err, LoadError::Icap(_)), "{err}");
     // Status register reports the error.
-    let (status, _) = machine
-        .platform
-        .read(t, map::HWICAP_BASE + map::HWICAP_STATUS, 4);
+    let status_reg = map::HWICAP_BASE + map::HWICAP_STATUS;
+    let (status, _) = machine.platform.read(machine.cpu.now(), status_reg, 4);
     assert_eq!(status & 0b10, 0b10, "error bit set");
+    // The next clean stream commits and clears it.
+    feed(&mut machine, &bs).expect("a clean stream commits after a rejected one");
+    let (status, _) = machine.platform.read(machine.cpu.now(), status_reg, 4);
+    assert_eq!(status & 0b10, 0, "error bit cleared");
 }
