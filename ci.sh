@@ -12,6 +12,12 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q --workspace
 
+echo "== cargo test --release -p ppc405-sim =="
+# The cache's differential test against its array-of-structs oracle
+# draws a small operation budget in debug builds and a larger one in
+# release; this step runs the larger one.
+cargo test -q --release -p ppc405-sim
+
 echo "== benchmark package =="
 # benchmark/ is a workspace of its own, so the builds above never touch
 # it: build and test it here so a Service/Cluster/Federation API change

@@ -294,7 +294,7 @@ impl BitLinker {
     fn erase_region_band(&self, mem: &mut ConfigMemory) {
         let band = ConfigMemory::row_word_range(self.region.rows.clone());
         for addr in self.region.writable_frames() {
-            let mut words = mem.frame(addr).words.clone();
+            let words = mem.frame_mut(addr);
             match addr.block {
                 FrameBlock::Clb { .. } | FrameBlock::BramInterconnect { .. } => {
                     words[band.clone()].fill(0);
@@ -307,7 +307,6 @@ impl BitLinker {
                     }
                 }
             }
-            mem.write_frame(addr, &words);
         }
     }
 

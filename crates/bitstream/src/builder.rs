@@ -282,17 +282,14 @@ pub fn apply_bitstream_faulty(
                 let mut off = 0usize;
                 while off < data.len() {
                     let addr = mem.frame_address(idx).ok_or(ApplyError::AddressOverflow)?;
-                    let len = mem.frame(addr).words.len();
+                    let frame = mem.frame_mut(addr);
+                    let len = frame.len();
                     if off + len > data.len() {
                         return Err(ApplyError::PartialFrame);
                     }
-                    match fault.as_deref_mut().filter(|p| p.is_active()) {
-                        Some(plan) => {
-                            let mut words = data[off..off + len].to_vec();
-                            plan.corrupt_frame(&mut words);
-                            mem.write_frame(addr, &words);
-                        }
-                        None => mem.write_frame(addr, &data[off..off + len]),
+                    frame.copy_from_slice(&data[off..off + len]);
+                    if let Some(plan) = fault.as_deref_mut().filter(|p| p.is_active()) {
+                        plan.corrupt_frame(frame);
                     }
                     frames_written += 1;
                     off += len;

@@ -256,10 +256,7 @@ impl Platform {
         seu.plan.advance(now, &mut seu.pending);
         let struck = seu.pending.len();
         for u in &seu.pending {
-            let addr = seu.order[u.frame];
-            let mut words = self.config.frame(addr).words.clone();
-            apply_upset(&mut words, u.seed, u.flips);
-            self.config.write_frame(addr, &words);
+            apply_upset(self.config.frame_mut(seu.order[u.frame]), u.seed, u.flips);
         }
         self.seu = Some(seu);
         if struck > 0 && self.tracer.on() {
@@ -717,10 +714,7 @@ impl Platform {
                 map::HWICAP_DATA => self.icap.write_data(data),
                 map::HWICAP_CTL if data & 1 != 0 => {
                     // Commit; errors latch in the status register.
-                    let mut cfg =
-                        std::mem::replace(&mut self.config, ConfigMemory::new(&self.device));
-                    let _ = self.icap.commit(end, &mut cfg);
-                    self.config = cfg;
+                    let _ = self.icap.commit(end, &mut self.config);
                 }
                 _ => {}
             }

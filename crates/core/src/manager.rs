@@ -29,7 +29,7 @@ use rtr_configplane::{
     SlotPlanError,
 };
 use rtr_trace::{EventKind, Tracer};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use vp2_bitstream::{AssembleError, BitLinker, Bitstream, Component};
 use vp2_fabric::{ConfigMemory, FrameAddress};
@@ -475,13 +475,14 @@ impl ModuleManager {
         let now = m.cpu.now();
         self.scrub_stats.passes += 1;
         // The scrub domain: frames of every resident slot whose golden
-        // image is linked. Empty slots have no expected state to compare
-        // against — a fresh load rewrites them anyway.
-        let mut domain: Vec<(usize, FrameAddress)> = Vec::new();
+        // image is linked, each with that image's expected state. Empty
+        // slots have no expected state to compare against — a fresh load
+        // rewrites them anyway.
+        let mut domain: Vec<(usize, &ConfigMemory, FrameAddress)> = Vec::new();
         for slot in &self.slot_plan.slots {
             if let Some(name) = &self.residents[slot.index] {
-                if self.images.contains_key(&(name.clone(), slot.index)) {
-                    domain.extend(slot.frames.iter().map(|&f| (slot.index, f)));
+                if let Some(image) = self.images.get(&(name.clone(), slot.index)) {
+                    domain.extend(slot.frames.iter().map(|&f| (slot.index, &image.1, f)));
                 }
             }
         }
@@ -501,17 +502,13 @@ impl ModuleManager {
         let take = (policy.frames_per_pass as usize).min(len);
         let start = self.scrub_cursor % len;
         let mut read_words = 0usize;
-        let mut mismatched: Vec<(usize, FrameAddress)> = Vec::new();
+        let mut mismatched: Vec<(usize, &ConfigMemory, FrameAddress)> = Vec::new();
         for k in 0..take {
-            let (slot_idx, addr) = domain[(start + k) % len];
-            let name = self.residents[slot_idx]
-                .clone()
-                .expect("scrub domain only holds resident slots");
-            let expected = &self.images[&(name, slot_idx)].1;
+            let (slot_idx, expected, addr) = domain[(start + k) % len];
             let live = &m.platform.config.frame(addr).words;
             read_words += live.len();
             if live != &expected.frame(addr).words {
-                mismatched.push((slot_idx, addr));
+                mismatched.push((slot_idx, expected, addr));
             }
         }
         self.scrub_cursor = (start + take) % len;
@@ -532,17 +529,11 @@ impl ModuleManager {
             return;
         }
         let idcode = vp2_bitstream::idcode_for(m.platform.device.kind);
-        let slots: BTreeSet<usize> = mismatched.iter().map(|&(s, _)| s).collect();
-        for slot_idx in slots {
-            let addrs: Vec<FrameAddress> = mismatched
-                .iter()
-                .filter(|&&(s, _)| s == slot_idx)
-                .map(|&(_, a)| a)
-                .collect();
-            let name = self.residents[slot_idx]
-                .clone()
-                .expect("scrub domain only holds resident slots");
-            let expected = &self.images[&(name, slot_idx)].1;
+        // One repair stream per slot, in slot order.
+        mismatched.sort_by_key(|&(slot_idx, _, _)| slot_idx);
+        for group in mismatched.chunk_by(|a, b| a.0 == b.0) {
+            let expected = group[0].1;
+            let addrs: Vec<FrameAddress> = group.iter().map(|&(_, _, a)| a).collect();
             let patch = vp2_bitstream::partial_bitstream(expected, &addrs, idcode);
             feed(m, &patch).expect("scrub repair streams are well-formed");
             self.scrub_stats.repairs += 1;

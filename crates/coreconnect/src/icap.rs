@@ -168,25 +168,6 @@ impl HwIcap {
             }
         }
     }
-
-    /// Feeds and commits an entire bitstream in one call, returning
-    /// `(completion_time, report)`. It accounts only for the ICAP shift
-    /// side and is used by this module's unit tests; a simulated machine
-    /// instead writes each word over the bus to the data register (the
-    /// CPU/OPB feed cost the reconfiguration time is made of) and then
-    /// commits through the control register.
-    pub fn load_bitstream(
-        &mut self,
-        now: SimTime,
-        bs: &Bitstream,
-        mem: &mut ConfigMemory,
-    ) -> Result<(SimTime, ApplyReport), ApplyError> {
-        for &w in &bs.words {
-            self.write_data(w);
-        }
-        let report = self.commit(now, mem)?;
-        Ok((self.busy_until, report))
-    }
 }
 
 #[cfg(test)]
@@ -200,6 +181,22 @@ mod tests {
         HwIcap::new(ClockDomain::from_mhz("icap", 50), IDCODE_XC2VP7)
     }
 
+    /// Writes every word of `bs` to the data FIFO and commits it at `now`,
+    /// as the CPU does through the data and control registers; returns
+    /// the instant the shift completes and the apply report.
+    fn load(
+        port: &mut HwIcap,
+        now: SimTime,
+        bs: &Bitstream,
+        mem: &mut ConfigMemory,
+    ) -> (SimTime, ApplyReport) {
+        for &w in &bs.words {
+            port.write_data(w);
+        }
+        let report = port.commit(now, mem).unwrap();
+        (port.busy_until(), report)
+    }
+
     #[test]
     fn load_applies_and_times() {
         let dev = Device::new(DeviceKind::Xc2vp7);
@@ -208,7 +205,7 @@ mod tests {
         let bs = full_bitstream(&src, IDCODE_XC2VP7);
         let mut dst = ConfigMemory::new(&dev);
         let mut port = icap();
-        let (done, report) = port.load_bitstream(SimTime::ZERO, &bs, &mut dst).unwrap();
+        let (done, report) = load(&mut port, SimTime::ZERO, &bs, &mut dst);
         assert_eq!(dst, src);
         assert_eq!(report.words_total, bs.word_count());
         // One word per 20ns ICAP cycle.
@@ -253,7 +250,7 @@ mod tests {
         let mut port = icap();
         port.set_fault_plan(Some(vp2_bitstream::FaultPlan::new(1, 1.0)));
         // The commit reports success — no sticky error, CRC verified.
-        let (_, report) = port.load_bitstream(SimTime::ZERO, &bs, &mut dst).unwrap();
+        let (_, report) = load(&mut port, SimTime::ZERO, &bs, &mut dst);
         assert!(!port.error());
         assert_eq!(report.frames_written, src.frame_count());
         // Yet the fabric holds the wrong bits; readback sees them all.
@@ -306,8 +303,8 @@ mod tests {
         let mut mem = ConfigMemory::new(&dev);
         let bs = full_bitstream(&mem.clone(), IDCODE_XC2VP7);
         let mut port = icap();
-        let (done1, _) = port.load_bitstream(SimTime::ZERO, &bs, &mut mem).unwrap();
-        let (done2, _) = port.load_bitstream(SimTime::ZERO, &bs, &mut mem).unwrap();
+        let (done1, _) = load(&mut port, SimTime::ZERO, &bs, &mut mem);
+        let (done2, _) = load(&mut port, SimTime::ZERO, &bs, &mut mem);
         assert!(done2 >= done1 + SimTime::from_ns(20) * (bs.word_count() as u64));
     }
 }

@@ -207,28 +207,18 @@ impl ConfigMemory {
         &self.frames[idx]
     }
 
-    /// Writes a whole frame (the ICAP's FDRI path).
+    /// A frame's words, writable in place but not resizable. Every write to
+    /// configuration memory goes through it: the ICAP's FDRI path, the
+    /// logic encoders below, the BitLinker's region erase and the upset
+    /// process.
     ///
     /// # Panics
-    /// Panics on an invalid address or a length mismatch.
-    pub fn write_frame(&mut self, addr: FrameAddress, words: &[u32]) {
+    /// Panics on an invalid address (model bug, not data dependent).
+    pub fn frame_mut(&mut self, addr: FrameAddress) -> &mut [u32] {
         let idx = self
             .linear_index(addr)
             .unwrap_or_else(|| panic!("invalid frame address {addr}"));
-        assert_eq!(
-            self.frames[idx].words.len(),
-            words.len(),
-            "frame length mismatch at {addr}"
-        );
-        self.frames[idx].words.copy_from_slice(words);
-    }
-
-    /// Mutable access to a frame (used by the logic encoders below).
-    fn frame_mut(&mut self, addr: FrameAddress) -> &mut Frame {
-        let idx = self
-            .linear_index(addr)
-            .unwrap_or_else(|| panic!("invalid frame address {addr}"));
-        &mut self.frames[idx]
+        &mut self.frames[idx].words
     }
 
     /// Readback verification over an explicit frame set: addresses in
@@ -288,7 +278,7 @@ impl ConfigMemory {
     pub fn set_lut(&mut self, clb: ClbCoord, slice: SliceIndex, lut: LutIndex, truth: u16) {
         assert!(clb.row < self.rows, "row out of range");
         let (addr, word) = Self::lut_site(clb, slice);
-        let w = &mut self.frame_mut(addr).words[word];
+        let w = &mut self.frame_mut(addr)[word];
         let shift = 16 * u32::from(lut.0);
         *w = (*w & !(0xFFFFu32 << shift)) | (u32::from(truth) << shift);
     }
@@ -310,7 +300,7 @@ impl ConfigMemory {
         };
         let word = clb.row as usize * WORDS_PER_CLB_ROW;
         let shift = 8 * u32::from(slice.0) + 4 * u32::from(ff.0);
-        let w = &mut self.frame_mut(addr).words[word];
+        let w = &mut self.frame_mut(addr)[word];
         *w = (*w & !(0xFu32 << shift)) | (u32::from(nibble) << shift);
     }
 
@@ -338,8 +328,8 @@ impl ConfigMemory {
         };
         let base = clb.row as usize * WORDS_PER_CLB_ROW;
         let frame = self.frame_mut(addr);
-        frame.words[base] = value as u32;
-        frame.words[base + 1] = (value >> 32) as u32;
+        frame[base] = value as u32;
+        frame[base + 1] = (value >> 32) as u32;
     }
 
     /// Reads one routing-summary word.
@@ -363,7 +353,7 @@ impl ConfigMemory {
             minor,
         };
         let base = block as usize * WORDS_PER_BRAM_BLOCK;
-        self.frame_mut(addr).words[base..base + 9].copy_from_slice(words);
+        self.frame_mut(addr)[base..base + 9].copy_from_slice(words);
     }
 
     /// Reads 288 bits of BRAM content.
@@ -531,7 +521,7 @@ mod tests {
             minor: 5,
         };
         let data: Vec<u32> = (0..88).collect(); // 44 rows * 2 words
-        m.write_frame(addr, &data);
+        m.frame_mut(addr).copy_from_slice(&data);
         assert_eq!(m.frame(addr).words, data);
     }
 

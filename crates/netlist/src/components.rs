@@ -144,14 +144,6 @@ pub fn rotl(bus: &[NetId], n: usize) -> Bus {
     (0..w).map(|i| bus[(i + w - n) % w]).collect()
 }
 
-/// Logical shift left by `n`, filling with `fill` (usually a constant 0 net).
-pub fn shl(bus: &[NetId], n: usize, fill: NetId) -> Bus {
-    let w = bus.len();
-    (0..w)
-        .map(|i| if i < n { fill } else { bus[i - n] })
-        .collect()
-}
-
 /// Registers every bit of a bus; returns the Q bus.
 pub fn register(nl: &mut Netlist, d: &[NetId], ce: Option<NetId>) -> Bus {
     d.iter().map(|&bit| nl.ff(bit, false, ce)).collect()
@@ -338,6 +330,14 @@ mod tests {
     use super::*;
     use crate::graph::Netlist;
     use crate::simulate::Simulator;
+
+    /// Logical shift left by `n`, filling with `fill` (usually a constant 0 net).
+    fn shl(bus: &[NetId], n: usize, fill: NetId) -> Bus {
+        let w = bus.len();
+        (0..w)
+            .map(|i| if i < n { fill } else { bus[i - n] })
+            .collect()
+    }
 
     /// Builds a 2-input combinational fixture with `w`-bit ports a, b → o.
     fn harness2(w: u16, f: impl Fn(&mut Netlist, &[NetId], &[NetId]) -> Bus) -> Simulator {

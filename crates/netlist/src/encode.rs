@@ -129,19 +129,6 @@ pub fn encode_placement(
     device_clbs
 }
 
-/// Convenience: encodes a component into a blank configuration memory for
-/// `device`, returning the memory (used for partial-bitstream generation).
-pub fn encode_to_blank(
-    nl: &Netlist,
-    placement: &Placement,
-    origin: ClbCoord,
-    device: &vp2_fabric::Device,
-) -> Result<ConfigMemory, EncodeError> {
-    let mut mem = ConfigMemory::new(device);
-    encode_placement(nl, placement, origin, &mut mem)?;
-    Ok(mem)
-}
-
 /// Reads back a LUT truth table at a component-local site (test helper and
 /// the readback verification path).
 pub fn readback_lut(
@@ -178,6 +165,19 @@ mod tests {
     use crate::place::AutoPlacer;
     use vp2_fabric::config::{FrameAddress, FrameBlock};
     use vp2_fabric::{Device, DeviceKind};
+
+    /// Encodes a component into a blank configuration memory for `device`
+    /// and returns the memory.
+    fn encode_to_blank(
+        nl: &Netlist,
+        placement: &Placement,
+        origin: ClbCoord,
+        device: &vp2_fabric::Device,
+    ) -> Result<ConfigMemory, EncodeError> {
+        let mut mem = ConfigMemory::new(device);
+        encode_placement(nl, placement, origin, &mut mem)?;
+        Ok(mem)
+    }
 
     fn sample() -> (Netlist, Placement) {
         let mut nl = Netlist::new("sample");

@@ -7,6 +7,16 @@
 //! to the CPU, so a D-cache miss on the 32-bit system is automatically more
 //! expensive than on the 64-bit system (slower bus, bridge crossing).
 //!
+//! # Layout
+//!
+//! The lines are stored as parallel arrays, way `w` of set `s` at index
+//! `s * ways + w` in each. The dense tag array is the only validity
+//! record: an invalid line holds the `NO_TAG` sentinel, which no address
+//! can produce. A lookup reads only the set's tags, and a touch writes only
+//! the LRU stamp array; a line's 32 data bytes, its dirty bit and its
+//! decoded words are read only once the lookup has hit or the miss path has
+//! filled the line.
+//!
 //! # Predecoded instruction cache
 //!
 //! The instruction cache ([`Cache::instruction`]) keeps the decoded
@@ -30,27 +40,9 @@ const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
 /// Instruction words per line.
 const WORDS_PER_LINE: usize = LINE_BYTES / 4;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u32,
-    data: [u8; LINE_BYTES],
-    /// Higher = more recently used.
-    lru: u64,
-}
-
-impl Line {
-    fn empty() -> Self {
-        Line {
-            valid: false,
-            dirty: false,
-            tag: 0,
-            data: [0; LINE_BYTES],
-            lru: 0,
-        }
-    }
-}
+/// The tag of an invalid line. A real tag is `addr >> tag_shift` with a
+/// shift of at least [`LINE_SHIFT`], so it never has all 32 bits set.
+const NO_TAG: u32 = u32::MAX;
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,10 +58,16 @@ pub struct CacheStats {
 /// A set-associative write-back cache.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// Every line, way `w` of set `s` at index `s * ways + w`.
-    lines: Vec<Line>,
-    /// The decoded words of each line, indexed like `lines`; empty unless
-    /// this is an instruction cache.
+    /// Each line's tag, or [`NO_TAG`] while the line is invalid.
+    tags: Vec<u32>,
+    /// Each line's LRU stamp: higher = more recently used.
+    stamps: Vec<u64>,
+    /// Each line's bytes.
+    data: Vec<[u8; LINE_BYTES]>,
+    /// Each line's dirty bit; always false for an invalid line.
+    dirty: Vec<bool>,
+    /// The decoded words of each line; empty unless this is an
+    /// instruction cache.
     decoded: Vec<[Option<Instr>; WORDS_PER_LINE]>,
     ways: usize,
     set_mask: u32,
@@ -92,7 +90,10 @@ impl Cache {
         let nsets = lines / ways;
         assert!(nsets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            lines: vec![Line::empty(); lines],
+            tags: vec![NO_TAG; lines],
+            stamps: vec![0; lines],
+            data: vec![[0; LINE_BYTES]; lines],
+            dirty: vec![false; lines],
             decoded: Vec::new(),
             ways,
             set_mask: (nsets - 1) as u32,
@@ -106,7 +107,7 @@ impl Cache {
     /// every resident line, read by [`Cache::fetch`].
     pub fn instruction(size_bytes: usize, ways: usize) -> Self {
         let mut cache = Cache::new(size_bytes, ways);
-        cache.decoded = vec![[None; WORDS_PER_LINE]; cache.lines.len()];
+        cache.decoded = vec![[None; WORDS_PER_LINE]; cache.tags.len()];
         cache
     }
 
@@ -129,7 +130,7 @@ impl Cache {
     #[inline]
     fn touch(&mut self, i: usize) {
         self.tick += 1;
-        self.lines[i].lru = self.tick;
+        self.stamps[i] = self.tick;
     }
 
     /// Index of the valid line holding `addr`, if resident.
@@ -137,10 +138,17 @@ impl Cache {
     fn find(&self, addr: u32) -> Option<usize> {
         let base = self.set_base(addr);
         let tag = addr >> self.tag_shift;
-        self.lines[base..base + self.ways]
+        self.tags[base..base + self.ways]
             .iter()
-            .position(|l| l.valid && l.tag == tag)
+            .position(|&t| t == tag)
             .map(|way| base + way)
+    }
+
+    /// Marks line `i` invalid, dropping its dirty bit with it.
+    #[inline]
+    fn invalidate(&mut self, i: usize) {
+        self.tags[i] = NO_TAG;
+        self.dirty[i] = false;
     }
 
     /// Ensures the line containing `addr` is resident, counting one hit or
@@ -173,34 +181,35 @@ impl Cache {
     ) -> (usize, SimTime) {
         self.stats.misses += 1;
         let base = self.set_base(addr);
-        let set = &self.lines[base..base + self.ways];
+        let set = base..base + self.ways;
         // Victim: invalid first, else LRU.
-        let way = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("ways > 0")
-        });
+        let way = self.tags[set.clone()]
+            .iter()
+            .position(|&t| t == NO_TAG)
+            .unwrap_or_else(|| {
+                self.stamps[set]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &stamp)| stamp)
+                    .map(|(i, _)| i)
+                    .expect("ways > 0")
+            });
         let i = base + way;
         let mut spent = SimTime::ZERO;
-        // Write back a dirty victim.
-        if self.lines[i].valid && self.lines[i].dirty {
+        // Write back a dirty victim (an invalid line is never dirty).
+        if self.dirty[i] {
             self.stats.writebacks += 1;
             let victim_addr =
-                (self.lines[i].tag << self.tag_shift) | (addr & (self.set_mask << LINE_SHIFT));
-            spent += mem.write_line(now + spent, victim_addr, &self.lines[i].data);
+                (self.tags[i] << self.tag_shift) | (addr & (self.set_mask << LINE_SHIFT));
+            spent += mem.write_line(now + spent, victim_addr, &self.data[i]);
         }
-        let mut buf = [0u8; LINE_BYTES];
-        spent += mem.read_line(now + spent, Self::line_base(addr), &mut buf);
+        spent += mem.read_line(now + spent, Self::line_base(addr), &mut self.data[i]);
         if let Some(decoded) = self.decoded.get_mut(i) {
-            *decoded = std::array::from_fn(|w| decode(word_at(&buf, 4 * w)));
+            let buf = &self.data[i];
+            *decoded = std::array::from_fn(|w| decode(word_at(buf, 4 * w)));
         }
-        let line = &mut self.lines[i];
-        line.valid = true;
-        line.dirty = false;
-        line.tag = addr >> self.tag_shift;
-        line.data = buf;
+        self.tags[i] = addr >> self.tag_shift;
+        self.dirty[i] = false;
         self.touch(i);
         (i, spent)
     }
@@ -216,7 +225,7 @@ impl Cache {
     ) -> (u32, SimTime) {
         let (i, spent) = self.fill(now, addr, mem);
         let off = (addr as usize) & (LINE_BYTES - 1);
-        let d = &self.lines[i].data;
+        let d = &self.data[i];
         let v = match size {
             1 => u32::from(d[off]),
             2 => u32::from(u16::from_be_bytes(d[off..off + 2].try_into().unwrap())),
@@ -248,7 +257,7 @@ impl Cache {
     #[inline]
     pub(crate) fn decoded(&self, line: usize, addr: u32) -> Result<Instr, u32> {
         let w = (addr as usize >> 2) & (WORDS_PER_LINE - 1);
-        self.decoded[line][w].ok_or_else(|| word_at(&self.lines[line].data, 4 * w))
+        self.decoded[line][w].ok_or_else(|| word_at(&self.data[line], 4 * w))
     }
 
     /// Counts `n` further hits on the resident line `line`: the state `n`
@@ -259,7 +268,7 @@ impl Cache {
     pub(crate) fn charge_hits(&mut self, line: usize, n: u64) {
         self.stats.hits += n;
         self.tick += n;
-        self.lines[line].lru = self.tick;
+        self.stamps[line] = self.tick;
     }
 
     /// Cached write (write-back, write-allocate); returns time spent.
@@ -279,14 +288,14 @@ impl Cache {
         );
         let (i, spent) = self.fill(now, addr, mem);
         let off = (addr as usize) & (LINE_BYTES - 1);
-        let line = &mut self.lines[i];
+        let line = &mut self.data[i];
         match size {
-            1 => line.data[off] = data as u8,
-            2 => line.data[off..off + 2].copy_from_slice(&(data as u16).to_be_bytes()),
-            4 => line.data[off..off + 4].copy_from_slice(&data.to_be_bytes()),
+            1 => line[off] = data as u8,
+            2 => line[off..off + 2].copy_from_slice(&(data as u16).to_be_bytes()),
+            4 => line[off..off + 4].copy_from_slice(&data.to_be_bytes()),
             _ => panic!("bad size {size}"),
         }
-        line.dirty = true;
+        self.dirty[i] = true;
         spent
     }
 
@@ -302,11 +311,11 @@ impl Cache {
             return SimTime::ZERO;
         };
         let mut spent = SimTime::ZERO;
-        if self.lines[i].dirty {
+        if self.dirty[i] {
             self.stats.writebacks += 1;
-            spent += mem.write_line(now, Self::line_base(addr), &self.lines[i].data);
+            spent += mem.write_line(now, Self::line_base(addr), &self.data[i]);
         }
-        self.lines[i].valid = false;
+        self.invalidate(i);
         spent
     }
 
@@ -314,15 +323,14 @@ impl Cache {
     /// `dcbi` instruction — used before reading DMA-produced buffers.
     pub fn invalidate_line(&mut self, addr: u32) {
         if let Some(i) = self.find(addr) {
-            self.lines[i].valid = false;
+            self.invalidate(i);
         }
     }
 
     /// Invalidates everything (no writeback).
     pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.tags.fill(NO_TAG);
+        self.dirty.fill(false);
     }
 }
 
@@ -336,6 +344,7 @@ fn word_at(data: &[u8; LINE_BYTES], off: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::mem::FlatMem;
+    use vp2_sim::SplitMix64;
 
     #[test]
     fn read_hit_after_miss() {
@@ -474,7 +483,8 @@ mod tests {
                 let addr = 4 + 4 * (k as u32 % 7);
                 assert_eq!(fetched.fetch(SimTime::ZERO, addr, &mut m).0, Ok(Instr::Nop));
             }
-            assert_eq!(charged.lines, fetched.lines, "n = {n}: lines");
+            assert_eq!(charged.tags, fetched.tags, "n = {n}: tags");
+            assert_eq!(charged.stamps, fetched.stamps, "n = {n}: stamps");
             assert_eq!(charged.tick, fetched.tick, "n = {n}: tick");
             assert_eq!(charged.stats, fetched.stats, "n = {n}: stats");
         }
@@ -499,5 +509,372 @@ mod tests {
         c.read(SimTime::ZERO, addr + 64, 4, &mut m);
         c.read(SimTime::ZERO, addr + 128, 4, &mut m);
         assert_eq!(m.load_u32(addr), 0x0BAD_F00D);
+    }
+
+    /// The array-of-structs layout the cache had before its tags and
+    /// stamps moved into dense arrays, kept as the differential oracle:
+    /// one `Line` per way with its own valid bit, tag, stamp and data.
+    mod oracle {
+        use super::super::{word_at, CacheStats, LINE_BYTES, LINE_SHIFT, WORDS_PER_LINE};
+        use crate::isa::{decode, Instr};
+        use crate::mem::MemoryPort;
+        use vp2_sim::SimTime;
+
+        #[derive(Debug, Clone)]
+        struct Line {
+            valid: bool,
+            dirty: bool,
+            tag: u32,
+            data: [u8; LINE_BYTES],
+            lru: u64,
+        }
+
+        #[derive(Debug, Clone)]
+        pub struct Cache {
+            lines: Vec<Line>,
+            decoded: Vec<[Option<Instr>; WORDS_PER_LINE]>,
+            ways: usize,
+            set_mask: u32,
+            tag_shift: u32,
+            tick: u64,
+            pub stats: CacheStats,
+        }
+
+        impl Cache {
+            pub fn new(size_bytes: usize, ways: usize, instruction: bool) -> Self {
+                let lines = size_bytes / LINE_BYTES;
+                let nsets = lines / ways;
+                let empty = Line {
+                    valid: false,
+                    dirty: false,
+                    tag: 0,
+                    data: [0; LINE_BYTES],
+                    lru: 0,
+                };
+                Cache {
+                    lines: vec![empty; lines],
+                    decoded: if instruction {
+                        vec![[None; WORDS_PER_LINE]; lines]
+                    } else {
+                        Vec::new()
+                    },
+                    ways,
+                    set_mask: (nsets - 1) as u32,
+                    tag_shift: LINE_SHIFT + nsets.trailing_zeros(),
+                    tick: 0,
+                    stats: CacheStats::default(),
+                }
+            }
+
+            fn set_base(&self, addr: u32) -> usize {
+                ((addr >> LINE_SHIFT) & self.set_mask) as usize * self.ways
+            }
+
+            fn touch(&mut self, i: usize) {
+                self.tick += 1;
+                self.lines[i].lru = self.tick;
+            }
+
+            fn find(&self, addr: u32) -> Option<usize> {
+                let base = self.set_base(addr);
+                let tag = addr >> self.tag_shift;
+                self.lines[base..base + self.ways]
+                    .iter()
+                    .position(|l| l.valid && l.tag == tag)
+                    .map(|way| base + way)
+            }
+
+            fn fill<M: MemoryPort>(
+                &mut self,
+                now: SimTime,
+                addr: u32,
+                mem: &mut M,
+            ) -> (usize, SimTime) {
+                if let Some(i) = self.find(addr) {
+                    self.stats.hits += 1;
+                    self.touch(i);
+                    return (i, SimTime::ZERO);
+                }
+                self.stats.misses += 1;
+                let base = self.set_base(addr);
+                let set = &self.lines[base..base + self.ways];
+                let way = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
+                    set.iter()
+                        .enumerate()
+                        .min_by_key(|(_, l)| l.lru)
+                        .map(|(i, _)| i)
+                        .expect("ways > 0")
+                });
+                let i = base + way;
+                let mut spent = SimTime::ZERO;
+                if self.lines[i].valid && self.lines[i].dirty {
+                    self.stats.writebacks += 1;
+                    let victim_addr = (self.lines[i].tag << self.tag_shift)
+                        | (addr & (self.set_mask << LINE_SHIFT));
+                    spent += mem.write_line(now + spent, victim_addr, &self.lines[i].data);
+                }
+                let mut buf = [0u8; LINE_BYTES];
+                let line_addr = addr & !(LINE_BYTES as u32 - 1);
+                spent += mem.read_line(now + spent, line_addr, &mut buf);
+                if let Some(decoded) = self.decoded.get_mut(i) {
+                    *decoded = std::array::from_fn(|w| decode(word_at(&buf, 4 * w)));
+                }
+                let line = &mut self.lines[i];
+                line.valid = true;
+                line.dirty = false;
+                line.tag = addr >> self.tag_shift;
+                line.data = buf;
+                self.touch(i);
+                (i, spent)
+            }
+
+            pub fn read<M: MemoryPort>(
+                &mut self,
+                now: SimTime,
+                addr: u32,
+                size: u8,
+                mem: &mut M,
+            ) -> (u32, SimTime) {
+                let (i, spent) = self.fill(now, addr, mem);
+                let off = (addr as usize) & (LINE_BYTES - 1);
+                let d = &self.lines[i].data;
+                let v = match size {
+                    1 => u32::from(d[off]),
+                    2 => u32::from(u16::from_be_bytes([d[off], d[off + 1]])),
+                    _ => word_at(d, off),
+                };
+                (v, spent)
+            }
+
+            pub fn fetch<M: MemoryPort>(
+                &mut self,
+                now: SimTime,
+                addr: u32,
+                mem: &mut M,
+            ) -> (Result<Instr, u32>, SimTime) {
+                let (i, spent) = self.fill(now, addr, mem);
+                let w = (addr as usize >> 2) & (WORDS_PER_LINE - 1);
+                let instr = self.decoded[i][w].ok_or_else(|| word_at(&self.lines[i].data, 4 * w));
+                (instr, spent)
+            }
+
+            pub fn write<M: MemoryPort>(
+                &mut self,
+                now: SimTime,
+                addr: u32,
+                size: u8,
+                data: u32,
+                mem: &mut M,
+            ) -> SimTime {
+                let (i, spent) = self.fill(now, addr, mem);
+                let off = (addr as usize) & (LINE_BYTES - 1);
+                let line = &mut self.lines[i];
+                match size {
+                    1 => line.data[off] = data as u8,
+                    2 => line.data[off..off + 2].copy_from_slice(&(data as u16).to_be_bytes()),
+                    _ => line.data[off..off + 4].copy_from_slice(&data.to_be_bytes()),
+                }
+                line.dirty = true;
+                spent
+            }
+
+            pub fn flush_line<M: MemoryPort>(
+                &mut self,
+                now: SimTime,
+                addr: u32,
+                mem: &mut M,
+            ) -> SimTime {
+                let Some(i) = self.find(addr) else {
+                    return SimTime::ZERO;
+                };
+                let mut spent = SimTime::ZERO;
+                if self.lines[i].dirty {
+                    self.stats.writebacks += 1;
+                    let line_addr = addr & !(LINE_BYTES as u32 - 1);
+                    spent += mem.write_line(now, line_addr, &self.lines[i].data);
+                }
+                self.lines[i].valid = false;
+                spent
+            }
+
+            pub fn invalidate_line(&mut self, addr: u32) {
+                if let Some(i) = self.find(addr) {
+                    self.lines[i].valid = false;
+                }
+            }
+
+            pub fn invalidate_all(&mut self) {
+                for line in &mut self.lines {
+                    line.valid = false;
+                }
+            }
+        }
+    }
+
+    /// Flat memory that logs the address of every line written back.
+    #[derive(Clone)]
+    struct LoggedMem {
+        mem: FlatMem,
+        writebacks: Vec<u32>,
+    }
+
+    impl MemoryPort for LoggedMem {
+        fn read(&mut self, now: SimTime, addr: u32, size: u8) -> (u32, SimTime) {
+            self.mem.read(now, addr, size)
+        }
+        fn write(&mut self, now: SimTime, addr: u32, size: u8, data: u32) -> SimTime {
+            self.mem.write(now, addr, size, data)
+        }
+        fn read_line(&mut self, now: SimTime, addr: u32, buf: &mut [u8; LINE_BYTES]) -> SimTime {
+            self.mem.read_line(now, addr, buf)
+        }
+        fn write_line(&mut self, now: SimTime, addr: u32, buf: &[u8; LINE_BYTES]) -> SimTime {
+            self.writebacks.push(addr);
+            self.mem.write_line(now, addr, buf)
+        }
+        fn is_cacheable(&self, addr: u32) -> bool {
+            self.mem.is_cacheable(addr)
+        }
+    }
+
+    /// Operations per geometry and cache kind: a quick sweep in debug
+    /// builds, a deeper one in release.
+    const DIFF_OPS: usize = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        400_000
+    };
+
+    /// Drives the cache and the oracle with one seeded stream of
+    /// operations over an address span four times the cache's size, so
+    /// hits, conflict misses and dirty evictions all occur, and requires
+    /// equal values, times, statistics, write-back addresses and memory.
+    fn differential(size: usize, ways: usize, instruction: bool, seed: u64) {
+        let what = format!(
+            "{size} B {ways}-way {}",
+            if instruction { "I" } else { "D" }
+        );
+        let span = 4 * size as u32;
+        let mut rng = SplitMix64::new(seed);
+        let mut flat = FlatMem::new(span as usize);
+        rng.fill_bytes(&mut flat.bytes);
+        for addr in (0..span).step_by(8) {
+            flat.store_u32(addr, crate::isa::encode(Instr::Nop));
+        }
+        let mut mem = LoggedMem {
+            mem: flat,
+            writebacks: Vec::new(),
+        };
+        let mut oracle_mem = mem.clone();
+        let mut cache = if instruction {
+            Cache::instruction(size, ways)
+        } else {
+            Cache::new(size, ways)
+        };
+        let mut oracle = oracle::Cache::new(size, ways, instruction);
+        let mut now = SimTime::ZERO;
+        for op in 0..DIFF_OPS {
+            let size_log = rng.below(3) as u32;
+            let addr = (rng.below(u64::from(span)) as u32) & !((1 << size_log) - 1);
+            let bytes = 1u8 << size_log;
+            let spent = match rng.below(100) {
+                0 => {
+                    cache.invalidate_all();
+                    oracle.invalidate_all();
+                    SimTime::ZERO
+                }
+                1..=4 => {
+                    cache.invalidate_line(addr);
+                    oracle.invalidate_line(addr);
+                    SimTime::ZERO
+                }
+                5..=9 => {
+                    let t = cache.flush_line(now, addr, &mut mem);
+                    assert_eq!(
+                        t,
+                        oracle.flush_line(now, addr, &mut oracle_mem),
+                        "{what} op {op}: flush"
+                    );
+                    t
+                }
+                10..=39 if !instruction => {
+                    let data = rng.next_u32();
+                    let t = cache.write(now, addr, bytes, data, &mut mem);
+                    assert_eq!(
+                        t,
+                        oracle.write(now, addr, bytes, data, &mut oracle_mem),
+                        "{what} op {op}: write"
+                    );
+                    t
+                }
+                10..=39 => {
+                    // A block-engine run: one fill, then `n` hits charged
+                    // at once, against `n + 1` fetches in the same line.
+                    let pc = addr & !3;
+                    let n = rng.below(u64::from((LINE_BYTES as u32 - (pc & 31)) / 4));
+                    let (line, t) = cache.fill(now, pc, &mut mem);
+                    let (want, t_oracle) = oracle.fetch(now, pc, &mut oracle_mem);
+                    assert_eq!(
+                        (cache.decoded(line, pc), t),
+                        (want, t_oracle),
+                        "{what} op {op}: fill"
+                    );
+                    for k in 1..=n as u32 {
+                        let at = pc + 4 * k;
+                        assert_eq!(
+                            cache.decoded(line, at),
+                            oracle.fetch(now, at, &mut oracle_mem).0
+                        );
+                    }
+                    cache.charge_hits(line, n);
+                    t
+                }
+                40..=69 if instruction => {
+                    let pc = addr & !3;
+                    let got = cache.fetch(now, pc, &mut mem);
+                    assert_eq!(
+                        got,
+                        oracle.fetch(now, pc, &mut oracle_mem),
+                        "{what} op {op}: fetch"
+                    );
+                    got.1
+                }
+                _ => {
+                    let got = cache.read(now, addr, bytes, &mut mem);
+                    assert_eq!(
+                        got,
+                        oracle.read(now, addr, bytes, &mut oracle_mem),
+                        "{what} op {op}: read"
+                    );
+                    got.1
+                }
+            };
+            assert_eq!(cache.stats, oracle.stats, "{what} op {op}: stats");
+            now += spent + SimTime::from_ps(rng.below(5_000));
+        }
+        assert!(
+            cache.stats.hits > 0 && cache.stats.misses > 0,
+            "{what}: stream exercises both"
+        );
+        if !instruction {
+            assert!(
+                cache.stats.writebacks > 0,
+                "{what}: stream evicts dirty lines"
+            );
+        }
+        assert_eq!(
+            mem.writebacks, oracle_mem.writebacks,
+            "{what}: write-back addresses"
+        );
+        assert!(mem.mem.bytes == oracle_mem.mem.bytes, "{what}: memory");
+    }
+
+    #[test]
+    fn dense_layout_matches_the_line_struct_oracle() {
+        for (size, ways) in [(16 * 1024, 2), (128, 2), (1024, 4)] {
+            for instruction in [false, true] {
+                differential(size, ways, instruction, 0x5EED ^ size as u64 ^ ways as u64);
+            }
+        }
     }
 }

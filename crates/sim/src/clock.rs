@@ -21,6 +21,9 @@ pub struct ClockDomain {
     name: &'static str,
     /// Clock period in picoseconds.
     period_ps: u64,
+    /// `u64::MAX / period_ps`, the reciprocal `ClockDomain::phase`
+    /// multiplies by instead of dividing.
+    recip: u64,
 }
 
 impl ClockDomain {
@@ -35,10 +38,7 @@ impl ClockDomain {
     /// Panics if `mhz` is zero.
     pub const fn from_mhz(name: &'static str, mhz: u64) -> Self {
         assert!(mhz > 0, "clock frequency must be non-zero");
-        ClockDomain {
-            name,
-            period_ps: 1_000_000 / mhz,
-        }
+        ClockDomain::from_period_ps(name, 1_000_000 / mhz)
     }
 
     /// Creates a clock domain from an explicit period in picoseconds.
@@ -47,7 +47,11 @@ impl ClockDomain {
     /// Panics if `period_ps` is zero.
     pub const fn from_period_ps(name: &'static str, period_ps: u64) -> Self {
         assert!(period_ps > 0, "clock period must be non-zero");
-        ClockDomain { name, period_ps }
+        ClockDomain {
+            name,
+            period_ps,
+            recip: u64::MAX / period_ps,
+        }
     }
 
     /// Domain name.
@@ -80,6 +84,21 @@ impl ClockDomain {
         t.as_ps() / self.period_ps
     }
 
+    /// `ps % period_ps` without a division. With `2^64 − 1 = recip·p + b`
+    /// and `0 ≤ b < p`, the multiply-high `q = ⌊ps·recip / 2^64⌋` falls
+    /// short of `ps / p` by `ps·(b + 1) / (p·2^64) < 1`, so `q` is the
+    /// true quotient or one less, and one correction step finishes it.
+    #[inline]
+    fn phase(&self, ps: u64) -> u64 {
+        let q = ((u128::from(ps) * u128::from(self.recip)) >> 64) as u64;
+        let rem = ps - q * self.period_ps;
+        if rem >= self.period_ps {
+            rem - self.period_ps
+        } else {
+            rem
+        }
+    }
+
     /// The first clock edge at or after `t`.
     ///
     /// All domains are modelled as phase-aligned at t=0 (the boards derive
@@ -87,20 +106,19 @@ impl ClockDomain {
     /// realistic choice and keeps the simulation deterministic).
     #[inline]
     pub fn next_edge(&self, t: SimTime) -> SimTime {
-        let p = self.period_ps;
         let ps = t.as_ps();
-        let rem = ps % p;
+        let rem = self.phase(ps);
         if rem == 0 {
             t
         } else {
-            SimTime(ps - rem + p)
+            SimTime(ps - rem + self.period_ps)
         }
     }
 
     /// The first clock edge strictly after `t`.
     #[inline]
     pub fn edge_after(&self, t: SimTime) -> SimTime {
-        SimTime(self.next_edge(t).as_ps().max(t.as_ps() + 1)).pipe_align(self)
+        self.next_edge(SimTime(t.as_ps() + 1))
     }
 
     /// Time to wait from `t` until the next edge (zero if `t` is on an edge).
@@ -113,18 +131,6 @@ impl ClockDomain {
     #[inline]
     pub fn cycles_ceil(&self, d: SimTime) -> u64 {
         d.as_ps().div_ceil(self.period_ps)
-    }
-}
-
-/// Tiny private helper so `edge_after` stays branch-free and aligned.
-trait PipeAlign {
-    fn pipe_align(self, clk: &ClockDomain) -> SimTime;
-}
-
-impl PipeAlign for SimTime {
-    #[inline]
-    fn pipe_align(self, clk: &ClockDomain) -> SimTime {
-        clk.next_edge(self)
     }
 }
 
@@ -182,6 +188,63 @@ mod tests {
         for ps in 0..50_000 {
             let d = clk.sync_delay(SimTime::from_ps(ps));
             assert!(d < clk.period());
+        }
+    }
+
+    /// The `%` formulas the reciprocal replaced.
+    fn next_edge_by_rem(p: u64, t: u64) -> u64 {
+        let rem = t % p;
+        if rem == 0 {
+            t
+        } else {
+            t - rem + p
+        }
+    }
+
+    #[test]
+    fn reciprocal_edges_match_the_remainder_formula() {
+        // Every period the two systems, the ICAP and the JTAG TCK use,
+        // plus the extremes of the representable range.
+        let periods = [3_333, 5_000, 10_000, 20_000, 100_000, 1, 2, 7, u64::MAX / 3];
+        let mut rng = crate::SplitMix64::new(0xC10C);
+        for p in periods {
+            let clk = ClockDomain::from_period_ps("clk", p);
+            // The last edge that fits in a u64 and the ones before it.
+            let last = u64::MAX / p * p;
+            let mut ts = vec![0, 1, u64::MAX - 1, u64::MAX];
+            for k in [1, 2, 3, 1_000, 123_456_789, u64::MAX / p] {
+                let edge = k.saturating_mul(p).min(last);
+                ts.extend([edge.saturating_sub(1), edge, edge.saturating_add(1)]);
+            }
+            ts.extend((0..2_000).map(|_| rng.next_u64()));
+            ts.extend((0..2_000).map(|_| rng.below(1 << 40)));
+            ts.extend((0..200).map(|_| last - rng.below(p.min(last))));
+            for t in ts {
+                assert_eq!(clk.phase(t), t % p, "p = {p}, t = {t}: phase");
+                if t > last {
+                    continue; // the next edge is not representable
+                }
+                let want = next_edge_by_rem(p, t);
+                let at = SimTime(t);
+                assert_eq!(
+                    clk.next_edge(at),
+                    SimTime(want),
+                    "p = {p}, t = {t}: next_edge"
+                );
+                assert_eq!(
+                    clk.sync_delay(at),
+                    SimTime(want - t),
+                    "p = {p}, t = {t}: sync_delay"
+                );
+                if t < last {
+                    let strict = next_edge_by_rem(p, want.max(t + 1));
+                    assert_eq!(
+                        clk.edge_after(at),
+                        SimTime(strict),
+                        "p = {p}, t = {t}: edge_after"
+                    );
+                }
+            }
         }
     }
 

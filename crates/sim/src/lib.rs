@@ -1,19 +1,19 @@
-//! # vp2-sim — discrete-event simulation kernel
+//! # vp2-sim — simulation kernel
 //!
 //! Foundation crate for the platform-FPGA reproduction: simulated time with
 //! picosecond resolution, clock domains (the paper's systems mix 200/300 MHz
-//! CPU clocks with 50/100 MHz bus clocks), a deterministic event queue, online
-//! statistics, a tiny deterministic RNG, and plain-text table rendering used by
-//! the experiment harness.
+//! CPU clocks with 50/100 MHz bus clocks), online statistics, a tiny
+//! deterministic RNG, JSON, and plain-text table rendering used by the
+//! experiment harness.
 //!
-//! The kernel is deliberately small: the machine model in `rtr-core` owns all
-//! components concretely and uses [`EventQueue`] only for genuinely concurrent
-//! activities (DMA beats, FIFO drains, interrupt delivery). Everything here is
-//! `Send`, allocation-light and fully deterministic, in line with the
+//! The kernel is deliberately small and has no event queue: the machine model
+//! in `rtr-core` owns all components concretely and steps its concurrent
+//! activity (DMA bursts, FIFO drains, interrupt lines) directly from the
+//! platform's `advance` before every bus access. Everything here is `Send`,
+//! allocation-light and fully deterministic, in line with the
 //! data-race-freedom and predictability goals of HPC Rust.
 
 pub mod clock;
-pub mod events;
 pub mod json;
 pub mod rng;
 pub mod stats;
@@ -21,7 +21,6 @@ pub mod table;
 pub mod time;
 
 pub use clock::ClockDomain;
-pub use events::{EventQueue, Scheduled};
 pub use json::{Json, ParseError};
 pub use rng::SplitMix64;
 pub use stats::{Histogram, OnlineStats};
