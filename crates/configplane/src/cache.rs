@@ -14,15 +14,19 @@
 
 use std::collections::HashMap;
 
-/// FNV-1a accumulator for building cache keys out of heterogeneous
+/// Hash accumulator for building cache keys out of heterogeneous
 /// material (names, indices, frame words). Deterministic across runs and
-/// platforms.
+/// platforms. Bytes fold in as FNV-1a; a word folds in whole, in one
+/// rotate, xor and multiply, which is what keys over a slot's frames cost.
 #[derive(Debug, Clone, Copy)]
 pub struct Fingerprint(u64);
 
 impl Fingerprint {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    /// An odd multiplier with well-spread bits (FxHash's), so a word's high
+    /// bits reach the key's low bits within a few steps.
+    const WORD_MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
 
     /// A fresh accumulator at the FNV offset basis.
     pub fn new() -> Self {
@@ -44,9 +48,13 @@ impl Fingerprint {
         self.update_bytes(s.as_bytes())
     }
 
-    /// Folds a word into the hash.
+    /// Folds a word into the hash. Every step is a bijection of the state
+    /// for a fixed word and changes the state for a changed word, so two
+    /// sequences that differ in a single word never hash equal.
+    #[inline]
     pub fn update_u32(&mut self, w: u32) -> &mut Self {
-        self.update_bytes(&w.to_le_bytes())
+        self.0 = (self.0.rotate_left(5) ^ u64::from(w)).wrapping_mul(Self::WORD_MULTIPLIER);
+        self
     }
 
     /// Folds a 64-bit value into the hash.
@@ -269,5 +277,38 @@ mod tests {
         assert_ne!(a.finish(), c.finish());
         // Known FNV-1a vector: empty input = offset basis.
         assert_eq!(Fingerprint::new().finish(), 0xcbf2_9ce4_8422_2325);
+        // A key over a slot's frame words, as `ModuleManager::load` builds
+        // it, changes when any single bit of any word flips.
+        let mut state = 0xF1A9_u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let words: Vec<u32> = (0..4 * 41).map(|_| next() as u32).collect();
+        let key = |words: &[u32]| {
+            let mut fp = Fingerprint::new();
+            fp.update_str("sha1").update_u64(3);
+            for &w in words {
+                fp.update_u32(w);
+            }
+            fp.finish()
+        };
+        let base = key(&words);
+        for _ in 0..2000 {
+            let (at, bit) = (next() as usize % words.len(), next() % 32);
+            let mut flipped = words.clone();
+            flipped[at] ^= 1 << bit;
+            assert_ne!(key(&flipped), base, "word {at} bit {bit}");
+        }
+        for bit in 0..32 {
+            for at in [0, words.len() - 1] {
+                let mut flipped = words.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(key(&flipped), base, "word {at} bit {bit}");
+            }
+        }
     }
 }

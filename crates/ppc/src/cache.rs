@@ -14,31 +14,32 @@
 //! record: an invalid line holds the `NO_TAG` sentinel, which no address
 //! can produce. A lookup reads only the set's tags, and a touch writes only
 //! the LRU stamp array; a line's 32 data bytes, its dirty bit and its
-//! decoded words are read only once the lookup has hit or the miss path has
-//! filled the line.
+//! micro-op line are read only once the lookup has hit or the miss path
+//! has filled the line.
 //!
 //! # Predecoded instruction cache
 //!
-//! The instruction cache ([`Cache::instruction`]) keeps the decoded
-//! [`Instr`] of each of a line's eight words beside the line's bytes, so a
-//! fetch hit costs no `decode`. The invariant that makes this invisible:
-//! the decoded copy is written only in the miss path, from the very bytes
-//! that fill the line, and it is reachable only while the line is valid, so
-//! every invalidation drops both. A word that does not decode is cached as
-//! `None` and panics only when it executes. Like the modelled I-cache, the
-//! cache is not coherent with memory: code poked into memory while its line
-//! is resident stays stale until the line is invalidated
-//! (`Machine::load_program` invalidates the whole I-cache).
+//! The instruction cache ([`Cache::instruction`]) keeps each resident
+//! line translated into a micro-op line beside the line's bytes: its eight
+//! words as micro-ops with resolved operands, an end-of-line sentinel and
+//! the prefix sums of their base cycles (see the `uop` module), so a fetch
+//! hit costs no `decode` and the interpreter can charge a straight-line
+//! run at once. The invariant that makes this invisible: a micro-op line
+//! is written only in the miss path, from the very bytes that fill the
+//! line, and it is reachable only while the line is valid, so every
+//! invalidation drops both and every refill rebuilds it. A word that does
+//! not decode is held as an illegal micro-op that panics only when it
+//! executes. Like the modelled I-cache, the cache is not coherent with
+//! memory: code poked into memory while its line is resident stays stale
+//! until the line is invalidated (`Machine::load_program` invalidates the
+//! whole I-cache).
 
-use crate::isa::{decode, Instr};
 use crate::mem::{MemoryPort, LINE_BYTES};
+use crate::uop::MicroLine;
 use vp2_sim::SimTime;
 
 /// `log2(LINE_BYTES)`: the offset bits below the set index.
 const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
-
-/// Instruction words per line.
-const WORDS_PER_LINE: usize = LINE_BYTES / 4;
 
 /// The tag of an invalid line. A real tag is `addr >> tag_shift` with a
 /// shift of at least [`LINE_SHIFT`], so it never has all 32 bits set.
@@ -66,9 +67,8 @@ pub struct Cache {
     data: Vec<[u8; LINE_BYTES]>,
     /// Each line's dirty bit; always false for an invalid line.
     dirty: Vec<bool>,
-    /// The decoded words of each line; empty unless this is an
-    /// instruction cache.
-    decoded: Vec<[Option<Instr>; WORDS_PER_LINE]>,
+    /// Each line's micro-ops; empty unless this is an instruction cache.
+    micro: Vec<MicroLine>,
     ways: usize,
     set_mask: u32,
     /// `LINE_SHIFT + log2(sets)`: the address bits above the set index.
@@ -94,7 +94,7 @@ impl Cache {
             stamps: vec![0; lines],
             data: vec![[0; LINE_BYTES]; lines],
             dirty: vec![false; lines],
-            decoded: Vec::new(),
+            micro: Vec::new(),
             ways,
             set_mask: (nsets - 1) as u32,
             tag_shift: LINE_SHIFT + nsets.trailing_zeros(),
@@ -103,11 +103,11 @@ impl Cache {
         }
     }
 
-    /// Builds an instruction cache: [`Cache::new`] plus a decoded copy of
-    /// every resident line, read by [`Cache::fetch`].
+    /// Builds an instruction cache: [`Cache::new`] plus a micro-op
+    /// translation of every resident line, which the interpreter runs.
     pub fn instruction(size_bytes: usize, ways: usize) -> Self {
         let mut cache = Cache::new(size_bytes, ways);
-        cache.decoded = vec![[None; WORDS_PER_LINE]; cache.tags.len()];
+        cache.micro = vec![MicroLine::EMPTY; cache.tags.len()];
         cache
     }
 
@@ -152,10 +152,9 @@ impl Cache {
     }
 
     /// Ensures the line containing `addr` is resident, counting one hit or
-    /// one miss; returns `(line index, time_spent)`. The block engine
-    /// (`Cpu::run_block`) fills a line once, reads its words with
-    /// [`Cache::decoded`], and charges the further fetches with
-    /// [`Cache::charge_hits`].
+    /// one miss; returns `(line index, time_spent)`. The interpreter
+    /// fills a line once, runs its micro-ops ([`Cache::micro_line`]), and
+    /// charges the further fetches with [`Cache::charge_hits`].
     #[inline]
     pub(crate) fn fill<M: MemoryPort + ?Sized>(
         &mut self,
@@ -172,7 +171,7 @@ impl Cache {
     }
 
     /// The miss path of [`Cache::fill`]: picks a victim, writes it back if
-    /// dirty, and fills it (and its decoded copy) from memory.
+    /// dirty, and fills it (and its micro-op line) from memory.
     fn miss<M: MemoryPort + ?Sized>(
         &mut self,
         now: SimTime,
@@ -204,9 +203,8 @@ impl Cache {
             spent += mem.write_line(now + spent, victim_addr, &self.data[i]);
         }
         spent += mem.read_line(now + spent, Self::line_base(addr), &mut self.data[i]);
-        if let Some(decoded) = self.decoded.get_mut(i) {
-            let buf = &self.data[i];
-            *decoded = std::array::from_fn(|w| decode(word_at(buf, 4 * w)));
+        if let Some(micro) = self.micro.get_mut(i) {
+            *micro = MicroLine::build(&self.data[i]);
         }
         self.tags[i] = addr >> self.tag_shift;
         self.dirty[i] = false;
@@ -235,29 +233,11 @@ impl Cache {
         (v, spent)
     }
 
-    /// Cached instruction fetch of the word-aligned `addr` through an
-    /// [`instruction`](Cache::instruction) cache. Returns the decoded
-    /// instruction, or `Err(word)` if the word does not decode, and the
-    /// time spent. Hits, misses and LRU ticks count exactly as for a
-    /// 4-byte [`Cache::read`].
-    #[inline]
-    pub fn fetch<M: MemoryPort + ?Sized>(
-        &mut self,
-        now: SimTime,
-        addr: u32,
-        mem: &mut M,
-    ) -> (Result<Instr, u32>, SimTime) {
-        debug_assert!(!self.decoded.is_empty(), "fetch through a data cache");
-        let (i, spent) = self.fill(now, addr, mem);
-        (self.decoded(i, addr), spent)
-    }
-
-    /// The decoded word at `addr` of the resident line `line` (an index
-    /// returned by [`Cache::fill`]), or `Err(word)` if it does not decode.
-    #[inline]
-    pub(crate) fn decoded(&self, line: usize, addr: u32) -> Result<Instr, u32> {
-        let w = (addr as usize >> 2) & (WORDS_PER_LINE - 1);
-        self.decoded[line][w].ok_or_else(|| word_at(&self.data[line], 4 * w))
+    /// The micro-op line of the resident line `line` (an index returned by
+    /// [`Cache::fill`] on an [`instruction`](Cache::instruction) cache).
+    #[inline(always)]
+    pub(crate) fn micro_line(&self, line: usize) -> &MicroLine {
+        &self.micro[line]
     }
 
     /// Counts `n` further hits on the resident line `line`: the state `n`
@@ -281,11 +261,8 @@ impl Cache {
         data: u32,
         mem: &mut M,
     ) -> SimTime {
-        // A write would leave the line's decoded copy stale.
-        assert!(
-            self.decoded.is_empty(),
-            "write through an instruction cache"
-        );
+        // A write would leave the line's micro-ops stale.
+        assert!(self.micro.is_empty(), "write through an instruction cache");
         let (i, spent) = self.fill(now, addr, mem);
         let off = (addr as usize) & (LINE_BYTES - 1);
         let line = &mut self.data[i];
@@ -341,9 +318,19 @@ fn word_at(data: &[u8; LINE_BYTES], off: usize) -> u32 {
 }
 
 #[cfg(test)]
+impl Cache {
+    /// The word at `addr` of the resident line `line`.
+    pub(crate) fn word(&self, line: usize, addr: u32) -> u32 {
+        word_at(&self.data[line], (addr as usize) & (LINE_BYTES - 4))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{encode, Instr};
     use crate::mem::FlatMem;
+    use crate::uop::{Op, Uop};
     use vp2_sim::SplitMix64;
 
     #[test]
@@ -435,17 +422,31 @@ mod tests {
         assert_eq!(t, SimTime::ZERO, "clean line: no writeback");
     }
 
+    /// An instruction fetch: the line's fill plus the micro-op at `addr`.
+    fn fetch(c: &mut Cache, addr: u32, m: &mut FlatMem) -> (Uop, SimTime) {
+        let (line, t) = c.fill(SimTime::ZERO, addr, m);
+        (c.micro_line(line).op((addr as usize >> 2) % 8), t)
+    }
+
+    fn uop(i: Instr) -> Uop {
+        Uop::translate(encode(i)).0
+    }
+
     #[test]
     fn undecodable_word_fills_and_fetches_as_err() {
         let mut c = Cache::instruction(1024, 2);
         let mut m = FlatMem::new(4096);
-        m.store_u32(64, crate::isa::encode(Instr::Halt));
+        m.store_u32(64, encode(Instr::Halt));
         m.store_u32(68, 0xFC00_0000);
-        let (i, t) = c.fetch(SimTime::ZERO, 64, &mut m);
-        assert_eq!(i, Ok(Instr::Halt));
-        assert_eq!(t, m.line_time, "the fill decoded the whole line");
-        let (i, t) = c.fetch(SimTime::ZERO, 68, &mut m);
-        assert_eq!(i, Err(0xFC00_0000), "the word comes back undecoded");
+        let (i, t) = fetch(&mut c, 64, &mut m);
+        assert_eq!(i, uop(Instr::Halt));
+        assert_eq!(t, m.line_time, "the fill translated the whole line");
+        let (i, t) = fetch(&mut c, 68, &mut m);
+        assert_eq!(
+            (i.op, i.imm),
+            (Op::Illegal, 0xFC00_0000),
+            "the word comes back untranslated"
+        );
         assert_eq!(t, SimTime::ZERO);
         assert_eq!((c.stats.hits, c.stats.misses), (1, 1));
     }
@@ -454,12 +455,12 @@ mod tests {
     fn invalidation_drops_the_decoded_copy() {
         let mut c = Cache::instruction(1024, 2);
         let mut m = FlatMem::new(4096);
-        m.store_u32(0, crate::isa::encode(Instr::Nop));
-        assert_eq!(c.fetch(SimTime::ZERO, 0, &mut m).0, Ok(Instr::Nop));
-        m.store_u32(0, crate::isa::encode(Instr::Halt));
-        assert_eq!(c.fetch(SimTime::ZERO, 0, &mut m).0, Ok(Instr::Nop), "stale");
+        m.store_u32(0, encode(Instr::Nop));
+        assert_eq!(fetch(&mut c, 0, &mut m).0, uop(Instr::Nop));
+        m.store_u32(0, encode(Instr::Halt));
+        assert_eq!(fetch(&mut c, 0, &mut m).0, uop(Instr::Nop), "stale");
         c.invalidate_all();
-        assert_eq!(c.fetch(SimTime::ZERO, 0, &mut m).0, Ok(Instr::Halt));
+        assert_eq!(fetch(&mut c, 0, &mut m).0, uop(Instr::Halt));
     }
 
     #[test]
@@ -468,12 +469,12 @@ mod tests {
         // stamps decide which one the next conflicting fill evicts.
         let mut m = FlatMem::new(4096);
         for addr in (0..256).step_by(4) {
-            m.store_u32(addr, crate::isa::encode(Instr::Nop));
+            m.store_u32(addr, encode(Instr::Nop));
         }
         for n in 0..6u64 {
             let mut fetched = Cache::instruction(128, 2);
             for addr in [0, 128] {
-                assert_eq!(fetched.fetch(SimTime::ZERO, addr, &mut m).0, Ok(Instr::Nop));
+                assert_eq!(fetch(&mut fetched, addr, &mut m).0, uop(Instr::Nop));
             }
             let mut charged = fetched.clone();
             let (line, t) = charged.fill(SimTime::ZERO, 4, &mut m);
@@ -481,7 +482,7 @@ mod tests {
             charged.charge_hits(line, n);
             for k in 0..=n {
                 let addr = 4 + 4 * (k as u32 % 7);
-                assert_eq!(fetched.fetch(SimTime::ZERO, addr, &mut m).0, Ok(Instr::Nop));
+                assert_eq!(fetch(&mut fetched, addr, &mut m).0, uop(Instr::Nop));
             }
             assert_eq!(charged.tags, fetched.tags, "n = {n}: tags");
             assert_eq!(charged.stamps, fetched.stamps, "n = {n}: stamps");
@@ -513,10 +514,10 @@ mod tests {
 
     /// The array-of-structs layout the cache had before its tags and
     /// stamps moved into dense arrays, kept as the differential oracle:
-    /// one `Line` per way with its own valid bit, tag, stamp and data.
+    /// one `Line` per way with its own valid bit, tag, stamp and data. It
+    /// keeps no translation: its instruction fetch returns the raw word.
     mod oracle {
-        use super::super::{word_at, CacheStats, LINE_BYTES, LINE_SHIFT, WORDS_PER_LINE};
-        use crate::isa::{decode, Instr};
+        use super::super::{word_at, CacheStats, LINE_BYTES, LINE_SHIFT};
         use crate::mem::MemoryPort;
         use vp2_sim::SimTime;
 
@@ -532,7 +533,6 @@ mod tests {
         #[derive(Debug, Clone)]
         pub struct Cache {
             lines: Vec<Line>,
-            decoded: Vec<[Option<Instr>; WORDS_PER_LINE]>,
             ways: usize,
             set_mask: u32,
             tag_shift: u32,
@@ -541,7 +541,7 @@ mod tests {
         }
 
         impl Cache {
-            pub fn new(size_bytes: usize, ways: usize, instruction: bool) -> Self {
+            pub fn new(size_bytes: usize, ways: usize) -> Self {
                 let lines = size_bytes / LINE_BYTES;
                 let nsets = lines / ways;
                 let empty = Line {
@@ -553,11 +553,6 @@ mod tests {
                 };
                 Cache {
                     lines: vec![empty; lines],
-                    decoded: if instruction {
-                        vec![[None; WORDS_PER_LINE]; lines]
-                    } else {
-                        Vec::new()
-                    },
                     ways,
                     set_mask: (nsets - 1) as u32,
                     tag_shift: LINE_SHIFT + nsets.trailing_zeros(),
@@ -616,9 +611,6 @@ mod tests {
                 let mut buf = [0u8; LINE_BYTES];
                 let line_addr = addr & !(LINE_BYTES as u32 - 1);
                 spent += mem.read_line(now + spent, line_addr, &mut buf);
-                if let Some(decoded) = self.decoded.get_mut(i) {
-                    *decoded = std::array::from_fn(|w| decode(word_at(&buf, 4 * w)));
-                }
                 let line = &mut self.lines[i];
                 line.valid = true;
                 line.dirty = false;
@@ -651,11 +643,10 @@ mod tests {
                 now: SimTime,
                 addr: u32,
                 mem: &mut M,
-            ) -> (Result<Instr, u32>, SimTime) {
+            ) -> (u32, SimTime) {
                 let (i, spent) = self.fill(now, addr, mem);
-                let w = (addr as usize >> 2) & (WORDS_PER_LINE - 1);
-                let instr = self.decoded[i][w].ok_or_else(|| word_at(&self.lines[i].data, 4 * w));
-                (instr, spent)
+                let word = word_at(&self.lines[i].data, (addr as usize) & (LINE_BYTES - 4));
+                (word, spent)
             }
 
             pub fn write<M: MemoryPort>(
@@ -759,7 +750,7 @@ mod tests {
         let mut flat = FlatMem::new(span as usize);
         rng.fill_bytes(&mut flat.bytes);
         for addr in (0..span).step_by(8) {
-            flat.store_u32(addr, crate::isa::encode(Instr::Nop));
+            flat.store_u32(addr, encode(Instr::Nop));
         }
         let mut mem = LoggedMem {
             mem: flat,
@@ -771,7 +762,9 @@ mod tests {
         } else {
             Cache::new(size, ways)
         };
-        let mut oracle = oracle::Cache::new(size, ways, instruction);
+        let mut oracle = oracle::Cache::new(size, ways);
+        // The micro-op an instruction fetch from the oracle must match.
+        let translated = |(word, t): (u32, SimTime)| (Uop::translate(word).0, t);
         let mut now = SimTime::ZERO;
         for op in 0..DIFF_OPS {
             let size_log = rng.below(3) as u32;
@@ -811,19 +804,20 @@ mod tests {
                     // A block-engine run: one fill, then `n` hits charged
                     // at once, against `n + 1` fetches in the same line.
                     let pc = addr & !3;
-                    let n = rng.below(u64::from((LINE_BYTES as u32 - (pc & 31)) / 4));
+                    let first = (pc as usize >> 2) % 8;
+                    let n = rng.below((8 - first) as u64);
                     let (line, t) = cache.fill(now, pc, &mut mem);
-                    let (want, t_oracle) = oracle.fetch(now, pc, &mut oracle_mem);
                     assert_eq!(
-                        (cache.decoded(line, pc), t),
-                        (want, t_oracle),
+                        (cache.micro_line(line).op(first), t),
+                        translated(oracle.fetch(now, pc, &mut oracle_mem)),
                         "{what} op {op}: fill"
                     );
-                    for k in 1..=n as u32 {
-                        let at = pc + 4 * k;
+                    for k in 1..=n as usize {
+                        let at = pc + 4 * k as u32;
                         assert_eq!(
-                            cache.decoded(line, at),
-                            oracle.fetch(now, at, &mut oracle_mem).0
+                            cache.micro_line(line).op(first + k),
+                            translated(oracle.fetch(now, at, &mut oracle_mem)).0,
+                            "{what} op {op}: word {k} of the run"
                         );
                     }
                     cache.charge_hits(line, n);
@@ -831,13 +825,14 @@ mod tests {
                 }
                 40..=69 if instruction => {
                     let pc = addr & !3;
-                    let got = cache.fetch(now, pc, &mut mem);
+                    let (line, t) = cache.fill(now, pc, &mut mem);
+                    let got = (cache.micro_line(line).op((pc as usize >> 2) % 8), t);
                     assert_eq!(
                         got,
-                        oracle.fetch(now, pc, &mut oracle_mem),
+                        translated(oracle.fetch(now, pc, &mut oracle_mem)),
                         "{what} op {op}: fetch"
                     );
-                    got.1
+                    t
                 }
                 _ => {
                     let got = cache.read(now, addr, bytes, &mut mem);

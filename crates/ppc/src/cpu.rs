@@ -1,22 +1,29 @@
-//! The CPU core: fetch/decode/execute with cycle accounting.
+//! The CPU core: fetch, micro-op execution and cycle accounting.
 //!
 //! Each instruction advances the core's own [`SimTime`] by its base cycles
 //! plus whatever time the memory system reports for cache misses and
-//! uncached (MMIO) accesses. The core has two engines over one shared
-//! `exec`:
+//! uncached (MMIO) accesses. Instructions execute as micro-ops (see the
+//! `uop` module), and one executor, `Cpu::exec_run`, holds their
+//! semantics. It runs micro-ops until an end-of-line sentinel, a taken
+//! branch or an op that ends a block, and charges time once per
+//! straight-line run: the ops' retirement and base cycles stay pending
+//! and are added to `stats.retired` and `now`, and the PC is set, when the
+//! run ends. Before every load, store and `dcbf` the pending cycles are
+//! flushed into `now` first, and a run ends before every line fill, so
+//! the memory system sees exactly the instants it would if each
+//! instruction charged itself. Two engines drive the executor:
 //!
 //! - [`Cpu::step`] executes one instruction, taking a pending interrupt
-//!   first. It is the engine for the DMA, interrupt, uncached and
-//!   cache-off paths, and the oracle the block engine is tested against.
-//! - [`Cpu::run_block`] executes a run of predecoded words straight out of
-//!   resident I-cache lines: it looks each line up once, charges the
-//!   further fetches from it as hits in bulk, and chains to the next line
-//!   on fall-through or a taken branch. `now` is bumped instruction by
-//!   instruction, so it is exact at every load, store and miss. A block
-//!   ends after `halt`, `wrteei`, `rfi`, any uncached load or store, or
-//!   when its instruction budget is spent. It runs nothing (returns 0)
-//!   with caches off, at an unaligned or uncacheable PC, or with an
-//!   interrupt pending (`MSR[EE]` and the line high).
+//!   first: the fetched micro-op runs on its own, followed by a sentinel.
+//!   It is the engine for the DMA, interrupt, uncached and cache-off
+//!   paths, and the one the block engine is fuzzed against.
+//! - [`Cpu::run_block`] runs the micro-op lines of resident I-cache lines:
+//!   it looks each line up once, charges the further fetches from it as
+//!   hits in bulk, and chains to the next line on fall-through or a taken
+//!   branch. A block ends after `halt`, `wrteei`, `rfi`, any uncached load
+//!   or store, or when its instruction budget is spent. It runs nothing
+//!   (returns 0) with caches off, at an unaligned or uncacheable PC, or
+//!   with an interrupt pending (`MSR[EE]` and the line high).
 //!
 //! Nothing outside the core can change its state inside a block: only an
 //! uncached access reaches a device, and every interrupt-mask change ends
@@ -24,17 +31,28 @@
 //! (`Machine::run_until_halt`) and falls back to one step at a time
 //! while DMA is active (`Machine::step`).
 //!
+//! With caches on, micro-ops come from the instruction cache, translated
+//! once per line fill (see [`crate::cache`]); with caches off, every fetch
+//! reads memory and translates the word, which keeps the cache-off
+//! ablation a decode-per-fetch reference for the cached lines. The
+//! executor the micro-ops replaced, a `match` over decoded instructions
+//! that charged each instruction by itself, is kept under `#[cfg(test)]`
+//! as the reference both engines are checked against.
+//!
 //! Every method that touches memory is generic over the [`MemoryPort`], so
 //! the machine's interpreter loop is monomorphised over its platform and
-//! the cache hit paths inline. With caches on, fetches come predecoded from
-//! the instruction cache (see [`crate::cache`]); with caches off, every
-//! fetch reads memory and runs [`decode`], which keeps the cache-off
-//! ablation a decode-per-fetch reference for the predecoded path.
+//! the cache hit paths inline.
 
 use crate::cache::Cache;
-use crate::isa::{base_cycles, decode, Instr};
+use crate::isa::TAKEN_BRANCH_PENALTY;
 use crate::mem::{MemoryPort, LINE_BYTES};
+use crate::uop::{dest, MicroLine, Op, Uop, WORDS_PER_LINE};
 use vp2_sim::{ClockDomain, SimTime};
+
+/// Register slots: `r0..=r31`, the [`SINK`](crate::uop::SINK) at 32, and
+/// padding to a power of two, so a masked slot index needs no bounds
+/// check.
+const REG_SLOTS: usize = 64;
 
 /// Condition register field (CR0).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,6 +63,24 @@ pub struct Cr {
     pub gt: bool,
     /// Equal.
     pub eq: bool,
+}
+
+impl Cr {
+    fn signed(a: i32, b: i32) -> Cr {
+        Cr {
+            lt: a < b,
+            gt: a > b,
+            eq: a == b,
+        }
+    }
+
+    fn unsigned(a: u32, b: u32) -> Cr {
+        Cr {
+            lt: a < b,
+            gt: a > b,
+            eq: a == b,
+        }
+    }
 }
 
 /// CPU configuration.
@@ -105,7 +141,7 @@ pub struct CpuStats {
 /// The CPU core.
 #[derive(Debug, Clone)]
 pub struct Cpu {
-    regs: [u32; 32],
+    regs: [u32; REG_SLOTS],
     lr: u32,
     pc: u32,
     cr: Cr,
@@ -124,13 +160,100 @@ pub struct Cpu {
     pub stats: CpuStats,
 }
 
+/// The micro-ops [`Cpu::exec_run`] runs, op `k` at `base + 4k`: the ops
+/// of one source end in a sentinel.
+trait Ops {
+    /// The op at index `k`.
+    fn op(&self, cpu: &Cpu, k: usize) -> Uop;
+    /// The base cycles of ops `0..k`.
+    fn cycles_before(&self, cpu: &Cpu, k: usize) -> u64;
+}
+
+/// The micro-op line of a resident I-cache line, by line index.
+struct Resident(usize);
+
+impl Ops for Resident {
+    #[inline(always)]
+    fn op(&self, cpu: &Cpu, k: usize) -> Uop {
+        cpu.icache.micro_line(self.0).op(k)
+    }
+
+    #[inline(always)]
+    fn cycles_before(&self, cpu: &Cpu, k: usize) -> u64 {
+        cpu.icache.micro_line(self.0).cycles_before(k)
+    }
+}
+
+/// One micro-op on its own, then the sentinel.
+struct Single {
+    op: Uop,
+    cycles: u64,
+}
+
+impl Single {
+    /// Op `k` of a micro-op line.
+    #[inline]
+    fn of_line(line: &MicroLine, k: usize) -> Single {
+        Single {
+            op: line.op(k),
+            cycles: line.cycles_before(k + 1) - line.cycles_before(k),
+        }
+    }
+
+    /// A word fetched from memory.
+    #[inline]
+    fn translate(word: u32) -> Single {
+        let (op, cycles) = Uop::translate(word);
+        Single {
+            op,
+            cycles: u64::from(cycles),
+        }
+    }
+}
+
+impl Ops for Single {
+    #[inline(always)]
+    fn op(&self, _: &Cpu, k: usize) -> Uop {
+        if k == 0 {
+            self.op
+        } else {
+            Uop::END
+        }
+    }
+
+    #[inline(always)]
+    fn cycles_before(&self, _: &Cpu, k: usize) -> u64 {
+        if k == 0 {
+            0
+        } else {
+            self.cycles
+        }
+    }
+}
+
+/// How a run of micro-ops ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exit {
+    /// At the sentinel or a taken branch: the PC moved on to code the block
+    /// may chain to.
+    Next,
+    /// After `halt`, `wrteei`, `rfi` or an uncached access: the block ends.
+    Stop,
+}
+
+/// The index of `addr`'s word within its cache line.
+#[inline]
+fn word_index(addr: u32) -> usize {
+    (addr as usize >> 2) & (WORDS_PER_LINE - 1)
+}
+
 impl Cpu {
     /// Builds a core; PC starts at 0.
     pub fn new(cfg: CpuConfig) -> Self {
         let icache = Cache::instruction(cfg.icache_bytes, cfg.ways);
         let dcache = Cache::new(cfg.dcache_bytes, cfg.ways);
         Cpu {
-            regs: [0; 32],
+            regs: [0; REG_SLOTS],
             lr: 0,
             pc: 0,
             cr: Cr::default(),
@@ -153,12 +276,22 @@ impl Cpu {
         self.regs[usize::from(r & 31)]
     }
 
-    /// Writes a register (writes to `r0` are discarded). Branch-free: the
-    /// write lands and `r0` is re-zeroed, so `regs[0]` reads 0 always.
+    /// Writes a register (writes to `r0` are discarded).
     #[inline]
     pub fn set_reg(&mut self, r: u8, v: u32) {
-        self.regs[usize::from(r & 31)] = v;
-        self.regs[0] = 0;
+        self.w(dest(r), v);
+    }
+
+    /// Reads register slot `slot` (a register, or the sink).
+    #[inline(always)]
+    fn r(&self, slot: u8) -> u32 {
+        self.regs[usize::from(slot) & (REG_SLOTS - 1)]
+    }
+
+    /// Writes register slot `slot` (a micro-op's destination).
+    #[inline(always)]
+    fn w(&mut self, slot: u8, v: u32) {
+        self.regs[usize::from(slot) & (REG_SLOTS - 1)] = v;
     }
 
     /// Current program counter.
@@ -258,92 +391,9 @@ impl Cpu {
         }
     }
 
-    /// Loads into `rd` and steps the PC; returns whether the access went
-    /// uncached.
+    /// Enters the external-interrupt handler if one is pending.
     #[inline]
-    fn load_to<M: MemoryPort + ?Sized>(
-        &mut self,
-        rd: u8,
-        addr: u32,
-        size: u8,
-        mem: &mut M,
-    ) -> bool {
-        let (v, uncached) = self.load(addr, size, mem);
-        self.set_reg(rd, v);
-        self.pc += 4;
-        uncached
-    }
-
-    /// Stores `rd` and steps the PC; returns whether the access went
-    /// uncached.
-    #[inline]
-    fn store_from<M: MemoryPort + ?Sized>(
-        &mut self,
-        rd: u8,
-        addr: u32,
-        size: u8,
-        mem: &mut M,
-    ) -> bool {
-        let v = self.reg(rd);
-        let uncached = self.store(addr, size, v, mem);
-        self.pc += 4;
-        uncached
-    }
-
-    /// Fetches and decodes the instruction at the PC, or returns
-    /// `Err(word)` if the word there does not decode.
-    #[inline]
-    fn fetch<M: MemoryPort + ?Sized>(&mut self, mem: &mut M) -> Result<Instr, u32> {
-        assert!(
-            self.pc.is_multiple_of(4),
-            "unaligned instruction fetch at {:#010x}",
-            self.pc
-        );
-        if self.cfg.caches_enabled && mem.is_cacheable(self.pc) {
-            let (instr, t) = self.icache.fetch(self.now, self.pc, mem);
-            self.now += t;
-            instr
-        } else {
-            let (w, t) = mem.read(self.now, self.pc, 4);
-            self.now += t;
-            decode(w).ok_or(w)
-        }
-    }
-
-    fn set_cr_signed(&mut self, a: i32, b: i32) {
-        self.cr = Cr {
-            lt: a < b,
-            gt: a > b,
-            eq: a == b,
-        };
-    }
-
-    fn set_cr_unsigned(&mut self, a: u32, b: u32) {
-        self.cr = Cr {
-            lt: a < b,
-            gt: a > b,
-            eq: a == b,
-        };
-    }
-
-    fn branch(&mut self, off: i16, taken: bool) {
-        if taken {
-            self.pc = self.pc.wrapping_add((i32::from(off) * 4) as u32);
-            self.stats.taken_branches += 1;
-            // Pipeline refill penalty.
-            self.now += self.cfg.clock.cycles(crate::isa::TAKEN_BRANCH_PENALTY);
-        } else {
-            self.pc = self.pc.wrapping_add(4);
-        }
-    }
-
-    /// Executes one instruction (or takes a pending interrupt).
-    #[inline]
-    pub fn step<M: MemoryPort + ?Sized>(&mut self, mem: &mut M) -> StepOutcome {
-        if self.halted {
-            return StepOutcome::Halted;
-        }
-        // External interrupt?
+    fn take_pending_interrupt(&mut self) {
         if self.msr_ee && self.irq_line {
             self.srr0 = self.pc;
             self.srr1_ee = self.msr_ee;
@@ -353,11 +403,16 @@ impl Cpu {
             // Exception entry latency.
             self.now += self.cfg.clock.cycles(4);
         }
+    }
 
-        let instr = self
-            .fetch(mem)
-            .unwrap_or_else(|word| illegal(word, self.pc));
-        self.exec(instr, mem);
+    /// Executes one instruction (or takes a pending interrupt).
+    #[inline]
+    pub fn step<M: MemoryPort + ?Sized>(&mut self, mem: &mut M) -> StepOutcome {
+        if self.halted {
+            return StepOutcome::Halted;
+        }
+        self.take_pending_interrupt();
+        self.exec_one(mem);
         if self.halted {
             StepOutcome::Halted
         } else {
@@ -365,9 +420,30 @@ impl Cpu {
         }
     }
 
-    /// Runs a block: predecoded instructions out of resident I-cache lines,
-    /// from the PC on, until `halt`, `wrteei`, `rfi`, an uncached load or
-    /// store, `budget` retired instructions, or a PC the block cannot fetch
+    /// Fetches the instruction at the PC and executes its micro-op on its
+    /// own.
+    #[inline]
+    fn exec_one<M: MemoryPort + ?Sized>(&mut self, mem: &mut M) -> Exit {
+        let pc = self.pc;
+        assert!(
+            pc.is_multiple_of(4),
+            "unaligned instruction fetch at {pc:#010x}"
+        );
+        let single = if self.cfg.caches_enabled && mem.is_cacheable(pc) {
+            let (line, t) = self.icache.fill(self.now, pc, mem);
+            self.now += t;
+            Single::of_line(self.icache.micro_line(line), word_index(pc))
+        } else {
+            let (word, t) = mem.read(self.now, pc, 4);
+            self.now += t;
+            Single::translate(word)
+        };
+        self.exec_run(&single, pc, 0, mem).0
+    }
+
+    /// Runs a block: the micro-op lines of resident I-cache lines, from the
+    /// PC on, until `halt`, `wrteei`, `rfi`, an uncached load or store,
+    /// `budget` retired instructions, or a PC the block cannot fetch
     /// (unaligned or uncacheable). Returns the instructions retired; 0
     /// means nothing ran and the caller must [`step`](Cpu::step) — with
     /// caches off, when halted, or with an interrupt pending. Leaves
@@ -383,255 +459,212 @@ impl Cpu {
         }
         let mut ran = 0;
         while ran < budget && self.pc.is_multiple_of(4) && mem.is_cacheable(self.pc) {
+            let first = word_index(self.pc);
+            if budget - ran < (WORDS_PER_LINE - first) as u64 {
+                // The budget ends inside this line: one instruction at a
+                // time. Each fetch is a hit, as a charged one would be.
+                ran += 1;
+                if self.exec_one(mem) == Exit::Stop {
+                    break;
+                }
+                continue;
+            }
             // One lookup per line: its first fetch counts the hit or miss,
             // the rest are charged as hits when the block leaves the line.
             let (line, t) = self.icache.fill(self.now, self.pc, mem);
             self.now += t;
-            let mut in_line = 0;
-            let stop = loop {
-                let pc = self.pc;
-                let instr = self
-                    .icache
-                    .decoded(line, pc)
-                    .unwrap_or_else(|word| illegal(word, pc));
-                in_line += 1;
-                ran += 1;
-                if self.exec(instr, mem) || ran == budget {
-                    break true;
-                }
-                let next = pc.wrapping_add(4);
-                if self.pc != next || next.is_multiple_of(LINE_BYTES as u32) {
-                    break false;
-                }
-            };
-            self.icache.charge_hits(line, in_line - 1);
-            if stop {
+            let base = self.pc & !(LINE_BYTES as u32 - 1);
+            let (exit, end) = self.exec_run(&Resident(line), base, first, mem);
+            self.icache.charge_hits(line, (end - first - 1) as u64);
+            ran += (end - first) as u64;
+            if exit == Exit::Stop {
                 break;
             }
         }
         ran
     }
 
-    /// Executes a fetched instruction: counts it retired, charges its base
-    /// cycles and performs it. Returns `true` if it must end a block:
-    /// `halt`, `wrteei`, `rfi`, or an uncached load or store.
+    /// Adds ops `from..to` of `ops` to `stats.retired` and their base
+    /// cycles to `now`.
     #[inline(always)]
-    fn exec<M: MemoryPort + ?Sized>(&mut self, instr: Instr, mem: &mut M) -> bool {
-        self.stats.retired += 1;
-        self.now += self.cfg.clock.cycles(base_cycles(instr));
+    fn charge<S: Ops>(&mut self, ops: &S, from: usize, to: usize) {
+        self.stats.retired += (to - from) as u64;
+        let cycles = ops.cycles_before(self, to) - ops.cycles_before(self, from);
+        self.now += self.cfg.clock.cycles(cycles);
+    }
 
-        use Instr::*;
-        match instr {
-            Halt => {
-                self.halted = true;
-                return true;
+    /// Takes the branch at index `k` to `target`, charging the run
+    /// `from..=k` and the pipeline refill.
+    #[inline(always)]
+    fn jump<S: Ops>(&mut self, ops: &S, from: usize, k: usize, target: u32) -> (Exit, usize) {
+        self.charge(ops, from, k + 1);
+        self.stats.taken_branches += 1;
+        self.now += self.cfg.clock.cycles(TAKEN_BRANCH_PENALTY);
+        self.pc = target;
+        (Exit::Next, k + 1)
+    }
+
+    /// The micro-op executor: runs `ops` from index `k` on, op `j` at
+    /// `base + 4j`, until the sentinel, a taken branch, or an op that ends
+    /// a block. Returns how the run ended and the index after the last op
+    /// executed; the PC, `stats.retired` and `now` are then up to date.
+    ///
+    /// Ops `from..k` have executed but are not yet charged: ALU ops,
+    /// compares, not-taken branches and `nop`s only move `k`. The pending
+    /// run is charged when the run ends, and before every op that needs the
+    /// exact time — a load, store or `dcbf` — so that op reaches the memory
+    /// system at the instant it would one instruction at a time.
+    #[inline(always)]
+    fn exec_run<S: Ops, M: MemoryPort + ?Sized>(
+        &mut self,
+        ops: &S,
+        base: u32,
+        mut k: usize,
+        mem: &mut M,
+    ) -> (Exit, usize) {
+        let at = |j: usize| base.wrapping_add(4 * j as u32);
+        let mut from = k;
+        loop {
+            let Uop {
+                op,
+                rd,
+                ra,
+                rb,
+                imm,
+            } = ops.op(self, k);
+            // A load or store at `ra + rb + imm`: flush the pending run,
+            // then access memory; an uncached access ends the block.
+            macro_rules! access {
+                ($access:ident, $size:literal) => {{
+                    self.charge(ops, from, k + 1);
+                    from = k + 1;
+                    let addr = self.r(ra).wrapping_add(self.r(rb)).wrapping_add(imm);
+                    if self.$access(rd, addr, $size, mem) {
+                        self.pc = at(k + 1);
+                        return (Exit::Stop, k + 1);
+                    }
+                }};
             }
-            Addi { rd, ra, imm } => {
-                let v = self.reg(ra).wrapping_add(imm as i32 as u32);
-                self.set_reg(rd, v);
-                self.pc += 4;
+            // A conditional branch by `imm` bytes.
+            macro_rules! branch_if {
+                ($taken:expr) => {
+                    if $taken {
+                        return self.jump(ops, from, k, at(k).wrapping_add(imm));
+                    }
+                };
             }
-            Addis { rd, ra, imm } => {
-                let v = self.reg(ra).wrapping_add((imm as i32 as u32) << 16);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Add { rd, ra, rb } => {
-                let v = self.reg(ra).wrapping_add(self.reg(rb));
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Sub { rd, ra, rb } => {
-                let v = self.reg(ra).wrapping_sub(self.reg(rb));
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Mullw { rd, ra, rb } => {
-                let v = self.reg(ra).wrapping_mul(self.reg(rb));
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            And { rd, ra, rb } => {
-                let v = self.reg(ra) & self.reg(rb);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Or { rd, ra, rb } => {
-                let v = self.reg(ra) | self.reg(rb);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Xor { rd, ra, rb } => {
-                let v = self.reg(ra) ^ self.reg(rb);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Nor { rd, ra, rb } => {
-                let v = !(self.reg(ra) | self.reg(rb));
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Andi { rd, ra, imm } => {
-                let v = self.reg(ra) & u32::from(imm);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Ori { rd, ra, imm } => {
-                let v = self.reg(ra) | u32::from(imm);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Xori { rd, ra, imm } => {
-                let v = self.reg(ra) ^ u32::from(imm);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Slw { rd, ra, rb } => {
-                let v = self.reg(ra) << (self.reg(rb) & 31);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Srw { rd, ra, rb } => {
-                let v = self.reg(ra) >> (self.reg(rb) & 31);
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Slwi { rd, ra, sh } => {
-                let v = self.reg(ra) << sh;
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Srwi { rd, ra, sh } => {
-                let v = self.reg(ra) >> sh;
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Srawi { rd, ra, sh } => {
-                let v = ((self.reg(ra) as i32) >> sh) as u32;
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Rotlwi { rd, ra, sh } => {
-                let v = self.reg(ra).rotate_left(u32::from(sh));
-                self.set_reg(rd, v);
-                self.pc += 4;
-            }
-            Lwz { rd, ra, imm } => {
-                let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                return self.load_to(rd, addr, 4, mem);
-            }
-            Lbz { rd, ra, imm } => {
-                let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                return self.load_to(rd, addr, 1, mem);
-            }
-            Lhz { rd, ra, imm } => {
-                let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                return self.load_to(rd, addr, 2, mem);
-            }
-            Stw { rd, ra, imm } => {
-                let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                return self.store_from(rd, addr, 4, mem);
-            }
-            Stb { rd, ra, imm } => {
-                let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                return self.store_from(rd, addr, 1, mem);
-            }
-            Sth { rd, ra, imm } => {
-                let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                return self.store_from(rd, addr, 2, mem);
-            }
-            Lwzx { rd, ra, rb } => {
-                let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                return self.load_to(rd, addr, 4, mem);
-            }
-            Stwx { rd, ra, rb } => {
-                let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                return self.store_from(rd, addr, 4, mem);
-            }
-            Lbzx { rd, ra, rb } => {
-                let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                return self.load_to(rd, addr, 1, mem);
-            }
-            Lhzx { rd, ra, rb } => {
-                let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                return self.load_to(rd, addr, 2, mem);
-            }
-            Stbx { rd, ra, rb } => {
-                let addr = self.reg(ra).wrapping_add(self.reg(rb));
-                return self.store_from(rd, addr, 1, mem);
-            }
-            Cmpw { ra, rb } => {
-                self.set_cr_signed(self.reg(ra) as i32, self.reg(rb) as i32);
-                self.pc += 4;
-            }
-            Cmplw { ra, rb } => {
-                self.set_cr_unsigned(self.reg(ra), self.reg(rb));
-                self.pc += 4;
-            }
-            Cmpwi { ra, imm } => {
-                self.set_cr_signed(self.reg(ra) as i32, i32::from(imm));
-                self.pc += 4;
-            }
-            Cmplwi { ra, imm } => {
-                self.set_cr_unsigned(self.reg(ra), u32::from(imm));
-                self.pc += 4;
-            }
-            B { off } => self.branch(off, true),
-            Bl { off } => {
-                self.lr = self.pc + 4;
-                self.branch(off, true);
-            }
-            Blr => {
-                self.pc = self.lr;
-                self.stats.taken_branches += 1;
-                self.now += self.cfg.clock.cycles(crate::isa::TAKEN_BRANCH_PENALTY);
-            }
-            Beq { off } => self.branch(off, self.cr.eq),
-            Bne { off } => self.branch(off, !self.cr.eq),
-            Blt { off } => self.branch(off, self.cr.lt),
-            Bge { off } => self.branch(off, !self.cr.lt),
-            Bgt { off } => self.branch(off, self.cr.gt),
-            Ble { off } => self.branch(off, !self.cr.gt),
-            Dcbf { ra, imm } => {
-                let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                if self.cfg.caches_enabled {
-                    let t = self.dcache.flush_line(self.now, addr, mem);
-                    self.now += t;
+            match op {
+                Op::Add => self.w(rd, self.r(ra).wrapping_add(self.r(rb))),
+                Op::Sub => self.w(rd, self.r(ra).wrapping_sub(self.r(rb))),
+                Op::Mullw => self.w(rd, self.r(ra).wrapping_mul(self.r(rb))),
+                Op::And => self.w(rd, self.r(ra) & self.r(rb)),
+                Op::Or => self.w(rd, self.r(ra) | self.r(rb)),
+                Op::Xor => self.w(rd, self.r(ra) ^ self.r(rb)),
+                Op::Nor => self.w(rd, !(self.r(ra) | self.r(rb))),
+                Op::Slw => self.w(rd, self.r(ra).wrapping_shl(self.r(rb))),
+                Op::Srw => self.w(rd, self.r(ra).wrapping_shr(self.r(rb))),
+                Op::Addi => self.w(rd, self.r(ra).wrapping_add(imm)),
+                Op::Andi => self.w(rd, self.r(ra) & imm),
+                Op::Ori => self.w(rd, self.r(ra) | imm),
+                Op::Xori => self.w(rd, self.r(ra) ^ imm),
+                Op::Slwi => self.w(rd, self.r(ra).wrapping_shl(imm)),
+                Op::Srwi => self.w(rd, self.r(ra).wrapping_shr(imm)),
+                Op::Srawi => self.w(rd, (self.r(ra) as i32).wrapping_shr(imm) as u32),
+                Op::Rotlwi => self.w(rd, self.r(ra).rotate_left(imm)),
+                Op::Lw => access!(load_to, 4),
+                Op::Lh => access!(load_to, 2),
+                Op::Lb => access!(load_to, 1),
+                Op::Sw => access!(store_from, 4),
+                Op::Sh => access!(store_from, 2),
+                Op::Sb => access!(store_from, 1),
+                Op::Cmpw => self.cr = Cr::signed(self.r(ra) as i32, self.r(rb) as i32),
+                Op::Cmplw => self.cr = Cr::unsigned(self.r(ra), self.r(rb)),
+                Op::Cmpwi => self.cr = Cr::signed(self.r(ra) as i32, imm as i32),
+                Op::Cmplwi => self.cr = Cr::unsigned(self.r(ra), imm),
+                Op::B => return self.jump(ops, from, k, at(k).wrapping_add(imm)),
+                Op::Bl => {
+                    self.lr = at(k + 1);
+                    return self.jump(ops, from, k, at(k).wrapping_add(imm));
                 }
-                self.pc += 4;
-            }
-            Dcbi { ra, imm } => {
-                let addr = self.reg(ra).wrapping_add(imm as i32 as u32);
-                if self.cfg.caches_enabled {
-                    self.dcache.invalidate_line(addr);
+                Op::Blr => return self.jump(ops, from, k, self.lr),
+                Op::Beq => branch_if!(self.cr.eq),
+                Op::Bne => branch_if!(!self.cr.eq),
+                Op::Blt => branch_if!(self.cr.lt),
+                Op::Bge => branch_if!(!self.cr.lt),
+                Op::Bgt => branch_if!(self.cr.gt),
+                Op::Ble => branch_if!(!self.cr.gt),
+                Op::Dcbf => {
+                    self.charge(ops, from, k + 1);
+                    from = k + 1;
+                    if self.cfg.caches_enabled {
+                        let addr = self.r(ra).wrapping_add(imm);
+                        let t = self.dcache.flush_line(self.now, addr, mem);
+                        self.now += t;
+                    }
                 }
-                self.pc += 4;
+                Op::Dcbi => {
+                    if self.cfg.caches_enabled {
+                        self.dcache.invalidate_line(self.r(ra).wrapping_add(imm));
+                    }
+                }
+                Op::Wrteei => {
+                    self.charge(ops, from, k + 1);
+                    self.msr_ee = imm == 1;
+                    self.pc = at(k + 1);
+                    return (Exit::Stop, k + 1);
+                }
+                Op::Rfi => {
+                    self.charge(ops, from, k + 1);
+                    self.pc = self.srr0;
+                    self.msr_ee = self.srr1_ee;
+                    self.now += self.cfg.clock.cycles(2);
+                    return (Exit::Stop, k + 1);
+                }
+                Op::Mflr => self.w(rd, self.lr),
+                Op::Mtlr => self.lr = self.r(ra),
+                Op::Halt => {
+                    self.charge(ops, from, k + 1);
+                    self.halted = true;
+                    self.pc = at(k);
+                    return (Exit::Stop, k + 1);
+                }
+                Op::Nop => {}
+                Op::Illegal => illegal(imm, at(k)),
+                Op::End => {
+                    self.charge(ops, from, k);
+                    self.pc = at(k);
+                    return (Exit::Next, k);
+                }
             }
-            Wrteei { imm } => {
-                self.msr_ee = imm & 1 == 1;
-                self.pc += 4;
-                return true;
-            }
-            Rfi => {
-                self.pc = self.srr0;
-                self.msr_ee = self.srr1_ee;
-                self.now += self.cfg.clock.cycles(2);
-                return true;
-            }
-            Mflr { rd } => {
-                let lr = self.lr;
-                self.set_reg(rd, lr);
-                self.pc += 4;
-            }
-            Mtlr { ra } => {
-                self.lr = self.reg(ra);
-                self.pc += 4;
-            }
-            Sync | Nop => {
-                self.pc += 4;
-            }
+            k += 1;
         }
-        false
+    }
+
+    /// Loads into slot `rd`; returns whether the access went uncached.
+    #[inline(always)]
+    fn load_to<M: MemoryPort + ?Sized>(
+        &mut self,
+        rd: u8,
+        addr: u32,
+        size: u8,
+        mem: &mut M,
+    ) -> bool {
+        let (v, uncached) = self.load(addr, size, mem);
+        self.w(rd, v);
+        uncached
+    }
+
+    /// Stores register `rs`; returns whether the access went uncached.
+    #[inline(always)]
+    fn store_from<M: MemoryPort + ?Sized>(
+        &mut self,
+        rs: u8,
+        addr: u32,
+        size: u8,
+        mem: &mut M,
+    ) -> bool {
+        let v = self.r(rs);
+        self.store(addr, size, v, mem)
     }
 
     /// Runs until `halt` or `max_instrs` retire. Returns `true` if halted.
@@ -659,10 +692,13 @@ fn illegal(word: u32, pc: u32) -> ! {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
-    use crate::isa::encode;
+    use crate::isa::{encode, Instr};
     use crate::mem::FlatMem;
 
     fn load_program(mem: &mut FlatMem, base: u32, instrs: &[Instr]) {

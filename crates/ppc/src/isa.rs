@@ -480,6 +480,71 @@ mod tests {
     }
 
     #[test]
+    fn encodings_are_pinned() {
+        // One literal word per variant, in `all_samples` order. Programs
+        // are stored as these words, so an encoding change must show here
+        // before it moves a table or a digest.
+        const WORDS: [u32; 51] = [
+            0x00000000, // Halt
+            0x0464fff9, // Addi
+            0x0be07fff, // Addis
+            0x0c221800, // Add
+            0x10853000, // Sub
+            0x14e84800, // Mullw
+            0x194b6000, // And
+            0x1dae7800, // Or
+            0x22119000, // Xor
+            0x2674a800, // Nor
+            0x2822ffff, // Andi
+            0x2c6400ff, // Ori
+            0x30a6a5a5, // Xori
+            0x34221800, // Slw
+            0x38853000, // Srw
+            0x40e8001f, // Slwi
+            0x452a0001, // Srwi
+            0x496c0010, // Srawi
+            0x4dae0005, // Rotlwi
+            0x50640400, // Lwz
+            0x54a6ffff, // Lbz
+            0x58e80002, // Lhz
+            0x5d2afffc, // Stw
+            0x616c0000, // Stb
+            0x65ae0006, // Sth
+            0xb8221800, // Lwzx
+            0xbc853000, // Stwx
+            0xc0e84800, // Lbzx
+            0x3c221800, // Lhzx
+            0xc54b6000, // Stbx
+            0x68011000, // Cmpw
+            0x6c032000, // Cmplw
+            0x7005ff9c, // Cmpwi
+            0x74060064, // Cmplwi
+            0x7800fffe, // B
+            0x7c00000a, // Bl
+            0x80000000, // Blr
+            0x84000001, // Beq
+            0x8800ffff, // Bne
+            0x8c000005, // Blt
+            0x9000fffb, // Bge
+            0x94000003, // Bgt
+            0x9800fffd, // Ble
+            0x9c030020, // Dcbf
+            0xa004ffe0, // Dcbi
+            0xa4000001, // Wrteei
+            0xa8000000, // Rfi
+            0xafc00000, // Mflr
+            0xb01d0000, // Mtlr
+            0xb4000000, // Sync
+            0xc8000000, // Nop
+        ];
+        let samples = all_samples();
+        assert_eq!(samples.len(), WORDS.len());
+        for (&instr, &word) in samples.iter().zip(&WORDS) {
+            assert_eq!(encode(instr), word, "{instr:?}");
+        }
+    }
+
+    #[test]
     fn unknown_opcode_rejected() {
         assert_eq!(decode(63 << 26), None);
     }

@@ -15,9 +15,9 @@
 //! * `r0` reads as hard zero (RISC-V style) instead of PPC's "r0 is zero
 //!   only in addressing" rule — it keeps hand-written kernels honest;
 //! * one condition-register field (CR0) instead of eight;
-//! * timing: 1 cycle per instruction, 4 for `mullw`, +1 for taken branches,
-//!   plus memory-system time for cache misses and uncached accesses — a
-//!   reasonable stand-in for the 405's 5-stage pipeline.
+//! * timing: 1 cycle per instruction, 2 for loads, 4 for `mullw`, +2 for
+//!   taken branches, plus memory-system time for cache misses and uncached
+//!   accesses — a reasonable stand-in for the 405's 5-stage pipeline.
 
 pub mod asm;
 pub mod cache;
@@ -25,6 +25,7 @@ pub mod cpu;
 pub mod disasm;
 pub mod isa;
 pub mod mem;
+mod uop;
 
 pub use asm::{assemble, AsmError, Program};
 pub use cache::Cache;
@@ -32,3 +33,8 @@ pub use cpu::{Cpu, CpuConfig, StepOutcome};
 pub use disasm::{disassemble, disassemble_block};
 pub use isa::{decode, encode, Instr};
 pub use mem::{FlatMem, MemoryPort};
+
+// Lets the unit tests share the integration tests' program generator,
+// which names this crate by its package name.
+#[cfg(test)]
+extern crate self as ppc405_sim;

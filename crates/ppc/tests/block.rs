@@ -2,10 +2,10 @@
 //! the state the one-instruction engine (`Cpu::step`) does.
 //!
 //! Each case runs a generated program (see `gen`) on two cores over two
-//! copies of one memory. The memory models an interrupt source: an
-//! uncached load from the doorbell word raises the interrupt level and a
-//! store sets it, so either kind of uncached access can reach a device
-//! that interrupts. The block
+//! copies of one memory. The memory (`gen::IrqMem`) models an interrupt
+//! source: an uncached load from the doorbell word raises the interrupt
+//! level and a store sets it, so either kind of uncached access can reach
+//! a device that interrupts. The block
 //! run drives its core like `Machine::run_until_halt`: a block of a random
 //! budget (one step when no block can run), then the level is sampled
 //! into the core's interrupt line. The step run steps its core once per
@@ -18,49 +18,15 @@
 
 mod gen;
 
-use gen::{Case, DOORBELL, MEM_BYTES};
-use ppc405_sim::mem::{MemoryPort, LINE_BYTES};
-use ppc405_sim::{Cpu, CpuConfig, FlatMem};
+use gen::{Case, IrqMem, MEM_BYTES};
+use ppc405_sim::mem::LINE_BYTES;
+use ppc405_sim::{Cpu, CpuConfig};
 use vp2_sim::{ClockDomain, SimTime, SplitMix64};
 
-const CASES: u64 = 300;
+/// Cases: a quick sweep in debug builds, a deeper one in release.
+const CASES: u64 = if cfg!(debug_assertions) { 300 } else { 10_000 };
 /// Steps a case may take before it counts as hung.
 const MAX_INSTRS: u64 = 100_000;
-
-/// [`FlatMem`] plus the interrupt level its doorbell word drives.
-#[derive(Clone)]
-struct IrqMem {
-    flat: FlatMem,
-    level: bool,
-}
-
-impl MemoryPort for IrqMem {
-    fn read(&mut self, now: SimTime, addr: u32, size: u8) -> (u32, SimTime) {
-        if addr == DOORBELL {
-            self.level = true;
-        }
-        self.flat.read(now, addr, size)
-    }
-
-    fn write(&mut self, now: SimTime, addr: u32, size: u8, data: u32) -> SimTime {
-        if addr == DOORBELL {
-            self.level = data & 1 == 1;
-        }
-        self.flat.write(now, addr, size, data)
-    }
-
-    fn read_line(&mut self, now: SimTime, addr: u32, buf: &mut [u8; LINE_BYTES]) -> SimTime {
-        self.flat.read_line(now, addr, buf)
-    }
-
-    fn write_line(&mut self, now: SimTime, addr: u32, buf: &[u8; LINE_BYTES]) -> SimTime {
-        self.flat.write_line(now, addr, buf)
-    }
-
-    fn is_cacheable(&self, addr: u32) -> bool {
-        self.flat.is_cacheable(addr)
-    }
-}
 
 /// One engine's core and memory.
 #[derive(Clone)]
@@ -103,6 +69,10 @@ fn assert_same(block: &Run, step: &Run, what: &str) {
     );
     assert_eq!(block.mem.level, step.mem.level, "{what}: irq level");
     assert!(
+        block.mem.log == step.mem.log,
+        "{what}: memory accesses and their instants"
+    );
+    assert!(
         block.mem.flat.bytes == step.mem.flat.bytes,
         "{what}: memory"
     );
@@ -132,10 +102,7 @@ fn block_engine_matches_step_engine() {
         cfg.dcache_bytes = 128 << rng.below(8);
         let init = Run {
             cpu: Cpu::new(cfg),
-            mem: IrqMem {
-                flat: case.memory(),
-                level: false,
-            },
+            mem: IrqMem::new(case.memory()),
         };
         let (mut block, mut step) = (init.clone(), init);
         let mut retired = 0;

@@ -4,17 +4,19 @@
 //! cached data window, uncached accesses to an I/O window, a doorbell that
 //! raises the interrupt level, `wrteei 0/1`, forward skips, bounded loops,
 //! and an undecodable word parked after `halt` in the same cache line) plus
-//! an interrupt handler at [`Case::vector`]. Cases are drawn from
-//! `SplitMix64`, so a failure reproduces exactly and the tests need no
-//! external crates.
+//! an interrupt handler at [`Case::vector`]. Some ops write `r0`, whose
+//! writes must vanish, and some compare-and-branch pairs straddle a cache
+//! line boundary. [`IrqMem`] is the memory that turns the doorbell into an
+//! interrupt level. Cases are drawn from `SplitMix64`, so a failure
+//! reproduces exactly and the tests need no external crates.
 
 // Each test crate that includes this module uses only part of it.
 #![allow(dead_code)]
 
 use ppc405_sim::isa::Reg;
-use ppc405_sim::mem::LINE_BYTES;
+use ppc405_sim::mem::{MemoryPort, LINE_BYTES};
 use ppc405_sim::{encode, FlatMem, Instr};
-use vp2_sim::SplitMix64;
+use vp2_sim::{SimTime, SplitMix64};
 
 pub const MEM_BYTES: usize = 0x8000;
 /// The data window cached loads and stores land in.
@@ -61,6 +63,11 @@ impl Case {
     }
 
     /// The case's memory: program, handler and the uncached window.
+    /// The program's words.
+    pub fn code(&self) -> &[u32] {
+        &self.code
+    }
+
     pub fn memory(&self) -> FlatMem {
         let mut mem = FlatMem::new(MEM_BYTES);
         mem.uncached_base = UNCACHED;
@@ -71,6 +78,63 @@ impl Case {
             mem.store_u32(self.vector + 4 * i as u32, encode(ins));
         }
         mem
+    }
+}
+
+/// [`FlatMem`] plus the interrupt level its doorbell word drives: an
+/// uncached load from the doorbell raises the level and a store sets it,
+/// so either kind of uncached access can reach a device that interrupts.
+/// It also logs every access with the instant it was made at: `FlatMem`'s
+/// fixed access times would hide an access made at the wrong instant,
+/// which a real bus would time differently.
+#[derive(Clone)]
+pub struct IrqMem {
+    pub flat: FlatMem,
+    pub level: bool,
+    /// `(kind, address, instant)` of every access, in order: kinds `r`
+    /// and `w` are single beats, `R` and `W` line fills and writebacks.
+    pub log: Vec<(char, u32, SimTime)>,
+}
+
+impl IrqMem {
+    pub fn new(flat: FlatMem) -> IrqMem {
+        IrqMem {
+            flat,
+            level: false,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl MemoryPort for IrqMem {
+    fn read(&mut self, now: SimTime, addr: u32, size: u8) -> (u32, SimTime) {
+        self.log.push(('r', addr, now));
+        if addr == DOORBELL {
+            self.level = true;
+        }
+        self.flat.read(now, addr, size)
+    }
+
+    fn write(&mut self, now: SimTime, addr: u32, size: u8, data: u32) -> SimTime {
+        self.log.push(('w', addr, now));
+        if addr == DOORBELL {
+            self.level = data & 1 == 1;
+        }
+        self.flat.write(now, addr, size, data)
+    }
+
+    fn read_line(&mut self, now: SimTime, addr: u32, buf: &mut [u8; LINE_BYTES]) -> SimTime {
+        self.log.push(('R', addr, now));
+        self.flat.read_line(now, addr, buf)
+    }
+
+    fn write_line(&mut self, now: SimTime, addr: u32, buf: &[u8; LINE_BYTES]) -> SimTime {
+        self.log.push(('W', addr, now));
+        self.flat.write_line(now, addr, buf)
+    }
+
+    fn is_cacheable(&self, addr: u32) -> bool {
+        self.flat.is_cacheable(addr)
     }
 }
 
@@ -98,9 +162,14 @@ fn handler() -> [Instr; 4] {
     ]
 }
 
-/// A register generated ops may write (`r1..=r15`).
+/// A register generated ops may write: `r1..=r15`, or now and then `r0`,
+/// whose writes must vanish.
 fn dst(rng: &mut SplitMix64) -> Reg {
-    1 + rng.below(15) as Reg
+    if rng.chance(1, 16) {
+        0
+    } else {
+        1 + rng.below(15) as Reg
+    }
 }
 
 /// A register generated ops may read (`r0..=r15`).
@@ -238,13 +307,20 @@ fn io_op(rng: &mut SplitMix64) -> Instr {
 }
 
 /// A straight-line op: ALU, memory, I/O, or a compare plus a forward
-/// branch that may skip the next ALU op.
+/// branch that may skip the next ALU op. One compare in four is padded
+/// with `nop`s to the last word of a cache line, so its branch opens the
+/// next line.
 fn simple(rng: &mut SplitMix64, out: &mut Vec<Instr>) {
     match rng.below(5) {
         0 | 1 => out.push(alu(rng)),
         2 => mem_op(rng, out),
         3 => out.push(io_op(rng)),
         _ => {
+            if rng.chance(1, 4) {
+                while (out.len() * 4) % LINE_BYTES != LINE_BYTES - 4 {
+                    out.push(Instr::Nop);
+                }
+            }
             let (ra, rb) = (src(rng), src(rng));
             out.push(if rng.chance(1, 2) {
                 Instr::Cmpw { ra, rb }

@@ -1,10 +1,11 @@
-//! Property test: the predecoded instruction-cache fetch path executes
-//! exactly like decode-per-fetch.
+//! Property test: the instruction cache's micro-op lines execute exactly
+//! like decode-per-fetch.
 //!
 //! Each case runs a generated program (see `gen`) twice: with caches on,
-//! where every fetch comes predecoded from the I-cache (through the block
-//! engine wherever it can run), and with caches off, where every fetch
-//! reads memory and runs `decode`. Both runs must end with equal
+//! where every fetch comes from a micro-op line translated when the
+//! I-cache line filled (through the block engine wherever it can run),
+//! and with caches off, where every fetch reads memory and translates the
+//! word on its own. Both runs must end with equal
 //! registers, equal memory and equal retired / taken-branch / memory-op
 //! counts. Nothing drives the interrupt line here, so the doorbell and
 //! `wrteei` ops the generator emits only act as uncached accesses and mask
@@ -17,7 +18,8 @@ use ppc405_sim::mem::LINE_BYTES;
 use ppc405_sim::{decode, Cpu, CpuConfig};
 use vp2_sim::{ClockDomain, SimTime, SplitMix64};
 
-const CASES: u64 = 200;
+/// Cases: a quick sweep in debug builds, a deeper one in release.
+const CASES: u64 = if cfg!(debug_assertions) { 200 } else { 5_000 };
 
 struct Outcome {
     regs: Vec<u32>,
@@ -52,8 +54,8 @@ fn predecoded_fetch_matches_decode_per_fetch() {
         let case = Case::draw(&mut rng);
         let mut cached = CpuConfig::ppc405(ClockDomain::from_mhz("cpu", 300));
         cached.irq_vector = case.vector;
-        // Small caches force line evictions and refills of the decoded
-        // copies; the full 16 KB ones keep every line resident.
+        // Small caches force line evictions and rebuilds of the micro-op
+        // lines; the full 16 KB ones keep every line resident.
         let bytes = [128, 256, 1024, 16 * 1024][rng.below(4) as usize];
         cached.icache_bytes = bytes;
         cached.dcache_bytes = bytes;
