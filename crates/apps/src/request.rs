@@ -24,6 +24,7 @@ use ppc405_sim::{assemble, Program};
 use rtr_core::machine::Machine;
 use rtr_core::manager::ModuleFactory;
 use rtr_core::{build_system, SystemKind};
+use std::sync::Arc;
 use vp2_bitstream::Component;
 use vp2_netlist::components as c;
 use vp2_netlist::graph::Netlist;
@@ -440,7 +441,7 @@ const SLOT_BYTES: u32 = 0x1000;
 /// downloaded, not which machine it downloaded them to, so a driver moved
 /// to a second machine would call programs that machine never received.
 pub struct Driver {
-    programs: Vec<Program>,
+    programs: Arc<[Program]>,
     downloaded: [bool; PROGS.len()],
 }
 
@@ -468,6 +469,16 @@ impl Driver {
             .collect();
         Driver {
             programs,
+            downloaded: [false; PROGS.len()],
+        }
+    }
+
+    /// A driver for another machine over the same assembled programs,
+    /// with nothing downloaded yet: its first use of each program pays
+    /// the JTAG download exactly as a [`Driver::new`] would.
+    pub fn fresh(&self) -> Self {
+        Driver {
+            programs: Arc::clone(&self.programs),
             downloaded: [false; PROGS.len()],
         }
     }

@@ -153,30 +153,41 @@ pub struct BitLinker {
     device: Device,
     region: DynamicRegion,
     /// Configuration of the full device with the static design loaded and
-    /// the dynamic region empty. Rows outside the region in the region's
-    /// columns are taken from here — guarantee (2).
-    static_base: ConfigMemory,
+    /// the region band erased. Rows outside the region in the region's
+    /// columns are taken from here — guarantee (2). Every merged state is
+    /// a clone of it, so a state owns only the frames its components
+    /// write and shares every other frame with this base.
+    erased_base: ConfigMemory,
     idcode: u32,
     /// Footprints (region-relative) that component macros must land on.
     expected_macros: Vec<BusMacro>,
 }
 
 impl BitLinker {
-    /// Creates a BitLinker.
+    /// Creates a BitLinker over the static design's baseline
+    /// configuration, erasing the region band of `static_base` once.
     pub fn new(
         device: Device,
         region: DynamicRegion,
-        static_base: ConfigMemory,
+        mut static_base: ConfigMemory,
         expected_macros: Vec<BusMacro>,
     ) -> Self {
         let idcode = crate::idcode_for(device.kind);
+        erase_region_band(&region, &mut static_base);
         BitLinker {
             device,
             region,
-            static_base,
+            erased_base: static_base,
             idcode,
             expected_macros,
         }
+    }
+
+    /// The static design with the region band erased: the state of the
+    /// device with no module loaded, and the base every merged state
+    /// shares its untouched frames with.
+    pub fn erased_base(&self) -> &ConfigMemory {
+        &self.erased_base
     }
 
     /// The dynamic region this linker targets.
@@ -230,12 +241,13 @@ impl BitLinker {
     }
 
     /// The merged full-device state a load of these parts establishes: the
-    /// static base with the region band erased, then every component
-    /// encoded at its origin. This is the one checked merge — each part
-    /// must fit the region and land its dock macros on an agreed
-    /// footprint, and no two parts may share a CLB — that every stream is
-    /// cut from: [`BitLinker::assemble`] takes the region's frames, the
-    /// module manager each sub-slot's frames, and
+    /// [erased base](BitLinker::erased_base), then every component encoded
+    /// at its origin. Only the frames the encoders write are copied; every
+    /// other frame is the base's own allocation. This is the one checked
+    /// merge — each part must fit the region and land its dock macros on an
+    /// agreed footprint, and no two parts may share a CLB — that every
+    /// stream is cut from: [`BitLinker::assemble`] takes the region's
+    /// frames, the module manager each sub-slot's frames, and
     /// [`differential_bitstream`](crate::builder::differential_bitstream)
     /// the frames that differ from an assumed current state.
     pub fn expected_state(
@@ -275,8 +287,7 @@ impl BitLinker {
             }
         }
 
-        let mut merged = self.static_base.clone();
-        self.erase_region_band(&mut merged);
+        let mut merged = self.erased_base.clone();
         for &(comp, origin) in parts {
             let dev_origin = ClbCoord::new(
                 self.region.cols.start + origin.0,
@@ -286,28 +297,6 @@ impl BitLinker {
                 .map_err(|e| AssembleError::Encode(e.to_string()))?;
         }
         Ok(merged)
-    }
-
-    /// Zeroes the region's row band in every CLB frame of the region's
-    /// columns (and the region's BRAM content) while leaving the rows above
-    /// and below untouched.
-    fn erase_region_band(&self, mem: &mut ConfigMemory) {
-        let band = ConfigMemory::row_word_range(self.region.rows.clone());
-        for addr in self.region.writable_frames() {
-            let words = mem.frame_mut(addr);
-            match addr.block {
-                FrameBlock::Clb { .. } | FrameBlock::BramInterconnect { .. } => {
-                    words[band.clone()].fill(0);
-                }
-                FrameBlock::BramContent { col } => {
-                    // Only the BRAM blocks the region owns are cleared.
-                    for &(_, block) in self.region.brams.iter().filter(|&&(c, _)| c == col) {
-                        let base = block as usize * WORDS_PER_BRAM_BLOCK;
-                        words[base..base + WORDS_PER_BRAM_BLOCK].fill(0);
-                    }
-                }
-            }
-        }
     }
 
     /// Checks a component macro against the agreed footprints: a macro with
@@ -351,6 +340,32 @@ impl BitLinker {
             });
         }
         Ok(())
+    }
+}
+
+/// Zeroes the region's row band in every CLB frame of the region's columns
+/// (and the region's BRAM content) while leaving the rows above and below
+/// untouched. Only a frame the erase changes is written, so every other
+/// frame stays shared.
+fn erase_region_band(region: &DynamicRegion, mem: &mut ConfigMemory) {
+    let band = ConfigMemory::row_word_range(region.rows.clone());
+    for addr in region.writable_frames() {
+        let mut words = mem.frame(addr).to_vec();
+        match addr.block {
+            FrameBlock::Clb { .. } | FrameBlock::BramInterconnect { .. } => {
+                words[band.clone()].fill(0);
+            }
+            FrameBlock::BramContent { col } => {
+                // Only the BRAM blocks the region owns are cleared.
+                for &(_, block) in region.brams.iter().filter(|&&(c, _)| c == col) {
+                    let base = block as usize * WORDS_PER_BRAM_BLOCK;
+                    words[base..base + WORDS_PER_BRAM_BLOCK].fill(0);
+                }
+            }
+        }
+        if words[..] != *mem.frame(addr) {
+            mem.frame_mut(addr).copy_from_slice(&words);
+        }
     }
 }
 
@@ -436,7 +451,7 @@ mod tests {
         let lk = linker();
         let comp = make_component(0);
         let (bs, _) = lk.link(&comp, (0, 0)).unwrap();
-        let mut mem = lk.static_base.clone();
+        let mut mem = static_base(lk.device());
         apply_bitstream(&bs, &mut mem, crate::IDCODE_XC2VP7).unwrap();
         // The recognisable static bits at rows 0, 1 and rows-1 are intact.
         let dev = lk.device();
@@ -469,11 +484,11 @@ mod tests {
         let (bs_b, _) = lk.link(&b, (0, 0)).unwrap();
 
         // Path 1: load B directly onto the static base.
-        let mut direct = lk.static_base.clone();
+        let mut direct = static_base(lk.device());
         apply_bitstream(&bs_b, &mut direct, crate::IDCODE_XC2VP7).unwrap();
 
         // Path 2: load A first, then B over it.
-        let mut via_a = lk.static_base.clone();
+        let mut via_a = static_base(lk.device());
         apply_bitstream(&bs_a, &mut via_a, crate::IDCODE_XC2VP7).unwrap();
         apply_bitstream(&bs_b, &mut via_a, crate::IDCODE_XC2VP7).unwrap();
 
@@ -502,7 +517,7 @@ mod tests {
         apply_bitstream(&diff_b, &mut good, crate::IDCODE_XC2VP7).unwrap();
         assert_eq!(good, state_b);
         // …wrong when it does not (region empty instead of holding A).
-        let mut bad = lk.static_base.clone();
+        let mut bad = static_base(lk.device());
         // static_base still has pre-erase content in the band? erase to get
         // the 'blank region' state first.
         let (blank_bs, _) = lk.blank_configuration();
@@ -551,7 +566,7 @@ mod tests {
         let lk = linker();
         let a = make_component(1);
         let (bs_a, _) = lk.link(&a, (0, 0)).unwrap();
-        let mut mem = lk.static_base.clone();
+        let mut mem = static_base(lk.device());
         apply_bitstream(&bs_a, &mut mem, crate::IDCODE_XC2VP7).unwrap();
         let (blank, _) = lk.blank_configuration();
         apply_bitstream(&blank, &mut mem, crate::IDCODE_XC2VP7).unwrap();
@@ -560,7 +575,7 @@ mod tests {
         for addr in lk.region().writable_frames() {
             if let FrameBlock::Clb { .. } = addr.block {
                 let frame = mem.frame(addr);
-                assert!(frame.words[band.clone()].iter().all(|&w| w == 0));
+                assert!(frame[band.clone()].iter().all(|&w| w == 0));
             }
         }
     }

@@ -16,7 +16,10 @@
 
 use crate::crc::CrcAccumulator;
 use crate::fault::FaultPlan;
-use crate::packet::{decode_far, encode_far, Bitstream, Command, ConfigRegister, Packet};
+use crate::packet::{
+    decode_far, encode_far, header_len, push_write_header, Bitstream, Command, ConfigRegister,
+    Packet, DUMMY_WORD, SYNC_WORD,
+};
 use vp2_fabric::config::{ConfigMemory, FrameAddress};
 
 /// Errors while applying a bitstream.
@@ -86,56 +89,66 @@ pub struct ApplyReport {
     pub words_total: usize,
 }
 
-/// Builds the standard packet prologue (IDCODE check, CRC reset, WCFG).
-fn prologue(idcode: u32) -> Vec<Packet> {
-    vec![
-        Packet::Write {
-            reg: ConfigRegister::Idcode,
-            data: vec![idcode],
-        },
-        Packet::Write {
-            reg: ConfigRegister::Cmd,
-            data: vec![Command::Rcrc as u32],
-        },
-        Packet::Write {
-            reg: ConfigRegister::Cmd,
-            data: vec![Command::Wcfg as u32],
-        },
-    ]
+/// A configuration stream written straight into one buffer sized up
+/// front, accumulating the CRC the way the apply path does.
+struct StreamWriter {
+    words: Vec<u32>,
+    crc: CrcAccumulator,
 }
 
-/// Appends the CRC-check + start + desync epilogue, computing the CRC the
-/// same way the apply path does.
-fn epilogue(packets: &mut Vec<Packet>) {
-    let mut crc = CrcAccumulator::new();
-    for p in packets.iter() {
-        if let Packet::Write { reg, data } = p {
-            match reg {
-                ConfigRegister::Crc => crc.reset(),
-                _ => {
-                    for &w in data {
-                        crc.absorb(*reg as u8, w);
-                    }
-                    if *reg == ConfigRegister::Cmd && data == &[Command::Rcrc as u32] {
-                        crc.reset();
-                    }
-                }
-            }
-        }
+/// Words of the prologue and of the epilogue: three single-word register
+/// writes each, a header and a payload word apiece.
+const FRAMING_WORDS: usize = 2 * 3;
+
+impl StreamWriter {
+    /// Starts a stream whose frame-carrying packets take `body` words:
+    /// dummy and sync words, then the prologue (IDCODE check, CRC reset,
+    /// WCFG).
+    fn new(idcode: u32, body: usize) -> Self {
+        let mut words = Vec::with_capacity(2 + FRAMING_WORDS + body + FRAMING_WORDS);
+        words.extend_from_slice(&[DUMMY_WORD, SYNC_WORD]);
+        let mut s = StreamWriter {
+            words,
+            crc: CrcAccumulator::new(),
+        };
+        s.write(ConfigRegister::Idcode, &[idcode]);
+        s.write(ConfigRegister::Cmd, &[Command::Rcrc as u32]);
+        s.crc.reset();
+        s.write(ConfigRegister::Cmd, &[Command::Wcfg as u32]);
+        s
     }
-    let value = crc.value();
-    packets.push(Packet::Write {
-        reg: ConfigRegister::Crc,
-        data: vec![value],
-    });
-    packets.push(Packet::Write {
-        reg: ConfigRegister::Cmd,
-        data: vec![Command::Start as u32],
-    });
-    packets.push(Packet::Write {
-        reg: ConfigRegister::Cmd,
-        data: vec![Command::Desync as u32],
-    });
+
+    /// One register write: header and payload.
+    fn write(&mut self, reg: ConfigRegister, data: &[u32]) {
+        self.header(reg, data.len());
+        self.payload(reg, data);
+    }
+
+    /// The header of a register write carrying `len` payload words.
+    fn header(&mut self, reg: ConfigRegister, len: usize) {
+        push_write_header(&mut self.words, reg, len);
+    }
+
+    /// Payload words of the register write whose header came last.
+    fn payload(&mut self, reg: ConfigRegister, data: &[u32]) {
+        for &w in data {
+            self.crc.absorb(reg as u8, w);
+        }
+        self.words.extend_from_slice(data);
+    }
+
+    /// Appends the epilogue (CRC check, start, desync) and hands over the
+    /// stream, which fills its buffer exactly.
+    fn finish(mut self) -> Bitstream {
+        let crc = self.crc.value();
+        // The CRC register write resets the accumulator instead of
+        // feeding it, so its word is pushed without absorbing.
+        self.header(ConfigRegister::Crc, 1);
+        self.words.push(crc);
+        self.write(ConfigRegister::Cmd, &[Command::Start as u32]);
+        self.write(ConfigRegister::Cmd, &[Command::Desync as u32]);
+        Bitstream { words: self.words }
+    }
 }
 
 /// Generates a full-device bitstream from `mem`.
@@ -146,7 +159,8 @@ pub fn full_bitstream(mem: &ConfigMemory, idcode: u32) -> Bitstream {
 
 /// Generates a partial bitstream carrying the **complete** contents of the
 /// given frames (taken from `mem`). Frames are grouped into runs that are
-/// consecutive in device order, each run emitted as one FAR + FDRI pair.
+/// consecutive in device order, each run emitted as one FAR + FDRI pair,
+/// and the stream is written into one buffer of its exact length.
 pub fn partial_bitstream(mem: &ConfigMemory, frames: &[FrameAddress], idcode: u32) -> Bitstream {
     let mut indexed: Vec<(usize, FrameAddress)> = frames
         .iter()
@@ -158,31 +172,26 @@ pub fn partial_bitstream(mem: &ConfigMemory, frames: &[FrameAddress], idcode: u3
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.dedup_by_key(|&mut (i, _)| i);
 
-    let mut packets = prologue(idcode);
-    let mut run_start = 0usize;
-    while run_start < indexed.len() {
-        // Extend the run while device-order indices are consecutive.
-        let mut run_end = run_start + 1;
-        while run_end < indexed.len() && indexed[run_end].0 == indexed[run_end - 1].0 + 1 {
-            run_end += 1;
+    let runs: Vec<&[(usize, FrameAddress)]> = indexed.chunk_by(|a, b| b.0 == a.0 + 1).collect();
+    let payload = |run: &[(usize, FrameAddress)]| -> usize {
+        run.iter().map(|&(_, a)| mem.frame(a).len()).sum()
+    };
+    let body = runs
+        .iter()
+        .map(|run| {
+            let len = payload(run);
+            2 + header_len(len) + len
+        })
+        .sum();
+    let mut stream = StreamWriter::new(idcode, body);
+    for run in runs {
+        stream.write(ConfigRegister::Far, &[encode_far(run[0].1)]);
+        stream.header(ConfigRegister::Fdri, payload(run));
+        for &(_, addr) in run {
+            stream.payload(ConfigRegister::Fdri, mem.frame(addr));
         }
-        let (_, first_addr) = indexed[run_start];
-        packets.push(Packet::Write {
-            reg: ConfigRegister::Far,
-            data: vec![encode_far(first_addr)],
-        });
-        let mut data = Vec::new();
-        for &(_, addr) in &indexed[run_start..run_end] {
-            data.extend_from_slice(&mem.frame(addr).words);
-        }
-        packets.push(Packet::Write {
-            reg: ConfigRegister::Fdri,
-            data,
-        });
-        run_start = run_end;
     }
-    epilogue(&mut packets);
-    Bitstream::from_packets(&packets)
+    stream.finish()
 }
 
 /// Generates a differential bitstream: only frames of `target` that differ
@@ -282,14 +291,20 @@ pub fn apply_bitstream_faulty(
                 let mut off = 0usize;
                 while off < data.len() {
                     let addr = mem.frame_address(idx).ok_or(ApplyError::AddressOverflow)?;
-                    let frame = mem.frame_mut(addr);
-                    let len = frame.len();
-                    if off + len > data.len() {
+                    let len = mem.frame(addr).len();
+                    let Some(words) = data.get(off..off + len) else {
                         return Err(ApplyError::PartialFrame);
-                    }
-                    frame.copy_from_slice(&data[off..off + len]);
-                    if let Some(plan) = fault.as_deref_mut().filter(|p| p.is_active()) {
-                        plan.corrupt_frame(frame);
+                    };
+                    let plan = fault.as_deref_mut().filter(|p| p.is_active());
+                    // A frame that already holds these words is left
+                    // alone, so a frame shared with another memory stays
+                    // shared.
+                    if plan.is_some() || mem.frame(addr) != words {
+                        let frame = mem.frame_mut(addr);
+                        frame.copy_from_slice(words);
+                        if let Some(plan) = plan {
+                            plan.corrupt_frame(frame);
+                        }
                     }
                     frames_written += 1;
                     off += len;
@@ -320,6 +335,137 @@ mod tests {
 
     fn dev() -> Device {
         Device::new(DeviceKind::Xc2vp7)
+    }
+
+    /// The standard packet prologue (IDCODE check, CRC reset, WCFG), as
+    /// packets: the oracle side of `stream_writer_matches_the_packet_oracle`
+    /// and the head of the hand-built malformed streams below.
+    fn prologue(idcode: u32) -> Vec<Packet> {
+        vec![
+            Packet::Write {
+                reg: ConfigRegister::Idcode,
+                data: vec![idcode],
+            },
+            Packet::Write {
+                reg: ConfigRegister::Cmd,
+                data: vec![Command::Rcrc as u32],
+            },
+            Packet::Write {
+                reg: ConfigRegister::Cmd,
+                data: vec![Command::Wcfg as u32],
+            },
+        ]
+    }
+
+    /// Appends the CRC-check + start + desync epilogue as packets, computing
+    /// the CRC the same way the apply path does.
+    fn epilogue(packets: &mut Vec<Packet>) {
+        let mut crc = CrcAccumulator::new();
+        for p in packets.iter() {
+            if let Packet::Write { reg, data } = p {
+                match reg {
+                    ConfigRegister::Crc => crc.reset(),
+                    _ => {
+                        for &w in data {
+                            crc.absorb(*reg as u8, w);
+                        }
+                        if *reg == ConfigRegister::Cmd && data == &[Command::Rcrc as u32] {
+                            crc.reset();
+                        }
+                    }
+                }
+            }
+        }
+        let value = crc.value();
+        packets.push(Packet::Write {
+            reg: ConfigRegister::Crc,
+            data: vec![value],
+        });
+        packets.push(Packet::Write {
+            reg: ConfigRegister::Cmd,
+            data: vec![Command::Start as u32],
+        });
+        packets.push(Packet::Write {
+            reg: ConfigRegister::Cmd,
+            data: vec![Command::Desync as u32],
+        });
+    }
+
+    /// [`partial_bitstream`] as packets: prologue, one FAR + FDRI pair per
+    /// device-order run, epilogue, then [`Bitstream::from_packets`].
+    fn packet_oracle(mem: &ConfigMemory, frames: &[FrameAddress], idcode: u32) -> Bitstream {
+        let mut idx: Vec<usize> = frames
+            .iter()
+            .map(|&a| mem.linear_index(a).unwrap())
+            .collect();
+        idx.sort_unstable();
+        idx.dedup();
+        let mut packets = prologue(idcode);
+        for run in idx.chunk_by(|a, b| *b == a + 1) {
+            packets.push(Packet::Write {
+                reg: ConfigRegister::Far,
+                data: vec![encode_far(mem.frame_address(run[0]).unwrap())],
+            });
+            let data = run
+                .iter()
+                .flat_map(|&i| mem.frame(mem.frame_address(i).unwrap()).to_vec())
+                .collect();
+            packets.push(Packet::Write {
+                reg: ConfigRegister::Fdri,
+                data,
+            });
+        }
+        epilogue(&mut packets);
+        Bitstream::from_packets(&packets)
+    }
+
+    #[test]
+    fn frames_already_holding_the_stream_stay_shared() {
+        let src = patterned_memory();
+        let bs = full_bitstream(&src, ID);
+        let mut dst = src.clone();
+        apply_bitstream(&bs, &mut dst, ID).unwrap();
+        assert!(src.frame_addresses().all(|a| dst.shares_frame(&src, a)));
+        // Onto a blank memory, exactly the frames whose words change are
+        // written; the blank ones keep sharing the zero frame.
+        let blank = ConfigMemory::new(&dev());
+        let mut dst = blank.clone();
+        apply_bitstream(&bs, &mut dst, ID).unwrap();
+        assert_eq!(dst, src);
+        let changed = src.diff(&blank);
+        for a in src.frame_addresses() {
+            assert_eq!(dst.shares_frame(&blank, a), !changed.contains(&a), "{a}");
+        }
+        // A fault plan sees every frame, so an active one writes them all.
+        let mut dst = src.clone();
+        let mut plan = FaultPlan::new(7, 1e-9);
+        apply_bitstream_faulty(&bs, &mut dst, ID, Some(&mut plan)).unwrap();
+        assert!(src.frame_addresses().all(|a| !dst.shares_frame(&src, a)));
+    }
+
+    #[test]
+    fn stream_writer_matches_the_packet_oracle() {
+        let src = patterned_memory();
+        let all: Vec<FrameAddress> = src.frame_addresses().collect();
+        let mut rng = vp2_sim::SplitMix64::new(0x5EED_B175);
+        let mut sets = vec![Vec::new(), all.clone(), all[..1].to_vec()];
+        for _ in 0..40 {
+            // Random subsets, unsorted and with repeats, so runs of every
+            // length (including FDRI payloads past the type-1 count) occur.
+            let n = 1 + rng.next_u64() as usize % 64;
+            let start = rng.next_u64() as usize % all.len();
+            let mut set: Vec<FrameAddress> = (0..n)
+                .map(|k| all[(start + k * (1 + rng.next_u64() as usize % 3)) % all.len()])
+                .collect();
+            set.reverse();
+            sets.push(set);
+        }
+        for set in &sets {
+            let bs = partial_bitstream(&src, set, ID);
+            assert_eq!(bs, packet_oracle(&src, set, ID), "{} frames", set.len());
+            // Sized up front: the buffer never grew past the stream.
+            assert_eq!(bs.words.capacity(), bs.word_count(), "{} frames", set.len());
+        }
     }
 
     fn patterned_memory() -> ConfigMemory {
@@ -532,7 +678,7 @@ mod tests {
     fn fdri_past_the_last_frame_rejected() {
         let mem = ConfigMemory::new(&dev());
         let last = mem.frame_address(mem.frame_count() - 1).unwrap();
-        let len = mem.frame(last).words.len();
+        let len = mem.frame(last).len();
         let packets = vec![
             Packet::Write {
                 reg: ConfigRegister::Far,

@@ -156,23 +156,46 @@ const OP_WRITE: u32 = 0b10 << 27;
 /// Max payload expressible in a type-1 header.
 const TYPE1_MAX: usize = 0x7FF;
 
+/// Header words of a register write carrying `len` payload words.
+pub(crate) fn header_len(len: usize) -> usize {
+    if len <= TYPE1_MAX {
+        1
+    } else {
+        2
+    }
+}
+
+/// Appends the header of a register write carrying `len` payload words.
+pub(crate) fn push_write_header(words: &mut Vec<u32>, reg: ConfigRegister, len: usize) {
+    let regbits = (u32::from(reg as u8) & 0x1F) << 13;
+    if len <= TYPE1_MAX {
+        words.push(TYPE1 | OP_WRITE | regbits | len as u32);
+    } else {
+        // Type-1 header with count 0, then type-2 with the long count (the
+        // FDRI long-write idiom).
+        words.push(TYPE1 | OP_WRITE | regbits);
+        words.push(TYPE2 | OP_WRITE | (len as u32 & 0x07FF_FFFF));
+    }
+}
+
 impl Bitstream {
-    /// Assembles a bitstream from packets (adds dummy + sync framing).
+    /// Assembles a bitstream from packets (adds dummy + sync framing) into
+    /// one buffer of the stream's exact length.
     pub fn from_packets(packets: &[Packet]) -> Self {
-        let mut words = vec![DUMMY_WORD, SYNC_WORD];
+        let len = 2 + packets
+            .iter()
+            .map(|p| match p {
+                Packet::Nop => 1,
+                Packet::Write { data, .. } => header_len(data.len()) + data.len(),
+            })
+            .sum::<usize>();
+        let mut words = Vec::with_capacity(len);
+        words.extend_from_slice(&[DUMMY_WORD, SYNC_WORD]);
         for p in packets {
             match p {
                 Packet::Nop => words.push(TYPE1), // type-1 op=00 count=0
                 Packet::Write { reg, data } => {
-                    let regbits = (u32::from(*reg as u8) & 0x1F) << 13;
-                    if data.len() <= TYPE1_MAX {
-                        words.push(TYPE1 | OP_WRITE | regbits | data.len() as u32);
-                    } else {
-                        // Type-1 header with count 0, then type-2 with the
-                        // long count (the FDRI long-write idiom).
-                        words.push(TYPE1 | OP_WRITE | regbits);
-                        words.push(TYPE2 | OP_WRITE | (data.len() as u32 & 0x07FF_FFFF));
-                    }
+                    push_write_header(&mut words, *reg, data.len());
                     words.extend_from_slice(data);
                 }
             }
@@ -310,6 +333,8 @@ mod tests {
         assert_eq!(parsed, pkts);
         // Long write used a type-2 header.
         assert!(bs.words.iter().any(|&w| w >> 29 == 0b010));
+        // Sized up front: the buffer never grew past the stream.
+        assert_eq!(bs.words.capacity(), bs.word_count());
     }
 
     #[test]

@@ -368,6 +368,12 @@ impl ModuleManager {
         Ok(())
     }
 
+    /// The BitLinker this manager links with. Images taken from a table
+    /// another manager filled were linked by that manager's linker.
+    pub fn linker(&self) -> &BitLinker {
+        &self.linker
+    }
+
     /// The active plane configuration.
     pub fn plane(&self) -> &ConfigPlaneConfig {
         &self.plane
@@ -505,9 +511,9 @@ impl ModuleManager {
         let mut mismatched: Vec<(usize, &ConfigMemory, FrameAddress)> = Vec::new();
         for k in 0..take {
             let (slot_idx, expected, addr) = domain[(start + k) % len];
-            let live = &m.platform.config.frame(addr).words;
-            read_words += live.len();
-            if live != &expected.frame(addr).words {
+            let live = &m.platform.config;
+            read_words += live.frame(addr).len();
+            if !live.frame_eq(expected, addr) {
                 mismatched.push((slot_idx, expected, addr));
             }
         }
@@ -743,7 +749,7 @@ impl ModuleManager {
                 let mut fp = Fingerprint::new();
                 fp.update_str(name).update_u64(slot_idx as u64);
                 for &addr in slot_frames.iter() {
-                    for &w in &m.platform.config.frame(addr).words {
+                    for &w in m.platform.config.frame(addr) {
                         fp.update_u32(w);
                     }
                 }

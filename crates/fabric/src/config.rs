@@ -15,10 +15,20 @@
 //! The encoding of logic into frame bits is deterministic and documented on
 //! each accessor, which makes differential bitstreams, readback and BitLinker
 //! merging real bit-level operations.
+//!
+//! Frames are shared, copy-on-write `Arc<[u32]>` payloads: a blank memory
+//! holds one zero frame per frame length, a clone copies only pointers,
+//! and [`ConfigMemory::frame_mut`] copies a frame the first time a shared
+//! one is written. A configuration derived from a base (BitLinker's
+//! merged states, a differential target) therefore owns only the frames
+//! that were written after the clone, and comparisons
+//! ([`ConfigMemory::diff`], [`ConfigMemory::mismatched_frames`]) settle
+//! shared frames by pointer before comparing words.
 
 use crate::coords::{ClbCoord, FfIndex, LutIndex, SliceIndex};
 use crate::device::Device;
 use std::fmt;
+use std::sync::Arc;
 
 /// Frames (minor addresses) per CLB column.
 ///
@@ -68,55 +78,33 @@ impl fmt::Display for FrameAddress {
     }
 }
 
-/// One configuration frame: a column-spanning vector of 32-bit words.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Frame payload words.
-    pub words: Vec<u32>,
-}
-
-impl Frame {
-    /// An all-zero frame of the given length.
-    pub fn zeroed(len: usize) -> Self {
-        Frame {
-            words: vec![0; len],
-        }
-    }
-
-    /// Is every word zero (the erased state)?
-    pub fn is_blank(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-}
-
 /// The device's entire configuration memory.
 ///
-/// Cloneable so that tests and the BitLinker can snapshot/diff states.
+/// Cloning shares every frame (see the module documentation), so tests and
+/// the BitLinker snapshot and diff states for the cost of a pointer per
+/// frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigMemory {
     rows: u16,
     clb_cols: u16,
     bram_cols: u16,
     brams_per_col: u16,
-    /// Frames laid out by [`Self::linear_index`].
-    frames: Vec<Frame>,
+    /// Frames laid out by [`Self::linear_index`], shared copy-on-write.
+    frames: Vec<Arc<[u32]>>,
 }
 
 impl ConfigMemory {
-    /// Blank configuration memory for a device.
+    /// Blank configuration memory for a device: every frame of one length
+    /// shares one zero frame.
     pub fn new(dev: &Device) -> Self {
-        let mut frames = Vec::new();
-        let clb_len = dev.rows as usize * WORDS_PER_CLB_ROW;
-        for _ in 0..(dev.clb_cols as usize * MINORS_PER_CLB_COL as usize) {
-            frames.push(Frame::zeroed(clb_len));
-        }
-        for _ in 0..(dev.bram_cols as usize * MINORS_PER_BRAM_INTERCONNECT as usize) {
-            frames.push(Frame::zeroed(clb_len));
-        }
-        let bram_len = dev.brams_per_col as usize * WORDS_PER_BRAM_BLOCK;
-        for _ in 0..(dev.bram_cols as usize * MINORS_PER_BRAM_CONTENT as usize) {
-            frames.push(Frame::zeroed(bram_len));
-        }
+        let clb_zero: Arc<[u32]> = vec![0; dev.rows as usize * WORDS_PER_CLB_ROW].into();
+        let bram_zero: Arc<[u32]> =
+            vec![0; dev.brams_per_col as usize * WORDS_PER_BRAM_BLOCK].into();
+        let clb_frames = (dev.clb_cols as usize * MINORS_PER_CLB_COL as usize)
+            + dev.bram_cols as usize * MINORS_PER_BRAM_INTERCONNECT as usize;
+        let bram_frames = dev.bram_cols as usize * MINORS_PER_BRAM_CONTENT as usize;
+        let mut frames = vec![clb_zero; clb_frames];
+        frames.resize(clb_frames + bram_frames, bram_zero);
         ConfigMemory {
             rows: dev.rows,
             clb_cols: dev.clb_cols,
@@ -196,29 +184,54 @@ impl ConfigMemory {
         (0..self.frames.len()).filter_map(|i| self.frame_address(i))
     }
 
-    /// Reads a frame.
+    /// Index of a valid address.
     ///
     /// # Panics
     /// Panics on an invalid address (model bug, not data dependent).
-    pub fn frame(&self, addr: FrameAddress) -> &Frame {
-        let idx = self
-            .linear_index(addr)
-            .unwrap_or_else(|| panic!("invalid frame address {addr}"));
-        &self.frames[idx]
+    fn index(&self, addr: FrameAddress) -> usize {
+        self.linear_index(addr)
+            .unwrap_or_else(|| panic!("invalid frame address {addr}"))
     }
 
-    /// A frame's words, writable in place but not resizable. Every write to
-    /// configuration memory goes through it: the ICAP's FDRI path, the
-    /// logic encoders below, the BitLinker's region erase and the upset
-    /// process.
+    /// Reads a frame's words.
+    ///
+    /// # Panics
+    /// Panics on an invalid address (model bug, not data dependent).
+    pub fn frame(&self, addr: FrameAddress) -> &[u32] {
+        &self.frames[self.index(addr)]
+    }
+
+    /// A frame's words, writable in place but not resizable. A frame still
+    /// shared with another memory (or with other frames, as blank frames
+    /// are) is copied first, so the write reaches this memory only. Every
+    /// write to configuration memory goes through it: the ICAP's FDRI
+    /// path, the logic encoders below, the BitLinker's region erase and
+    /// the upset process.
     ///
     /// # Panics
     /// Panics on an invalid address (model bug, not data dependent).
     pub fn frame_mut(&mut self, addr: FrameAddress) -> &mut [u32] {
-        let idx = self
-            .linear_index(addr)
-            .unwrap_or_else(|| panic!("invalid frame address {addr}"));
-        &mut self.frames[idx].words
+        let idx = self.index(addr);
+        Arc::make_mut(&mut self.frames[idx])
+    }
+
+    /// Does this memory hold the very frame allocation `other` holds at
+    /// `addr`? True only while neither side has written the frame since
+    /// one was cloned from the other (or both from a common base).
+    pub fn shares_frame(&self, other: &ConfigMemory, addr: FrameAddress) -> bool {
+        let idx = self.index(addr);
+        Arc::ptr_eq(&self.frames[idx], &other.frames[idx])
+    }
+
+    /// Do both memories hold the same words at `addr`? A shared frame
+    /// answers by pointer, without reading a word.
+    pub fn frame_eq(&self, other: &ConfigMemory, addr: FrameAddress) -> bool {
+        self.same_at(other, self.index(addr))
+    }
+
+    fn same_at(&self, other: &ConfigMemory, idx: usize) -> bool {
+        let (a, b) = (&self.frames[idx], &other.frames[idx]);
+        Arc::ptr_eq(a, b) || a[..] == b[..]
     }
 
     /// Readback verification over an explicit frame set: addresses in
@@ -235,7 +248,7 @@ impl ConfigMemory {
         frames
             .iter()
             .copied()
-            .filter(|&a| self.frame(a) != expected.frame(a))
+            .filter(|&a| !self.frame_eq(expected, a))
             .collect()
     }
 
@@ -248,8 +261,9 @@ impl ConfigMemory {
             other.frame_count(),
             "cannot diff different devices"
         );
-        self.frame_addresses()
-            .filter(|&a| self.frame(a) != other.frame(a))
+        (0..self.frames.len())
+            .filter(|&i| !self.same_at(other, i))
+            .filter_map(|i| self.frame_address(i))
             .collect()
     }
 
@@ -286,7 +300,7 @@ impl ConfigMemory {
     /// Reads a LUT truth table back (the readback path).
     pub fn lut(&self, clb: ClbCoord, slice: SliceIndex, lut: LutIndex) -> u16 {
         let (addr, word) = Self::lut_site(clb, slice);
-        let w = self.frame(addr).words[word];
+        let w = self.frame(addr)[word];
         ((w >> (16 * u32::from(lut.0))) & 0xFFFF) as u16
     }
 
@@ -312,7 +326,7 @@ impl ConfigMemory {
         };
         let word = clb.row as usize * WORDS_PER_CLB_ROW;
         let shift = 8 * u32::from(slice.0) + 4 * u32::from(ff.0);
-        ((self.frame(addr).words[word] >> shift) & 0xF) as u8
+        ((self.frame(addr)[word] >> shift) & 0xF) as u8
     }
 
     /// Writes one routing-summary word for a CLB. `channel` selects one of
@@ -341,7 +355,7 @@ impl ConfigMemory {
         };
         let base = clb.row as usize * WORDS_PER_CLB_ROW;
         let frame = self.frame(addr);
-        u64::from(frame.words[base]) | (u64::from(frame.words[base + 1]) << 32)
+        u64::from(frame[base]) | (u64::from(frame[base + 1]) << 32)
     }
 
     /// Writes 288 bits (9 words) of BRAM content: block `block` in BRAM
@@ -365,7 +379,7 @@ impl ConfigMemory {
         };
         let base = block as usize * WORDS_PER_BRAM_BLOCK;
         let mut out = [0u32; 9];
-        out.copy_from_slice(&self.frame(addr).words[base..base + 9]);
+        out.copy_from_slice(&self.frame(addr)[base..base + 9]);
         out
     }
 
@@ -397,7 +411,34 @@ mod tests {
     #[test]
     fn frames_start_blank() {
         let m = mem();
-        assert!(m.frame_addresses().all(|a| m.frame(a).is_blank()));
+        assert!(m
+            .frame_addresses()
+            .all(|a| m.frame(a).iter().all(|&w| w == 0)));
+    }
+
+    #[test]
+    fn clones_share_frames_until_written() {
+        let mut m = mem();
+        m.set_lut(ClbCoord::new(1, 1), SliceIndex::new(0), LutIndex::F, 0xF00D);
+        let mut c = m.clone();
+        assert!(m.frame_addresses().all(|a| c.shares_frame(&m, a)));
+        c.set_lut(ClbCoord::new(2, 1), SliceIndex::new(0), LutIndex::F, 1);
+        let changed = FrameAddress {
+            block: FrameBlock::Clb { col: 2 },
+            minor: 0,
+        };
+        for a in m.frame_addresses() {
+            assert_eq!(c.shares_frame(&m, a), a != changed, "{a}");
+            assert_eq!(c.frame_eq(&m, a), a != changed, "{a}");
+        }
+        assert_eq!(
+            m.lut(ClbCoord::new(2, 1), SliceIndex::new(0), LutIndex::F),
+            0
+        );
+        // Writing the old words back restores the contents, not the sharing.
+        c.set_lut(ClbCoord::new(2, 1), SliceIndex::new(0), LutIndex::F, 0);
+        assert!(c.frame_eq(&m, changed) && !c.shares_frame(&m, changed));
+        assert!(c.diff(&m).is_empty());
     }
 
     #[test]
@@ -522,7 +563,7 @@ mod tests {
         };
         let data: Vec<u32> = (0..88).collect(); // 44 rows * 2 words
         m.frame_mut(addr).copy_from_slice(&data);
-        assert_eq!(m.frame(addr).words, data);
+        assert_eq!(m.frame(addr), &data[..]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod device;
 pub mod floorplan;
 pub mod region;
 
-pub use config::{ConfigMemory, Frame, FrameAddress, FrameBlock};
+pub use config::{ConfigMemory, FrameAddress, FrameBlock};
 pub use coords::{ClbCoord, FfIndex, LutIndex, SliceCoord, SliceIndex};
 pub use device::{Device, DeviceKind};
 pub use region::DynamicRegion;

@@ -310,7 +310,7 @@ mod tests {
         };
         let frame = mem.frame(addr);
         let band = ConfigMemory::row_word_range(origin.row..origin.row + p.height);
-        for (i, &w) in frame.words.iter().enumerate() {
+        for (i, &w) in frame.iter().enumerate() {
             if !band.contains(&i) {
                 assert_eq!(w, 0, "word {i} outside the band must stay blank");
             }

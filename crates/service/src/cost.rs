@@ -89,12 +89,15 @@ impl CostModel {
             kernel_reconfig_ps: [0.0; Kernel::ALL.len()],
             kernel_aware: false,
         };
+        // Every probe runs on a fresh machine with a fresh driver, over one
+        // assembly of the driver programs.
+        let programs = Driver::new();
         for &kernel in kernels {
             let probe = |payload: usize, hw: bool| -> (usize, SimTime) {
                 let mut rng = SplitMix64::new(0xCA11_B8A7 ^ payload as u64);
                 let req = Request::synthetic(kernel, payload, &mut rng);
                 let mut m = build_system(kind);
-                let mut d = Driver::new();
+                let mut d = programs.fresh();
                 let (t, _) = if hw {
                     harness::bind(&mut m, factory_for(kernel)());
                     d.run_hw(&mut m, &req)

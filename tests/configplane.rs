@@ -33,7 +33,7 @@ fn region_words(machine: &Machine, mgr: &ModuleManager) -> Vec<u32> {
     mgr.slot_plan().slots[0]
         .frames
         .iter()
-        .flat_map(|&addr| machine.platform.config.frame(addr).words.clone())
+        .flat_map(|&addr| machine.platform.config.frame(addr).to_vec())
         .collect()
 }
 
