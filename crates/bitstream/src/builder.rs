@@ -96,16 +96,17 @@ struct StreamWriter {
     crc: CrcAccumulator,
 }
 
-/// Words of the prologue and of the epilogue: three single-word register
-/// writes each, a header and a payload word apiece.
-const FRAMING_WORDS: usize = 2 * 3;
+/// Words of a stream outside its frame-carrying packets: the dummy and
+/// sync words, then the prologue and the epilogue, three single-word
+/// register writes each, a header and a payload word apiece.
+const FRAMING_WORDS: usize = 2 + 2 * 2 * 3;
 
 impl StreamWriter {
     /// Starts a stream whose frame-carrying packets take `body` words:
     /// dummy and sync words, then the prologue (IDCODE check, CRC reset,
     /// WCFG).
     fn new(idcode: u32, body: usize) -> Self {
-        let mut words = Vec::with_capacity(2 + FRAMING_WORDS + body + FRAMING_WORDS);
+        let mut words = Vec::with_capacity(FRAMING_WORDS + body);
         words.extend_from_slice(&[DUMMY_WORD, SYNC_WORD]);
         let mut s = StreamWriter {
             words,
@@ -157,41 +158,69 @@ pub fn full_bitstream(mem: &ConfigMemory, idcode: u32) -> Bitstream {
     partial_bitstream(mem, &addrs, idcode)
 }
 
+/// The runs a partial bitstream over `frames` carries: the frames in
+/// device order without repeats, cut where the order has a gap. Each run
+/// is one FAR + FDRI pair.
+struct Runs<'a> {
+    mem: &'a ConfigMemory,
+    indexed: Vec<(usize, FrameAddress)>,
+}
+
+impl<'a> Runs<'a> {
+    fn new(mem: &'a ConfigMemory, frames: &[FrameAddress]) -> Self {
+        let mut indexed: Vec<(usize, FrameAddress)> = frames
+            .iter()
+            .map(|&a| {
+                let i = mem.linear_index(a).expect("frame address valid for device");
+                (i, a)
+            })
+            .collect();
+        indexed.sort_unstable_by_key(|&(i, _)| i);
+        indexed.dedup_by_key(|&mut (i, _)| i);
+        Runs { mem, indexed }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[(usize, FrameAddress)]> {
+        self.indexed.chunk_by(|a, b| b.0 == a.0 + 1)
+    }
+
+    /// FDRI payload words of one run.
+    fn payload(&self, run: &[(usize, FrameAddress)]) -> usize {
+        run.iter().map(|&(_, a)| self.mem.frame(a).len()).sum()
+    }
+
+    /// Words of every run's FAR write and FDRI packet.
+    fn body(&self) -> usize {
+        self.iter()
+            .map(|run| {
+                let len = self.payload(run);
+                2 + header_len(len) + len
+            })
+            .sum()
+    }
+}
+
 /// Generates a partial bitstream carrying the **complete** contents of the
 /// given frames (taken from `mem`). Frames are grouped into runs that are
 /// consecutive in device order, each run emitted as one FAR + FDRI pair,
 /// and the stream is written into one buffer of its exact length.
 pub fn partial_bitstream(mem: &ConfigMemory, frames: &[FrameAddress], idcode: u32) -> Bitstream {
-    let mut indexed: Vec<(usize, FrameAddress)> = frames
-        .iter()
-        .map(|&a| {
-            let i = mem.linear_index(a).expect("frame address valid for device");
-            (i, a)
-        })
-        .collect();
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    indexed.dedup_by_key(|&mut (i, _)| i);
-
-    let runs: Vec<&[(usize, FrameAddress)]> = indexed.chunk_by(|a, b| b.0 == a.0 + 1).collect();
-    let payload = |run: &[(usize, FrameAddress)]| -> usize {
-        run.iter().map(|&(_, a)| mem.frame(a).len()).sum()
-    };
-    let body = runs
-        .iter()
-        .map(|run| {
-            let len = payload(run);
-            2 + header_len(len) + len
-        })
-        .sum();
-    let mut stream = StreamWriter::new(idcode, body);
-    for run in runs {
+    let runs = Runs::new(mem, frames);
+    let mut stream = StreamWriter::new(idcode, runs.body());
+    for run in runs.iter() {
         stream.write(ConfigRegister::Far, &[encode_far(run[0].1)]);
-        stream.header(ConfigRegister::Fdri, payload(run));
+        stream.header(ConfigRegister::Fdri, runs.payload(run));
         for &(_, addr) in run {
             stream.payload(ConfigRegister::Fdri, mem.frame(addr));
         }
     }
     stream.finish()
+}
+
+/// The word count of [`partial_bitstream`]`(mem, frames, _)`, from the same
+/// run grouping, without building the stream.
+pub fn partial_bitstream_len(mem: &ConfigMemory, frames: &[FrameAddress]) -> usize {
+    FRAMING_WORDS + Runs::new(mem, frames).body()
 }
 
 /// Generates a differential bitstream: only frames of `target` that differ

@@ -28,7 +28,7 @@ pub mod packet;
 pub use bitlinker::{AssembleError, BitLinker, Component};
 pub use builder::{
     apply_bitstream, apply_bitstream_faulty, differential_bitstream, full_bitstream,
-    partial_bitstream, ApplyError, ApplyReport,
+    partial_bitstream, partial_bitstream_len, ApplyError, ApplyReport,
 };
 pub use compress::{compress_words, decompress_words, is_compressed, COMPRESSED_MAGIC};
 pub use fault::{apply_upset, BurstConfig, BurstPlan, FaultPlan, Upset};

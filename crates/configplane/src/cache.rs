@@ -13,6 +13,7 @@
 //! sequences therefore produce equal hit/miss/evict traces.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Hash accumulator for building cache keys out of heterogeneous
 /// material (names, indices, frame words). Deterministic across runs and
@@ -74,17 +75,15 @@ impl Default for Fingerprint {
     }
 }
 
-/// A cached transfer image plus the accounting a replay must report.
+/// A cached transfer image plus the accounting a replay must report (the
+/// full image's frames and words follow from the key's module and slot).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedStream {
-    /// Words to feed the HWICAP (compressed if that was shorter).
-    pub words: Vec<u32>,
-    /// Frames the full-image path would have written.
-    pub frames_full: u32,
+    /// Words to feed the HWICAP (compressed if that was shorter), shared
+    /// by every hit.
+    pub words: Arc<[u32]>,
     /// Frames this image actually writes.
     pub frames_sent: u32,
-    /// Words the full-image path would have moved.
-    pub words_full: u32,
     /// Is `words` in the run/dictionary format?
     pub compressed: bool,
 }
@@ -117,7 +116,8 @@ impl BitstreamCache {
     }
 
     /// Looks up a transfer image, refreshing its LRU position. Counts a
-    /// hit or a miss.
+    /// hit or a miss. A hit shares the entry's words rather than copying
+    /// them.
     pub fn get(&mut self, key: u64) -> Option<CachedStream> {
         self.tick += 1;
         match self.entries.get_mut(&key) {
@@ -196,10 +196,8 @@ mod tests {
 
     fn stream(tag: u32) -> CachedStream {
         CachedStream {
-            words: vec![tag; 4],
-            frames_full: 10,
+            words: vec![tag; 4].into(),
             frames_sent: 2,
-            words_full: 100,
             compressed: false,
         }
     }
@@ -209,8 +207,10 @@ mod tests {
         let mut c = BitstreamCache::new(4);
         assert_eq!(c.get(1), None);
         c.insert(1, stream(1));
-        assert_eq!(c.get(1).unwrap().words, vec![1; 4]);
+        assert_eq!(c.get(1).unwrap().words[..], [1; 4]);
         assert_eq!((c.hits(), c.misses()), (1, 1));
+        let (a, b) = (c.get(1).unwrap(), c.get(1).unwrap());
+        assert!(Arc::ptr_eq(&a.words, &b.words), "hits share the words");
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
         c.insert(2, stream(2));
         c.insert(1, stream(9));
         assert_eq!(c.evictions(), 0);
-        assert_eq!(c.get(1).unwrap().words, vec![9; 4]);
+        assert_eq!(c.get(1).unwrap().words[..], [9; 4]);
     }
 
     #[test]

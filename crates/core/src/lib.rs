@@ -31,8 +31,8 @@ pub mod timing;
 
 pub use machine::{Machine, Platform};
 pub use manager::{
-    ImageTable, LinkedImage, LoadError, LoadOutcome, ModuleHealth, ModuleManager, RegisteredModule,
-    RetryPolicy, ScrubPolicy, ScrubStats,
+    ImageTable, LoadError, LoadOutcome, ModuleHealth, ModuleManager, RegisteredModule, RetryPolicy,
+    ScrubPolicy, ScrubStats,
 };
 pub use share::OnceTable;
 pub use system::{build_system, SystemKind};

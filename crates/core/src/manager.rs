@@ -4,12 +4,14 @@
 //! components (each paired with a factory for its behavioural model) and
 //! the load state of the dynamic region. Loading a module:
 //!
-//! 1. links a **complete** partial configuration (once per module at
-//!    registration, shared through an [`ImageTable`] by every manager
+//! 1. links the module's expected configuration frames (once per module
+//!    at registration, shared through an [`ImageTable`] by every manager
 //!    booted with the same table);
-//! 2. feeds every bitstream word to the OPB HWICAP over the bus (charging
-//!    the real per-word transfer cost) and commits, which applies the
-//!    stream to the live configuration memory with IDCODE + CRC checks;
+//! 2. cuts a **complete** partial configuration of the slot from those
+//!    frames (or a differential or cached one, if the plane is on), feeds
+//!    every word to the OPB HWICAP over the bus (charging the real
+//!    per-word transfer cost) and commits, which applies the stream to the
+//!    live configuration memory with IDCODE + CRC checks;
 //! 3. verifies by readback that the dynamic region now holds exactly the
 //!    expected bits;
 //! 4. binds the module's behavioural model to the dock.
@@ -31,16 +33,12 @@ use rtr_configplane::{
 use rtr_trace::{EventKind, Tracer};
 use std::collections::HashMap;
 use std::sync::Arc;
-use vp2_bitstream::{AssembleError, BitLinker, Bitstream, Component};
+use vp2_bitstream::{AssembleError, BitLinker, Component};
 use vp2_fabric::{ConfigMemory, FrameAddress};
 use vp2_sim::SimTime;
 
 /// Factory producing a fresh behavioural model for a module.
 pub type ModuleFactory = Box<dyn Fn() -> Box<dyn DynamicModule> + Send>;
-
-/// A linked image: the full slot bitstream plus the expected post-load
-/// configuration state.
-pub type LinkedImage = (Bitstream, ConfigMemory);
 
 /// Everything that decides a registration's linked images: the system
 /// (device, region, dock macros), the sub-slot floorplan (each slot's
@@ -55,8 +53,10 @@ struct ImageKey {
 }
 
 /// One registration's images, by the sub-slot they were linked for, or
-/// the first linking error when the component fits no slot.
-type SlotImages = Result<Vec<(usize, Arc<LinkedImage>)>, AssembleError>;
+/// the first linking error when the component fits no slot. An image is
+/// the expected post-load configuration state alone; the stream that
+/// loads it is cut from its frames when a load feeds it.
+type SlotImages = Result<Vec<(usize, Arc<ConfigMemory>)>, AssembleError>;
 
 /// Linked images shared between module managers. A registration looks up
 /// its system kind, slot plan, component and origin here and links only on
@@ -225,9 +225,9 @@ impl std::error::Error for LoadError {}
 /// `m.cpu.now()`. Every stream the machine loads goes through here:
 /// [`ModuleManager::load`]'s retry ladder, the background scrub repairs,
 /// [`ModuleManager::unload`] and the reconfiguration ablation.
-pub fn feed(m: &mut Machine, bs: &Bitstream) -> Result<(), LoadError> {
+pub fn feed(m: &mut Machine, words: &[u32]) -> Result<(), LoadError> {
     let mut t = m.cpu.now();
-    for &w in &bs.words {
+    for &w in words {
         t += m
             .platform
             .write(t, map::HWICAP_BASE + map::HWICAP_DATA, 4, w);
@@ -248,10 +248,10 @@ pub struct ModuleManager {
     kind: SystemKind,
     linker: BitLinker,
     modules: HashMap<String, RegisteredModule>,
-    /// Linked images per (module, sub-slot): full slot bitstream plus the
-    /// expected post-load state. With the default single-slot floorplan
-    /// this is the original per-module configuration cache.
-    images: HashMap<(String, usize), Arc<LinkedImage>>,
+    /// Linked images per (module, sub-slot): the expected post-load
+    /// state. With the default single-slot floorplan this is the original
+    /// per-module configuration cache.
+    images: HashMap<(String, usize), Arc<ConfigMemory>>,
     /// Where registrations take their images from.
     image_table: ImageTable,
     /// Module the dock is bound to.
@@ -268,6 +268,8 @@ pub struct ModuleManager {
     slot_tick: u64,
     /// Transfer-image cache (disabled unless the plane enables it).
     stream_cache: BitstreamCache,
+    /// Full-slot streams cut from an image to be fed.
+    full_streams: u64,
     /// Differential/compression/slot counters.
     stats: ConfigPlaneStats,
     /// Per-module health counters.
@@ -326,6 +328,7 @@ impl ModuleManager {
             slot_tick: 0,
             slot_plan,
             stream_cache: BitstreamCache::new(0),
+            full_streams: 0,
             stats: ConfigPlaneStats::default(),
             health: HashMap::new(),
             retry: RetryPolicy::default(),
@@ -488,7 +491,7 @@ impl ModuleManager {
         for slot in &self.slot_plan.slots {
             if let Some(name) = &self.residents[slot.index] {
                 if let Some(image) = self.images.get(&(name.clone(), slot.index)) {
-                    domain.extend(slot.frames.iter().map(|&f| (slot.index, &image.1, f)));
+                    domain.extend(slot.frames.iter().map(|&f| (slot.index, &**image, f)));
                 }
             }
         }
@@ -541,7 +544,7 @@ impl ModuleManager {
             let expected = group[0].1;
             let addrs: Vec<FrameAddress> = group.iter().map(|&(_, _, a)| a).collect();
             let patch = vp2_bitstream::partial_bitstream(expected, &addrs, idcode);
-            feed(m, &patch).expect("scrub repair streams are well-formed");
+            feed(m, &patch.words).expect("scrub repair streams are well-formed");
             self.scrub_stats.repairs += 1;
             self.scrub_stats.frames_repaired += addrs.len() as u64;
             if self.tracer.on() {
@@ -597,16 +600,12 @@ impl ModuleManager {
 
     /// Links `component` at `origin` within every sub-slot it fits.
     fn link_images(&self, component: &Component, origin: (u16, u16)) -> SlotImages {
-        let idcode = vp2_bitstream::idcode_for(self.linker.device().kind);
         let mut first_err = None;
         let mut linked = Vec::new();
         for slot in &self.slot_plan.slots {
             let slot_origin = (slot.cols.start + origin.0, origin.1);
             match self.linker.expected_state(&[(component, slot_origin)]) {
-                Ok(expected) => {
-                    let bs = vp2_bitstream::partial_bitstream(&expected, &slot.frames, idcode);
-                    linked.push((slot.index, Arc::new((bs, expected))));
-                }
+                Ok(expected) => linked.push((slot.index, Arc::new(expected))),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
@@ -618,9 +617,17 @@ impl ModuleManager {
         Ok(linked)
     }
 
-    /// The image `name` was linked to for sub-slot `slot`, if any.
-    pub fn linked_image(&self, name: &str, slot: usize) -> Option<&Arc<LinkedImage>> {
+    /// The image `name` was linked to for sub-slot `slot`, if any: the
+    /// configuration state a verified load of it leaves.
+    pub fn linked_image(&self, name: &str, slot: usize) -> Option<&Arc<ConfigMemory>> {
         self.images.get(&(name.to_string(), slot))
+    }
+
+    /// Full-slot streams cut to be fed so far: one per plane-off load,
+    /// retry and full transfer the plane builds. A differential stream, a
+    /// repair patch or a cache hit cuts none.
+    pub fn full_streams_cut(&self) -> u64 {
+        self.full_streams
     }
 
     /// Registered module names (sorted).
@@ -716,7 +723,7 @@ impl ModuleManager {
             }
         }
 
-        let (full_bs, expected) = &**self
+        let expected = &**self
             .images
             .get(&(name.to_string(), slot_idx))
             .expect("candidate slots have images");
@@ -732,13 +739,20 @@ impl ModuleManager {
         // reads it — a diff against stale state would under-write.
         m.materialize_upsets();
 
+        // The full-slot stream is cut from the image's frames only when a
+        // feed needs it, and dropped once fed; its length comes without it.
+        let mut cut_full = || {
+            self.full_streams += 1;
+            vp2_bitstream::partial_bitstream(expected, slot_frames, idcode).words
+        };
+        let words_full = vp2_bitstream::partial_bitstream_len(expected, slot_frames);
+
         // Decide the attempt-1 transfer image: a cached replay, a
         // differential stream against the slot's live frames, or the full
         // image — compressed when that is shorter. `None` = feed the full
-        // image borrowed straight from the registry (the pre-plane path).
+        // image (the pre-plane path).
         let frames_full = slot_frames.len();
-        let words_full = full_bs.word_count();
-        let mut transfer: Option<Bitstream> = None;
+        let mut transfer: Option<Arc<[u32]>> = None;
         let mut frames_sent = frames_full;
         let mut compressed = false;
         if self.plane.cache_capacity > 0 || self.plane.differential || self.plane.compress {
@@ -769,7 +783,7 @@ impl ModuleManager {
                 Some(c) => {
                     frames_sent = c.frames_sent as usize;
                     compressed = c.compressed;
-                    transfer = Some(Bitstream { words: c.words });
+                    transfer = Some(c.words);
                 }
                 None => {
                     let mut words = if self.plane.differential {
@@ -781,7 +795,7 @@ impl ModuleManager {
                             vp2_bitstream::partial_bitstream(expected, &changed, idcode).words
                         }
                     } else {
-                        full_bs.words.clone()
+                        cut_full()
                     };
                     if self.plane.compress && !words.is_empty() {
                         let packed = vp2_bitstream::compress_words(&words);
@@ -790,23 +804,22 @@ impl ModuleManager {
                             compressed = true;
                         }
                     }
+                    let words: Arc<[u32]> = words.into();
                     if let Some(k) = cache_key {
                         self.stream_cache.insert(
                             k,
                             CachedStream {
-                                words: words.clone(),
-                                frames_full: frames_full as u32,
+                                words: Arc::clone(&words),
                                 frames_sent: frames_sent as u32,
-                                words_full: words_full as u32,
                                 compressed,
                             },
                         );
                     }
-                    transfer = Some(Bitstream { words });
+                    transfer = Some(words);
                 }
             }
         }
-        let words_sent = transfer.as_ref().map_or(words_full, Bitstream::word_count);
+        let words_sent = transfer.as_ref().map_or(words_full, |words| words.len());
         if self.plane.enabled() {
             self.stats.frames_full += frames_full as u64;
             self.stats.frames_sent += frames_sent as u64;
@@ -853,13 +866,13 @@ impl ModuleManager {
             // differential stream assumes a live state the failed attempt
             // may have corrupted. A zero-diff first attempt feeds nothing
             // and goes straight to verification.
-            let attempt_stream = if attempts == 1 {
-                transfer.as_ref().unwrap_or(full_bs)
-            } else {
-                full_bs
-            };
-            if !attempt_stream.words.is_empty() {
-                feed(m, attempt_stream)?;
+            match transfer.as_deref() {
+                Some(words) if attempts == 1 => {
+                    if !words.is_empty() {
+                        feed(m, words)?;
+                    }
+                }
+                _ => feed(m, &cut_full())?,
             }
             // Upsets landing during the transfer window strike before the
             // readback sees the fabric.
@@ -879,7 +892,7 @@ impl ModuleManager {
             for _ in 0..policy.max_repairs_per_attempt {
                 let patch = vp2_bitstream::partial_bitstream(expected, &mismatched, idcode);
                 let patched = mismatched.len();
-                feed(m, &patch)?;
+                feed(m, &patch.words)?;
                 repaired_frames += patched;
                 self.tracer.emit(
                     m.cpu.now(),
@@ -909,7 +922,7 @@ impl ModuleManager {
                 EventKind::SwapEnd {
                     module: name.to_string(),
                     frames: slot_frames.len() as u32,
-                    words: full_bs.word_count() as u32,
+                    words: words_full as u32,
                     attempts,
                     repaired_frames: repaired_frames as u32,
                     verified,
@@ -943,7 +956,7 @@ impl ModuleManager {
         self.reconfigurations += 1;
         Ok(LoadOutcome::Loaded {
             reconfig_time,
-            words: full_bs.word_count(),
+            words: words_full,
             frames: slot_frames.len(),
             repaired_frames,
             attempts,
@@ -956,7 +969,7 @@ impl ModuleManager {
     pub fn unload(&mut self, m: &mut Machine) -> Result<SimTime, LoadError> {
         let (bs, _) = self.linker.blank_configuration();
         let start = m.cpu.now();
-        feed(m, &bs)?;
+        feed(m, &bs.words)?;
         m.platform.dock.unbind();
         self.active = None;
         for r in &mut self.residents {
@@ -1133,7 +1146,7 @@ mod tests {
             .register(other(), (0, 0), Box::new(|| Box::new(Inverter(0))))
             .unwrap();
         assert_eq!(*shared, **alone.linked_image("inv1", 0).unwrap());
-        assert_ne!(shared.0, first.0, "different logic, different image");
+        assert_ne!(*shared, *first, "different logic, different image");
         // Same component at an origin it does not fit: the cached link at
         // (0, 0) must not answer for it.
         assert!(matches!(

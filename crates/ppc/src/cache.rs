@@ -73,8 +73,9 @@ pub struct Cache {
     set_mask: u32,
     /// `LINE_SHIFT + log2(sets)`: the address bits above the set index.
     tag_shift: u32,
-    tick: u64,
-    /// Statistics.
+    /// Statistics. Every touch counts exactly one hit or one miss, and a
+    /// touched line's LRU stamp is `hits + misses` after the count, so the
+    /// counters are the LRU clock: never reset them on a live cache.
     pub stats: CacheStats,
 }
 
@@ -98,7 +99,6 @@ impl Cache {
             ways,
             set_mask: (nsets - 1) as u32,
             tag_shift: LINE_SHIFT + nsets.trailing_zeros(),
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
@@ -127,10 +127,10 @@ impl Cache {
         addr & !(LINE_BYTES as u32 - 1)
     }
 
+    /// Stamps line `i` most recently used, after its hit or miss counted.
     #[inline]
     fn touch(&mut self, i: usize) {
-        self.tick += 1;
-        self.stamps[i] = self.tick;
+        self.stamps[i] = self.stats.hits + self.stats.misses;
     }
 
     /// Index of the valid line holding `addr`, if resident.
@@ -155,7 +155,7 @@ impl Cache {
     /// one miss; returns `(line index, time_spent)`. The interpreter
     /// fills a line once, runs its micro-ops ([`Cache::micro_line`]), and
     /// charges the further fetches with [`Cache::charge_hits`].
-    #[inline]
+    #[inline(always)]
     pub(crate) fn fill<M: MemoryPort + ?Sized>(
         &mut self,
         now: SimTime,
@@ -213,7 +213,7 @@ impl Cache {
     }
 
     /// Cached read of `size` ∈ {1,2,4} bytes; returns `(data, time)`.
-    #[inline]
+    #[inline(always)]
     pub fn read<M: MemoryPort + ?Sized>(
         &mut self,
         now: SimTime,
@@ -241,18 +241,17 @@ impl Cache {
     }
 
     /// Counts `n` further hits on the resident line `line`: the state `n`
-    /// fetch hits on it leave, since each hit sets the line's LRU stamp to
-    /// the next tick. With `n = 0` it only re-stamps the line, which is a
+    /// fetch hits on it leave, since each hit stamps the line with the
+    /// count after it. With `n = 0` it only re-stamps the line, which is a
     /// no-op right after the [`Cache::fill`] that returned it.
     #[inline]
     pub(crate) fn charge_hits(&mut self, line: usize, n: u64) {
         self.stats.hits += n;
-        self.tick += n;
-        self.stamps[line] = self.tick;
+        self.touch(line);
     }
 
     /// Cached write (write-back, write-allocate); returns time spent.
-    #[inline]
+    #[inline(always)]
     pub fn write<M: MemoryPort + ?Sized>(
         &mut self,
         now: SimTime,
@@ -486,7 +485,6 @@ mod tests {
             }
             assert_eq!(charged.tags, fetched.tags, "n = {n}: tags");
             assert_eq!(charged.stamps, fetched.stamps, "n = {n}: stamps");
-            assert_eq!(charged.tick, fetched.tick, "n = {n}: tick");
             assert_eq!(charged.stats, fetched.stats, "n = {n}: stats");
         }
     }

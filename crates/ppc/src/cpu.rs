@@ -164,23 +164,20 @@ pub struct Cpu {
 /// of one source end in a sentinel.
 trait Ops {
     /// The op at index `k`.
-    fn op(&self, cpu: &Cpu, k: usize) -> Uop;
+    fn op(&self, k: usize) -> Uop;
     /// The base cycles of ops `0..k`.
-    fn cycles_before(&self, cpu: &Cpu, k: usize) -> u64;
+    fn cycles_before(&self, k: usize) -> u64;
 }
 
-/// The micro-op line of a resident I-cache line, by line index.
-struct Resident(usize);
-
-impl Ops for Resident {
+impl Ops for MicroLine {
     #[inline(always)]
-    fn op(&self, cpu: &Cpu, k: usize) -> Uop {
-        cpu.icache.micro_line(self.0).op(k)
+    fn op(&self, k: usize) -> Uop {
+        MicroLine::op(self, k)
     }
 
     #[inline(always)]
-    fn cycles_before(&self, cpu: &Cpu, k: usize) -> u64 {
-        cpu.icache.micro_line(self.0).cycles_before(k)
+    fn cycles_before(&self, k: usize) -> u64 {
+        MicroLine::cycles_before(self, k)
     }
 }
 
@@ -213,7 +210,7 @@ impl Single {
 
 impl Ops for Single {
     #[inline(always)]
-    fn op(&self, _: &Cpu, k: usize) -> Uop {
+    fn op(&self, k: usize) -> Uop {
         if k == 0 {
             self.op
         } else {
@@ -222,7 +219,7 @@ impl Ops for Single {
     }
 
     #[inline(always)]
-    fn cycles_before(&self, _: &Cpu, k: usize) -> u64 {
+    fn cycles_before(&self, k: usize) -> u64 {
         if k == 0 {
             0
         } else {
@@ -345,10 +342,10 @@ impl Cpu {
 
     /// Loads `size` bytes at `addr`; returns the value and whether the
     /// access went uncached (which ends a block).
-    #[inline]
+    #[inline(always)]
     fn load<M: MemoryPort + ?Sized>(&mut self, addr: u32, size: u8, mem: &mut M) -> (u32, bool) {
         assert_eq!(
-            addr % u32::from(size),
+            addr & (u32::from(size) - 1),
             0,
             "unaligned {size}-byte load at {addr:#010x}"
         );
@@ -366,7 +363,7 @@ impl Cpu {
 
     /// Stores `size` bytes at `addr`; returns whether the access went
     /// uncached (which ends a block).
-    #[inline]
+    #[inline(always)]
     fn store<M: MemoryPort + ?Sized>(
         &mut self,
         addr: u32,
@@ -375,7 +372,7 @@ impl Cpu {
         mem: &mut M,
     ) -> bool {
         assert_eq!(
-            addr % u32::from(size),
+            addr & (u32::from(size) - 1),
             0,
             "unaligned {size}-byte store at {addr:#010x}"
         );
@@ -474,7 +471,10 @@ impl Cpu {
             let (line, t) = self.icache.fill(self.now, self.pc, mem);
             self.now += t;
             let base = self.pc & !(LINE_BYTES as u32 - 1);
-            let (exit, end) = self.exec_run(&Resident(line), base, first, mem);
+            // The run reads a copy of the line, not the cache: no op reloads
+            // the cache's micro-op array or bounds-checks the line index.
+            let ops = *self.icache.micro_line(line);
+            let (exit, end) = self.exec_run(&ops, base, first, mem);
             self.icache.charge_hits(line, (end - first - 1) as u64);
             ran += (end - first) as u64;
             if exit == Exit::Stop {
@@ -489,7 +489,7 @@ impl Cpu {
     #[inline(always)]
     fn charge<S: Ops>(&mut self, ops: &S, from: usize, to: usize) {
         self.stats.retired += (to - from) as u64;
-        let cycles = ops.cycles_before(self, to) - ops.cycles_before(self, from);
+        let cycles = ops.cycles_before(to) - ops.cycles_before(from);
         self.now += self.cfg.clock.cycles(cycles);
     }
 
@@ -531,7 +531,7 @@ impl Cpu {
                 ra,
                 rb,
                 imm,
-            } = ops.op(self, k);
+            } = ops.op(k);
             // A load or store at `ra + rb + imm`: flush the pending run,
             // then access memory; an uncached access ends the block.
             macro_rules! access {

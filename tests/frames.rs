@@ -4,11 +4,16 @@
 //! reaches another memory, the pointer shortcut in `diff` and
 //! `mismatched_frames` agrees with a word-by-word comparison, and the
 //! number of distinct frame allocations a booted Bit64 system holds stays
-//! within what its components write.
+//! within what its components write. A linked image is its frames alone:
+//! the full-slot stream cut from them is pinned word for word, its length
+//! comes without building it, and only a load that feeds it cuts it.
 
 use std::collections::HashSet;
 use vp2_repro::apps::request::{component_for, factory_for, Kernel};
-use vp2_repro::bitstream::{apply_upset, Component};
+use vp2_repro::bitstream::{
+    apply_upset, idcode_for, partial_bitstream, partial_bitstream_len, Component,
+};
+use vp2_repro::configplane::ConfigPlaneConfig;
 use vp2_repro::fabric::{ClbCoord, ConfigMemory, FrameAddress};
 use vp2_repro::netlist::encode::encode_placement;
 use vp2_repro::rtr::manager::{LoadOutcome, ModuleManager};
@@ -65,7 +70,7 @@ fn linked_images_share_every_frame_their_component_does_not_write() {
         let (mgr, components) = manager_with_every_kernel(kind);
         let base = mgr.linker().erased_base();
         for c in &components {
-            let (_, image) = &**mgr.linked_image(&c.name, 0).expect("linked");
+            let image = mgr.linked_image(&c.name, 0).expect("linked");
             let written = written_frames(kind, c);
             assert!(!written.is_empty(), "{kind:?} {} writes frames", c.name);
             for a in image.frame_addresses() {
@@ -134,7 +139,7 @@ fn copy_on_write_isolates_clones() {
 #[test]
 fn pointer_shortcut_matches_a_word_oracle() {
     let (mgr, components) = manager_with_every_kernel(SystemKind::Bit32);
-    let base = &mgr.linked_image(&components[0].name, 0).expect("linked").1;
+    let base: &ConfigMemory = mgr.linked_image(&components[0].name, 0).expect("linked");
     let addrs: Vec<FrameAddress> = base.frame_addresses().collect();
     let oracle = |a: &ConfigMemory, b: &ConfigMemory, watched: &[FrameAddress]| {
         watched
@@ -199,7 +204,7 @@ fn distinct_frame_allocations_stay_within_what_components_write() {
     let count = distinct_allocations(
         images
             .iter()
-            .map(|image| &image.1)
+            .map(|image| &**image)
             .chain([mgr.linker().erased_base(), &machine.platform.config]),
     );
 
@@ -220,4 +225,190 @@ fn distinct_frame_allocations_stay_within_what_components_write() {
     );
     // One whole-device copy alone would break the bound.
     assert!(bound < blank.frame_count(), "bound {bound}");
+}
+
+/// FNV-1a (64-bit) over each word's big-endian bytes.
+fn fnv1a64(words: &[u32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.iter().flat_map(|w| w.to_be_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn cut_streams_equal_the_streams_images_used_to_store() {
+    // Length and hash of every full-slot stream when each image stored
+    // its stream beside its frames.
+    let pins: [(SystemKind, Kernel, usize, u64); 11] = [
+        (
+            SystemKind::Bit32,
+            Kernel::Jenkins,
+            74_294,
+            0xc99f_c36e_3d79_e5cd,
+        ),
+        (
+            SystemKind::Bit32,
+            Kernel::PatMatch,
+            74_294,
+            0x8075_7bf1_65b5_0bba,
+        ),
+        (
+            SystemKind::Bit32,
+            Kernel::Brightness,
+            74_294,
+            0x6b97_97ae_4be1_c645,
+        ),
+        (
+            SystemKind::Bit32,
+            Kernel::Blend,
+            74_294,
+            0x482c_a0fb_5d03_ae27,
+        ),
+        (
+            SystemKind::Bit32,
+            Kernel::Fade,
+            74_294,
+            0x4590_c215_f2ec_0cd5,
+        ),
+        (
+            SystemKind::Bit64,
+            Kernel::Sha1,
+            154_394,
+            0xae02_74ef_f922_6704,
+        ),
+        (
+            SystemKind::Bit64,
+            Kernel::Jenkins,
+            154_394,
+            0xcc5a_9858_913d_3de4,
+        ),
+        (
+            SystemKind::Bit64,
+            Kernel::PatMatch,
+            154_394,
+            0x11c6_81c6_4722_441b,
+        ),
+        (
+            SystemKind::Bit64,
+            Kernel::Brightness,
+            154_394,
+            0xca9a_a3dc_cbb1_ddbb,
+        ),
+        (
+            SystemKind::Bit64,
+            Kernel::Blend,
+            154_394,
+            0x9e60_1993_6fe8_0f3f,
+        ),
+        (
+            SystemKind::Bit64,
+            Kernel::Fade,
+            154_394,
+            0x86e4_c739_f12a_d1d1,
+        ),
+    ];
+    for kind in [SystemKind::Bit32, SystemKind::Bit64] {
+        let (mgr, components) = manager_with_every_kernel(kind);
+        let pinned: Vec<_> = pins.iter().filter(|p| p.0 == kind).collect();
+        assert_eq!(components.len(), pinned.len(), "{kind:?}: a pin per kernel");
+        let idcode = idcode_for(kind.device().kind);
+        for &&(_, kernel, len, hash) in &pinned {
+            let name = kernel.module_name();
+            let image = mgr.linked_image(name, 0).expect("linked");
+            let stream = partial_bitstream(image, &mgr.slot_plan().slots[0].frames, idcode);
+            assert_eq!(stream.word_count(), len, "{kind:?} {name}: length");
+            assert_eq!(fnv1a64(&stream.words), hash, "{kind:?} {name}: words");
+        }
+    }
+}
+
+#[test]
+fn stream_length_matches_the_built_stream() {
+    let kind = SystemKind::Bit32;
+    let (mgr, components) = manager_with_every_kernel(kind);
+    let image = mgr.linked_image(&components[0].name, 0).expect("linked");
+    let addrs: Vec<FrameAddress> = image.frame_addresses().collect();
+    let idcode = idcode_for(kind.device().kind);
+    let mut rng = SplitMix64::new(0x5EED_1E57);
+    let mut subsets = vec![
+        Vec::new(),
+        addrs.clone(),
+        mgr.slot_plan().slots[0].frames.clone(),
+    ];
+    for _ in 0..48 {
+        // Unsorted, with repeats, from single frames to long runs.
+        let most = rng.below(addrs.len() as u64);
+        let len = rng.below(most + 1) as usize;
+        let subset = match rng.below(3) {
+            0 => (0..len)
+                .map(|_| addrs[rng.below(addrs.len() as u64) as usize])
+                .collect(),
+            _ => {
+                let start = rng.below((addrs.len() - len) as u64 + 1) as usize;
+                let mut run = addrs[start..start + len].to_vec();
+                run.reverse();
+                run
+            }
+        };
+        subsets.push(subset);
+    }
+    for subset in &subsets {
+        assert_eq!(
+            partial_bitstream_len(image, subset),
+            partial_bitstream(image, subset, idcode).word_count(),
+            "{} frames",
+            subset.len()
+        );
+    }
+}
+
+#[test]
+fn only_loads_that_feed_a_full_slot_stream_cut_one() {
+    // A plane-off load cuts the full-slot stream once and reports its
+    // length.
+    let kind = SystemKind::Bit64;
+    let (mut mgr, components) = manager_with_every_kernel(kind);
+    let mut machine = build_system(kind);
+    let outcome = mgr.load(&mut machine, &components[0].name).expect("loads");
+    assert!(
+        matches!(
+            outcome,
+            LoadOutcome::Loaded {
+                words: 154_394,
+                attempts: 1,
+                ..
+            }
+        ),
+        "{outcome:?}"
+    );
+    assert_eq!(mgr.full_streams_cut(), 1);
+
+    // Differential and cached loads cut none, yet report the same length.
+    let mut mgr = ModuleManager::new(kind);
+    mgr.configure_plane(ConfigPlaneConfig {
+        cache_capacity: 4,
+        differential: true,
+        ..ConfigPlaneConfig::default()
+    })
+    .expect("a single-slot plane");
+    for kernel in [Kernel::Jenkins, Kernel::Brightness] {
+        let c = component_for(kernel, kind).expect("a hardware form");
+        mgr.register(c, (0, 0), factory_for(kernel))
+            .expect("registers");
+    }
+    let mut machine = build_system(kind);
+    let names = [Kernel::Jenkins, Kernel::Brightness].map(Kernel::module_name);
+    for name in [names[0], names[1], names[0], names[1]] {
+        let outcome = mgr.load(&mut machine, name).expect("loads");
+        assert!(
+            matches!(outcome, LoadOutcome::Loaded { words: 154_394, .. }),
+            "{name}: {outcome:?}"
+        );
+    }
+    let stats = mgr.plane_stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 3));
+    assert_eq!(stats.words_full, 4 * 154_394);
+    assert!(stats.words_sent < stats.words_full);
+    assert_eq!(mgr.full_streams_cut(), 0);
 }
