@@ -18,6 +18,11 @@ echo "== cargo test --release -p ppc405-sim =="
 # release; this step runs the larger one.
 cargo test -q --release -p ppc405-sim
 
+echo "== cargo test --release -p vp2-bitstream =="
+# The streaming applier's differential fuzz against the parse-then-apply
+# oracle likewise runs its larger budget in release.
+cargo test -q --release -p vp2-bitstream
+
 echo "== benchmark package =="
 # benchmark/ is a workspace of its own, so the builds above never touch
 # it: build and test it here so a Service/Cluster/Federation API change

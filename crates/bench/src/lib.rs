@@ -487,7 +487,7 @@ pub fn ablation_reconfig() -> TextTable {
     let diff_bs = vp2_bitstream::differential_bitstream(&blank_state, &target, idcode);
     let mut machine = build_system(kind);
     let start = machine.cpu.now();
-    feed(&mut machine, &diff_bs.words).expect("the differential stream commits");
+    feed(&mut machine, diff_bs.words.iter().copied()).expect("the differential stream commits");
     t.row(&[
         "differential (assumes blank region)".to_string(),
         diff_bs.word_count().to_string(),

@@ -19,14 +19,15 @@
 //! experiments are produced by this module, along one path:
 //! [`BitLinker::expected_state`] checks the fit, bus-macro and overlap
 //! contracts and builds the merged device state once, and every stream is
-//! [`partial_bitstream`] of that state over a frame list — the region's
+//! [`partial_stream`] of that state over a frame list (collected by
+//! [`partial_bitstream`] where a whole stream is wanted) — the region's
 //! writable frames ([`BitLinker::link`], [`BitLinker::assemble`],
-//! [`BitLinker::blank_configuration`]), one sub-slot's frames (the module
+//! [`BitLinker::blank_stream`]), one sub-slot's frames (the module
 //! manager's per-slot images), or the frames that differ from an assumed
 //! current state
 //! ([`differential_bitstream`](crate::builder::differential_bitstream)).
 
-use crate::builder::partial_bitstream;
+use crate::builder::{partial_bitstream, partial_stream, PartialStream};
 use crate::packet::Bitstream;
 use std::collections::BTreeSet;
 use vp2_fabric::config::{ConfigMemory, FrameBlock, WORDS_PER_BRAM_BLOCK};
@@ -234,10 +235,15 @@ impl BitLinker {
         Ok((bs, report))
     }
 
-    /// Produces the *empty region* configuration (unloads any module).
-    pub fn blank_configuration(&self) -> (Bitstream, LinkReport) {
-        self.assemble(&[])
-            .expect("an empty assembly has nothing to reject")
+    /// The *empty region* configuration (unloads any module): the
+    /// [erased base](BitLinker::erased_base) over the region's writable
+    /// frames, cut from its frames as the words are consumed.
+    pub fn blank_stream(&self) -> PartialStream<'_> {
+        partial_stream(
+            &self.erased_base,
+            &self.region.writable_frames(),
+            self.idcode,
+        )
     }
 
     /// The merged full-device state a load of these parts establishes: the
@@ -520,7 +526,9 @@ mod tests {
         let mut bad = static_base(lk.device());
         // static_base still has pre-erase content in the band? erase to get
         // the 'blank region' state first.
-        let (blank_bs, _) = lk.blank_configuration();
+        let blank_bs = Bitstream {
+            words: lk.blank_stream().collect(),
+        };
         apply_bitstream(&blank_bs, &mut bad, crate::IDCODE_XC2VP7).unwrap();
         apply_bitstream(&diff_b, &mut bad, crate::IDCODE_XC2VP7).unwrap();
         assert_ne!(
@@ -568,7 +576,9 @@ mod tests {
         let (bs_a, _) = lk.link(&a, (0, 0)).unwrap();
         let mut mem = static_base(lk.device());
         apply_bitstream(&bs_a, &mut mem, crate::IDCODE_XC2VP7).unwrap();
-        let (blank, _) = lk.blank_configuration();
+        let blank = Bitstream {
+            words: lk.blank_stream().collect(),
+        };
         apply_bitstream(&blank, &mut mem, crate::IDCODE_XC2VP7).unwrap();
         // Region band is now all-zero in CLB frames.
         let band = ConfigMemory::row_word_range(lk.region().rows.clone());

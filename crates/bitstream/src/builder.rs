@@ -10,15 +10,38 @@
 //!   baseline (smaller/faster, but *assumes an initial state* — the hazard
 //!   the paper highlights when the reconfiguration order is unknown).
 //!
-//! [`apply_bitstream`] replays a stream into a [`ConfigMemory`] with IDCODE
-//! and CRC checking — the model of what the ICAP-fed configuration logic
-//! does.
+//! Every generated stream is a [`PartialStream`]: a word source over the
+//! frames it carries, which a feed can push through the ICAP without the
+//! stream ever existing whole. [`partial_bitstream`] is its collect.
+//!
+//! The configuration logic behind the ICAP is the [`Applier`]: it takes a
+//! stream one word at a time — sync search, packet headers, register
+//! writes — and assembles FDRI payloads one frame at a time, with IDCODE
+//! and CRC checking. [`apply_bitstream`] pushes every word of a stream
+//! into one and finishes it.
+//!
+//! # Malformed streams
+//!
+//! The applier follows the silicon, not a parse-then-apply model:
+//!
+//! * frames land in configuration memory as their last word arrives;
+//! * the first error (grammar, IDCODE, CRC, WCFG, FAR, frame framing)
+//!   latches, and every word after it is ignored;
+//! * [`Applier::finish`] returns the latched error (the HWICAP's commit
+//!   sets its status-register error bit from it);
+//! * frames written before the error stay written, so a rejected stream
+//!   can leave a partial write behind. Readback-verify — the module
+//!   manager's retry ladder — is what detects and repairs it.
+//!
+//! For a stream with one fault this reports the error a whole-stream
+//! parse followed by an apply reports; with several, the first in stream
+//! order wins (a parse would report a grammar error anywhere first).
 
 use crate::crc::CrcAccumulator;
 use crate::fault::FaultPlan;
 use crate::packet::{
-    decode_far, encode_far, header_len, push_write_header, Bitstream, Command, ConfigRegister,
-    Packet, DUMMY_WORD, SYNC_WORD,
+    decode_far, encode_far, header_len, write_header, Bitstream, Command, ConfigRegister,
+    PacketReader, ParseError, Token, DUMMY_WORD, SYNC_WORD,
 };
 use vp2_fabric::config::{ConfigMemory, FrameAddress};
 
@@ -26,7 +49,7 @@ use vp2_fabric::config::{ConfigMemory, FrameAddress};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ApplyError {
     /// Could not parse the word stream.
-    Parse(crate::packet::ParseError),
+    Parse(ParseError),
     /// IDCODE register write did not match the target device.
     IdcodeMismatch {
         /// Expected device IDCODE.
@@ -51,6 +74,12 @@ pub enum ApplyError {
     BadFrameAddress(u32),
     /// Frame auto-increment ran off the end of the device.
     AddressOverflow,
+}
+
+impl From<ParseError> for ApplyError {
+    fn from(e: ParseError) -> Self {
+        ApplyError::Parse(e)
+    }
 }
 
 impl std::fmt::Display for ApplyError {
@@ -89,68 +118,10 @@ pub struct ApplyReport {
     pub words_total: usize,
 }
 
-/// A configuration stream written straight into one buffer sized up
-/// front, accumulating the CRC the way the apply path does.
-struct StreamWriter {
-    words: Vec<u32>,
-    crc: CrcAccumulator,
-}
-
 /// Words of a stream outside its frame-carrying packets: the dummy and
 /// sync words, then the prologue and the epilogue, three single-word
 /// register writes each, a header and a payload word apiece.
 const FRAMING_WORDS: usize = 2 + 2 * 2 * 3;
-
-impl StreamWriter {
-    /// Starts a stream whose frame-carrying packets take `body` words:
-    /// dummy and sync words, then the prologue (IDCODE check, CRC reset,
-    /// WCFG).
-    fn new(idcode: u32, body: usize) -> Self {
-        let mut words = Vec::with_capacity(FRAMING_WORDS + body);
-        words.extend_from_slice(&[DUMMY_WORD, SYNC_WORD]);
-        let mut s = StreamWriter {
-            words,
-            crc: CrcAccumulator::new(),
-        };
-        s.write(ConfigRegister::Idcode, &[idcode]);
-        s.write(ConfigRegister::Cmd, &[Command::Rcrc as u32]);
-        s.crc.reset();
-        s.write(ConfigRegister::Cmd, &[Command::Wcfg as u32]);
-        s
-    }
-
-    /// One register write: header and payload.
-    fn write(&mut self, reg: ConfigRegister, data: &[u32]) {
-        self.header(reg, data.len());
-        self.payload(reg, data);
-    }
-
-    /// The header of a register write carrying `len` payload words.
-    fn header(&mut self, reg: ConfigRegister, len: usize) {
-        push_write_header(&mut self.words, reg, len);
-    }
-
-    /// Payload words of the register write whose header came last.
-    fn payload(&mut self, reg: ConfigRegister, data: &[u32]) {
-        for &w in data {
-            self.crc.absorb(reg as u8, w);
-        }
-        self.words.extend_from_slice(data);
-    }
-
-    /// Appends the epilogue (CRC check, start, desync) and hands over the
-    /// stream, which fills its buffer exactly.
-    fn finish(mut self) -> Bitstream {
-        let crc = self.crc.value();
-        // The CRC register write resets the accumulator instead of
-        // feeding it, so its word is pushed without absorbing.
-        self.header(ConfigRegister::Crc, 1);
-        self.words.push(crc);
-        self.write(ConfigRegister::Cmd, &[Command::Start as u32]);
-        self.write(ConfigRegister::Cmd, &[Command::Desync as u32]);
-        Bitstream { words: self.words }
-    }
-}
 
 /// Generates a full-device bitstream from `mem`.
 pub fn full_bitstream(mem: &ConfigMemory, idcode: u32) -> Bitstream {
@@ -158,69 +129,191 @@ pub fn full_bitstream(mem: &ConfigMemory, idcode: u32) -> Bitstream {
     partial_bitstream(mem, &addrs, idcode)
 }
 
-/// The runs a partial bitstream over `frames` carries: the frames in
-/// device order without repeats, cut where the order has a gap. Each run
-/// is one FAR + FDRI pair.
-struct Runs<'a> {
-    mem: &'a ConfigMemory,
-    indexed: Vec<(usize, FrameAddress)>,
+/// `frames` in device order without repeats, each with its linear index.
+/// A partial stream carries them as runs cut where the order has a gap,
+/// each run one FAR + FDRI pair.
+fn device_order(mem: &ConfigMemory, frames: &[FrameAddress]) -> Vec<(usize, FrameAddress)> {
+    let mut order: Vec<(usize, FrameAddress)> = frames
+        .iter()
+        .map(|&a| {
+            let i = mem.linear_index(a).expect("frame address valid for device");
+            (i, a)
+        })
+        .collect();
+    order.sort_unstable_by_key(|&(i, _)| i);
+    order.dedup_by_key(|&mut (i, _)| i);
+    order
 }
 
-impl<'a> Runs<'a> {
-    fn new(mem: &'a ConfigMemory, frames: &[FrameAddress]) -> Self {
-        let mut indexed: Vec<(usize, FrameAddress)> = frames
-            .iter()
-            .map(|&a| {
-                let i = mem.linear_index(a).expect("frame address valid for device");
-                (i, a)
-            })
-            .collect();
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        indexed.dedup_by_key(|&mut (i, _)| i);
-        Runs { mem, indexed }
+/// FDRI payload words of the run starting at `order[0]`.
+fn run_payload(mem: &ConfigMemory, order: &[(usize, FrameAddress)]) -> usize {
+    let first = order[0].0;
+    order
+        .iter()
+        .zip(first..)
+        .take_while(|&(&(i, _), want)| i == want)
+        .map(|(&(_, a), _)| mem.frame(a).len())
+        .sum()
+}
+
+/// Words of a whole stream over frames in `order`.
+fn stream_len(mem: &ConfigMemory, order: &[(usize, FrameAddress)]) -> usize {
+    let body: usize = order
+        .chunk_by(|a, b| b.0 == a.0 + 1)
+        .map(|run| {
+            let len = run_payload(mem, run);
+            2 + header_len(len) + len
+        })
+        .sum();
+    FRAMING_WORDS + body
+}
+
+/// The words of a partial bitstream carrying the **complete** contents of
+/// a frame set, produced one at a time from the frames themselves: the
+/// dummy and sync words, the prologue (IDCODE check, CRC reset, WCFG), one
+/// FAR + FDRI pair per run of frames consecutive in device order, and the
+/// epilogue (CRC check, start, desync). The CRC is accumulated as the
+/// words go out, so the stream never exists whole unless collected.
+#[derive(Debug, Clone)]
+pub struct PartialStream<'a> {
+    mem: &'a ConfigMemory,
+    /// The frames carried, in device order without repeats.
+    order: Vec<(usize, FrameAddress)>,
+    /// Next entry of `order` to stream.
+    next: usize,
+    /// Words of the current frame not yet out.
+    frame: &'a [u32],
+    /// Framing words waiting ahead of the frame words; `staged_at` of
+    /// `staged_len` are out.
+    staged: [u32; 8],
+    staged_len: usize,
+    staged_at: usize,
+    crc: CrcAccumulator,
+    /// Has the epilogue been staged?
+    ended: bool,
+    /// Words still to come.
+    left: usize,
+}
+
+impl<'a> PartialStream<'a> {
+    fn new(mem: &'a ConfigMemory, frames: &[FrameAddress], idcode: u32) -> Self {
+        let order = device_order(mem, frames);
+        let mut s = PartialStream {
+            mem,
+            left: stream_len(mem, &order),
+            order,
+            next: 0,
+            frame: &[],
+            staged: [0; 8],
+            staged_len: 0,
+            staged_at: 0,
+            crc: CrcAccumulator::new(),
+            ended: false,
+        };
+        s.stage(DUMMY_WORD);
+        s.stage(SYNC_WORD);
+        s.stage_write(ConfigRegister::Idcode, idcode);
+        s.stage_write(ConfigRegister::Cmd, Command::Rcrc as u32);
+        s.crc.reset();
+        s.stage_write(ConfigRegister::Cmd, Command::Wcfg as u32);
+        s
     }
 
-    fn iter(&self) -> impl Iterator<Item = &[(usize, FrameAddress)]> {
-        self.indexed.chunk_by(|a, b| b.0 == a.0 + 1)
+    fn stage(&mut self, word: u32) {
+        self.staged[self.staged_len] = word;
+        self.staged_len += 1;
     }
 
-    /// FDRI payload words of one run.
-    fn payload(&self, run: &[(usize, FrameAddress)]) -> usize {
-        run.iter().map(|&(_, a)| self.mem.frame(a).len()).sum()
+    fn stage_header(&mut self, reg: ConfigRegister, len: usize) {
+        let (header, n) = write_header(reg, len);
+        for &h in &header[..n] {
+            self.stage(h);
+        }
     }
 
-    /// Words of every run's FAR write and FDRI packet.
-    fn body(&self) -> usize {
-        self.iter()
-            .map(|run| {
-                let len = self.payload(run);
-                2 + header_len(len) + len
-            })
-            .sum()
+    /// One single-word register write, absorbed into the CRC.
+    fn stage_write(&mut self, reg: ConfigRegister, word: u32) {
+        self.stage_header(reg, 1);
+        self.stage(word);
+        self.crc.absorb(reg as u8, word);
     }
+}
+
+impl Iterator for PartialStream<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        loop {
+            if self.staged_at < self.staged_len {
+                self.staged_at += 1;
+                self.left -= 1;
+                return Some(self.staged[self.staged_at - 1]);
+            }
+            if let Some((&w, rest)) = self.frame.split_first() {
+                self.frame = rest;
+                self.crc.absorb(ConfigRegister::Fdri as u8, w);
+                self.left -= 1;
+                return Some(w);
+            }
+            self.staged_len = 0;
+            self.staged_at = 0;
+            if let Some(&(i, addr)) = self.order.get(self.next) {
+                if self.next == 0 || self.order[self.next - 1].0 + 1 != i {
+                    // A run begins: its FAR write and FDRI header.
+                    let payload = run_payload(self.mem, &self.order[self.next..]);
+                    self.stage_write(ConfigRegister::Far, encode_far(addr));
+                    self.stage_header(ConfigRegister::Fdri, payload);
+                }
+                self.frame = self.mem.frame(addr);
+                self.next += 1;
+            } else if !self.ended {
+                self.ended = true;
+                // The CRC register write resets the accumulator instead
+                // of feeding it, so its word is staged without absorbing.
+                let crc = self.crc.value();
+                self.stage_header(ConfigRegister::Crc, 1);
+                self.stage(crc);
+                self.stage_write(ConfigRegister::Cmd, Command::Start as u32);
+                self.stage_write(ConfigRegister::Cmd, Command::Desync as u32);
+            } else {
+                return None;
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for PartialStream<'_> {}
+
+/// The words of [`partial_bitstream`]`(mem, frames, idcode)`, streamed
+/// from the frames instead of collected: `frames` of `mem`, in any order
+/// and with repeats allowed, for a device with `idcode`.
+pub fn partial_stream<'a>(
+    mem: &'a ConfigMemory,
+    frames: &[FrameAddress],
+    idcode: u32,
+) -> PartialStream<'a> {
+    PartialStream::new(mem, frames, idcode)
 }
 
 /// Generates a partial bitstream carrying the **complete** contents of the
-/// given frames (taken from `mem`). Frames are grouped into runs that are
-/// consecutive in device order, each run emitted as one FAR + FDRI pair,
-/// and the stream is written into one buffer of its exact length.
+/// given frames (taken from `mem`): [`partial_stream`] collected into one
+/// buffer of the stream's exact length.
 pub fn partial_bitstream(mem: &ConfigMemory, frames: &[FrameAddress], idcode: u32) -> Bitstream {
-    let runs = Runs::new(mem, frames);
-    let mut stream = StreamWriter::new(idcode, runs.body());
-    for run in runs.iter() {
-        stream.write(ConfigRegister::Far, &[encode_far(run[0].1)]);
-        stream.header(ConfigRegister::Fdri, runs.payload(run));
-        for &(_, addr) in run {
-            stream.payload(ConfigRegister::Fdri, mem.frame(addr));
-        }
-    }
-    stream.finish()
+    let stream = partial_stream(mem, frames, idcode);
+    let mut words = Vec::with_capacity(stream.len());
+    words.extend(stream);
+    Bitstream { words }
 }
 
 /// The word count of [`partial_bitstream`]`(mem, frames, _)`, from the same
 /// run grouping, without building the stream.
 pub fn partial_bitstream_len(mem: &ConfigMemory, frames: &[FrameAddress]) -> usize {
-    FRAMING_WORDS + Runs::new(mem, frames).body()
+    stream_len(mem, &device_order(mem, frames))
 }
 
 /// Generates a differential bitstream: only frames of `target` that differ
@@ -234,6 +327,279 @@ pub fn differential_bitstream(
     partial_bitstream(target, &changed, idcode)
 }
 
+/// The configuration logic's register state while it applies a stream.
+#[derive(Debug, Clone)]
+struct Registers {
+    idcode: u32,
+    crc: CrcAccumulator,
+    wcfg: bool,
+    /// A DESYNC command ran: the words after it are parsed, not applied.
+    desynced: bool,
+    far_index: Option<usize>,
+    /// The register write in progress and its first payload word.
+    reg: ConfigRegister,
+    first: Option<u32>,
+    /// FDRI: the index of the frame the next payload word belongs to,
+    /// the address and length of the frame being assembled (`None`
+    /// between frames), and its words so far. A frame is written when it
+    /// is whole.
+    fdri_index: usize,
+    frame_at: Option<(FrameAddress, usize)>,
+    frame: Vec<u32>,
+    frames_written: usize,
+    frames_corrupted: u64,
+}
+
+impl Registers {
+    fn new(idcode: u32) -> Self {
+        Registers {
+            idcode,
+            crc: CrcAccumulator::new(),
+            wcfg: false,
+            desynced: false,
+            far_index: None,
+            reg: ConfigRegister::Crc,
+            first: None,
+            fdri_index: 0,
+            frame_at: None,
+            frame: Vec::new(),
+            frames_written: 0,
+            frames_corrupted: 0,
+        }
+    }
+
+    /// Applies one grammar token.
+    #[inline]
+    fn token(
+        &mut self,
+        token: Token,
+        mem: &mut ConfigMemory,
+        fault: Option<&mut FaultPlan>,
+    ) -> Result<(), ApplyError> {
+        match token {
+            Token::Word(_) if self.desynced => Ok(()),
+            Token::Word(w) => {
+                let first = self.first.is_none();
+                if first {
+                    self.first = Some(w);
+                }
+                self.word(w, first, mem, fault)
+            }
+            _ => self.control(token),
+        }
+    }
+
+    /// A grammar token that carries no payload word.
+    fn control(&mut self, token: Token) -> Result<(), ApplyError> {
+        if self.desynced {
+            return Ok(());
+        }
+        match token {
+            Token::Header(reg) => {
+                self.reg = reg;
+                self.first = None;
+                if reg == ConfigRegister::Fdri {
+                    if !self.wcfg {
+                        return Err(ApplyError::FdriWithoutWcfg);
+                    }
+                    self.fdri_index = self.far_index.ok_or(ApplyError::NoFrameAddress)?;
+                }
+                Ok(())
+            }
+            Token::End => self.end(),
+            Token::Nop | Token::Word(_) => Ok(()),
+        }
+    }
+
+    /// One payload word of the write in progress.
+    fn word(
+        &mut self,
+        w: u32,
+        first: bool,
+        mem: &mut ConfigMemory,
+        fault: Option<&mut FaultPlan>,
+    ) -> Result<(), ApplyError> {
+        let reg = self.reg;
+        match reg {
+            ConfigRegister::Fdri => {
+                self.crc.absorb(reg as u8, w);
+                self.fdri_word(w, mem, fault)
+            }
+            ConfigRegister::Crc => {
+                // Only the first word is checked; the check resets the
+                // accumulator instead of feeding it.
+                if first {
+                    let expected = self.crc.value();
+                    if expected != w {
+                        return Err(ApplyError::CrcMismatch { expected, found: w });
+                    }
+                    self.crc.reset();
+                }
+                Ok(())
+            }
+            ConfigRegister::Idcode => {
+                if first && w != self.idcode {
+                    return Err(ApplyError::IdcodeMismatch {
+                        expected: self.idcode,
+                        found: w,
+                    });
+                }
+                self.crc.absorb(reg as u8, w);
+                Ok(())
+            }
+            ConfigRegister::Far => {
+                self.crc.absorb(reg as u8, w);
+                if first {
+                    let addr = decode_far(w).ok_or(ApplyError::BadFrameAddress(w))?;
+                    self.far_index = Some(
+                        mem.linear_index(addr)
+                            .ok_or(ApplyError::BadFrameAddress(w))?,
+                    );
+                }
+                Ok(())
+            }
+            ConfigRegister::Cmd | ConfigRegister::Ctl => {
+                self.crc.absorb(reg as u8, w);
+                Ok(())
+            }
+        }
+    }
+
+    /// One FDRI word: assembled into the current frame, which is written
+    /// once whole. A frame that already holds its words is left alone (so
+    /// a frame shared with another memory stays shared) unless a fault
+    /// plan is active, which sees every frame.
+    #[inline]
+    fn fdri_word(
+        &mut self,
+        w: u32,
+        mem: &mut ConfigMemory,
+        fault: Option<&mut FaultPlan>,
+    ) -> Result<(), ApplyError> {
+        let (addr, len) = match self.frame_at {
+            Some(at) => at,
+            None => {
+                let addr = mem
+                    .frame_address(self.fdri_index)
+                    .ok_or(ApplyError::AddressOverflow)?;
+                *self.frame_at.insert((addr, mem.frame(addr).len()))
+            }
+        };
+        self.frame.push(w);
+        if self.frame.len() < len {
+            return Ok(());
+        }
+        let plan = fault.filter(|p| p.is_active());
+        if plan.is_some() || mem.frame(addr) != &self.frame[..] {
+            let frame = mem.frame_mut(addr);
+            frame.copy_from_slice(&self.frame);
+            if let Some(plan) = plan {
+                self.frames_corrupted += u64::from(plan.corrupt_frame(frame));
+            }
+        }
+        self.frame.clear();
+        self.frame_at = None;
+        self.frames_written += 1;
+        self.fdri_index += 1;
+        Ok(())
+    }
+
+    /// The write in progress has delivered its whole payload.
+    fn end(&mut self) -> Result<(), ApplyError> {
+        match self.reg {
+            ConfigRegister::Crc | ConfigRegister::Idcode | ConfigRegister::Far
+                if self.first.is_none() =>
+            {
+                Err(ApplyError::PartialFrame)
+            }
+            ConfigRegister::Cmd => {
+                // A command acts once its write is whole: every word is
+                // absorbed first, so an RCRC resets after its own word.
+                match self.first.and_then(Command::from_word) {
+                    Some(Command::Wcfg) => self.wcfg = true,
+                    Some(Command::Rcrc) => self.crc.reset(),
+                    Some(Command::Desync) => self.desynced = true,
+                    _ => {}
+                }
+                Ok(())
+            }
+            ConfigRegister::Fdri => {
+                if self.frame_at.is_some() {
+                    return Err(ApplyError::PartialFrame);
+                }
+                self.far_index = Some(self.fdri_index);
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The configuration logic behind the ICAP, one word at a time: the
+/// [`PacketReader`] grammar, then IDCODE, CRC, command, FAR and FDRI
+/// semantics, with FDRI payloads assembled and written one frame at a
+/// time. It holds at most one frame of a stream. The module docs state
+/// its contract for malformed streams.
+#[derive(Debug, Clone)]
+pub struct Applier {
+    reader: PacketReader,
+    regs: Registers,
+    words: usize,
+    error: Option<ApplyError>,
+}
+
+impl Applier {
+    /// The configuration logic of a device with `idcode`, before a
+    /// stream's first word.
+    pub fn new(idcode: u32) -> Self {
+        Applier {
+            reader: PacketReader::new(),
+            regs: Registers::new(idcode),
+            words: 0,
+            error: None,
+        }
+    }
+
+    /// Takes one stream word, writing any frame it completes into `mem`
+    /// (through `fault`, when a plan is given). After an error, words are
+    /// counted and otherwise ignored.
+    #[inline]
+    pub fn push(&mut self, word: u32, mem: &mut ConfigMemory, mut fault: Option<&mut FaultPlan>) {
+        self.words += 1;
+        if self.error.is_some() {
+            return;
+        }
+        let regs = &mut self.regs;
+        let mut sink = |t: Token| regs.token(t, mem, fault.as_deref_mut());
+        if let Err(e) = self.reader.push(word, &mut sink) {
+            self.error = Some(e);
+        }
+    }
+
+    /// Frames the fault plan corrupted in this stream so far.
+    pub fn frames_corrupted(&self) -> u64 {
+        self.regs.frames_corrupted
+    }
+
+    /// Ends the stream: the latched error, or the error of a stream that
+    /// has no sync word or stops inside a packet, or the apply report.
+    /// The applier is then ready for the next stream.
+    pub fn finish(&mut self) -> Result<ApplyReport, ApplyError> {
+        let mut done = std::mem::replace(self, Applier::new(self.regs.idcode));
+        if let Some(e) = done.error {
+            return Err(e);
+        }
+        // Only a trailing zero-count write can complete here: no payload
+        // word, so no frame, is left to apply.
+        let regs = &mut done.regs;
+        done.reader.finish(&mut |t: Token| regs.control(t))?;
+        Ok(ApplyReport {
+            frames_written: regs.frames_written,
+            words_total: done.words,
+        })
+    }
+}
+
 /// Applies a bitstream to `mem`, enforcing IDCODE and CRC checks.
 pub fn apply_bitstream(
     bs: &Bitstream,
@@ -244,7 +610,8 @@ pub fn apply_bitstream(
 }
 
 /// [`apply_bitstream`] with an optional [`FaultPlan`] corrupting frame
-/// payloads at the FDRI → configuration-cell boundary.
+/// payloads at the FDRI → configuration-cell boundary: every word pushed
+/// into an [`Applier`], then the stream finished.
 ///
 /// The CRC is accumulated over the stream *as received* — corruption
 /// happens after the check, so a faulty apply still succeeds and only a
@@ -256,107 +623,17 @@ pub fn apply_bitstream_faulty(
     device_idcode: u32,
     mut fault: Option<&mut FaultPlan>,
 ) -> Result<ApplyReport, ApplyError> {
-    let packets = bs.parse().map_err(ApplyError::Parse)?;
-    let mut crc = CrcAccumulator::new();
-    let mut wcfg = false;
-    let mut far_index: Option<usize> = None;
-    let mut frames_written = 0usize;
-
-    for p in &packets {
-        let Packet::Write { reg, data } = p else {
-            continue;
-        };
-        match reg {
-            ConfigRegister::Crc => {
-                let found = *data.first().ok_or(ApplyError::PartialFrame)?;
-                let expected = crc.value();
-                if expected != found {
-                    return Err(ApplyError::CrcMismatch { expected, found });
-                }
-                crc.reset();
-            }
-            ConfigRegister::Idcode => {
-                let found = *data.first().ok_or(ApplyError::PartialFrame)?;
-                if found != device_idcode {
-                    return Err(ApplyError::IdcodeMismatch {
-                        expected: device_idcode,
-                        found,
-                    });
-                }
-                for &w in data {
-                    crc.absorb(*reg as u8, w);
-                }
-            }
-            ConfigRegister::Cmd => {
-                for &w in data {
-                    crc.absorb(*reg as u8, w);
-                }
-                match data.first().copied().and_then(Command::from_word) {
-                    Some(Command::Wcfg) => wcfg = true,
-                    Some(Command::Rcrc) => crc.reset(),
-                    Some(Command::Desync) => break,
-                    _ => {}
-                }
-            }
-            ConfigRegister::Far => {
-                for &w in data {
-                    crc.absorb(*reg as u8, w);
-                }
-                let raw = *data.first().ok_or(ApplyError::PartialFrame)?;
-                let addr = decode_far(raw).ok_or(ApplyError::BadFrameAddress(raw))?;
-                far_index = Some(
-                    mem.linear_index(addr)
-                        .ok_or(ApplyError::BadFrameAddress(raw))?,
-                );
-            }
-            ConfigRegister::Fdri => {
-                if !wcfg {
-                    return Err(ApplyError::FdriWithoutWcfg);
-                }
-                for &w in data {
-                    crc.absorb(*reg as u8, w);
-                }
-                let mut idx = far_index.ok_or(ApplyError::NoFrameAddress)?;
-                let mut off = 0usize;
-                while off < data.len() {
-                    let addr = mem.frame_address(idx).ok_or(ApplyError::AddressOverflow)?;
-                    let len = mem.frame(addr).len();
-                    let Some(words) = data.get(off..off + len) else {
-                        return Err(ApplyError::PartialFrame);
-                    };
-                    let plan = fault.as_deref_mut().filter(|p| p.is_active());
-                    // A frame that already holds these words is left
-                    // alone, so a frame shared with another memory stays
-                    // shared.
-                    if plan.is_some() || mem.frame(addr) != words {
-                        let frame = mem.frame_mut(addr);
-                        frame.copy_from_slice(words);
-                        if let Some(plan) = plan {
-                            plan.corrupt_frame(frame);
-                        }
-                    }
-                    frames_written += 1;
-                    off += len;
-                    idx += 1;
-                }
-                far_index = Some(idx);
-            }
-            ConfigRegister::Ctl => {
-                for &w in data {
-                    crc.absorb(*reg as u8, w);
-                }
-            }
-        }
+    let mut applier = Applier::new(device_idcode);
+    for &w in &bs.words {
+        applier.push(w, mem, fault.as_deref_mut());
     }
-    Ok(ApplyReport {
-        frames_written,
-        words_total: bs.word_count(),
-    })
+    applier.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Packet;
     use vp2_fabric::coords::{ClbCoord, LutIndex, SliceIndex};
     use vp2_fabric::{Device, DeviceKind};
 

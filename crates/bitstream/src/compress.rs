@@ -36,11 +36,6 @@ const TOKEN_RUN: u8 = 255;
 /// Dictionary indices occupy the remaining token space.
 const DICT_CAPACITY: usize = TOKEN_LITERAL as usize;
 
-/// Does `words` carry a compressed stream (by magic)?
-pub fn is_compressed(words: &[u32]) -> bool {
-    words.first() == Some(&COMPRESSED_MAGIC)
-}
-
 /// Encodes `words` into the run/dictionary format. Always succeeds; the
 /// result may be longer than the input on incompressible data — callers
 /// keep whichever form is shorter.
@@ -109,53 +104,120 @@ pub fn compress_words(words: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Decodes a stream produced by [`compress_words`]. Returns `None` if
-/// the stream is not compressed or is internally inconsistent (bad
-/// counts, dangling run, out-of-range dictionary index).
-pub fn decompress_words(words: &[u32]) -> Option<Vec<u32>> {
-    let (&magic, rest) = words.split_first()?;
-    if magic != COMPRESSED_MAGIC || rest.len() < 3 {
-        return None;
-    }
-    let n_decoded = rest[0] as usize;
-    let n_tokens = rest[1] as usize;
-    let dict_len = rest[2] as usize;
-    if dict_len > DICT_CAPACITY {
-        return None;
-    }
-    let body = &rest[3..];
-    let token_words = n_tokens.div_ceil(4);
-    if body.len() < dict_len + token_words {
-        return None;
-    }
-    let dict = &body[..dict_len];
-    let token_area = &body[dict_len..dict_len + token_words];
-    let mut literals = body[dict_len + token_words..].iter();
-    let token = |j: usize| ((token_area[j / 4] >> ((3 - j % 4) * 8)) & 0xFF) as u8;
+/// The decoded words of one compressed transfer, produced one at a time.
+/// A transfer carries its literals after all of its tokens, so a decoder
+/// needs the transfer whole; what it never needs is the decoded stream
+/// whole. Built by [`decoded`], which has already checked the transfer.
+#[derive(Debug, Clone)]
+pub struct Decoded<'a> {
+    dict: &'a [u32],
+    token_area: &'a [u32],
+    n_tokens: usize,
+    literals: std::slice::Iter<'a, u32>,
+    /// Next token index.
+    j: usize,
+    /// The word last produced, and how many more times a run repeats it.
+    last: Option<u32>,
+    repeat: usize,
+    /// Words still to come (the header's decoded count).
+    left: usize,
+}
 
-    let mut out = Vec::with_capacity(n_decoded);
-    let mut j = 0;
-    while j < n_tokens {
-        match token(j) {
-            TOKEN_LITERAL => out.push(*literals.next()?),
+impl<'a> Decoded<'a> {
+    /// Splits a transfer into its header fields, dictionary, tokens and
+    /// literals, or `None` when they do not fit.
+    fn new(words: &'a [u32]) -> Option<Self> {
+        let (&magic, rest) = words.split_first()?;
+        if magic != COMPRESSED_MAGIC || rest.len() < 3 {
+            return None;
+        }
+        let n_decoded = rest[0] as usize;
+        let n_tokens = rest[1] as usize;
+        let dict_len = rest[2] as usize;
+        if dict_len > DICT_CAPACITY {
+            return None;
+        }
+        let body = &rest[3..];
+        let token_words = n_tokens.div_ceil(4);
+        if body.len() < dict_len + token_words {
+            return None;
+        }
+        Some(Decoded {
+            dict: &body[..dict_len],
+            token_area: &body[dict_len..dict_len + token_words],
+            n_tokens,
+            literals: body[dict_len + token_words..].iter(),
+            j: 0,
+            last: None,
+            repeat: 0,
+            left: n_decoded,
+        })
+    }
+
+    fn token(&self, j: usize) -> u8 {
+        ((self.token_area[j / 4] >> ((3 - j % 4) * 8)) & 0xFF) as u8
+    }
+
+    /// The next decoded word: `Some(None)` once the tokens are spent,
+    /// `None` when the transfer is inconsistent (a dangling or leading
+    /// run, a missing literal, an out-of-range dictionary index).
+    fn step(&mut self) -> Option<Option<u32>> {
+        if self.repeat > 0 {
+            self.repeat -= 1;
+            return Some(self.last);
+        }
+        if self.j >= self.n_tokens {
+            return Some(None);
+        }
+        let w = match self.token(self.j) {
+            TOKEN_LITERAL => *self.literals.next()?,
             TOKEN_RUN => {
-                j += 1;
-                if j >= n_tokens {
+                self.j += 1;
+                if self.j >= self.n_tokens {
                     return None;
                 }
-                let &last = out.last()?;
-                for _ in 0..token(j) as usize + 1 {
-                    out.push(last);
-                }
+                let last = self.last?;
+                self.repeat = self.token(self.j) as usize;
+                last
             }
-            idx => out.push(*dict.get(idx as usize)?),
-        }
-        j += 1;
+            idx => *self.dict.get(idx as usize)?,
+        };
+        self.j += 1;
+        self.last = Some(w);
+        Some(Some(w))
     }
-    if out.len() != n_decoded || literals.next().is_some() {
-        return None;
+}
+
+impl Iterator for Decoded<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let w = self.step().flatten()?;
+        self.left -= 1;
+        Some(w)
     }
-    Some(out)
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Decoded<'_> {}
+
+/// Checks a transfer produced by [`compress_words`] and returns its
+/// decoded words as a word source. Returns `None` if the transfer is not
+/// compressed or is internally inconsistent (bad counts, dangling run,
+/// out-of-range dictionary index, literals missing or left over) — the
+/// check walks the tokens once without producing a word, so a rejected
+/// transfer delivers none.
+pub fn decoded(words: &[u32]) -> Option<Decoded<'_>> {
+    let start = Decoded::new(words)?;
+    let mut probe = start.clone();
+    let mut n = 0usize;
+    while probe.step()?.is_some() {
+        n += 1;
+    }
+    (n == start.left && probe.literals.next().is_none()).then_some(start)
 }
 
 #[cfg(test)]
@@ -164,12 +226,14 @@ mod tests {
     use crate::packet::{DUMMY_WORD, SYNC_WORD};
     use vp2_sim::SplitMix64;
 
+    fn decompress_words(words: &[u32]) -> Option<Vec<u32>> {
+        Some(decoded(words)?.collect())
+    }
+
     #[test]
     fn magic_collides_with_no_stream_opener() {
         assert_ne!(COMPRESSED_MAGIC, SYNC_WORD);
         assert_ne!(COMPRESSED_MAGIC, DUMMY_WORD);
-        assert!(!is_compressed(&[DUMMY_WORD, SYNC_WORD]));
-        assert!(is_compressed(&[COMPRESSED_MAGIC]));
     }
 
     #[test]

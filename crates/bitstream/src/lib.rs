@@ -5,7 +5,10 @@
 //! * a Xilinx-style packetised bitstream format (sync word, type-1/type-2
 //!   packets, FAR/FDRI/CMD/IDCODE registers, CRC check) in [`packet`];
 //! * generation of **full**, **partial** and **differential** configurations
-//!   from `vp2-fabric` configuration memories in [`builder`];
+//!   from `vp2-fabric` configuration memories in [`builder`], each a word
+//!   source over the frames it carries, and the word-at-a-time
+//!   configuration logic ([`Applier`]) that applies a stream as it
+//!   arrives — the contract for malformed streams is in [`builder`];
 //! * the **BitLinker** configuration-assembly tool in [`bitlinker`] — the
 //!   paper's answer to the two core reconfiguration hazards:
 //!   1. partial configurations are *differential* (they assume an initial
@@ -28,9 +31,10 @@ pub mod packet;
 pub use bitlinker::{AssembleError, BitLinker, Component};
 pub use builder::{
     apply_bitstream, apply_bitstream_faulty, differential_bitstream, full_bitstream,
-    partial_bitstream, partial_bitstream_len, ApplyError, ApplyReport,
+    partial_bitstream, partial_bitstream_len, partial_stream, Applier, ApplyError, ApplyReport,
+    PartialStream,
 };
-pub use compress::{compress_words, decompress_words, is_compressed, COMPRESSED_MAGIC};
+pub use compress::{compress_words, decoded, Decoded, COMPRESSED_MAGIC};
 pub use fault::{apply_upset, BurstConfig, BurstPlan, FaultPlan, Upset};
 pub use packet::{Bitstream, ConfigRegister, Packet, SYNC_WORD};
 
@@ -46,3 +50,6 @@ pub fn idcode_for(kind: vp2_fabric::DeviceKind) -> u32 {
         vp2_fabric::DeviceKind::Xc2vp30 => IDCODE_XC2VP30,
     }
 }
+
+#[cfg(test)]
+mod applier_fuzz;

@@ -165,16 +165,174 @@ pub(crate) fn header_len(len: usize) -> usize {
     }
 }
 
-/// Appends the header of a register write carrying `len` payload words.
-pub(crate) fn push_write_header(words: &mut Vec<u32>, reg: ConfigRegister, len: usize) {
-    let regbits = (u32::from(reg as u8) & 0x1F) << 13;
+/// The header of a register write carrying `len` payload words: one
+/// type-1 header, or, past the type-1 count, a zero-count type-1 header
+/// and a type-2 header with the long count (the FDRI long-write idiom).
+/// Returns the words and how many of them the header takes.
+pub(crate) fn write_header(reg: ConfigRegister, len: usize) -> ([u32; 2], usize) {
+    let type1 = TYPE1 | OP_WRITE | ((u32::from(reg as u8) & 0x1F) << 13);
     if len <= TYPE1_MAX {
-        words.push(TYPE1 | OP_WRITE | regbits | len as u32);
+        ([type1 | len as u32, 0], 1)
     } else {
-        // Type-1 header with count 0, then type-2 with the long count (the
-        // FDRI long-write idiom).
-        words.push(TYPE1 | OP_WRITE | regbits);
-        words.push(TYPE2 | OP_WRITE | (len as u32 & 0x07FF_FFFF));
+        ([type1, TYPE2 | OP_WRITE | (len as u32 & 0x07FF_FFFF)], 2)
+    }
+}
+
+/// One step of the packet grammar, as [`PacketReader`] hands it on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Token {
+    /// A type-1 no-op packet.
+    Nop,
+    /// The header of a register write to this register is complete; its
+    /// payload words follow.
+    Header(ConfigRegister),
+    /// One payload word of the write whose header came last.
+    Word(u32),
+    /// The write whose header came last has delivered its whole payload.
+    End,
+}
+
+/// Where the packet grammar stands between two words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReaderState {
+    /// Skipping dummy words, looking for the sync word.
+    Sync,
+    /// Expecting a packet header.
+    Header,
+    /// A zero-count type-1 write came last: a type-2 header may follow
+    /// with the long count.
+    LongCount(ConfigRegister),
+    /// Inside a write's payload, with this many words still to come.
+    Payload(usize),
+}
+
+/// The packet grammar, one word at a time: the sync search, then type-1
+/// and type-2 headers and their payloads. Every consumer of a word
+/// stream goes through it — [`Bitstream::parse`] and the configuration
+/// logic's applier ([`crate::Applier`]) alike — so there is one grammar.
+///
+/// Each word hands up to four [`Token`]s to a sink: a zero-count type-1
+/// write is only complete once the next word shows whether a type-2 long
+/// count follows, so that word can end one write and begin another. A grammar error comes back as an `Err` of
+/// the sink's error type; after one, the reader's state is unspecified.
+#[derive(Debug, Clone)]
+pub struct PacketReader {
+    state: ReaderState,
+}
+
+impl Default for PacketReader {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PacketReader {
+    /// A reader at the start of a stream (before the sync word).
+    pub fn new() -> Self {
+        PacketReader {
+            state: ReaderState::Sync,
+        }
+    }
+
+    /// Takes one word, handing every token it completes to `sink`.
+    #[inline]
+    pub fn push<E: From<ParseError>>(
+        &mut self,
+        word: u32,
+        sink: &mut impl FnMut(Token) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self.state {
+            ReaderState::Payload(left) => {
+                sink(Token::Word(word))?;
+                if left == 1 {
+                    self.state = ReaderState::Header;
+                    sink(Token::End)?;
+                } else {
+                    self.state = ReaderState::Payload(left - 1);
+                }
+                Ok(())
+            }
+            ReaderState::Header => self.header(word, sink),
+            ReaderState::LongCount(reg) => {
+                if word >> 29 == 0b010 {
+                    let count = (word & 0x07FF_FFFF) as usize;
+                    self.state = ReaderState::Header;
+                    return self.begin(reg, count, sink);
+                }
+                // No long count: the zero-count write stands alone and
+                // this word is the next header.
+                self.state = ReaderState::Header;
+                self.begin(reg, 0, sink)?;
+                self.header(word, sink)
+            }
+            ReaderState::Sync => match word {
+                DUMMY_WORD => Ok(()),
+                SYNC_WORD => {
+                    self.state = ReaderState::Header;
+                    Ok(())
+                }
+                _ => Err(ParseError::NoSync.into()),
+            },
+        }
+    }
+
+    /// Ends the stream: completes a trailing zero-count write, rejects a
+    /// stream with no sync word or one that stops inside a payload, and
+    /// rewinds the reader for the next stream.
+    pub fn finish<E: From<ParseError>>(
+        &mut self,
+        sink: &mut impl FnMut(Token) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match std::mem::replace(&mut self.state, ReaderState::Sync) {
+            ReaderState::Sync => Err(ParseError::NoSync.into()),
+            ReaderState::Header => Ok(()),
+            ReaderState::LongCount(reg) => self.begin(reg, 0, sink),
+            ReaderState::Payload(_) => Err(ParseError::Truncated.into()),
+        }
+    }
+
+    /// A packet header word.
+    fn header<E: From<ParseError>>(
+        &mut self,
+        h: u32,
+        sink: &mut impl FnMut(Token) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if h >> 29 != 0b001 {
+            return Err(ParseError::BadHeader(h).into());
+        }
+        let op = (h >> 27) & 0b11;
+        if op == 0 {
+            return sink(Token::Nop);
+        }
+        if op != 0b10 {
+            return Err(ParseError::BadHeader(h).into());
+        }
+        let reg_addr = ((h >> 13) & 0x1F) as u8;
+        let reg =
+            ConfigRegister::from_addr(reg_addr).ok_or(ParseError::UnknownRegister(reg_addr))?;
+        match (h & 0x7FF) as usize {
+            0 => {
+                self.state = ReaderState::LongCount(reg);
+                Ok(())
+            }
+            count => self.begin(reg, count, sink),
+        }
+    }
+
+    /// A register write whose count is known.
+    fn begin<E: From<ParseError>>(
+        &mut self,
+        reg: ConfigRegister,
+        count: usize,
+        sink: &mut impl FnMut(Token) -> Result<(), E>,
+    ) -> Result<(), E> {
+        sink(Token::Header(reg))?;
+        if count == 0 {
+            sink(Token::End)
+        } else {
+            self.state = ReaderState::Payload(count);
+            Ok(())
+        }
     }
 }
 
@@ -195,7 +353,8 @@ impl Bitstream {
             match p {
                 Packet::Nop => words.push(TYPE1), // type-1 op=00 count=0
                 Packet::Write { reg, data } => {
-                    push_write_header(&mut words, *reg, data.len());
+                    let (header, n) = write_header(*reg, data.len());
+                    words.extend_from_slice(&header[..n]);
                     words.extend_from_slice(data);
                 }
             }
@@ -203,52 +362,32 @@ impl Bitstream {
         Bitstream { words }
     }
 
-    /// Parses the word stream back into packets.
+    /// Parses the word stream back into packets, through the same
+    /// [`PacketReader`] grammar the configuration logic applies streams
+    /// with.
     pub fn parse(&self) -> Result<Vec<Packet>, ParseError> {
-        let mut it = self.words.iter().copied().peekable();
-        // Skip dummies; require sync.
-        loop {
-            match it.next() {
-                Some(DUMMY_WORD) => continue,
-                Some(SYNC_WORD) => break,
-                _ => return Err(ParseError::NoSync),
-            }
-        }
         let mut packets = Vec::new();
-        while let Some(h) = it.next() {
-            let ty = h >> 29;
-            if ty == 0b001 {
-                let op = (h >> 27) & 0b11;
-                if op == 0 {
-                    packets.push(Packet::Nop);
-                    continue;
-                }
-                if op != 0b10 {
-                    return Err(ParseError::BadHeader(h));
-                }
-                let reg_addr = ((h >> 13) & 0x1F) as u8;
-                let reg = ConfigRegister::from_addr(reg_addr)
-                    .ok_or(ParseError::UnknownRegister(reg_addr))?;
-                let mut count = (h & 0x7FF) as usize;
-                // A zero-count write may be followed by a type-2 header
-                // carrying the long count.
-                if count == 0 {
-                    if let Some(&next) = it.peek() {
-                        if next >> 29 == 0b010 {
-                            it.next();
-                            count = (next & 0x07FF_FFFF) as usize;
-                        }
+        let mut sink = |token: Token| {
+            match token {
+                Token::Nop => packets.push(Packet::Nop),
+                Token::Header(reg) => packets.push(Packet::Write {
+                    reg,
+                    data: Vec::new(),
+                }),
+                Token::Word(w) => {
+                    if let Some(Packet::Write { data, .. }) = packets.last_mut() {
+                        data.push(w);
                     }
                 }
-                let mut data = Vec::with_capacity(count);
-                for _ in 0..count {
-                    data.push(it.next().ok_or(ParseError::Truncated)?);
-                }
-                packets.push(Packet::Write { reg, data });
-            } else {
-                return Err(ParseError::BadHeader(h));
+                Token::End => {}
             }
+            Ok::<(), ParseError>(())
+        };
+        let mut reader = PacketReader::new();
+        for &w in &self.words {
+            reader.push(w, &mut sink)?;
         }
+        reader.finish(&mut sink)?;
         Ok(packets)
     }
 

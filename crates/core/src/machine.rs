@@ -711,9 +711,10 @@ impl Platform {
         if (map::HWICAP_BASE..map::HWICAP_BASE + 0x100).contains(&addr) {
             let end = self.periph_write_single(now);
             match addr - map::HWICAP_BASE {
-                map::HWICAP_DATA => self.icap.write_data(data),
+                map::HWICAP_DATA => self.icap.write_data(data, &mut self.config),
                 map::HWICAP_CTL if data & 1 != 0 => {
-                    // Commit; errors latch in the status register.
+                    // Commit finishes the stream the data writes applied;
+                    // errors latch in the status register.
                     let _ = self.icap.commit(end, &mut self.config);
                 }
                 _ => {}

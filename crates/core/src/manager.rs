@@ -225,9 +225,13 @@ impl std::error::Error for LoadError {}
 /// `m.cpu.now()`. Every stream the machine loads goes through here:
 /// [`ModuleManager::load`]'s retry ladder, the background scrub repairs,
 /// [`ModuleManager::unload`] and the reconfiguration ablation.
-pub fn feed(m: &mut Machine, words: &[u32]) -> Result<(), LoadError> {
+///
+/// The words may come straight from a [`vp2_bitstream::PartialStream`]
+/// over an image's frames: each is applied as it crosses the port, so
+/// no stream is built to feed it.
+pub fn feed(m: &mut Machine, words: impl IntoIterator<Item = u32>) -> Result<(), LoadError> {
     let mut t = m.cpu.now();
-    for &w in words {
+    for w in words {
         t += m
             .platform
             .write(t, map::HWICAP_BASE + map::HWICAP_DATA, 4, w);
@@ -241,6 +245,17 @@ pub fn feed(m: &mut Machine, words: &[u32]) -> Result<(), LoadError> {
     let done = t.max(m.platform.icap.busy_until());
     m.cpu.advance_time_to(done);
     Ok(())
+}
+
+/// A load's first-attempt transfer.
+enum Transfer {
+    /// The full-slot stream, cut from the image's frames as it is fed.
+    Full,
+    /// A differential stream over these frames, cut as it is fed (none
+    /// when the slot already holds the image).
+    Frames(Vec<FrameAddress>),
+    /// Words built whole: kept by the stream cache, or compressed.
+    Words(Arc<[u32]>),
 }
 
 /// The run-time reconfiguration manager.
@@ -543,8 +558,8 @@ impl ModuleManager {
         for group in mismatched.chunk_by(|a, b| a.0 == b.0) {
             let expected = group[0].1;
             let addrs: Vec<FrameAddress> = group.iter().map(|&(_, _, a)| a).collect();
-            let patch = vp2_bitstream::partial_bitstream(expected, &addrs, idcode);
-            feed(m, &patch.words).expect("scrub repair streams are well-formed");
+            feed(m, vp2_bitstream::partial_stream(expected, &addrs, idcode))
+                .expect("scrub repair streams are well-formed");
             self.scrub_stats.repairs += 1;
             self.scrub_stats.frames_repaired += addrs.len() as u64;
             if self.tracer.on() {
@@ -740,19 +755,21 @@ impl ModuleManager {
         m.materialize_upsets();
 
         // The full-slot stream is cut from the image's frames only when a
-        // feed needs it, and dropped once fed; its length comes without it.
+        // feed needs it, and streamed from them word by word; its length
+        // comes without it.
         let mut cut_full = || {
             self.full_streams += 1;
-            vp2_bitstream::partial_bitstream(expected, slot_frames, idcode).words
+            vp2_bitstream::partial_stream(expected, slot_frames, idcode)
         };
         let words_full = vp2_bitstream::partial_bitstream_len(expected, slot_frames);
 
-        // Decide the attempt-1 transfer image: a cached replay, a
-        // differential stream against the slot's live frames, or the full
-        // image — compressed when that is shorter. `None` = feed the full
-        // image (the pre-plane path).
+        // Decide the attempt-1 transfer: a cached replay, a differential
+        // stream against the slot's live frames, or the full image —
+        // compressed when that is shorter. It is built whole only when the
+        // cache keeps it or compression needs it; otherwise it streams
+        // from the image's frames like the pre-plane path.
         let frames_full = slot_frames.len();
-        let mut transfer: Option<Arc<[u32]>> = None;
+        let mut transfer = Transfer::Full;
         let mut frames_sent = frames_full;
         let mut compressed = false;
         if self.plane.cache_capacity > 0 || self.plane.differential || self.plane.compress {
@@ -783,43 +800,53 @@ impl ModuleManager {
                 Some(c) => {
                     frames_sent = c.frames_sent as usize;
                     compressed = c.compressed;
-                    transfer = Some(c.words);
+                    transfer = Transfer::Words(c.words);
                 }
                 None => {
-                    let mut words = if self.plane.differential {
+                    transfer = if self.plane.differential {
                         let changed = m.platform.config.mismatched_frames(expected, slot_frames);
                         frames_sent = changed.len();
-                        if changed.is_empty() {
-                            Vec::new()
-                        } else {
-                            vp2_bitstream::partial_bitstream(expected, &changed, idcode).words
-                        }
+                        Transfer::Frames(changed)
                     } else {
-                        cut_full()
+                        Transfer::Full
                     };
-                    if self.plane.compress && !words.is_empty() {
-                        let packed = vp2_bitstream::compress_words(&words);
-                        if packed.len() < words.len() {
-                            words = packed;
-                            compressed = true;
+                    if cache_key.is_some() || self.plane.compress {
+                        let mut words: Vec<u32> = match &transfer {
+                            Transfer::Frames(changed) if changed.is_empty() => Vec::new(),
+                            Transfer::Frames(changed) => {
+                                vp2_bitstream::partial_stream(expected, changed, idcode).collect()
+                            }
+                            _ => cut_full().collect(),
+                        };
+                        if self.plane.compress && !words.is_empty() {
+                            let packed = vp2_bitstream::compress_words(&words);
+                            if packed.len() < words.len() {
+                                words = packed;
+                                compressed = true;
+                            }
                         }
+                        let words: Arc<[u32]> = words.into();
+                        if let Some(k) = cache_key {
+                            self.stream_cache.insert(
+                                k,
+                                CachedStream {
+                                    words: Arc::clone(&words),
+                                    frames_sent: frames_sent as u32,
+                                    compressed,
+                                },
+                            );
+                        }
+                        transfer = Transfer::Words(words);
                     }
-                    let words: Arc<[u32]> = words.into();
-                    if let Some(k) = cache_key {
-                        self.stream_cache.insert(
-                            k,
-                            CachedStream {
-                                words: Arc::clone(&words),
-                                frames_sent: frames_sent as u32,
-                                compressed,
-                            },
-                        );
-                    }
-                    transfer = Some(words);
                 }
             }
         }
-        let words_sent = transfer.as_ref().map_or(words_full, |words| words.len());
+        let words_sent = match &transfer {
+            Transfer::Full => words_full,
+            Transfer::Frames(changed) if changed.is_empty() => 0,
+            Transfer::Frames(changed) => vp2_bitstream::partial_bitstream_len(expected, changed),
+            Transfer::Words(words) => words.len(),
+        };
         if self.plane.enabled() {
             self.stats.frames_full += frames_full as u64;
             self.stats.frames_sent += frames_sent as u64;
@@ -866,13 +893,18 @@ impl ModuleManager {
             // differential stream assumes a live state the failed attempt
             // may have corrupted. A zero-diff first attempt feeds nothing
             // and goes straight to verification.
-            match transfer.as_deref() {
-                Some(words) if attempts == 1 => {
+            match &transfer {
+                Transfer::Words(words) if attempts == 1 => {
                     if !words.is_empty() {
-                        feed(m, words)?;
+                        feed(m, words.iter().copied())?;
                     }
                 }
-                _ => feed(m, &cut_full())?,
+                Transfer::Frames(changed) if attempts == 1 => {
+                    if !changed.is_empty() {
+                        feed(m, vp2_bitstream::partial_stream(expected, changed, idcode))?;
+                    }
+                }
+                _ => feed(m, cut_full())?,
             }
             // Upsets landing during the transfer window strike before the
             // readback sees the fabric.
@@ -890,9 +922,11 @@ impl ModuleManager {
                 },
             );
             for _ in 0..policy.max_repairs_per_attempt {
-                let patch = vp2_bitstream::partial_bitstream(expected, &mismatched, idcode);
                 let patched = mismatched.len();
-                feed(m, &patch.words)?;
+                feed(
+                    m,
+                    vp2_bitstream::partial_stream(expected, &mismatched, idcode),
+                )?;
                 repaired_frames += patched;
                 self.tracer.emit(
                     m.cpu.now(),
@@ -967,9 +1001,8 @@ impl ModuleManager {
     /// returns the reconfiguration time. A failed ICAP commit leaves the
     /// module loaded.
     pub fn unload(&mut self, m: &mut Machine) -> Result<SimTime, LoadError> {
-        let (bs, _) = self.linker.blank_configuration();
         let start = m.cpu.now();
-        feed(m, &bs.words)?;
+        feed(m, self.linker.blank_stream())?;
         m.platform.dock.unbind();
         self.active = None;
         for r in &mut self.residents {
@@ -1427,6 +1460,68 @@ mod tests {
             }
         ));
         assert_eq!(mgr.loaded(), Some("inv2"));
+    }
+
+    #[test]
+    fn a_partial_write_from_a_rejected_stream_is_repaired_by_the_next_load() {
+        let kind = SystemKind::Bit32;
+        let mut machine = build_system(kind);
+        let mut mgr = plane_manager(
+            kind,
+            rtr_configplane::ConfigPlaneConfig {
+                differential: true,
+                ..rtr_configplane::ConfigPlaneConfig::default()
+            },
+        );
+        // inv1's differential stream against the blank region, cut just
+        // past its first frame: that frame lands as it arrives, the commit
+        // rejects the stream and the status register latches the error.
+        let image = Arc::clone(mgr.linked_image("inv1", 0).unwrap());
+        let frames = mgr.slot_plan().slots[0].frames.clone();
+        let idcode = vp2_bitstream::idcode_for(machine.platform.device.kind);
+        let changed = machine.platform.config.mismatched_frames(&image, &frames);
+        assert!(changed.len() >= 3, "inv1 writes several frames");
+        let first = changed
+            .iter()
+            .min_by_key(|&&a| image.linear_index(a))
+            .unwrap();
+        // Prologue, FAR write and at most two FDRI header words.
+        let cut = 8 + 2 + 2 + image.frame(*first).len();
+        let stream = vp2_bitstream::partial_stream(&image, &changed, idcode);
+        let blank = machine.platform.config.clone();
+        assert!(feed(&mut machine, stream.take(cut)).is_err());
+        assert!(machine.platform.icap.error());
+        let live = &machine.platform.config;
+        assert!(
+            !live.mismatched_frames(&blank, &frames).is_empty(),
+            "frames ahead of the cut landed"
+        );
+        assert!(
+            !live.mismatched_frames(&image, &frames).is_empty(),
+            "frames past the cut did not"
+        );
+        // The differential load diffs against the live, partly written
+        // state, and readback verifies it: both modules load cleanly.
+        for name in ["inv1", "inv2"] {
+            let out = mgr.load(&mut machine, name).unwrap();
+            assert!(
+                matches!(
+                    out,
+                    LoadOutcome::Loaded {
+                        attempts: 1,
+                        repaired_frames: 0,
+                        ..
+                    }
+                ),
+                "{name}: {out:?}"
+            );
+            let expected = mgr.linked_image(name, 0).unwrap();
+            assert!(machine
+                .platform
+                .config
+                .mismatched_frames(expected, &frames)
+                .is_empty());
+        }
     }
 
     #[test]

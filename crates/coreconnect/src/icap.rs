@@ -9,19 +9,31 @@
 //! time", a trade-off one of the benches quantifies.
 
 use rtr_trace::{EventKind, Tracer};
-use vp2_bitstream::{apply_bitstream_faulty, ApplyError, ApplyReport, Bitstream, FaultPlan};
+use vp2_bitstream::{Applier, ApplyError, ApplyReport, FaultPlan, COMPRESSED_MAGIC};
 use vp2_fabric::ConfigMemory;
 use vp2_sim::{ClockDomain, SimTime};
 
 /// HWICAP device state.
+///
+/// Each word written to the data register goes straight into the
+/// configuration logic (an [`Applier`]), which writes every frame into
+/// configuration memory as the frame's last word arrives; the port holds
+/// no copy of the stream. A commit only finishes the stream: it charges
+/// the shift time of the words that crossed the port, emits the trace
+/// events, and latches the stream's outcome in the status register.
 #[derive(Debug, Clone)]
 pub struct HwIcap {
     /// ICAP clock (the configuration logic's shift clock).
     pub icap_clock: ClockDomain,
-    /// Words buffered since the last commit.
-    buffer: Vec<u32>,
-    /// Device IDCODE the configuration logic checks against.
-    idcode: u32,
+    /// The configuration logic the words are shifted into.
+    applier: Applier,
+    /// The decompressor in front of the configuration logic. A compressed
+    /// transfer puts its literals after all of its tokens, so it is held
+    /// whole until the commit decodes it word by word into the applier;
+    /// a raw stream never lands here.
+    compressed: Vec<u32>,
+    /// Words written since the last commit.
+    words_in: usize,
     /// Busy until this instant (while shifting a committed stream).
     busy_until: SimTime,
     /// Sticky error flag from the last commit.
@@ -41,8 +53,9 @@ impl HwIcap {
     pub fn new(icap_clock: ClockDomain, idcode: u32) -> Self {
         HwIcap {
             icap_clock,
-            buffer: Vec::new(),
-            idcode,
+            applier: Applier::new(idcode),
+            compressed: Vec::new(),
+            words_in: 0,
             busy_until: SimTime::ZERO,
             error: false,
             words_shifted: 0,
@@ -58,8 +71,8 @@ impl HwIcap {
         self.tracer = tracer;
     }
 
-    /// Installs (or clears) a fault-injection plan. Commits made while a
-    /// plan is active may silently corrupt frames after the CRC check;
+    /// Installs (or clears) a fault-injection plan. Frames written while a
+    /// plan is active may be silently corrupted after the CRC check;
     /// only readback verification can detect them.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
@@ -70,14 +83,17 @@ impl HwIcap {
         self.fault.as_ref()
     }
 
-    /// MMIO write to the data FIFO.
-    pub fn write_data(&mut self, word: u32) {
-        self.buffer.push(word);
-    }
-
-    /// Number of buffered words.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
+    /// MMIO write to the data FIFO: the word is shifted into the
+    /// configuration logic, which writes `mem` as frames complete. A
+    /// stream that opens with the compression magic is held for the
+    /// decompressor instead.
+    pub fn write_data(&mut self, word: u32, mem: &mut ConfigMemory) {
+        if (self.words_in == 0 && word == COMPRESSED_MAGIC) || !self.compressed.is_empty() {
+            self.compressed.push(word);
+        } else {
+            self.applier.push(word, mem, self.fault.as_mut());
+        }
+        self.words_in += 1;
     }
 
     /// Is the port still shifting at `now`?
@@ -106,24 +122,27 @@ impl HwIcap {
         self.busy_until
     }
 
-    /// MMIO write to the control register with the start bit: commits the
-    /// buffered words as a bitstream, applying it to `mem`. Returns the
-    /// apply report; the port stays busy for `words × 1 ICAP cycle`.
+    /// MMIO write to the control register with the start bit: finishes
+    /// the stream written since the last commit. Returns its apply
+    /// report; the port stays busy for `words × 1 ICAP cycle`. A held
+    /// compressed transfer is decoded into `mem` here.
     pub fn commit(
         &mut self,
         now: SimTime,
         mem: &mut ConfigMemory,
     ) -> Result<ApplyReport, ApplyError> {
-        let words = std::mem::take(&mut self.buffer);
-        let nwords = words.len();
-        // A compressed stream is expanded by the decompressor in front of
-        // the configuration logic; the port is only busy for the words
-        // that actually crossed it, which is where the compression win
-        // lands. A stream that claims the magic but does not decode is a
-        // malformed stream like any other.
-        let words = if vp2_bitstream::is_compressed(&words) {
-            match vp2_bitstream::decompress_words(&words) {
-                Some(decoded) => decoded,
+        let nwords = std::mem::take(&mut self.words_in);
+        let compressed = std::mem::take(&mut self.compressed);
+        // The decompressor in front of the configuration logic expands a
+        // compressed transfer; the port is only busy for the words that
+        // actually crossed it, which is where the compression win lands.
+        // A transfer that claims the magic but does not decode is a
+        // malformed stream like any other, and delivers no word.
+        let decoded = if compressed.is_empty() {
+            None
+        } else {
+            match vp2_bitstream::decoded(&compressed) {
+                Some(decoded) => Some(decoded),
                 None => {
                     self.error = true;
                     return Err(ApplyError::Parse(
@@ -131,10 +150,7 @@ impl HwIcap {
                     ));
                 }
             }
-        } else {
-            words
         };
-        let bs = Bitstream { words };
         let start = self.icap_clock.next_edge(now.max(self.busy_until));
         self.busy_until = start + self.icap_clock.cycles(nwords as u64);
         self.words_shifted += nwords as u64;
@@ -147,16 +163,17 @@ impl HwIcap {
                 },
             );
         }
-        let corrupted_before = self.fault.as_ref().map_or(0, |p| p.frames_corrupted);
-        let result = apply_bitstream_faulty(&bs, mem, self.idcode, self.fault.as_mut());
+        for w in decoded.into_iter().flatten() {
+            self.applier.push(w, mem, self.fault.as_mut());
+        }
         if self.tracer.on() {
-            let hit = self.fault.as_ref().map_or(0, |p| p.frames_corrupted) - corrupted_before;
+            let hit = self.applier.frames_corrupted();
             if hit > 0 {
                 self.tracer
                     .emit(start, EventKind::FaultHit { frames: hit as u32 });
             }
         }
-        match result {
+        match self.applier.finish() {
             Ok(report) => {
                 self.error = false;
                 self.reconfigurations += 1;
@@ -173,7 +190,7 @@ impl HwIcap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp2_bitstream::{full_bitstream, IDCODE_XC2VP7};
+    use vp2_bitstream::{full_bitstream, Bitstream, IDCODE_XC2VP7};
     use vp2_fabric::coords::{ClbCoord, LutIndex, SliceIndex};
     use vp2_fabric::{Device, DeviceKind};
 
@@ -191,7 +208,7 @@ mod tests {
         mem: &mut ConfigMemory,
     ) -> (SimTime, ApplyReport) {
         for &w in &bs.words {
-            port.write_data(w);
+            port.write_data(w, mem);
         }
         let report = port.commit(now, mem).unwrap();
         (port.busy_until(), report)
@@ -216,17 +233,45 @@ mod tests {
     }
 
     #[test]
-    fn commit_clears_buffer() {
+    fn words_apply_as_they_arrive_and_commit_ends_the_stream() {
         let dev = Device::new(DeviceKind::Xc2vp7);
+        let mut src = ConfigMemory::new(&dev);
+        src.set_lut(ClbCoord::new(1, 2), SliceIndex::new(3), LutIndex::G, 0xABCD);
+        let bs = full_bitstream(&src, IDCODE_XC2VP7);
         let mut mem = ConfigMemory::new(&dev);
-        let bs = full_bitstream(&mem.clone(), IDCODE_XC2VP7);
         let mut port = icap();
         for &w in &bs.words {
-            port.write_data(w);
+            port.write_data(w, &mut mem);
         }
-        assert_eq!(port.buffered(), bs.word_count());
+        // Every frame landed before the commit; the commit only finishes,
+        // charging the words written since the last one.
+        assert_eq!(mem, src);
+        assert_eq!((port.words_shifted, port.reconfigurations), (0, 0));
         port.commit(SimTime::ZERO, &mut mem).unwrap();
-        assert_eq!(port.buffered(), 0);
+        assert_eq!(port.words_shifted, bs.word_count() as u64);
+        assert_eq!(port.reconfigurations, 1);
+        port.commit(SimTime::ZERO, &mut mem).unwrap_err();
+        assert_eq!(port.words_shifted, bs.word_count() as u64, "none since");
+    }
+
+    #[test]
+    fn frames_before_a_fault_stay_written() {
+        let dev = Device::new(DeviceKind::Xc2vp7);
+        let mut src = ConfigMemory::new(&dev);
+        src.set_lut(ClbCoord::new(1, 2), SliceIndex::new(3), LutIndex::G, 0xABCD);
+        let bs = full_bitstream(&src, IDCODE_XC2VP7);
+        let mut mem = ConfigMemory::new(&dev);
+        let mut port = icap();
+        // Cut the stream inside its FDRI payload: the commit rejects it
+        // and sets the error bit, but the frames already shifted in
+        // stay written, as on the silicon.
+        for &w in &bs.words[..bs.word_count() / 2] {
+            port.write_data(w, &mut mem);
+        }
+        assert!(port.commit(SimTime::ZERO, &mut mem).is_err());
+        assert!(port.error());
+        assert_eq!(port.reconfigurations, 0);
+        assert_eq!(mem, src, "the LUT's frame precedes the cut");
     }
 
     #[test]
@@ -234,7 +279,7 @@ mod tests {
         let dev = Device::new(DeviceKind::Xc2vp7);
         let mut mem = ConfigMemory::new(&dev);
         let mut port = icap();
-        port.write_data(0x1234_5678); // garbage, no sync
+        port.write_data(0x1234_5678, &mut mem); // garbage, no sync
         let err = port.commit(SimTime::ZERO, &mut mem);
         assert!(err.is_err());
         assert!(port.error());
@@ -274,7 +319,7 @@ mod tests {
         let mut dst = ConfigMemory::new(&dev);
         let mut port = icap();
         for &w in &packed {
-            port.write_data(w);
+            port.write_data(w, &mut dst);
         }
         port.commit(SimTime::ZERO, &mut dst).unwrap();
         assert_eq!(dst, src, "decoded stream configures the fabric");
@@ -291,8 +336,8 @@ mod tests {
         let dev = Device::new(DeviceKind::Xc2vp7);
         let mut mem = ConfigMemory::new(&dev);
         let mut port = icap();
-        port.write_data(vp2_bitstream::COMPRESSED_MAGIC);
-        port.write_data(99); // claims 99 decoded words, then ends
+        port.write_data(COMPRESSED_MAGIC, &mut mem);
+        port.write_data(99, &mut mem); // claims 99 decoded words, then ends
         assert!(port.commit(SimTime::ZERO, &mut mem).is_err());
         assert!(port.error());
     }

@@ -7,18 +7,25 @@
 
 use std::collections::VecDeque;
 
-use rtr_apps::request::{Kernel, Request};
+use rtr_apps::request::{Kernel, Lane, Request};
 use vp2_sim::SimTime;
 
-/// A request waiting in an admission queue.
-#[derive(Debug, Clone)]
+/// A request waiting in an admission queue: where it sits in the schedule
+/// being served, and what the scheduler reads of it. The queues hold no
+/// copy of a request: a serve drains every queue before it returns, so
+/// the schedule outlives every entry.
+#[derive(Debug, Clone, Copy)]
 pub struct Pending {
     /// Monotone submission id (order of arrival across all kernels).
     pub id: u64,
     /// Arrival instant on the service's timeline.
     pub arrival: SimTime,
-    /// The work itself.
-    pub request: Request,
+    /// Index of the request in the schedule being served.
+    pub index: usize,
+    /// The request's lane.
+    pub lane: Lane,
+    /// The request's payload size in bytes.
+    pub bytes: usize,
 }
 
 /// One FIFO per kernel.
@@ -34,14 +41,17 @@ impl AdmissionQueues {
         Self::default()
     }
 
-    /// Admits a request that arrived at `arrival`, returning its id.
-    pub fn push(&mut self, arrival: SimTime, request: Request) -> u64 {
+    /// Admits `request`, entry `index` of the schedule being served, that
+    /// arrived at `arrival`; returns its id.
+    pub fn push(&mut self, arrival: SimTime, index: usize, request: &Request) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.queues[request.kernel().index()].push_back(Pending {
             id,
             arrival,
-            request,
+            index,
+            lane: request.lane,
+            bytes: request.payload_bytes(),
         });
         id
     }
@@ -83,7 +93,7 @@ impl AdmissionQueues {
     pub fn queued_bytes(&self, kernel: Kernel) -> Vec<usize> {
         self.queues[kernel.index()]
             .iter()
-            .map(|p| p.request.payload_bytes())
+            .map(|p| p.bytes)
             .collect()
     }
 
@@ -120,9 +130,9 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.next_kernel(), None);
 
-        q.push(SimTime::from_us(5), req(Kernel::Jenkins, 1));
-        q.push(SimTime::from_us(1), req(Kernel::PatMatch, 2));
-        q.push(SimTime::from_us(9), req(Kernel::PatMatch, 3));
+        q.push(SimTime::from_us(5), 0, &req(Kernel::Jenkins, 1));
+        q.push(SimTime::from_us(1), 0, &req(Kernel::PatMatch, 2));
+        q.push(SimTime::from_us(9), 0, &req(Kernel::PatMatch, 3));
         assert_eq!(q.len(), 3);
         assert_eq!(q.depth(Kernel::PatMatch), 2);
 
@@ -141,8 +151,8 @@ mod tests {
     fn same_instant_ties_break_by_submission_order() {
         let mut q = AdmissionQueues::new();
         let t = SimTime::from_us(3);
-        q.push(t, req(Kernel::Brightness, 4));
-        q.push(t, req(Kernel::Fade, 5));
+        q.push(t, 0, &req(Kernel::Brightness, 4));
+        q.push(t, 0, &req(Kernel::Fade, 5));
         assert_eq!(q.next_kernel(), Some(Kernel::Brightness));
     }
 }

@@ -62,7 +62,7 @@ pub type LaneRank = (Priority, u64, u64, u64);
 
 /// The lane rank of a queued request.
 pub fn lane_rank(pending: &Pending) -> LaneRank {
-    let lane = &pending.request.lane;
+    let lane = &pending.lane;
     (
         lane.priority,
         lane.expires_at(pending.arrival)

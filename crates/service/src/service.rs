@@ -433,13 +433,13 @@ impl Service {
             let now = self.machine.now();
             while next < schedule.len() && base + schedule[next].0 <= now {
                 let (arrival, req) = &schedule[next];
-                self.admit(base + *arrival, req.clone());
+                self.admit(base + *arrival, next, req);
                 next += 1;
             }
             match self.pick_kernel() {
                 Some(kernel) => {
                     let batch = self.queues.drain(kernel);
-                    self.dispatch(kernel, batch);
+                    self.dispatch(kernel, batch, schedule);
                 }
                 // Nothing queued: idle forward to the next arrival — but
                 // stop at the next scrub deadline so background passes
@@ -471,8 +471,9 @@ impl Service {
         snap
     }
 
-    /// Queues one request that arrived at absolute time `arrival`.
-    fn admit(&mut self, arrival: SimTime, request: Request) {
+    /// Queues one request, entry `index` of the schedule being served,
+    /// that arrived at absolute time `arrival`.
+    fn admit(&mut self, arrival: SimTime, index: usize, request: &Request) {
         assert!(
             self.kernels.contains(&request.kernel()),
             "service does not accept {} requests",
@@ -480,7 +481,7 @@ impl Service {
         );
         self.submitted += 1;
         let kernel = request.kernel();
-        let id = self.queues.push(arrival, request);
+        let id = self.queues.push(arrival, index, request);
         if self.tracer.on() {
             self.tracer.emit(
                 self.machine.now(),
@@ -601,14 +602,19 @@ impl Service {
     /// quarantine state. Whatever the configuration plane does, every
     /// request in the batch is answered — a failed or distrusted hardware
     /// path degrades to the PPC405 software implementation.
-    fn dispatch(&mut self, kernel: Kernel, mut batch: Vec<Pending>) {
+    fn dispatch(
+        &mut self,
+        kernel: Kernel,
+        mut batch: Vec<Pending>,
+        schedule: &[(SimTime, Request)],
+    ) {
         // Under lanes the drained batch executes in rank order (EDF
         // within the batch); the rank ends in the submission id, so the
         // order is total and deterministic.
         if self.config.batch == BatchPolicy::Lanes {
             batch.sort_by_key(lane_rank);
         }
-        let bytes: Vec<usize> = batch.iter().map(|p| p.request.payload_bytes()).collect();
+        let bytes: Vec<usize> = batch.iter().map(|p| p.bytes).collect();
         let resident = self.manager.loaded();
         let swap_needed = resident != Some(kernel.module_name());
         // Under the swap-aware policy the path decision carries the same
@@ -696,21 +702,22 @@ impl Service {
             }
         }
         for pending in batch {
+            let request = &schedule[pending.index].1;
             let (_, response) = if use_hw {
-                self.driver.run_hw(&mut self.machine, &pending.request)
+                self.driver.run_hw(&mut self.machine, request)
             } else {
-                self.driver.run_sw(&mut self.machine, &pending.request)
+                self.driver.run_sw(&mut self.machine, request)
             };
             let mut served_hw = use_hw;
             let mut final_response = response;
-            let reference = pending.request.reference();
+            let reference = request.reference();
             if final_response != reference && use_hw {
                 // Mis-executing hardware: recompute on the PPC405 so the
                 // client still gets the right answer, and stop trusting
                 // this kernel's hardware.
                 self.metrics.record_hw_fallback();
                 struck = true;
-                let (_, sw_response) = self.driver.run_sw(&mut self.machine, &pending.request);
+                let (_, sw_response) = self.driver.run_sw(&mut self.machine, request);
                 final_response = sw_response;
                 served_hw = false;
             }
@@ -720,11 +727,11 @@ impl Service {
             // Latency is wall time on the simulated clock — it includes
             // queueing, the swap and the execution, not just the call.
             let latency = self.machine.now().saturating_sub(pending.arrival);
-            let deadline_lane = pending.request.lane.deadline.is_some();
+            let deadline_lane = pending.lane.deadline.is_some();
             self.metrics
                 .record_item_in_lane(latency, served_hw, deadline_lane);
             self.telemetry.record_latency(deadline_lane, latency);
-            if let Some(expires) = pending.request.lane.expires_at(pending.arrival) {
+            if let Some(expires) = pending.lane.expires_at(pending.arrival) {
                 self.metrics.record_deadline(self.machine.now() <= expires);
             }
             if self.tracer.on() {

@@ -125,14 +125,15 @@ fn icap_rejects_corrupted_stream_and_machine_survives() {
     let mid = corrupted.words.len() / 2;
     corrupted.words[mid] ^= 1;
 
-    let err = feed(&mut machine, &corrupted.words).unwrap_err();
+    let err = feed(&mut machine, corrupted.words.iter().copied()).unwrap_err();
     assert!(matches!(err, LoadError::Icap(_)), "{err}");
     // Status register reports the error.
     let status_reg = map::HWICAP_BASE + map::HWICAP_STATUS;
     let (status, _) = machine.platform.read(machine.cpu.now(), status_reg, 4);
     assert_eq!(status & 0b10, 0b10, "error bit set");
     // The next clean stream commits and clears it.
-    feed(&mut machine, &bs.words).expect("a clean stream commits after a rejected one");
+    feed(&mut machine, bs.words.iter().copied())
+        .expect("a clean stream commits after a rejected one");
     let (status, _) = machine.platform.read(machine.cpu.now(), status_reg, 4);
     assert_eq!(status & 0b10, 0, "error bit cleared");
 }
