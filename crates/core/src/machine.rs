@@ -585,18 +585,6 @@ impl Platform {
         self.dma_run.is_some()
     }
 
-    /// Completes any in-flight DMA regardless of current time; returns the
-    /// completion instant (used by drivers that sleep until the interrupt).
-    pub fn finish_dma(&mut self) -> SimTime {
-        while self.dma_run.is_some() {
-            let ready = self.dma_run.as_ref().expect("checked").ready_at;
-            if !self.dma_step(ready) {
-                break;
-            }
-        }
-        self.plb.busy_until()
-    }
-
     /// CPU external-interrupt level.
     pub fn irq_level(&self) -> bool {
         match self.kind {

@@ -275,8 +275,9 @@ pub struct ModuleManager {
     plane: ConfigPlaneConfig,
     /// The region's floorplan (default: one slot covering the region).
     slot_plan: SlotPlan,
-    /// Module configured in each sub-slot.
-    residents: Vec<Option<String>>,
+    /// Module configured in each sub-slot, with the image it was loaded
+    /// from.
+    residents: Vec<Option<(String, Arc<ConfigMemory>)>>,
     /// Last-touch tick per sub-slot (deterministic LRU eviction).
     slot_touched: Vec<u64>,
     /// Monotonic touch counter for `slot_touched`.
@@ -313,7 +314,7 @@ impl std::fmt::Debug for ModuleManager {
         f.debug_struct("ModuleManager")
             .field("modules", &self.modules.keys().collect::<Vec<_>>())
             .field("active", &self.active)
-            .field("residents", &self.residents)
+            .field("residents", &self.residents())
             .finish()
     }
 }
@@ -404,7 +405,10 @@ impl ModuleManager {
 
     /// Module configured in each sub-slot (index = slot).
     pub fn residents(&self) -> Vec<Option<&str>> {
-        self.residents.iter().map(Option::as_deref).collect()
+        self.residents
+            .iter()
+            .map(|r| r.as_ref().map(|(name, _)| name.as_str()))
+            .collect()
     }
 
     /// Accumulated configuration-plane counters (cache hits/misses/
@@ -498,19 +502,22 @@ impl ModuleManager {
         m.materialize_upsets();
         let now = m.cpu.now();
         self.scrub_stats.passes += 1;
-        // The scrub domain: frames of every resident slot whose golden
-        // image is linked, each with that image's expected state. Empty
-        // slots have no expected state to compare against — a fresh load
-        // rewrites them anyway.
-        let mut domain: Vec<(usize, &ConfigMemory, FrameAddress)> = Vec::new();
-        for slot in &self.slot_plan.slots {
-            if let Some(name) = &self.residents[slot.index] {
-                if let Some(image) = self.images.get(&(name.clone(), slot.index)) {
-                    domain.extend(slot.frames.iter().map(|&f| (slot.index, &**image, f)));
-                }
-            }
-        }
-        if domain.is_empty() {
+        // The scrub domain: the frames of every resident slot in slot
+        // order, each with the image its resident was loaded from, walked
+        // in place from the cursor. Empty slots have no expected state to
+        // compare against — a fresh load rewrites them anyway.
+        let residents = &self.residents;
+        let domain = self
+            .slot_plan
+            .slots
+            .iter()
+            .filter_map(|slot| {
+                let (_, image) = residents[slot.index].as_ref()?;
+                Some(slot.frames.iter().map(move |&f| (slot.index, &**image, f)))
+            })
+            .flatten();
+        let len = domain.clone().count();
+        if len == 0 {
             if self.tracer.on() {
                 self.tracer.emit(
                     now,
@@ -522,13 +529,11 @@ impl ModuleManager {
             }
             return;
         }
-        let len = domain.len();
         let take = (policy.frames_per_pass as usize).min(len);
         let start = self.scrub_cursor % len;
         let mut read_words = 0usize;
         let mut mismatched: Vec<(usize, &ConfigMemory, FrameAddress)> = Vec::new();
-        for k in 0..take {
-            let (slot_idx, expected, addr) = domain[(start + k) % len];
+        for (slot_idx, expected, addr) in domain.cycle().skip(start).take(take) {
             let live = &m.platform.config;
             read_words += live.frame(addr).len();
             if !live.frame_eq(expected, addr) {
@@ -688,7 +693,7 @@ impl ModuleManager {
             if let Some(slot) = self
                 .residents
                 .iter()
-                .position(|r| r.as_deref() == Some(name))
+                .position(|r| r.as_ref().is_some_and(|(n, _)| n == name))
             {
                 let model = (reg.factory)();
                 m.platform.dock.bind(model);
@@ -723,7 +728,7 @@ impl ModuleManager {
             .find(|&&i| self.residents[i].is_none())
             .or_else(|| candidates.iter().min_by_key(|&&i| self.slot_touched[i]))
             .expect("registration links at least one slot image");
-        if let Some(evicted) = self.residents[slot_idx].take() {
+        if let Some((evicted, _)) = self.residents[slot_idx].take() {
             if self.slot_plan.is_multi() {
                 self.stats.slot_evictions += 1;
                 if self.tracer.on() {
@@ -738,10 +743,12 @@ impl ModuleManager {
             }
         }
 
-        let expected = &**self
-            .images
-            .get(&(name.to_string(), slot_idx))
-            .expect("candidate slots have images");
+        let image = Arc::clone(
+            self.images
+                .get(&(name.to_string(), slot_idx))
+                .expect("candidate slots have images"),
+        );
+        let expected = &*image;
         let slot_frames = &self.slot_plan.slots[slot_idx].frames;
         let idcode = vp2_bitstream::idcode_for(m.platform.device.kind);
         let policy = self.retry;
@@ -982,7 +989,7 @@ impl ModuleManager {
         let model = (reg.factory)();
         m.platform.dock.bind(model);
         self.active = Some(name.to_string());
-        self.residents[slot_idx] = Some(name.to_string());
+        self.residents[slot_idx] = Some((name.to_string(), image));
         self.slot_tick += 1;
         self.slot_touched[slot_idx] = self.slot_tick;
         let reconfig_time = m.cpu.now() - start;

@@ -281,8 +281,14 @@ mod tests {
         t += m
             .platform
             .write(t, map::DOCK_CSR_BASE + map::DOCK_CSR_DMA_CTL, 4, 0b011);
-        let done = m.platform.finish_dma();
-        assert!(done > t - m.cpu.now() + m.cpu.now() || done > SimTime::ZERO);
+        // Sleep until the transfer completes, as a driver waiting for the
+        // interrupt would.
+        m.platform.advance(t + SimTime::from_ms(1));
+        assert!(!m.platform.dma_busy());
+        assert!(
+            m.platform.plb.busy_until() > t,
+            "the transfer took bus time"
+        );
         // The destination buffer received the echo value in the low words.
         for i in [0u32, 31, 63] {
             assert_eq!(

@@ -78,11 +78,6 @@ impl HwIcap {
         self.fault = plan;
     }
 
-    /// The installed fault plan, for inspecting its corruption counters.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
     /// MMIO write to the data FIFO: the word is shifted into the
     /// configuration logic, which writes `mem` as frames complete. A
     /// stream that opens with the compression magic is held for the
@@ -293,14 +288,24 @@ mod tests {
         let bs = full_bitstream(&src, IDCODE_XC2VP7);
         let mut dst = ConfigMemory::new(&dev);
         let mut port = icap();
+        let tracer = Tracer::enabled();
+        port.set_tracer(tracer.clone());
         port.set_fault_plan(Some(vp2_bitstream::FaultPlan::new(1, 1.0)));
         // The commit reports success — no sticky error, CRC verified.
         let (_, report) = load(&mut port, SimTime::ZERO, &bs, &mut dst);
         assert!(!port.error());
         assert_eq!(report.frames_written, src.frame_count());
-        // Yet the fabric holds the wrong bits; readback sees them all.
-        let plan = port.fault_plan().expect("plan installed");
-        assert_eq!(plan.frames_corrupted as usize, src.frame_count());
+        // Yet the plan corrupted every frame the commit wrote, and the
+        // fabric holds the wrong bits; readback sees them all.
+        let hits: Vec<u32> = tracer
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::FaultHit { frames } => Some(frames),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hits, [src.frame_count() as u32]);
         let frames: Vec<_> = src.frame_addresses().collect();
         assert_eq!(
             dst.mismatched_frames(&src, &frames).len(),

@@ -66,12 +66,6 @@ impl GateLevelModule {
             assert!(guard < 65536, "module stuck busy");
         }
     }
-
-    /// Clocks the module once *without* the strobe (idle cycle).
-    pub fn idle_cycle(&mut self) {
-        self.sim.set_input("wr", 0);
-        self.sim.step();
-    }
 }
 
 impl DynamicModule for GateLevelModule {
@@ -160,7 +154,9 @@ mod tests {
         assert_eq!(m.peek(), 5);
         m.poke(7);
         assert_eq!(m.peek(), 12);
-        m.idle_cycle();
+        // An idle cycle: clocked without the strobe.
+        m.sim.set_input("wr", 0);
+        m.sim.step();
         assert_eq!(m.peek(), 12, "no strobe, no change");
         m.reset();
         assert_eq!(m.peek(), 0);

@@ -358,18 +358,6 @@ impl ConfigMemory {
         u64::from(frame[base]) | (u64::from(frame[base + 1]) << 32)
     }
 
-    /// Writes 288 bits (9 words) of BRAM content: block `block` in BRAM
-    /// column `col`, content frame `minor`.
-    pub fn set_bram_chunk(&mut self, col: u16, block: u16, minor: u16, words: &[u32; 9]) {
-        assert!(block < self.brams_per_col, "BRAM block out of range");
-        let addr = FrameAddress {
-            block: FrameBlock::BramContent { col },
-            minor,
-        };
-        let base = block as usize * WORDS_PER_BRAM_BLOCK;
-        self.frame_mut(addr)[base..base + 9].copy_from_slice(words);
-    }
-
     /// Reads 288 bits of BRAM content.
     pub fn bram_chunk(&self, col: u16, block: u16, minor: u16) -> [u32; 9] {
         assert!(block < self.brams_per_col, "BRAM block out of range");
@@ -515,7 +503,12 @@ mod tests {
     fn bram_chunk_roundtrip() {
         let mut m = mem();
         let words = [1, 2, 3, 4, 5, 6, 7, 8, 9];
-        m.set_bram_chunk(3, 10, 63, &words);
+        let addr = FrameAddress {
+            block: FrameBlock::BramContent { col: 3 },
+            minor: 63,
+        };
+        let base = 10 * WORDS_PER_BRAM_BLOCK;
+        m.frame_mut(addr)[base..base + 9].copy_from_slice(&words);
         assert_eq!(m.bram_chunk(3, 10, 63), words);
         assert_eq!(m.bram_chunk(3, 9, 63), [0; 9]);
     }

@@ -140,15 +140,6 @@ impl Device {
             DeviceKind::Xc2vp30 => 2,
         }
     }
-
-    /// Iterates over every usable CLB coordinate (column-major).
-    pub fn usable_clbs(&self) -> impl Iterator<Item = ClbCoord> + '_ {
-        (0..self.clb_cols).flat_map(move |col| {
-            (0..self.rows)
-                .map(move |row| ClbCoord::new(col, row))
-                .filter(move |&c| self.is_usable_clb(c))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -197,13 +188,5 @@ mod tests {
         assert!(!d.is_usable_clb(ClbCoord::new(28, 0)));
         assert!(!d.is_usable_clb(ClbCoord::new(0, 44)));
         assert!(d.is_usable_clb(ClbCoord::new(27, 43)));
-    }
-
-    #[test]
-    fn usable_clb_iterator_agrees_with_count() {
-        for kind in [DeviceKind::Xc2vp7, DeviceKind::Xc2vp30] {
-            let d = Device::new(kind);
-            assert_eq!(d.usable_clbs().count() as u32, d.clb_count());
-        }
     }
 }

@@ -282,19 +282,6 @@ impl Netlist {
         })
     }
 
-    /// Net of a specific output port bit, if present.
-    pub fn output_net(&self, name: &str, bit: u16) -> Option<NetId> {
-        self.cells.iter().find_map(|c| match c {
-            CellKind::Port {
-                name: n,
-                bit: b,
-                dir: PortDir::Output,
-                net,
-            } if n == name && *b == bit => Some(*net),
-            _ => None,
-        })
-    }
-
     /// Driver cell of each net (`None` for undriven nets).
     ///
     /// FF outputs and input ports count as drivers; output ports do not.
@@ -499,10 +486,10 @@ mod tests {
         let din = nl.input_bus("din", 4);
         nl.output_bus("dout", &din);
         assert_eq!(nl.input_net("din", 2), Some(din[2]));
-        assert_eq!(nl.output_net("dout", 3), Some(din[3]));
         assert_eq!(nl.input_net("nope", 0), None);
         let ports = nl.ports();
         assert_eq!(ports[&("din".to_string(), PortDir::Input)].len(), 4);
+        assert_eq!(ports[&("dout".to_string(), PortDir::Output)].len(), 4);
     }
 
     #[test]

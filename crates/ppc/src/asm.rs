@@ -1,5 +1,9 @@
 //! Two-pass text assembler.
 //!
+//! The mnemonics and their operand syntax come from the ISA table
+//! ([`crate::isa`]); only the pseudo-ops `li`, `lis` and `mr` and the
+//! `subf` alias of `sub` are written here.
+//!
 //! All software baselines in the reproduction (the paper's "software-only
 //! implementations running on the embedded CPU") are written in this
 //! assembly dialect. Syntax:
@@ -19,7 +23,7 @@
 //!     halt
 //! ```
 
-use crate::isa::{encode, Instr};
+use crate::isa::{encode, parse, Instr, Reg};
 use std::collections::HashMap;
 
 /// An assembled program.
@@ -86,7 +90,7 @@ enum Stmt {
     Word(u32),
 }
 
-fn parse_reg(s: &str, line: usize) -> Result<u8, AsmError> {
+fn parse_reg(s: &str, line: usize) -> Result<Reg, AsmError> {
     let s = s.trim();
     let num = s
         .strip_prefix('r')
@@ -115,48 +119,118 @@ fn parse_imm(s: &str, line: usize) -> Result<i64, AsmError> {
     Ok(if neg { -v } else { v })
 }
 
-fn imm_i16(v: i64, line: usize) -> Result<i16, AsmError> {
-    // Accept both signed [-32768, 32767] and unsigned-style [0, 65535].
+/// The bits of a 16-bit immediate, written signed (-32768..=32767) or
+/// unsigned (0..=65535).
+fn imm16(v: i64, line: usize) -> Result<u16, AsmError> {
     if (-32768..=65535).contains(&v) {
-        Ok(v as u16 as i16)
-    } else {
-        Err(err(line, format!("immediate {v} does not fit 16 bits")))
-    }
-}
-
-fn imm_u16(v: i64, line: usize) -> Result<u16, AsmError> {
-    if (0..=65535).contains(&v) {
         Ok(v as u16)
-    } else if (-32768..0).contains(&v) {
-        Ok(v as i16 as u16)
     } else {
         Err(err(line, format!("immediate {v} does not fit 16 bits")))
     }
 }
 
-fn imm_sh(v: i64, line: usize) -> Result<u8, AsmError> {
-    if (0..=31).contains(&v) {
-        Ok(v as u8)
-    } else {
-        Err(err(line, format!("shift amount {v} out of range")))
+/// A statement's operands, which an operand form reads left to right.
+pub(crate) struct Operands<'a> {
+    mnemonic: &'a str,
+    list: &'a [String],
+    read: usize,
+    pc: u32,
+    labels: &'a HashMap<String, u32>,
+    line: usize,
+}
+
+impl<'a> Operands<'a> {
+    /// An error on the statement's line.
+    pub(crate) fn error(&self, message: impl Into<String>) -> AsmError {
+        err(self.line, message)
+    }
+
+    fn next(&mut self) -> Result<&'a str, AsmError> {
+        let Some(op) = self.list.get(self.read) else {
+            let n = self.read + 1;
+            return Err(self.error(format!("'{}' is missing operand {n}", self.mnemonic)));
+        };
+        self.read += 1;
+        Ok(op)
+    }
+
+    /// A register, `rN`.
+    pub(crate) fn reg(&mut self) -> Result<Reg, AsmError> {
+        parse_reg(self.next()?, self.line)
+    }
+
+    /// A 16-bit immediate's bits.
+    pub(crate) fn imm(&mut self) -> Result<u16, AsmError> {
+        imm16(parse_imm(self.next()?, self.line)?, self.line)
+    }
+
+    /// A shift amount (0..32).
+    pub(crate) fn sh(&mut self) -> Result<u8, AsmError> {
+        match parse_imm(self.next()?, self.line)? {
+            v @ 0..=31 => Ok(v as u8),
+            v => Err(self.error(format!("shift amount {v} out of range"))),
+        }
+    }
+
+    /// A base register and displacement, written `disp(rA)`.
+    pub(crate) fn mem(&mut self) -> Result<(Reg, i16), AsmError> {
+        let s = self.next()?;
+        let open = s
+            .find('(')
+            .ok_or_else(|| self.error(format!("expected disp(rA), got '{s}'")))?;
+        let close = s
+            .rfind(')')
+            .ok_or_else(|| self.error(format!("missing ')' in '{s}'")))?;
+        let disp = if s[..open].trim().is_empty() {
+            0
+        } else {
+            parse_imm(&s[..open], self.line)?
+        };
+        let ra = parse_reg(&s[open + 1..close], self.line)?;
+        Ok((ra, imm16(disp, self.line)? as i16))
+    }
+
+    /// A branch target, a label or a numeric offset, as a word offset
+    /// relative to the statement's address.
+    pub(crate) fn target(&mut self) -> Result<i16, AsmError> {
+        let op = self.next()?;
+        let delta = match self.labels.get(op.trim()) {
+            Some(&target) => (i64::from(target) - i64::from(self.pc)) / 4,
+            None => parse_imm(op, self.line)?,
+        };
+        i16::try_from(delta).map_err(|_| self.error(format!("branch to '{op}' out of range")))
     }
 }
 
-/// Splits `disp(rA)` into (disp, reg).
-fn parse_mem(s: &str, line: usize) -> Result<(i64, u8), AsmError> {
-    let open = s
-        .find('(')
-        .ok_or_else(|| err(line, format!("expected disp(rA), got '{s}'")))?;
-    let close = s
-        .rfind(')')
-        .ok_or_else(|| err(line, format!("missing ')' in '{s}'")))?;
-    let disp = if s[..open].trim().is_empty() {
-        0
-    } else {
-        parse_imm(&s[..open], line)?
+/// A statement's instruction: a pseudo-op, the `subf` alias, or a row of
+/// the instruction table.
+fn instruction(o: &mut Operands) -> Result<Instr, AsmError> {
+    let instr = match o.mnemonic {
+        "li" => Instr::Addi {
+            rd: o.reg()?,
+            ra: 0,
+            imm: o.imm()? as i16,
+        },
+        "lis" => Instr::Addis {
+            rd: o.reg()?,
+            ra: 0,
+            imm: o.imm()? as i16,
+        },
+        "mr" => {
+            let (rd, ra) = (o.reg()?, o.reg()?);
+            Instr::Or { rd, ra, rb: ra }
+        }
+        "subf" => parse("sub", o)?,
+        mnemonic => parse(mnemonic, o)?,
     };
-    let reg = parse_reg(&s[open + 1..close], line)?;
-    Ok((disp, reg))
+    if o.read < o.list.len() {
+        let (want, got) = (o.read, o.list.len());
+        return Err(o.error(format!(
+            "'{}' expects {want} operands, got {got}",
+            o.mnemonic
+        )));
+    }
+    Ok(instr)
 }
 
 /// Assembles `src` at load address `base`.
@@ -224,8 +298,15 @@ pub fn assemble(src: &str, base: u32) -> Result<Program, AsmError> {
                 operands,
                 line,
             } => {
-                let instr = encode_stmt(mnemonic, operands, pc, &labels, *line)?;
-                words.push(encode(instr));
+                let mut operands = Operands {
+                    mnemonic,
+                    list: operands,
+                    read: 0,
+                    pc,
+                    labels: &labels,
+                    line: *line,
+                };
+                words.push(encode(instruction(&mut operands)?));
             }
         }
     }
@@ -233,236 +314,6 @@ pub fn assemble(src: &str, base: u32) -> Result<Program, AsmError> {
         base,
         words,
         labels,
-    })
-}
-
-/// Resolves a branch target operand (label or numeric offset) to a word
-/// offset relative to `pc`.
-fn branch_off(
-    op: &str,
-    pc: u32,
-    labels: &HashMap<String, u32>,
-    line: usize,
-) -> Result<i16, AsmError> {
-    if let Some(&target) = labels.get(op.trim()) {
-        let delta = (i64::from(target) - i64::from(pc)) / 4;
-        if !(-32768..=32767).contains(&delta) {
-            return Err(err(line, format!("branch to '{op}' out of range")));
-        }
-        Ok(delta as i16)
-    } else {
-        let v = parse_imm(op, line)?;
-        if !(-32768..=32767).contains(&v) {
-            return Err(err(line, "branch offset out of range"));
-        }
-        Ok(v as i16)
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn encode_stmt(
-    mnemonic: &str,
-    ops: &[String],
-    pc: u32,
-    labels: &HashMap<String, u32>,
-    line: usize,
-) -> Result<Instr, AsmError> {
-    let need = |n: usize| -> Result<(), AsmError> {
-        if ops.len() == n {
-            Ok(())
-        } else {
-            Err(err(
-                line,
-                format!("'{mnemonic}' expects {n} operands, got {}", ops.len()),
-            ))
-        }
-    };
-    let rrr = |f: fn(u8, u8, u8) -> Instr| -> Result<Instr, AsmError> {
-        need(3)?;
-        Ok(f(
-            parse_reg(&ops[0], line)?,
-            parse_reg(&ops[1], line)?,
-            parse_reg(&ops[2], line)?,
-        ))
-    };
-    let rri = |f: fn(u8, u8, i16) -> Instr| -> Result<Instr, AsmError> {
-        need(3)?;
-        Ok(f(
-            parse_reg(&ops[0], line)?,
-            parse_reg(&ops[1], line)?,
-            imm_i16(parse_imm(&ops[2], line)?, line)?,
-        ))
-    };
-    let rru = |f: fn(u8, u8, u16) -> Instr| -> Result<Instr, AsmError> {
-        need(3)?;
-        Ok(f(
-            parse_reg(&ops[0], line)?,
-            parse_reg(&ops[1], line)?,
-            imm_u16(parse_imm(&ops[2], line)?, line)?,
-        ))
-    };
-    let rrsh = |f: fn(u8, u8, u8) -> Instr| -> Result<Instr, AsmError> {
-        need(3)?;
-        Ok(f(
-            parse_reg(&ops[0], line)?,
-            parse_reg(&ops[1], line)?,
-            imm_sh(parse_imm(&ops[2], line)?, line)?,
-        ))
-    };
-    let mem_form = |f: fn(u8, u8, i16) -> Instr| -> Result<Instr, AsmError> {
-        need(2)?;
-        let rd = parse_reg(&ops[0], line)?;
-        let (disp, ra) = parse_mem(&ops[1], line)?;
-        Ok(f(rd, ra, imm_i16(disp, line)?))
-    };
-    let branch = |f: fn(i16) -> Instr| -> Result<Instr, AsmError> {
-        need(1)?;
-        Ok(f(branch_off(&ops[0], pc, labels, line)?))
-    };
-
-    Ok(match mnemonic {
-        "halt" => {
-            need(0)?;
-            Instr::Halt
-        }
-        "nop" => {
-            need(0)?;
-            Instr::Nop
-        }
-        "sync" => {
-            need(0)?;
-            Instr::Sync
-        }
-        "addi" => rri(|rd, ra, imm| Instr::Addi { rd, ra, imm })?,
-        "addis" => rri(|rd, ra, imm| Instr::Addis { rd, ra, imm })?,
-        "li" => {
-            need(2)?;
-            Instr::Addi {
-                rd: parse_reg(&ops[0], line)?,
-                ra: 0,
-                imm: imm_i16(parse_imm(&ops[1], line)?, line)?,
-            }
-        }
-        "lis" => {
-            need(2)?;
-            Instr::Addis {
-                rd: parse_reg(&ops[0], line)?,
-                ra: 0,
-                imm: imm_i16(parse_imm(&ops[1], line)?, line)?,
-            }
-        }
-        "mr" => {
-            need(2)?;
-            let rd = parse_reg(&ops[0], line)?;
-            let ra = parse_reg(&ops[1], line)?;
-            Instr::Or { rd, ra, rb: ra }
-        }
-        "add" => rrr(|rd, ra, rb| Instr::Add { rd, ra, rb })?,
-        "sub" | "subf" => rrr(|rd, ra, rb| Instr::Sub { rd, ra, rb })?,
-        "mullw" => rrr(|rd, ra, rb| Instr::Mullw { rd, ra, rb })?,
-        "and" => rrr(|rd, ra, rb| Instr::And { rd, ra, rb })?,
-        "or" => rrr(|rd, ra, rb| Instr::Or { rd, ra, rb })?,
-        "xor" => rrr(|rd, ra, rb| Instr::Xor { rd, ra, rb })?,
-        "nor" => rrr(|rd, ra, rb| Instr::Nor { rd, ra, rb })?,
-        "slw" => rrr(|rd, ra, rb| Instr::Slw { rd, ra, rb })?,
-        "srw" => rrr(|rd, ra, rb| Instr::Srw { rd, ra, rb })?,
-        "andi" => rru(|rd, ra, imm| Instr::Andi { rd, ra, imm })?,
-        "ori" => rru(|rd, ra, imm| Instr::Ori { rd, ra, imm })?,
-        "xori" => rru(|rd, ra, imm| Instr::Xori { rd, ra, imm })?,
-        "slwi" => rrsh(|rd, ra, sh| Instr::Slwi { rd, ra, sh })?,
-        "srwi" => rrsh(|rd, ra, sh| Instr::Srwi { rd, ra, sh })?,
-        "srawi" => rrsh(|rd, ra, sh| Instr::Srawi { rd, ra, sh })?,
-        "rotlwi" => rrsh(|rd, ra, sh| Instr::Rotlwi { rd, ra, sh })?,
-        "lwz" => mem_form(|rd, ra, imm| Instr::Lwz { rd, ra, imm })?,
-        "lbz" => mem_form(|rd, ra, imm| Instr::Lbz { rd, ra, imm })?,
-        "lhz" => mem_form(|rd, ra, imm| Instr::Lhz { rd, ra, imm })?,
-        "stw" => mem_form(|rd, ra, imm| Instr::Stw { rd, ra, imm })?,
-        "stb" => mem_form(|rd, ra, imm| Instr::Stb { rd, ra, imm })?,
-        "sth" => mem_form(|rd, ra, imm| Instr::Sth { rd, ra, imm })?,
-        "lwzx" => rrr(|rd, ra, rb| Instr::Lwzx { rd, ra, rb })?,
-        "stwx" => rrr(|rd, ra, rb| Instr::Stwx { rd, ra, rb })?,
-        "lbzx" => rrr(|rd, ra, rb| Instr::Lbzx { rd, ra, rb })?,
-        "lhzx" => rrr(|rd, ra, rb| Instr::Lhzx { rd, ra, rb })?,
-        "stbx" => rrr(|rd, ra, rb| Instr::Stbx { rd, ra, rb })?,
-        "cmpw" => {
-            need(2)?;
-            Instr::Cmpw {
-                ra: parse_reg(&ops[0], line)?,
-                rb: parse_reg(&ops[1], line)?,
-            }
-        }
-        "cmplw" => {
-            need(2)?;
-            Instr::Cmplw {
-                ra: parse_reg(&ops[0], line)?,
-                rb: parse_reg(&ops[1], line)?,
-            }
-        }
-        "cmpwi" => {
-            need(2)?;
-            Instr::Cmpwi {
-                ra: parse_reg(&ops[0], line)?,
-                imm: imm_i16(parse_imm(&ops[1], line)?, line)?,
-            }
-        }
-        "cmplwi" => {
-            need(2)?;
-            Instr::Cmplwi {
-                ra: parse_reg(&ops[0], line)?,
-                imm: imm_u16(parse_imm(&ops[1], line)?, line)?,
-            }
-        }
-        "b" => branch(|off| Instr::B { off })?,
-        "bl" => branch(|off| Instr::Bl { off })?,
-        "blr" => {
-            need(0)?;
-            Instr::Blr
-        }
-        "beq" => branch(|off| Instr::Beq { off })?,
-        "bne" => branch(|off| Instr::Bne { off })?,
-        "blt" => branch(|off| Instr::Blt { off })?,
-        "bge" => branch(|off| Instr::Bge { off })?,
-        "bgt" => branch(|off| Instr::Bgt { off })?,
-        "ble" => branch(|off| Instr::Ble { off })?,
-        "dcbf" => {
-            need(1)?;
-            let (disp, ra) = parse_mem(&ops[0], line)?;
-            Instr::Dcbf {
-                ra,
-                imm: imm_i16(disp, line)?,
-            }
-        }
-        "dcbi" => {
-            need(1)?;
-            let (disp, ra) = parse_mem(&ops[0], line)?;
-            Instr::Dcbi {
-                ra,
-                imm: imm_i16(disp, line)?,
-            }
-        }
-        "wrteei" => {
-            need(1)?;
-            Instr::Wrteei {
-                imm: imm_u16(parse_imm(&ops[0], line)?, line)? & 1,
-            }
-        }
-        "rfi" => {
-            need(0)?;
-            Instr::Rfi
-        }
-        "mflr" => {
-            need(1)?;
-            Instr::Mflr {
-                rd: parse_reg(&ops[0], line)?,
-            }
-        }
-        "mtlr" => {
-            need(1)?;
-            Instr::Mtlr {
-                ra: parse_reg(&ops[0], line)?,
-            }
-        }
-        other => return Err(err(line, format!("unknown mnemonic '{other}'"))),
     })
 }
 

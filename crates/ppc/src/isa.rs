@@ -1,303 +1,426 @@
-//! Instruction set: definition, encoding, decoding.
+//! Instruction set: one table declares every instruction, and its
+//! encoder, decoder, assembler mnemonics, renderer, base cycle costs and
+//! micro-op translation are all expanded from that table.
 //!
 //! Fixed 32-bit encoding: opcode in bits `[31:26]`, `rD` `[25:21]`,
-//! `rA` `[20:16]`, `rB`/shift-amount `[15:11]`, 16-bit immediate `[15:0]`. Branch
-//! displacements are signed word offsets relative to the branch's own
-//! address.
+//! `rA` `[20:16]`, `rB` `[15:11]`, 16-bit immediate or shift amount
+//! `[15:0]`. Branch displacements are signed word offsets relative to the
+//! branch's own address.
+//!
+//! A table row gives an instruction's [`Instr`] variant, opcode, mnemonic,
+//! operand [`Form`], base cycles and micro-op. A form is written once: how
+//! its fields sit in the word, how the assembler reads and renders them,
+//! and which micro-op operands they become. Adding an instruction takes a
+//! row here, an arm in the micro-op executor (`Cpu::exec_run`) if it needs
+//! a new micro-op, and an arm in the `#[cfg(test)]` reference `exec`.
+
+use crate::asm::{AsmError, Operands};
+use crate::uop::{Op, Uop};
 
 /// A register index (0..32). `r0` reads as zero.
 pub type Reg = u8;
-
-/// Decoded instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Instr {
-    /// Stop execution (test/measurement harness).
-    Halt,
-    /// `rD = rA + sext(imm)`
-    Addi { rd: Reg, ra: Reg, imm: i16 },
-    /// `rD = rA + (imm << 16)` (with `ra = r0` this is `lis`)
-    Addis { rd: Reg, ra: Reg, imm: i16 },
-    /// `rD = rA + rB`
-    Add { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = rA - rB`
-    Sub { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = (rA * rB) & 0xffff_ffff` (4 cycles)
-    Mullw { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = rA & rB`
-    And { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = rA | rB`
-    Or { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = rA ^ rB`
-    Xor { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = !(rA | rB)`
-    Nor { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = rA & zext(imm)`
-    Andi { rd: Reg, ra: Reg, imm: u16 },
-    /// `rD = rA | zext(imm)`
-    Ori { rd: Reg, ra: Reg, imm: u16 },
-    /// `rD = rA ^ zext(imm)`
-    Xori { rd: Reg, ra: Reg, imm: u16 },
-    /// `rD = rA << (rB & 31)`
-    Slw { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = rA >> (rB & 31)` (logical)
-    Srw { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = rA << sh`
-    Slwi { rd: Reg, ra: Reg, sh: u8 },
-    /// `rD = rA >> sh` (logical)
-    Srwi { rd: Reg, ra: Reg, sh: u8 },
-    /// `rD = ((i32)rA) >> sh` (arithmetic)
-    Srawi { rd: Reg, ra: Reg, sh: u8 },
-    /// `rD = rotl(rA, sh)`
-    Rotlwi { rd: Reg, ra: Reg, sh: u8 },
-    /// `rD = mem32[rA + sext(imm)]`
-    Lwz { rd: Reg, ra: Reg, imm: i16 },
-    /// `rD = mem8[rA + sext(imm)]` (zero-extended)
-    Lbz { rd: Reg, ra: Reg, imm: i16 },
-    /// `rD = mem16[rA + sext(imm)]` (zero-extended)
-    Lhz { rd: Reg, ra: Reg, imm: i16 },
-    /// `mem32[rA + sext(imm)] = rD`
-    Stw { rd: Reg, ra: Reg, imm: i16 },
-    /// `mem8[rA + sext(imm)] = rD & 0xff`
-    Stb { rd: Reg, ra: Reg, imm: i16 },
-    /// `mem16[rA + sext(imm)] = rD & 0xffff`
-    Sth { rd: Reg, ra: Reg, imm: i16 },
-    /// `rD = mem32[rA + rB]`
-    Lwzx { rd: Reg, ra: Reg, rb: Reg },
-    /// `mem32[rA + rB] = rD`
-    Stwx { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = mem8[rA + rB]`
-    Lbzx { rd: Reg, ra: Reg, rb: Reg },
-    /// `mem8[rA + rB] = rD & 0xff`
-    Stbx { rd: Reg, ra: Reg, rb: Reg },
-    /// `rD = mem16[rA + rB]`
-    Lhzx { rd: Reg, ra: Reg, rb: Reg },
-    /// Signed compare `rA ? rB` → CR0
-    Cmpw { ra: Reg, rb: Reg },
-    /// Unsigned compare `rA ? rB` → CR0
-    Cmplw { ra: Reg, rb: Reg },
-    /// Signed compare `rA ? sext(imm)` → CR0
-    Cmpwi { ra: Reg, imm: i16 },
-    /// Unsigned compare `rA ? zext(imm)` → CR0
-    Cmplwi { ra: Reg, imm: u16 },
-    /// Unconditional branch (word offset).
-    B { off: i16 },
-    /// Branch and link.
-    Bl { off: i16 },
-    /// Return through the link register.
-    Blr,
-    /// Branch if equal.
-    Beq { off: i16 },
-    /// Branch if not equal.
-    Bne { off: i16 },
-    /// Branch if less-than.
-    Blt { off: i16 },
-    /// Branch if greater-or-equal.
-    Bge { off: i16 },
-    /// Branch if greater-than.
-    Bgt { off: i16 },
-    /// Branch if less-or-equal.
-    Ble { off: i16 },
-    /// Flush (write back + invalidate) the D-cache line containing
-    /// `rA + sext(imm)`.
-    Dcbf { ra: Reg, imm: i16 },
-    /// Invalidate (no write-back) the D-cache line containing
-    /// `rA + sext(imm)`.
-    Dcbi { ra: Reg, imm: i16 },
-    /// Write external-interrupt enable (imm 0/1).
-    Wrteei { imm: u16 },
-    /// Return from interrupt.
-    Rfi,
-    /// `rD = LR`
-    Mflr { rd: Reg },
-    /// `LR = rA`
-    Mtlr { ra: Reg },
-    /// Memory barrier (1 cycle; ordering is already strict in this model).
-    Sync,
-    /// No operation.
-    Nop,
-}
-
-macro_rules! ops {
-    ($($num:literal => $name:ident),* $(,)?) => {
-        mod opnum { $(pub const $name: u32 = $num;)* }
-    };
-}
-
-ops! {
-    0 => HALT, 1 => ADDI, 2 => ADDIS, 3 => ADD, 4 => SUB, 5 => MULLW,
-    6 => AND, 7 => OR, 8 => XOR, 9 => NOR, 10 => ANDI, 11 => ORI,
-    12 => XORI, 13 => SLW, 14 => SRW, 15 => LHZX, 16 => SLWI, 17 => SRWI, 18 => SRAWI,
-    19 => ROTLWI, 20 => LWZ, 21 => LBZ, 22 => LHZ, 23 => STW, 24 => STB,
-    25 => STH, 26 => CMPW, 27 => CMPLW, 28 => CMPWI, 29 => CMPLWI,
-    30 => B, 31 => BL, 32 => BLR, 33 => BEQ, 34 => BNE, 35 => BLT,
-    36 => BGE, 37 => BGT, 38 => BLE, 39 => DCBF, 40 => DCBI, 41 => WRTEEI,
-    42 => RFI, 43 => MFLR, 44 => MTLR, 45 => SYNC, 46 => LWZX, 47 => STWX,
-    48 => LBZX, 49 => STBX, 50 => NOP,
-}
-
-#[inline]
-fn pack(op: u32, rd: u8, ra: u8, rb: u8, imm: u16) -> u32 {
-    debug_assert!(rd < 32 && ra < 32 && rb < 32);
-    (op << 26)
-        | (u32::from(rd) << 21)
-        | (u32::from(ra) << 16)
-        | ((u32::from(rb) & 0x1F) << 11)
-        | (u32::from(imm) & 0xFFFF)
-}
-
-// rb and imm overlap in the encoding: register-register forms put rb in
-// [15:11] and leave [10:0] zero; immediate forms use the full [15:0].
-// Shift-immediate forms carry the shift amount in the imm field.
-
-/// Encodes an instruction.
-pub fn encode(i: Instr) -> u32 {
-    use opnum::*;
-    match i {
-        Instr::Halt => pack(HALT, 0, 0, 0, 0),
-        Instr::Addi { rd, ra, imm } => pack(ADDI, rd, ra, 0, imm as u16),
-        Instr::Addis { rd, ra, imm } => pack(ADDIS, rd, ra, 0, imm as u16),
-        Instr::Add { rd, ra, rb } => pack(ADD, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Sub { rd, ra, rb } => pack(SUB, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Mullw { rd, ra, rb } => pack(MULLW, rd, ra, rb, u16::from(rb) << 11),
-        Instr::And { rd, ra, rb } => pack(AND, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Or { rd, ra, rb } => pack(OR, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Xor { rd, ra, rb } => pack(XOR, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Nor { rd, ra, rb } => pack(NOR, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Andi { rd, ra, imm } => pack(ANDI, rd, ra, 0, imm),
-        Instr::Ori { rd, ra, imm } => pack(ORI, rd, ra, 0, imm),
-        Instr::Xori { rd, ra, imm } => pack(XORI, rd, ra, 0, imm),
-        Instr::Slw { rd, ra, rb } => pack(SLW, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Srw { rd, ra, rb } => pack(SRW, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Slwi { rd, ra, sh } => pack(SLWI, rd, ra, 0, u16::from(sh)),
-        Instr::Srwi { rd, ra, sh } => pack(SRWI, rd, ra, 0, u16::from(sh)),
-        Instr::Srawi { rd, ra, sh } => pack(SRAWI, rd, ra, 0, u16::from(sh)),
-        Instr::Rotlwi { rd, ra, sh } => pack(ROTLWI, rd, ra, 0, u16::from(sh)),
-        Instr::Lwz { rd, ra, imm } => pack(LWZ, rd, ra, 0, imm as u16),
-        Instr::Lbz { rd, ra, imm } => pack(LBZ, rd, ra, 0, imm as u16),
-        Instr::Lhz { rd, ra, imm } => pack(LHZ, rd, ra, 0, imm as u16),
-        Instr::Stw { rd, ra, imm } => pack(STW, rd, ra, 0, imm as u16),
-        Instr::Stb { rd, ra, imm } => pack(STB, rd, ra, 0, imm as u16),
-        Instr::Sth { rd, ra, imm } => pack(STH, rd, ra, 0, imm as u16),
-        Instr::Lwzx { rd, ra, rb } => pack(LWZX, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Stwx { rd, ra, rb } => pack(STWX, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Lbzx { rd, ra, rb } => pack(LBZX, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Stbx { rd, ra, rb } => pack(STBX, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Lhzx { rd, ra, rb } => pack(LHZX, rd, ra, rb, u16::from(rb) << 11),
-        Instr::Cmpw { ra, rb } => pack(CMPW, 0, ra, rb, u16::from(rb) << 11),
-        Instr::Cmplw { ra, rb } => pack(CMPLW, 0, ra, rb, u16::from(rb) << 11),
-        Instr::Cmpwi { ra, imm } => pack(CMPWI, 0, ra, 0, imm as u16),
-        Instr::Cmplwi { ra, imm } => pack(CMPLWI, 0, ra, 0, imm),
-        Instr::B { off } => pack(B, 0, 0, 0, off as u16),
-        Instr::Bl { off } => pack(BL, 0, 0, 0, off as u16),
-        Instr::Blr => pack(BLR, 0, 0, 0, 0),
-        Instr::Beq { off } => pack(BEQ, 0, 0, 0, off as u16),
-        Instr::Bne { off } => pack(BNE, 0, 0, 0, off as u16),
-        Instr::Blt { off } => pack(BLT, 0, 0, 0, off as u16),
-        Instr::Bge { off } => pack(BGE, 0, 0, 0, off as u16),
-        Instr::Bgt { off } => pack(BGT, 0, 0, 0, off as u16),
-        Instr::Ble { off } => pack(BLE, 0, 0, 0, off as u16),
-        Instr::Dcbf { ra, imm } => pack(DCBF, 0, ra, 0, imm as u16),
-        Instr::Dcbi { ra, imm } => pack(DCBI, 0, ra, 0, imm as u16),
-        Instr::Wrteei { imm } => pack(WRTEEI, 0, 0, 0, imm),
-        Instr::Rfi => pack(RFI, 0, 0, 0, 0),
-        Instr::Mflr { rd } => pack(MFLR, rd, 0, 0, 0),
-        Instr::Mtlr { ra } => pack(MTLR, 0, ra, 0, 0),
-        Instr::Sync => pack(SYNC, 0, 0, 0, 0),
-        Instr::Nop => pack(NOP, 0, 0, 0, 0),
-    }
-}
-
-/// Decodes a word; `None` for unknown opcodes.
-pub fn decode(w: u32) -> Option<Instr> {
-    use opnum::*;
-    let op = w >> 26;
-    let rd = ((w >> 21) & 0x1F) as u8;
-    let ra = ((w >> 16) & 0x1F) as u8;
-    let rb = ((w >> 11) & 0x1F) as u8;
-    let immu = (w & 0xFFFF) as u16;
-    let imms = immu as i16;
-    let sh = (immu & 0x1F) as u8;
-    Some(match op {
-        HALT => Instr::Halt,
-        ADDI => Instr::Addi { rd, ra, imm: imms },
-        ADDIS => Instr::Addis { rd, ra, imm: imms },
-        ADD => Instr::Add { rd, ra, rb },
-        SUB => Instr::Sub { rd, ra, rb },
-        MULLW => Instr::Mullw { rd, ra, rb },
-        AND => Instr::And { rd, ra, rb },
-        OR => Instr::Or { rd, ra, rb },
-        XOR => Instr::Xor { rd, ra, rb },
-        NOR => Instr::Nor { rd, ra, rb },
-        ANDI => Instr::Andi { rd, ra, imm: immu },
-        ORI => Instr::Ori { rd, ra, imm: immu },
-        XORI => Instr::Xori { rd, ra, imm: immu },
-        SLW => Instr::Slw { rd, ra, rb },
-        SRW => Instr::Srw { rd, ra, rb },
-        SLWI => Instr::Slwi { rd, ra, sh },
-        SRWI => Instr::Srwi { rd, ra, sh },
-        SRAWI => Instr::Srawi { rd, ra, sh },
-        ROTLWI => Instr::Rotlwi { rd, ra, sh },
-        LWZ => Instr::Lwz { rd, ra, imm: imms },
-        LBZ => Instr::Lbz { rd, ra, imm: imms },
-        LHZ => Instr::Lhz { rd, ra, imm: imms },
-        STW => Instr::Stw { rd, ra, imm: imms },
-        STB => Instr::Stb { rd, ra, imm: imms },
-        STH => Instr::Sth { rd, ra, imm: imms },
-        LWZX => Instr::Lwzx { rd, ra, rb },
-        STWX => Instr::Stwx { rd, ra, rb },
-        LBZX => Instr::Lbzx { rd, ra, rb },
-        STBX => Instr::Stbx { rd, ra, rb },
-        LHZX => Instr::Lhzx { rd, ra, rb },
-        CMPW => Instr::Cmpw { ra, rb },
-        CMPLW => Instr::Cmplw { ra, rb },
-        CMPWI => Instr::Cmpwi { ra, imm: imms },
-        CMPLWI => Instr::Cmplwi { ra, imm: immu },
-        B => Instr::B { off: imms },
-        BL => Instr::Bl { off: imms },
-        BLR => Instr::Blr,
-        BEQ => Instr::Beq { off: imms },
-        BNE => Instr::Bne { off: imms },
-        BLT => Instr::Blt { off: imms },
-        BGE => Instr::Bge { off: imms },
-        BGT => Instr::Bgt { off: imms },
-        BLE => Instr::Ble { off: imms },
-        DCBF => Instr::Dcbf { ra, imm: imms },
-        DCBI => Instr::Dcbi { ra, imm: imms },
-        WRTEEI => Instr::Wrteei { imm: immu & 1 },
-        RFI => Instr::Rfi,
-        MFLR => Instr::Mflr { rd },
-        MTLR => Instr::Mtlr { ra },
-        SYNC => Instr::Sync,
-        NOP => Instr::Nop,
-        _ => return None,
-    })
-}
-
-/// Base cycle cost of an instruction, excluding memory-system time.
-///
-/// Loads charge 2 cycles: the 405's 1-cycle load-to-use latency stalls the
-/// next instruction in the straight-line code every kernel here produces,
-/// so folding the stall into the load is the faithful average.
-pub fn base_cycles(i: Instr) -> u64 {
-    match i {
-        Instr::Mullw { .. } => 4,
-        Instr::Lwz { .. }
-        | Instr::Lbz { .. }
-        | Instr::Lhz { .. }
-        | Instr::Lwzx { .. }
-        | Instr::Lbzx { .. }
-        | Instr::Lhzx { .. } => 2,
-        _ => 1,
-    }
-}
 
 /// Extra cycles a taken branch costs (405 pipeline refill without a branch
 /// target cache).
 pub const TAKEN_BRANCH_PENALTY: u64 = 2;
 
+/// An instruction's operand form: the fields its word carries and how
+/// the assembler writes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Form {
+    /// `rD, rA, rB`: register-register ALU ops.
+    Rrr,
+    /// `rD, rA, imm`: ALU ops with a sign-extended 16-bit immediate.
+    Rri,
+    /// `rD, rA, imm`: ALU ops with a zero-extended 16-bit immediate.
+    Rru,
+    /// `rD, rA, sh`: shifts by an immediate amount (0..32).
+    Shift,
+    /// `rD, imm(rA)`: D-form loads and stores.
+    MemD,
+    /// `rD, rA, rB`: X-form (indexed) loads and stores, laid out as
+    /// [`Form::Rrr`].
+    MemX,
+    /// `rA, rB`: register compares.
+    Cmp,
+    /// `rA, imm`: compares with a sign-extended immediate.
+    CmpI,
+    /// `rA, imm`: compares with a zero-extended immediate.
+    CmpU,
+    /// `off`: branches, to a label or a signed word offset.
+    Branch,
+    /// `imm(rA)`: data-cache line ops.
+    CacheOp,
+    /// `bit`: the interrupt-enable bit of `wrteei`.
+    Wrteei,
+    /// `rD` alone.
+    Rd,
+    /// `rA` alone.
+    Ra,
+    /// No operands.
+    Bare,
+}
+
+/// One row of the instruction table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// Assembler mnemonic.
+    pub mnemonic: &'static str,
+    /// Opcode, bits `[31:26]` of the word.
+    pub opcode: u32,
+    /// Operand form.
+    pub form: Form,
+    /// Base cycles ([`base_cycles`]).
+    pub cycles: u64,
+}
+
+/// The register fields of a word.
+fn regs(rd: Reg, ra: Reg, rb: Reg) -> u32 {
+    debug_assert!(rd < 32 && ra < 32 && rb < 32);
+    (u32::from(rd) << 21) | (u32::from(ra) << 16) | (u32::from(rb) << 11)
+}
+
+/// The register field at bit `at` of a word.
+fn reg(w: u32, at: u32) -> Reg {
+    ((w >> at) & 31) as Reg
+}
+
+/// Declares the operand forms. Each entry names a form and its fields,
+/// then gives the fields' operand text (after the mnemonic), their bits
+/// in the word, the fields of a word, the fields from the assembler's
+/// operands, and the micro-op operands `(rd slot, ra, rb, imm)` for the
+/// row's micro-op.
+macro_rules! forms {
+    ($($form:ident($($f:ident: $t:ty),*): $text:literal,
+        pack: $pack:expr, unpack |$w:ident|: $unpack:expr,
+        parse |$o:ident|: $parse:expr, uop |$op:ident|: $uop:expr;)*) => {$(
+        pub(super) struct $form;
+
+        impl $form {
+            pub(super) fn pack(($($f,)*): ($($t,)*)) -> u32 {
+                $pack
+            }
+
+            pub(super) fn unpack($w: u32) -> ($($t,)*) {
+                $unpack
+            }
+
+            pub(super) fn parse($o: &mut Operands) -> Result<($($t,)*), AsmError> {
+                Ok($parse)
+            }
+
+            pub(super) fn render(($($f,)*): ($($t,)*)) -> String {
+                format!($text)
+            }
+
+            pub(super) fn uop($op: Op, ($($f,)*): ($($t,)*)) -> Uop {
+                let (rd, ra, rb, imm): (u8, Reg, Reg, u32) = $uop;
+                Uop { op: $op, rd, ra: ra & 31, rb: rb & 31, imm }
+            }
+        }
+    )*};
+}
+
+/// The forms' implementations, named as their [`Form`]s.
+mod forms {
+    use super::*;
+
+    forms! {
+        Rrr(rd: Reg, ra: Reg, rb: Reg): " r{rd}, r{ra}, r{rb}",
+            pack: regs(rd, ra, rb),
+            unpack |w|: (reg(w, 21), reg(w, 16), reg(w, 11)),
+            parse |o|: (o.reg()?, o.reg()?, o.reg()?),
+            uop |op|: (op.rd_slot(rd), ra, rb, 0);
+
+        Rri(rd: Reg, ra: Reg, imm: i16): " r{rd}, r{ra}, {imm}",
+            pack: regs(rd, ra, 0) | u32::from(imm as u16),
+            unpack |w|: (reg(w, 21), reg(w, 16), w as i16),
+            parse |o|: (o.reg()?, o.reg()?, o.imm()? as i16),
+            uop |op|: (op.rd_slot(rd), ra, 0, imm as i32 as u32);
+
+        Rru(rd: Reg, ra: Reg, imm: u16): " r{rd}, r{ra}, {imm}",
+            pack: regs(rd, ra, 0) | u32::from(imm),
+            unpack |w|: (reg(w, 21), reg(w, 16), w as u16),
+            parse |o|: (o.reg()?, o.reg()?, o.imm()?),
+            uop |op|: (op.rd_slot(rd), ra, 0, u32::from(imm));
+
+        Shift(rd: Reg, ra: Reg, sh: u8): " r{rd}, r{ra}, {sh}",
+            pack: regs(rd, ra, 0) | u32::from(sh),
+            unpack |w|: (reg(w, 21), reg(w, 16), (w & 31) as u8),
+            parse |o|: (o.reg()?, o.reg()?, o.sh()?),
+            uop |op|: (op.rd_slot(rd), ra, 0, u32::from(sh));
+
+        MemD(rd: Reg, ra: Reg, imm: i16): " r{rd}, {imm}(r{ra})",
+            pack: Rri::pack((rd, ra, imm)),
+            unpack |w|: Rri::unpack(w),
+            parse |o|: { let rd = o.reg()?; let (ra, imm) = o.mem()?; (rd, ra, imm) },
+            uop |op|: (op.rd_slot(rd), ra, 0, imm as i32 as u32);
+
+        Cmp(ra: Reg, rb: Reg): " r{ra}, r{rb}",
+            pack: regs(0, ra, rb),
+            unpack |w|: (reg(w, 16), reg(w, 11)),
+            parse |o|: (o.reg()?, o.reg()?),
+            uop |op|: (0, ra, rb, 0);
+
+        CmpI(ra: Reg, imm: i16): " r{ra}, {imm}",
+            pack: regs(0, ra, 0) | u32::from(imm as u16),
+            unpack |w|: (reg(w, 16), w as i16),
+            parse |o|: (o.reg()?, o.imm()? as i16),
+            uop |op|: (0, ra, 0, imm as i32 as u32);
+
+        CmpU(ra: Reg, imm: u16): " r{ra}, {imm}",
+            pack: regs(0, ra, 0) | u32::from(imm),
+            unpack |w|: (reg(w, 16), w as u16),
+            parse |o|: (o.reg()?, o.imm()?),
+            uop |op|: (0, ra, 0, u32::from(imm));
+
+        Branch(off: i16): " {off}",
+            pack: u32::from(off as u16),
+            unpack |w|: (w as i16,),
+            parse |o|: (o.target()?,),
+            uop |op|: (0, 0, 0, (i32::from(off) * 4) as u32);
+
+        CacheOp(ra: Reg, imm: i16): " {imm}(r{ra})",
+            pack: CmpI::pack((ra, imm)),
+            unpack |w|: CmpI::unpack(w),
+            parse |o|: o.mem()?,
+            uop |op|: (0, ra, 0, imm as i32 as u32);
+
+        Wrteei(imm: u16): " {imm}",
+            pack: u32::from(imm),
+            unpack |w|: (w as u16 & 1,),
+            parse |o|: (o.imm()? & 1,),
+            uop |op|: (0, 0, 0, u32::from(imm & 1));
+
+        Rd(rd: Reg): " r{rd}",
+            pack: regs(rd, 0, 0),
+            unpack |w|: (reg(w, 21),),
+            parse |o|: (o.reg()?,),
+            uop |op|: (op.rd_slot(rd), 0, 0, 0);
+
+        Ra(ra: Reg): " r{ra}",
+            pack: regs(0, ra, 0),
+            unpack |w|: (reg(w, 16),),
+            parse |o|: (o.reg()?,),
+            uop |op|: (0, ra, 0, 0);
+
+        Bare(): "",
+            pack: 0,
+            unpack |_w|: (),
+            parse |_o|: (),
+            uop |op|: (0, 0, 0, 0);
+    }
+
+    pub(super) type MemX = Rrr;
+}
+
+/// Declares the instruction table. Each row gives the [`Instr`] variant
+/// with its fields, the opcode, the mnemonic, the operand form, the base
+/// cycles and the micro-op (`<< n`: its immediate shifted left by `n`).
+macro_rules! isa {
+    ($($(#[$doc:meta])* $v:ident $({ $($f:ident: $t:ty),* })? =
+        $opcode:literal $mnemonic:literal $form:ident $cycles:literal
+        $uop:ident $(<< $shift:literal)?;)*) => {
+        /// Decoded instruction.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Instr {
+            $($(#[$doc])* $v $({ $($f: $t),* })?,)*
+        }
+
+        /// The instruction table, one row per [`Instr`] variant in
+        /// declaration order.
+        pub const ROWS: &[Row] = &[$(Row {
+            mnemonic: $mnemonic,
+            opcode: $opcode,
+            form: Form::$form,
+            cycles: $cycles,
+        }),*];
+
+        /// Encodes an instruction.
+        pub fn encode(i: Instr) -> u32 {
+            match i {
+                $(Instr::$v $({ $($f),* })? => {
+                    ($opcode << 26) | forms::$form::pack(($($($f,)*)?))
+                })*
+            }
+        }
+
+        /// Decodes a word; `None` for unknown opcodes.
+        pub fn decode(w: u32) -> Option<Instr> {
+            Some(match w >> 26 {
+                $($opcode => {
+                    let ($($($f,)*)?) = forms::$form::unpack(w);
+                    Instr::$v $({ $($f),* })?
+                })*
+                _ => return None,
+            })
+        }
+
+        /// Base cycle cost of an instruction, excluding memory-system time.
+        ///
+        /// Loads charge 2 cycles: the 405's 1-cycle load-to-use latency
+        /// stalls the next instruction in the straight-line code every
+        /// kernel here produces, so folding the stall into the load is the
+        /// faithful average.
+        pub fn base_cycles(i: Instr) -> u64 {
+            match i {
+                $(Instr::$v { .. } => $cycles,)*
+            }
+        }
+
+        /// Renders an instruction in assembler syntax. Branch offsets are
+        /// rendered numerically (labels are an assembler-level concept).
+        pub fn render(i: Instr) -> String {
+            match i {
+                $(Instr::$v $({ $($f),* })? => {
+                    format!("{}{}", $mnemonic, forms::$form::render(($($($f,)*)?)))
+                })*
+            }
+        }
+
+        /// The instruction `mnemonic` names, its fields read from `o`.
+        pub(crate) fn parse(mnemonic: &str, o: &mut Operands) -> Result<Instr, AsmError> {
+            Ok(match mnemonic {
+                $($mnemonic => {
+                    let ($($($f,)*)?) = forms::$form::parse(o)?;
+                    Instr::$v $({ $($f),* })?
+                })*
+                _ => return Err(o.error(format!("unknown mnemonic '{mnemonic}'"))),
+            })
+        }
+
+        impl Uop {
+            /// The micro-op an instruction executes as.
+            pub(crate) fn from_instr(i: Instr) -> Uop {
+                match i {
+                    $(Instr::$v $({ $($f),* })? => {
+                        let u = forms::$form::uop(Op::$uop, ($($($f,)*)?));
+                        $(let u = Uop { imm: u.imm << $shift, ..u };)?
+                        u
+                    })*
+                }
+            }
+        }
+    };
+}
+
+isa! {
+    // Variant and fields                     opcode mnemonic form   cycles micro-op
+    /// Stop execution (test/measurement harness).
+    Halt                                      = 0  "halt"   Bare    1 Halt;
+    /// `rD = rA + sext(imm)`
+    Addi   { rd: Reg, ra: Reg, imm: i16 }     = 1  "addi"   Rri     1 Addi;
+    /// `rD = rA + (imm << 16)` (with `ra = r0` this is `lis`)
+    Addis  { rd: Reg, ra: Reg, imm: i16 }     = 2  "addis"  Rri     1 Addi << 16;
+    /// `rD = rA + rB`
+    Add    { rd: Reg, ra: Reg, rb: Reg }      = 3  "add"    Rrr     1 Add;
+    /// `rD = rA - rB`
+    Sub    { rd: Reg, ra: Reg, rb: Reg }      = 4  "sub"    Rrr     1 Sub;
+    /// `rD = (rA * rB) & 0xffff_ffff` (4 cycles)
+    Mullw  { rd: Reg, ra: Reg, rb: Reg }      = 5  "mullw"  Rrr     4 Mullw;
+    /// `rD = rA & rB`
+    And    { rd: Reg, ra: Reg, rb: Reg }      = 6  "and"    Rrr     1 And;
+    /// `rD = rA | rB`
+    Or     { rd: Reg, ra: Reg, rb: Reg }      = 7  "or"     Rrr     1 Or;
+    /// `rD = rA ^ rB`
+    Xor    { rd: Reg, ra: Reg, rb: Reg }      = 8  "xor"    Rrr     1 Xor;
+    /// `rD = !(rA | rB)`
+    Nor    { rd: Reg, ra: Reg, rb: Reg }      = 9  "nor"    Rrr     1 Nor;
+    /// `rD = rA & zext(imm)`
+    Andi   { rd: Reg, ra: Reg, imm: u16 }     = 10 "andi"   Rru     1 Andi;
+    /// `rD = rA | zext(imm)`
+    Ori    { rd: Reg, ra: Reg, imm: u16 }     = 11 "ori"    Rru     1 Ori;
+    /// `rD = rA ^ zext(imm)`
+    Xori   { rd: Reg, ra: Reg, imm: u16 }     = 12 "xori"   Rru     1 Xori;
+    /// `rD = rA << (rB & 31)`
+    Slw    { rd: Reg, ra: Reg, rb: Reg }      = 13 "slw"    Rrr     1 Slw;
+    /// `rD = rA >> (rB & 31)` (logical)
+    Srw    { rd: Reg, ra: Reg, rb: Reg }      = 14 "srw"    Rrr     1 Srw;
+    /// `rD = rA << sh`
+    Slwi   { rd: Reg, ra: Reg, sh: u8 }       = 16 "slwi"   Shift   1 Slwi;
+    /// `rD = rA >> sh` (logical)
+    Srwi   { rd: Reg, ra: Reg, sh: u8 }       = 17 "srwi"   Shift   1 Srwi;
+    /// `rD = ((i32)rA) >> sh` (arithmetic)
+    Srawi  { rd: Reg, ra: Reg, sh: u8 }       = 18 "srawi"  Shift   1 Srawi;
+    /// `rD = rotl(rA, sh)`
+    Rotlwi { rd: Reg, ra: Reg, sh: u8 }       = 19 "rotlwi" Shift   1 Rotlwi;
+    /// `rD = mem32[rA + sext(imm)]`
+    Lwz    { rd: Reg, ra: Reg, imm: i16 }     = 20 "lwz"    MemD    2 Lw;
+    /// `rD = mem8[rA + sext(imm)]` (zero-extended)
+    Lbz    { rd: Reg, ra: Reg, imm: i16 }     = 21 "lbz"    MemD    2 Lb;
+    /// `rD = mem16[rA + sext(imm)]` (zero-extended)
+    Lhz    { rd: Reg, ra: Reg, imm: i16 }     = 22 "lhz"    MemD    2 Lh;
+    /// `mem32[rA + sext(imm)] = rD`
+    Stw    { rd: Reg, ra: Reg, imm: i16 }     = 23 "stw"    MemD    1 Sw;
+    /// `mem8[rA + sext(imm)] = rD & 0xff`
+    Stb    { rd: Reg, ra: Reg, imm: i16 }     = 24 "stb"    MemD    1 Sb;
+    /// `mem16[rA + sext(imm)] = rD & 0xffff`
+    Sth    { rd: Reg, ra: Reg, imm: i16 }     = 25 "sth"    MemD    1 Sh;
+    /// `rD = mem32[rA + rB]`
+    Lwzx   { rd: Reg, ra: Reg, rb: Reg }      = 46 "lwzx"   MemX    2 Lw;
+    /// `mem32[rA + rB] = rD`
+    Stwx   { rd: Reg, ra: Reg, rb: Reg }      = 47 "stwx"   MemX    1 Sw;
+    /// `rD = mem8[rA + rB]`
+    Lbzx   { rd: Reg, ra: Reg, rb: Reg }      = 48 "lbzx"   MemX    2 Lb;
+    /// `mem8[rA + rB] = rD & 0xff`
+    Stbx   { rd: Reg, ra: Reg, rb: Reg }      = 49 "stbx"   MemX    1 Sb;
+    /// `rD = mem16[rA + rB]`
+    Lhzx   { rd: Reg, ra: Reg, rb: Reg }      = 15 "lhzx"   MemX    2 Lh;
+    /// Signed compare `rA ? rB` → CR0
+    Cmpw   { ra: Reg, rb: Reg }               = 26 "cmpw"   Cmp     1 Cmpw;
+    /// Unsigned compare `rA ? rB` → CR0
+    Cmplw  { ra: Reg, rb: Reg }               = 27 "cmplw"  Cmp     1 Cmplw;
+    /// Signed compare `rA ? sext(imm)` → CR0
+    Cmpwi  { ra: Reg, imm: i16 }              = 28 "cmpwi"  CmpI    1 Cmpwi;
+    /// Unsigned compare `rA ? zext(imm)` → CR0
+    Cmplwi { ra: Reg, imm: u16 }              = 29 "cmplwi" CmpU    1 Cmplwi;
+    /// Unconditional branch (word offset).
+    B      { off: i16 }                       = 30 "b"      Branch  1 B;
+    /// Branch and link.
+    Bl     { off: i16 }                       = 31 "bl"     Branch  1 Bl;
+    /// Return through the link register.
+    Blr                                       = 32 "blr"    Bare    1 Blr;
+    /// Branch if equal.
+    Beq    { off: i16 }                       = 33 "beq"    Branch  1 Beq;
+    /// Branch if not equal.
+    Bne    { off: i16 }                       = 34 "bne"    Branch  1 Bne;
+    /// Branch if less-than.
+    Blt    { off: i16 }                       = 35 "blt"    Branch  1 Blt;
+    /// Branch if greater-or-equal.
+    Bge    { off: i16 }                       = 36 "bge"    Branch  1 Bge;
+    /// Branch if greater-than.
+    Bgt    { off: i16 }                       = 37 "bgt"    Branch  1 Bgt;
+    /// Branch if less-or-equal.
+    Ble    { off: i16 }                       = 38 "ble"    Branch  1 Ble;
+    /// Flush (write back + invalidate) the D-cache line containing
+    /// `rA + sext(imm)`.
+    Dcbf   { ra: Reg, imm: i16 }              = 39 "dcbf"   CacheOp 1 Dcbf;
+    /// Invalidate (no write-back) the D-cache line containing
+    /// `rA + sext(imm)`.
+    Dcbi   { ra: Reg, imm: i16 }              = 40 "dcbi"   CacheOp 1 Dcbi;
+    /// Write external-interrupt enable (imm 0/1).
+    Wrteei { imm: u16 }                       = 41 "wrteei" Wrteei  1 Wrteei;
+    /// Return from interrupt.
+    Rfi                                       = 42 "rfi"    Bare    1 Rfi;
+    /// `rD = LR`
+    Mflr   { rd: Reg }                        = 43 "mflr"   Rd      1 Mflr;
+    /// `LR = rA`
+    Mtlr   { ra: Reg }                        = 44 "mtlr"   Ra      1 Mtlr;
+    /// Memory barrier (1 cycle; ordering is already strict in this model).
+    Sync                                      = 45 "sync"   Bare    1 Nop;
+    /// No operation.
+    Nop                                       = 50 "nop"    Bare    1 Nop;
+}
+
+/// Disassembles one word, or `None` for an illegal encoding.
+pub fn disassemble(word: u32) -> Option<String> {
+    decode(word).map(render)
+}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asm::assemble;
+    use vp2_sim::SplitMix64;
 
     fn all_samples() -> Vec<Instr> {
         vec![
@@ -588,5 +711,144 @@ mod tests {
         assert_eq!(decode(encode(i)), Some(i));
         let b = Instr::B { off: -32768 };
         assert_eq!(decode(encode(b)), Some(b));
+    }
+
+    /// A word of `row` with random fields of its form and every bit the
+    /// form leaves unused zero.
+    fn draw(row: &Row, rng: &mut SplitMix64) -> u32 {
+        let mut reg = |at: u32| (rng.below(32) as u32) << at;
+        let fields = match row.form {
+            Form::Rrr | Form::MemX => reg(21) | reg(16) | reg(11),
+            Form::Rri | Form::Rru | Form::MemD => reg(21) | reg(16) | (rng.next_u32() & 0xFFFF),
+            Form::Shift => reg(21) | reg(16) | rng.below(32) as u32,
+            Form::Cmp => reg(16) | reg(11),
+            Form::CmpI | Form::CmpU | Form::CacheOp => reg(16) | (rng.next_u32() & 0xFFFF),
+            Form::Branch => rng.next_u32() & 0xFFFF,
+            Form::Wrteei => rng.below(2) as u32,
+            Form::Rd => reg(21),
+            Form::Ra => reg(16),
+            Form::Bare => 0,
+        };
+        (row.opcode << 26) | fields
+    }
+
+    /// Every row, with operands drawn from its form: the word decodes,
+    /// re-encodes to itself, costs the row's cycles, and its rendering
+    /// reassembles to the same word.
+    #[test]
+    fn every_row_round_trips_through_encode_and_the_assembler() {
+        let mut rng = SplitMix64::new(0x015A_7AB1);
+        for row in ROWS {
+            for _ in 0..256 {
+                let word = draw(row, &mut rng);
+                let i = decode(word).unwrap_or_else(|| panic!("{row:?}: {word:#010x}"));
+                assert_eq!(encode(i), word, "{i:?}");
+                assert_eq!(decode(encode(i)), Some(i));
+                assert_eq!(base_cycles(i), row.cycles, "{i:?}");
+                let text = render(i);
+                assert_eq!(text.split(' ').next(), Some(row.mnemonic));
+                let prog = assemble(&text, 0).unwrap_or_else(|e| panic!("'{text}': {e}"));
+                assert_eq!(prog.words, [encode(i)], "'{text}'");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_are_distinct_and_opcodes_without_a_row_decode_to_none() {
+        assert_eq!(ROWS.len(), all_samples().len());
+        for (k, row) in ROWS.iter().enumerate() {
+            for other in &ROWS[..k] {
+                assert_ne!(row.opcode, other.opcode, "{row:?} {other:?}");
+                assert_ne!(row.mnemonic, other.mnemonic, "{row:?} {other:?}");
+            }
+        }
+        let mut rng = SplitMix64::new(0x00BC_0DE5);
+        for opcode in 0..64 {
+            let rowed = ROWS.iter().any(|r| r.opcode == opcode);
+            for _ in 0..64 {
+                let w = (opcode << 26) | (rng.next_u32() & 0x03FF_FFFF);
+                assert_eq!(decode(w).is_some(), rowed, "{w:#010x}");
+            }
+        }
+    }
+
+    #[test]
+    fn renders_known_forms() {
+        assert_eq!(
+            disassemble(encode(Instr::Addi {
+                rd: 3,
+                ra: 0,
+                imm: -7
+            }))
+            .unwrap(),
+            "addi r3, r0, -7"
+        );
+        assert_eq!(
+            disassemble(encode(Instr::Lwz {
+                rd: 4,
+                ra: 5,
+                imm: 8
+            }))
+            .unwrap(),
+            "lwz r4, 8(r5)"
+        );
+        assert_eq!(disassemble(encode(Instr::Blr)).unwrap(), "blr");
+        assert_eq!(disassemble(63 << 26), None, "illegal encoding");
+    }
+
+    /// Extreme operands reassemble to the same word (assembler →
+    /// disassembler → assembler fixpoint).
+    #[test]
+    fn roundtrip_through_the_assembler() {
+        let samples = [
+            Instr::Addi {
+                rd: 1,
+                ra: 2,
+                imm: -32768,
+            },
+            Instr::Slwi {
+                rd: 7,
+                ra: 8,
+                sh: 31,
+            },
+            Instr::Stw {
+                rd: 9,
+                ra: 10,
+                imm: -4,
+            },
+            Instr::Lhzx {
+                rd: 1,
+                ra: 2,
+                rb: 3,
+            },
+            Instr::Cmplwi { ra: 6, imm: 65535 },
+            Instr::Bne { off: -100 },
+            Instr::Dcbf { ra: 3, imm: 32 },
+            Instr::Wrteei { imm: 1 },
+            Instr::Mtlr { ra: 29 },
+        ];
+        for i in samples {
+            let text = render(i);
+            let prog = assemble(&format!("  {text}\n"), 0)
+                .unwrap_or_else(|e| panic!("'{text}' failed to reassemble: {e}"));
+            assert_eq!(prog.words[0], encode(i), "'{text}'");
+        }
+    }
+
+    /// Random word: either both decode+render+reassemble agree, or the
+    /// word is illegal for the disassembler too.
+    #[test]
+    fn random_words_roundtrip() {
+        let mut rng = SplitMix64::new(0xD15A_53B1);
+        for _ in 0..4096 {
+            let w = rng.next_u32();
+            if let Some(text) = disassemble(w) {
+                let prog =
+                    assemble(&format!("  {text}\n"), 0).unwrap_or_else(|e| panic!("'{text}': {e}"));
+                // Re-encoding must produce a word that decodes identically
+                // (unused encoding bits may differ).
+                assert_eq!(decode(prog.words[0]), decode(w));
+            }
+        }
     }
 }

@@ -8,6 +8,12 @@
 //! load/store widths (the architectural limit that motivates the paper's DMA
 //! design) and cache behaviour are all emergent rather than estimated.
 //!
+//! Every instruction is declared once, as a row of the ISA table in
+//! [`isa`]: its encoding and decoding, the assembler's mnemonics
+//! ([`assemble`]), the disassembler ([`disassemble`]), its base cycle cost
+//! and its micro-op form all come from that row. The interpreter's
+//! micro-op executor ([`Cpu`]) holds the semantics.
+//!
 //! Deliberate simplifications, documented here and in DESIGN.md:
 //!
 //! * the instruction *encoding* is our own fixed 32-bit format, not the real
@@ -22,7 +28,6 @@
 pub mod asm;
 pub mod cache;
 pub mod cpu;
-pub mod disasm;
 pub mod isa;
 pub mod mem;
 mod uop;
@@ -30,8 +35,7 @@ mod uop;
 pub use asm::{assemble, AsmError, Program};
 pub use cache::Cache;
 pub use cpu::{Cpu, CpuConfig, StepOutcome};
-pub use disasm::{disassemble, disassemble_block};
-pub use isa::{decode, encode, Instr};
+pub use isa::{decode, disassemble, encode, Instr};
 pub use mem::{FlatMem, MemoryPort};
 
 // Lets the unit tests share the integration tests' program generator,

@@ -3,8 +3,11 @@
 //! The instruction cache translates each line it fills into a
 //! [`MicroLine`]: the line's eight words as micro-ops, an end-of-line
 //! sentinel, and the prefix sums of their base cycles, so the interpreter
-//! (`Cpu::exec_run`) can charge a whole straight-line run at once. A
-//! micro-op carries what its instruction needs already worked out:
+//! (`Cpu::exec_run`) can charge a whole straight-line run at once. Each
+//! row of the ISA table (`crate::isa`) names its instruction's micro-op,
+//! and its operand form lays out the operands (`Uop::from_instr` is
+//! expanded from the table). A micro-op carries what its instruction
+//! needs already worked out:
 //!
 //! - immediates sign- or zero-extended to 32 bits, `addis`'s pre-shifted
 //!   (it becomes an `addi`), shift amounts as they are, branch
@@ -17,7 +20,7 @@
 //! - an undecodable word kept as [`Op::Illegal`] with the word itself, so
 //!   it panics only if it executes.
 
-use crate::isa::{base_cycles, decode, Instr, Reg};
+use crate::isa::{base_cycles, decode, Reg};
 use crate::mem::LINE_BYTES;
 
 /// Instruction words per cache line.
@@ -136,6 +139,18 @@ pub(crate) enum Op {
     End,
 }
 
+impl Op {
+    /// The slot of an `rd` operand: a store reads its `rd` as it is; any
+    /// other op writes it, through [`dest`].
+    pub(crate) fn rd_slot(self, rd: Reg) -> u8 {
+        if matches!(self, Op::Sw | Op::Sh | Op::Sb) {
+            rd
+        } else {
+            dest(rd)
+        }
+    }
+}
+
 /// One micro-op. `rd` is a destination slot ([`dest`]) for every op that
 /// writes a register, and the source register of a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,71 +185,6 @@ impl Uop {
                 },
                 0,
             ),
-        }
-    }
-
-    fn from_instr(instr: Instr) -> Uop {
-        use Instr::*;
-        let sext = |imm: i16| imm as i32 as u32;
-        let bytes = |off: i16| (i32::from(off) * 4) as u32;
-        let (op, rd, ra, rb, imm) = match instr {
-            Halt => (Op::Halt, 0, 0, 0, 0),
-            Addi { rd, ra, imm } => (Op::Addi, dest(rd), ra, 0, sext(imm)),
-            Addis { rd, ra, imm } => (Op::Addi, dest(rd), ra, 0, sext(imm) << 16),
-            Add { rd, ra, rb } => (Op::Add, dest(rd), ra, rb, 0),
-            Sub { rd, ra, rb } => (Op::Sub, dest(rd), ra, rb, 0),
-            Mullw { rd, ra, rb } => (Op::Mullw, dest(rd), ra, rb, 0),
-            And { rd, ra, rb } => (Op::And, dest(rd), ra, rb, 0),
-            Or { rd, ra, rb } => (Op::Or, dest(rd), ra, rb, 0),
-            Xor { rd, ra, rb } => (Op::Xor, dest(rd), ra, rb, 0),
-            Nor { rd, ra, rb } => (Op::Nor, dest(rd), ra, rb, 0),
-            Andi { rd, ra, imm } => (Op::Andi, dest(rd), ra, 0, u32::from(imm)),
-            Ori { rd, ra, imm } => (Op::Ori, dest(rd), ra, 0, u32::from(imm)),
-            Xori { rd, ra, imm } => (Op::Xori, dest(rd), ra, 0, u32::from(imm)),
-            Slw { rd, ra, rb } => (Op::Slw, dest(rd), ra, rb, 0),
-            Srw { rd, ra, rb } => (Op::Srw, dest(rd), ra, rb, 0),
-            Slwi { rd, ra, sh } => (Op::Slwi, dest(rd), ra, 0, u32::from(sh)),
-            Srwi { rd, ra, sh } => (Op::Srwi, dest(rd), ra, 0, u32::from(sh)),
-            Srawi { rd, ra, sh } => (Op::Srawi, dest(rd), ra, 0, u32::from(sh)),
-            Rotlwi { rd, ra, sh } => (Op::Rotlwi, dest(rd), ra, 0, u32::from(sh)),
-            Lwz { rd, ra, imm } => (Op::Lw, dest(rd), ra, 0, sext(imm)),
-            Lhz { rd, ra, imm } => (Op::Lh, dest(rd), ra, 0, sext(imm)),
-            Lbz { rd, ra, imm } => (Op::Lb, dest(rd), ra, 0, sext(imm)),
-            Lwzx { rd, ra, rb } => (Op::Lw, dest(rd), ra, rb, 0),
-            Lhzx { rd, ra, rb } => (Op::Lh, dest(rd), ra, rb, 0),
-            Lbzx { rd, ra, rb } => (Op::Lb, dest(rd), ra, rb, 0),
-            Stw { rd, ra, imm } => (Op::Sw, rd, ra, 0, sext(imm)),
-            Sth { rd, ra, imm } => (Op::Sh, rd, ra, 0, sext(imm)),
-            Stb { rd, ra, imm } => (Op::Sb, rd, ra, 0, sext(imm)),
-            Stwx { rd, ra, rb } => (Op::Sw, rd, ra, rb, 0),
-            Stbx { rd, ra, rb } => (Op::Sb, rd, ra, rb, 0),
-            Cmpw { ra, rb } => (Op::Cmpw, 0, ra, rb, 0),
-            Cmplw { ra, rb } => (Op::Cmplw, 0, ra, rb, 0),
-            Cmpwi { ra, imm } => (Op::Cmpwi, 0, ra, 0, sext(imm)),
-            Cmplwi { ra, imm } => (Op::Cmplwi, 0, ra, 0, u32::from(imm)),
-            B { off } => (Op::B, 0, 0, 0, bytes(off)),
-            Bl { off } => (Op::Bl, 0, 0, 0, bytes(off)),
-            Blr => (Op::Blr, 0, 0, 0, 0),
-            Beq { off } => (Op::Beq, 0, 0, 0, bytes(off)),
-            Bne { off } => (Op::Bne, 0, 0, 0, bytes(off)),
-            Blt { off } => (Op::Blt, 0, 0, 0, bytes(off)),
-            Bge { off } => (Op::Bge, 0, 0, 0, bytes(off)),
-            Bgt { off } => (Op::Bgt, 0, 0, 0, bytes(off)),
-            Ble { off } => (Op::Ble, 0, 0, 0, bytes(off)),
-            Dcbf { ra, imm } => (Op::Dcbf, 0, ra, 0, sext(imm)),
-            Dcbi { ra, imm } => (Op::Dcbi, 0, ra, 0, sext(imm)),
-            Wrteei { imm } => (Op::Wrteei, 0, 0, 0, u32::from(imm & 1)),
-            Rfi => (Op::Rfi, 0, 0, 0, 0),
-            Mflr { rd } => (Op::Mflr, dest(rd), 0, 0, 0),
-            Mtlr { ra } => (Op::Mtlr, 0, ra, 0, 0),
-            Sync | Nop => (Op::Nop, 0, 0, 0, 0),
-        };
-        Uop {
-            op,
-            rd,
-            ra: ra & 31,
-            rb: rb & 31,
-            imm,
         }
     }
 }
@@ -283,7 +233,7 @@ impl MicroLine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::encode;
+    use crate::isa::{encode, Instr};
 
     #[test]
     fn operands_are_resolved_at_translation() {

@@ -13,9 +13,9 @@
 // Each test crate that includes this module uses only part of it.
 #![allow(dead_code)]
 
-use ppc405_sim::isa::Reg;
+use ppc405_sim::isa::{Form, Reg, Row, ROWS};
 use ppc405_sim::mem::{MemoryPort, LINE_BYTES};
-use ppc405_sim::{encode, FlatMem, Instr};
+use ppc405_sim::{decode, encode, FlatMem, Instr};
 use vp2_sim::{SimTime, SplitMix64};
 
 pub const MEM_BYTES: usize = 0x8000;
@@ -181,30 +181,24 @@ fn imm(rng: &mut SplitMix64) -> i16 {
     rng.next_u32() as i16
 }
 
+/// An op of a random ALU row of the instruction table (forms RRR, RRI,
+/// RRU and shift), so every ALU row is fuzzed, a new one included.
 fn alu(rng: &mut SplitMix64) -> Instr {
-    let (rd, ra, rb) = (dst(rng), src(rng), src(rng));
-    let sh = rng.below(32) as u8;
-    let (imm, immu) = (imm(rng), rng.next_u32() as u16);
-    match rng.below(18) {
-        0 => Instr::Addi { rd, ra, imm },
-        1 => Instr::Addis { rd, ra, imm },
-        2 => Instr::Add { rd, ra, rb },
-        3 => Instr::Sub { rd, ra, rb },
-        4 => Instr::Mullw { rd, ra, rb },
-        5 => Instr::And { rd, ra, rb },
-        6 => Instr::Or { rd, ra, rb },
-        7 => Instr::Xor { rd, ra, rb },
-        8 => Instr::Nor { rd, ra, rb },
-        9 => Instr::Andi { rd, ra, imm: immu },
-        10 => Instr::Ori { rd, ra, imm: immu },
-        11 => Instr::Xori { rd, ra, imm: immu },
-        12 => Instr::Slw { rd, ra, rb },
-        13 => Instr::Srw { rd, ra, rb },
-        14 => Instr::Slwi { rd, ra, sh },
-        15 => Instr::Srwi { rd, ra, sh },
-        16 => Instr::Srawi { rd, ra, sh },
-        _ => Instr::Rotlwi { rd, ra, sh },
-    }
+    let rows: Vec<&Row> = ROWS
+        .iter()
+        .filter(|r| matches!(r.form, Form::Rrr | Form::Rri | Form::Rru | Form::Shift))
+        .collect();
+    let row = rows[rng.below(rows.len() as u64) as usize];
+    let (rd, ra) = (dst(rng), src(rng));
+    // The word's low half: `rB` for the register form, else an immediate
+    // (a shift keeps the low five bits).
+    let low = if row.form == Form::Rrr {
+        u32::from(src(rng)) << 11
+    } else {
+        rng.next_u32() & 0xFFFF
+    };
+    decode((row.opcode << 26) | (u32::from(rd) << 21) | (u32::from(ra) << 16) | low)
+        .expect("a row's opcode decodes")
 }
 
 /// One load or store into the data window, plus the instruction that

@@ -39,11 +39,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Adds a [`SimTime`] observation in nanoseconds.
-    pub fn push_time(&mut self, t: SimTime) {
-        self.push(t.as_ns_f64());
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -274,12 +269,5 @@ mod tests {
             Some(26.0)
         );
         assert_eq!(speedup(SimTime::from_ns(1), SimTime::ZERO), None);
-    }
-
-    #[test]
-    fn push_time_uses_nanoseconds() {
-        let mut s = OnlineStats::new();
-        s.push_time(SimTime::from_us(1));
-        assert!((s.mean() - 1000.0).abs() < 1e-12);
     }
 }
