@@ -81,7 +81,12 @@ cmp "$obs_dir/tables.json" tables_full.json
 cmp "$obs_dir/tables.txt" tables_full.txt
 # The same gate over the service, fault and fleet paths the tables do not
 # reach: one pass of each host-time benchmark workload at its default
-# seed must reproduce the pinned digest of its simulated output.
+# seed must reproduce the pinned digest of its simulated output. Each
+# pass also prints its boot time and host speed (print-only, like the
+# line count: one pass is too noisy to gate).
+metric() { # metric FILE NAME: one metric's value in a benchmark --out file
+    grep -A1 "\"$2\"" "$1" | sed -n 's/.*"value": \([^,]*\).*/\1/p'
+}
 for pin in sw_interp:e04cc084f79d10f3 service_mix:fa2fddaad1f79087 \
     hw_faults:a01152307f187424 fleet:a08b834f91f421cd; do
     workload="${pin%%:*}"
@@ -93,6 +98,9 @@ for pin in sw_interp:e04cc084f79d10f3 service_mix:fa2fddaad1f79087 \
         grep '"sim_digest"' "$obs_dir/$workload.json" >&2
         exit 1
     fi
+    echo "$workload: sim_digest $digest," \
+        "setup_s $(metric "$obs_dir/$workload.json" setup_s) s," \
+        "req_per_host_s $(metric "$obs_dir/$workload.json" req_per_host_s) req/s"
 done
 
 echo "== scheduling-policy smoke run =="

@@ -45,9 +45,9 @@ pub struct ClusterConfig {
     /// Routing policy.
     pub policy: RoutePolicy,
     /// Kernels the cluster accepts (empty defaults to all six),
-    /// overriding every shard's own `kernels`. Shards only calibrate and
-    /// register what is listed, so a narrow workload boots a narrow —
-    /// and cheaper — pool.
+    /// overriding every shard's own `kernels`. Shards only register (and
+    /// their cost models only ever probe) what is listed, so a narrow
+    /// workload boots a narrow — and cheaper — pool.
     pub kernels: Vec<Kernel>,
     /// Admission-buffer bound per shard: a shard flushes its buffer into
     /// its machine once this many requests are waiting. Peak resident
@@ -121,9 +121,10 @@ pub struct Cluster {
 
 impl Cluster {
     /// Boots every shard and an empty front-end. The shards share one
-    /// [`BootShare`] for this call: each `(SystemKind, kernels)` pair is
-    /// calibrated once and each module image (system kind, component,
-    /// origin, slot plan) is linked once, then every shard takes a clone.
+    /// [`BootShare`] for this call: each `(SystemKind, Kernel)` pair is
+    /// fitted at most once, on the first read of its estimates by any
+    /// shard, and each module image (system kind, component, origin,
+    /// slot plan) is linked once, then every shard takes a clone.
     /// Each shard still builds and warms up its own machine. The share is
     /// dropped with the last shard boot, so a later `Cluster::new` boots
     /// from scratch.
@@ -135,7 +136,7 @@ impl Cluster {
     }
 
     /// Boots like [`Cluster::new`], but through `share`, so shards of
-    /// several clusters (the pools of one federation) share calibrations
+    /// several clusters (the pools of one federation) share fit cells
     /// and images too, and with shard `id` journaling and sampling as
     /// `shard_base + id`, so several clusters can share one journal
     /// registry with disjoint shard-id spaces. Each shard's
@@ -163,7 +164,7 @@ impl Cluster {
                 ..spec
             })
             .collect();
-        // Boot every shard — build, calibrate, warm up its machine.
+        // Boot every shard — build, link, warm up its machine.
         // Boots are deterministic per shard and the shared products are
         // pure functions of their keys, so with a pool they run in
         // parallel (a shard needing a product another shard is computing

@@ -1,10 +1,10 @@
 //! Boot products computed once and shared between machines.
 //!
 //! A fleet boots many machines of few kinds. Whatever a boot derives only
-//! from its inputs (a module's linked images here, a calibrated cost model
-//! in the service) comes out the same on every machine with those inputs,
-//! so a [`OnceTable`] computes each value once and hands every later boot
-//! a clone. A table lives as long as the handles its creator passes out
+//! from its inputs (a module's linked images here, a cost model's fit
+//! cells in the service) comes out the same on every machine with those
+//! inputs, so a [`OnceTable`] computes each value once and hands every
+//! later boot a clone. A table lives as long as the handles its creator passes out
 //! (one cluster or federation boot); nothing is memoised process-wide.
 
 use std::sync::{Arc, Mutex, OnceLock};

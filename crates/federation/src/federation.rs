@@ -115,7 +115,7 @@ impl Federation {
     /// journal installed: inline one after another, or concurrently when
     /// any pool has worker threads. All pools boot through one
     /// [`BootShare`], so across the whole federation each
-    /// `(SystemKind, kernels)` pair is calibrated once and each module
+    /// `(SystemKind, Kernel)` pair is fitted at most once and each module
     /// image (system kind, component, origin, slot plan) is linked once;
     /// every shard still builds and warms up its own machine and keeps its
     /// own cost-model clone. The share is dropped when this call returns.
@@ -147,7 +147,7 @@ impl Federation {
             })
             .collect();
         // With worker threads the pools boot concurrently too, so one
-        // pool's calibration never waits for another's. Every shard's boot
+        // pool's image links never wait for another's. Every shard's boot
         // is independent of the order, so the federation is the same.
         let share = BootShare::new();
         let boot =

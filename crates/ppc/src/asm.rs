@@ -129,6 +129,16 @@ fn imm16(v: i64, line: usize) -> Result<u16, AsmError> {
     }
 }
 
+/// The bits of a `.word` literal, written signed (-2^31..) or unsigned
+/// (..=2^32-1).
+fn word32(v: i64, line: usize) -> Result<u32, AsmError> {
+    if (i64::from(i32::MIN)..=i64::from(u32::MAX)).contains(&v) {
+        Ok(v as u32)
+    } else {
+        Err(err(line, format!(".word {v} does not fit 32 bits")))
+    }
+}
+
 /// A statement's operands, which an operand form reads left to right.
 pub(crate) struct Operands<'a> {
     mnemonic: &'a str,
@@ -268,7 +278,7 @@ pub fn assemble(src: &str, base: u32) -> Result<Program, AsmError> {
         }
         if let Some(rest) = text.strip_prefix(".word") {
             let v = parse_imm(rest.trim(), line_no)?;
-            stmts.push(Stmt::Word(v as u32));
+            stmts.push(Stmt::Word(word32(v, line_no)?));
             continue;
         }
         let (mnemonic, ops) = match text.find(char::is_whitespace) {
@@ -410,6 +420,20 @@ mod tests {
                 imm: -1
             })
         );
+    }
+
+    #[test]
+    fn word_literals_must_fit_32_bits() {
+        let p = assemble(".word -1\n.word 0xFFFFFFFF\n.word -2147483648\n", 0).unwrap();
+        assert_eq!(p.words, [0xFFFF_FFFF, 0xFFFF_FFFF, 0x8000_0000]);
+        for src in [
+            ".word 0x100000000",
+            ".word -5000000000",
+            ".word -2147483649",
+        ] {
+            let e = assemble(src, 0).unwrap_err();
+            assert!(e.to_string().contains("does not fit 32 bits"), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -2,12 +2,18 @@
 //!
 //! Per kernel and path (software on the PPC405 vs hardware in the dynamic
 //! region), execution time is modelled as a linear function of payload
-//! size, fitted from two calibration probes on a scratch machine. The
+//! size, fitted from two calibration probes on a scratch machine. A
+//! kernel is fitted on the first read of one of its estimates, not at
+//! boot, so a service probes only the kernels its decisions price (a
+//! software-only service probes none). Being on scratch machines, a fit
+//! is the same whenever and on whichever thread it is computed. The
 //! reconfiguration cost starts from one measured load
 //! (`LoadOutcome::Loaded { reconfig_time, .. }`) and tracks subsequent
 //! live loads with an exponentially weighted moving average — complete
 //! partial configurations cover the whole region, so the cost is nearly
 //! constant per system and one probe is already a good estimate.
+
+use std::sync::{Arc, OnceLock};
 
 use rtr_apps::harness;
 use rtr_apps::request::{factory_for, Driver, Kernel, Request};
@@ -54,11 +60,53 @@ const RECONFIG_ALPHA: f64 = 0.25;
 const PROBE_SMALL: usize = 256;
 const PROBE_LARGE: usize = 2048;
 
+/// One kernel's fitted lines: software, and hardware where the kernel
+/// has a hardware form on the system.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Fit {
+    sw: PathEstimate,
+    hw: Option<PathEstimate>,
+}
+
+/// The fit of a kernel the model does not accept: never chosen for
+/// hardware.
+const ZERO_FIT: Fit = Fit {
+    sw: PathEstimate {
+        base_ps: 0.0,
+        per_byte_ps: 0.0,
+    },
+    hw: None,
+};
+
+/// The cell one kernel's fit is computed into on its first read. Models
+/// booted through one [`crate::BootShare`] share one cell per system kind
+/// and kernel.
+pub(crate) type FitCell = Arc<OnceLock<Fit>>;
+
+/// What a model's fits are computed from and into. Clones of the model
+/// share it.
+struct Fits {
+    kind: SystemKind,
+    /// The assembled driver programs every probe runs (a fresh driver
+    /// over them per probe).
+    programs: Driver,
+    /// One cell per accepted kernel; `None` keeps the zero model.
+    cells: [Option<FitCell>; Kernel::ALL.len()],
+}
+
+impl std::fmt::Debug for Fits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Fits")
+            .field("kind", &self.kind)
+            .field("cells", &self.cells)
+            .finish()
+    }
+}
+
 /// The calibrated model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
-    sw: [PathEstimate; Kernel::ALL.len()],
-    hw: [Option<PathEstimate>; Kernel::ALL.len()],
+    fits: Arc<Fits>,
     reconfig_ps: f64,
     /// Per-kernel reconfiguration EWMAs. With a configuration plane the
     /// global average is misleading: a kernel whose transfer image is
@@ -71,62 +119,84 @@ pub struct CostModel {
     kernel_aware: bool,
 }
 
+/// Two models are equal when every kernel's fit and every
+/// reconfiguration estimate are (fitting whatever is not fitted yet).
+impl PartialEq for CostModel {
+    fn eq(&self, other: &Self) -> bool {
+        Kernel::ALL.iter().all(|&k| self.fit(k) == other.fit(k))
+            && self.reconfig_ps == other.reconfig_ps
+            && self.kernel_reconfig_ps == other.kernel_reconfig_ps
+            && self.kernel_aware == other.kernel_aware
+    }
+}
+
 impl CostModel {
     /// Calibrates per-item estimates for `kernels` by probing scratch
     /// machines of the right system kind (behavioural models are bound
     /// directly — the scratch machine never touches the service's
     /// configuration plane). Kernels not probed get a zero model and are
-    /// never chosen for hardware.
+    /// never chosen for hardware. This is the eager form of the model a
+    /// service boots with: every accepted kernel is fitted before it
+    /// returns.
     pub fn calibrate(kind: SystemKind, kernels: &[Kernel]) -> CostModel {
-        let zero = PathEstimate {
-            base_ps: 0.0,
-            per_byte_ps: 0.0,
-        };
-        let mut model = CostModel {
-            sw: [zero; Kernel::ALL.len()],
-            hw: [None; Kernel::ALL.len()],
-            reconfig_ps: 0.0,
-            kernel_reconfig_ps: [0.0; Kernel::ALL.len()],
-            kernel_aware: false,
-        };
-        // Every probe runs on a fresh machine with a fresh driver, over one
-        // assembly of the driver programs.
-        let programs = Driver::new();
+        let model = CostModel::lazy(kind, kernels, &Driver::new(), |_| FitCell::default());
         for &kernel in kernels {
-            let probe = |payload: usize, hw: bool| -> (usize, SimTime) {
-                let mut rng = SplitMix64::new(0xCA11_B8A7 ^ payload as u64);
-                let req = Request::synthetic(kernel, payload, &mut rng);
-                let mut m = build_system(kind);
-                let mut d = programs.fresh();
-                let (t, _) = if hw {
-                    harness::bind(&mut m, factory_for(kernel)());
-                    d.run_hw(&mut m, &req)
-                } else {
-                    d.run_sw(&mut m, &req)
-                };
-                (req.payload_bytes(), t)
-            };
-            let (s1, t1) = probe(PROBE_SMALL, false);
-            let (s2, t2) = probe(PROBE_LARGE, false);
-            model.sw[kernel.index()] = PathEstimate::fit(s1, t1, s2, t2);
-            if kernel_has_hw(kernel, kind) {
-                let (s1, t1) = probe(PROBE_SMALL, true);
-                let (s2, t2) = probe(PROBE_LARGE, true);
-                model.hw[kernel.index()] = Some(PathEstimate::fit(s1, t1, s2, t2));
-            }
+            model.fit(kernel);
         }
         model
     }
 
+    /// A model for `kernels` on `kind` that fits each kernel into
+    /// `cell(kernel)` on the first read of one of its estimates, probing
+    /// with `programs`' assembly of the driver programs.
+    pub(crate) fn lazy(
+        kind: SystemKind,
+        kernels: &[Kernel],
+        programs: &Driver,
+        mut cell: impl FnMut(Kernel) -> FitCell,
+    ) -> CostModel {
+        let mut cells: [Option<FitCell>; Kernel::ALL.len()] = Default::default();
+        for &kernel in kernels {
+            cells[kernel.index()] = Some(cell(kernel));
+        }
+        CostModel {
+            fits: Arc::new(Fits {
+                kind,
+                programs: programs.fresh(),
+                cells,
+            }),
+            reconfig_ps: 0.0,
+            kernel_reconfig_ps: [0.0; Kernel::ALL.len()],
+            kernel_aware: false,
+        }
+    }
+
+    /// Has `kernel` been fitted? A read-only look at the cell: it never
+    /// fits. Kernels the model does not accept are never fitted.
+    pub fn is_calibrated(&self, kernel: Kernel) -> bool {
+        self.fits.cells[kernel.index()]
+            .as_ref()
+            .is_some_and(|cell| cell.get().is_some())
+    }
+
+    /// The kernel's fit, probing for it on the first read.
+    fn fit(&self, kernel: Kernel) -> Fit {
+        let fits = &*self.fits;
+        match &fits.cells[kernel.index()] {
+            Some(cell) => *cell.get_or_init(|| probe_fit(fits.kind, kernel, &fits.programs)),
+            None => ZERO_FIT,
+        }
+    }
+
     /// Software time estimate for one item.
     pub fn sw_estimate(&self, kernel: Kernel, bytes: usize) -> SimTime {
-        self.sw[kernel.index()].estimate(bytes)
+        self.fit(kernel).sw.estimate(bytes)
     }
 
     /// Hardware time estimate for one item (`None` when the kernel has no
     /// hardware form on this system).
     pub fn hw_estimate(&self, kernel: Kernel, bytes: usize) -> Option<SimTime> {
-        self.hw[kernel.index()].map(|e| e.estimate(bytes))
+        self.fit(kernel).hw.map(|e| e.estimate(bytes))
     }
 
     /// Current reconfiguration-time estimate.
@@ -206,12 +276,13 @@ impl CostModel {
     /// Shared comparison: estimated hardware time plus `reconfigs` swap
     /// costs strictly undercuts the software estimate.
     fn pays_with_reconfigs(&self, kernel: Kernel, batch_bytes: &[usize], reconfigs: u32) -> bool {
-        let Some(hw) = self.hw[kernel.index()] else {
+        let fit = self.fit(kernel);
+        let Some(hw) = fit.hw else {
             return false;
         };
         let sw: f64 = batch_bytes
             .iter()
-            .map(|&b| self.sw[kernel.index()].estimate(b).as_ps() as f64)
+            .map(|&b| fit.sw.estimate(b).as_ps() as f64)
             .sum();
         let hwt: f64 = batch_bytes
             .iter()
@@ -231,12 +302,13 @@ impl CostModel {
     /// would tell schedulers to reconfigure for single items on pure
     /// speculation.
     pub fn break_even_depth(&self, kernel: Kernel, bytes: usize) -> Option<usize> {
-        let hw = self.hw[kernel.index()]?;
+        let fit = self.fit(kernel);
+        let hw = fit.hw?;
         let reconfig_ps = self.reconfig_ps_for(kernel);
         if reconfig_ps == 0.0 {
             return None;
         }
-        let sw_item = self.sw[kernel.index()].estimate(bytes).as_ps() as f64;
+        let sw_item = fit.sw.estimate(bytes).as_ps() as f64;
         let hw_item = hw.estimate(bytes).as_ps() as f64;
         if hw_item >= sw_item {
             return None;
@@ -257,6 +329,34 @@ impl CostModel {
     }
 }
 
+/// Fits `kernel` on `kind`: two probes per path, at [`PROBE_SMALL`] and
+/// [`PROBE_LARGE`] bytes of seeded synthetic payload, each on a fresh
+/// machine with a fresh driver over `programs`.
+fn probe_fit(kind: SystemKind, kernel: Kernel, programs: &Driver) -> Fit {
+    let probe = |payload: usize, hw: bool| -> (usize, SimTime) {
+        let mut rng = SplitMix64::new(0xCA11_B8A7 ^ payload as u64);
+        let req = Request::synthetic(kernel, payload, &mut rng);
+        let mut m = build_system(kind);
+        let mut d = programs.fresh();
+        let (t, _) = if hw {
+            harness::bind(&mut m, factory_for(kernel)());
+            d.run_hw(&mut m, &req)
+        } else {
+            d.run_sw(&mut m, &req)
+        };
+        (req.payload_bytes(), t)
+    };
+    let line = |hw: bool| {
+        let (s1, t1) = probe(PROBE_SMALL, hw);
+        let (s2, t2) = probe(PROBE_LARGE, hw);
+        PathEstimate::fit(s1, t1, s2, t2)
+    };
+    Fit {
+        sw: line(false),
+        hw: kernel_has_hw(kernel, kind).then(|| line(true)),
+    }
+}
+
 /// Does the kernel have a hardware form on the system? (SHA-1's unrolled
 /// core does not fit the 32-bit region.)
 pub fn kernel_has_hw(kernel: Kernel, kind: SystemKind) -> bool {
@@ -266,6 +366,42 @@ pub fn kernel_has_hw(kernel: Kernel, kind: SystemKind) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Software 100 ps and hardware 10 ps per byte, no fixed cost.
+    const TEN_TO_ONE: Fit = Fit {
+        sw: PathEstimate {
+            base_ps: 0.0,
+            per_byte_ps: 100.0,
+        },
+        hw: Some(PathEstimate {
+            base_ps: 0.0,
+            per_byte_ps: 10.0,
+        }),
+    };
+
+    /// A model whose every kernel is already fitted to `fit`.
+    fn fixed(fit: Fit) -> CostModel {
+        CostModel::lazy(SystemKind::Bit32, &Kernel::ALL, &Driver::new(), |_| {
+            Arc::new(OnceLock::from(fit))
+        })
+    }
+
+    #[test]
+    fn a_kernel_is_fitted_on_first_read_into_the_cell_clones_share() {
+        let model = CostModel::lazy(SystemKind::Bit32, &[Kernel::Fade], &Driver::new(), |_| {
+            FitCell::default()
+        });
+        let snapshot = model.clone();
+        assert!(!model.is_calibrated(Kernel::Fade));
+        let sw = snapshot.sw_estimate(Kernel::Fade, 512);
+        assert!(model.is_calibrated(Kernel::Fade));
+        assert_eq!(model.sw_estimate(Kernel::Fade, 512), sw);
+        // A kernel the model does not accept keeps the zero model and is
+        // never fitted.
+        assert_eq!(model.sw_estimate(Kernel::Jenkins, 512), SimTime::ZERO);
+        assert_eq!(model.hw_estimate(Kernel::Jenkins, 512), None);
+        assert!(!model.is_calibrated(Kernel::Jenkins));
+    }
 
     #[test]
     fn fit_recovers_a_line() {
@@ -277,16 +413,7 @@ mod tests {
 
     #[test]
     fn ewma_converges_toward_observations() {
-        let mut m = CostModel {
-            sw: [PathEstimate {
-                base_ps: 0.0,
-                per_byte_ps: 0.0,
-            }; Kernel::ALL.len()],
-            hw: [None; Kernel::ALL.len()],
-            reconfig_ps: 0.0,
-            kernel_reconfig_ps: [0.0; Kernel::ALL.len()],
-            kernel_aware: false,
-        };
+        let mut m = fixed(ZERO_FIT);
         m.observe_reconfig(SimTime::from_us(100));
         assert_eq!(m.reconfig_estimate(), SimTime::from_us(100));
         for _ in 0..50 {
@@ -298,19 +425,7 @@ mod tests {
 
     #[test]
     fn break_even_is_unknown_until_reconfig_observed() {
-        let model = CostModel {
-            sw: [PathEstimate {
-                base_ps: 0.0,
-                per_byte_ps: 100.0,
-            }; Kernel::ALL.len()],
-            hw: [Some(PathEstimate {
-                base_ps: 0.0,
-                per_byte_ps: 10.0,
-            }); Kernel::ALL.len()],
-            reconfig_ps: 0.0,
-            kernel_reconfig_ps: [0.0; Kernel::ALL.len()],
-            kernel_aware: false,
-        };
+        let model = fixed(TEN_TO_ONE);
         // Hardware is 10× faster per item, but the swap cost is still a
         // guess — the model must not claim a break-even depth of 1.
         assert_eq!(model.break_even_depth(Kernel::Jenkins, 100), None);
@@ -323,19 +438,7 @@ mod tests {
 
     #[test]
     fn decision_respects_break_even() {
-        let mut model = CostModel {
-            sw: [PathEstimate {
-                base_ps: 0.0,
-                per_byte_ps: 100.0,
-            }; Kernel::ALL.len()],
-            hw: [Some(PathEstimate {
-                base_ps: 0.0,
-                per_byte_ps: 10.0,
-            }); Kernel::ALL.len()],
-            reconfig_ps: 0.0,
-            kernel_reconfig_ps: [0.0; Kernel::ALL.len()],
-            kernel_aware: false,
-        };
+        let mut model = fixed(TEN_TO_ONE);
         model.observe_reconfig(SimTime::from_ps(90_000));
         // Per 100-byte item: sw 10_000 ps, hw 1_000 ps → saves 9_000 ps.
         // Reconfig 90_000 ps → ten items tie, eleven strictly win.
@@ -352,19 +455,7 @@ mod tests {
 
     #[test]
     fn kernel_aware_estimates_split_cheap_swappers_from_expensive() {
-        let mut m = CostModel {
-            sw: [PathEstimate {
-                base_ps: 0.0,
-                per_byte_ps: 100.0,
-            }; Kernel::ALL.len()],
-            hw: [Some(PathEstimate {
-                base_ps: 0.0,
-                per_byte_ps: 10.0,
-            }); Kernel::ALL.len()],
-            reconfig_ps: 0.0,
-            kernel_reconfig_ps: [0.0; Kernel::ALL.len()],
-            kernel_aware: false,
-        };
+        let mut m = fixed(TEN_TO_ONE);
         // Jenkins swaps cheap (cached/differential images); Fade pays the
         // full cold-load price.
         m.observe_reconfig_for(Kernel::Jenkins, SimTime::from_ps(9_000));

@@ -97,17 +97,6 @@ impl AdmissionQueues {
             .collect()
     }
 
-    /// The kernel whose head request arrived earliest (ties broken by
-    /// submission id, which preserves global arrival order).
-    pub fn next_kernel(&self) -> Option<Kernel> {
-        Kernel::ALL
-            .iter()
-            .copied()
-            .filter_map(|k| self.queues[k.index()].front().map(|p| (p.arrival, p.id, k)))
-            .min_by_key(|&(arrival, id, _)| (arrival, id))
-            .map(|(_, _, k)| k)
-    }
-
     /// Drains the whole queue for `kernel` as one batch.
     pub fn drain(&mut self, kernel: Kernel) -> Vec<Pending> {
         self.queues[kernel.index()].drain(..).collect()
@@ -125,10 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn fcfs_across_kernels_with_batch_drain() {
+    fn drain_takes_one_kernels_queue_in_arrival_order() {
         let mut q = AdmissionQueues::new();
         assert!(q.is_empty());
-        assert_eq!(q.next_kernel(), None);
 
         q.push(SimTime::from_us(5), 0, &req(Kernel::Jenkins, 1));
         q.push(SimTime::from_us(1), 0, &req(Kernel::PatMatch, 2));
@@ -136,23 +124,12 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.depth(Kernel::PatMatch), 2);
 
-        // PatMatch's head (t=1us) beats Jenkins' head (t=5us).
-        assert_eq!(q.next_kernel(), Some(Kernel::PatMatch));
         let batch = q.drain(Kernel::PatMatch);
         assert_eq!(batch.len(), 2);
         assert!(batch[0].arrival < batch[1].arrival);
+        assert_eq!(q.len(), 1);
 
-        assert_eq!(q.next_kernel(), Some(Kernel::Jenkins));
         q.drain(Kernel::Jenkins);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn same_instant_ties_break_by_submission_order() {
-        let mut q = AdmissionQueues::new();
-        let t = SimTime::from_us(3);
-        q.push(t, 0, &req(Kernel::Brightness, 4));
-        q.push(t, 0, &req(Kernel::Fade, 5));
-        assert_eq!(q.next_kernel(), Some(Kernel::Brightness));
     }
 }

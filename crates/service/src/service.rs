@@ -193,21 +193,25 @@ pub struct Service {
 impl Service {
     /// Boots the service: builds the system, registers every accepted
     /// kernel that has a hardware form (linking its partial bitstream
-    /// into the manager's cache), downloads the driver programs, runs
-    /// the two-point calibration, and performs one warm-up load so the
-    /// reconfiguration-time estimate starts from a measurement instead
-    /// of a guess. Nothing is shared: the boot calibrates and links
-    /// through a private [`BootShare`] that is dropped when it returns.
+    /// into the manager's cache), downloads the driver programs, and
+    /// performs one warm-up load so the reconfiguration-time estimate
+    /// starts from a measurement instead of a guess. The boot calibrates
+    /// nothing: the cost model fits each kernel by its two-point probes
+    /// on the first read of its estimates, so a kernel no decision prices
+    /// is never probed. Nothing is shared: the boot links, and the model
+    /// fits, through a private [`BootShare`] that is dropped when it
+    /// returns.
     pub fn new(config: ServiceConfig) -> Self {
         Service::boot(config, &BootShare::new())
     }
 
-    /// Boots the service like [`Service::new`], but takes the calibrated
-    /// cost model (keyed by system kind and kernels) and the linked module
-    /// images (keyed by system kind, component, origin and slot plan) from
-    /// `share`, computing only what no earlier boot through it has. The
-    /// machine, warm-up load, clock and cost-model EWMAs stay this
-    /// service's own, so the result is identical to [`Service::new`].
+    /// Boots the service like [`Service::new`], but takes the cost
+    /// model's fit cells (one per system kind and kernel) and the linked
+    /// module images (keyed by system kind, component, origin and slot
+    /// plan) from `share`, so a kernel fitted or an image linked by any
+    /// service booted through it is computed once. The machine, warm-up
+    /// load, clock and cost-model EWMAs stay this service's own, so the
+    /// result is identical to [`Service::new`].
     pub fn boot(config: ServiceConfig, share: &BootShare) -> Self {
         let kernels: Vec<Kernel> = if config.kernels.is_empty() {
             Kernel::ALL.to_vec()
@@ -250,7 +254,9 @@ impl Service {
         let telemetry = config.telemetry.clone();
         machine.set_tracer(tracer.clone());
         manager.set_tracer(tracer.clone());
-        let mut cost = share.calibration(config.kind, &kernels);
+        let mut cost = CostModel::lazy(config.kind, &kernels, &driver, |kernel| {
+            share.fit_cell(config.kind, kernel)
+        });
         // With the configuration plane active, swap costs genuinely differ
         // per kernel (cached or differential images vs cold loads), so the
         // cost model tracks them individually.
@@ -304,7 +310,8 @@ impl Service {
         svc
     }
 
-    /// The calibrated cost model.
+    /// The cost model. Reading a kernel's estimates fits that kernel if
+    /// no model sharing its cell has yet.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
     }

@@ -1,25 +1,26 @@
 //! Boot products shared between the services of one fleet.
 //!
-//! A service boot calibrates a cost model and links one image per module
-//! and sub-slot. Both depend only on the boot's inputs, never on the
-//! machine, so services booted through one [`BootShare`] compute each
-//! product once: the cost model per `(SystemKind, kernels)`, the images
-//! per system kind, component, origin and slot plan. Every service still
-//! gets its own cost-model clone (reconfiguration EWMAs stay per machine)
-//! and its own machine, warm-up load and clock.
+//! A service boot links one image per module and sub-slot, and its cost
+//! model fits each kernel on first read. Both depend only on their inputs,
+//! never on the machine, so services booted through one [`BootShare`]
+//! compute each product once: one fit cell per `(SystemKind, Kernel)`, the
+//! images per system kind, component, origin and slot plan. Every service
+//! still gets its own cost-model clone (reconfiguration EWMAs stay per
+//! machine) and its own machine, warm-up load and clock.
 
 use rtr_apps::request::Kernel;
 use rtr_core::{ImageTable, OnceTable, SystemKind};
 
-use crate::cost::CostModel;
+use crate::cost::FitCell;
 
-/// Calibrations and linked images shared by the services booted with it.
+/// Fit cells and linked images shared by the services booted with it.
 /// Cloning shares the tables. A share lives as long as its clones: a
 /// cluster or federation drops it once every shard has booted, and each
-/// [`crate::Service::new`] boots through a private one.
+/// [`crate::Service::new`] boots through a private one. The fit cells
+/// live on in the cost models that hold them.
 #[derive(Debug, Clone, Default)]
 pub struct BootShare {
-    calibrations: OnceTable<(SystemKind, Vec<Kernel>), CostModel>,
+    fits: OnceTable<(SystemKind, Kernel), FitCell>,
     images: ImageTable,
 }
 
@@ -29,12 +30,12 @@ impl BootShare {
         BootShare::default()
     }
 
-    /// The cost model for `kernels` on `kind`: [`CostModel::calibrate`]
-    /// on the first request for the pair, a clone of that result after.
-    pub(crate) fn calibration(&self, kind: SystemKind, kernels: &[Kernel]) -> CostModel {
-        self.calibrations.get_or_init((kind, kernels.to_vec()), || {
-            CostModel::calibrate(kind, kernels)
-        })
+    /// The cell `kernel`'s fit on `kind` is computed into: one cell per
+    /// pair, so models of different kernel lists share it. The first
+    /// model to read the kernel's estimates fills it; a model reading it
+    /// meanwhile on another thread waits for that one fit.
+    pub(crate) fn fit_cell(&self, kind: SystemKind, kernel: Kernel) -> FitCell {
+        self.fits.get_or_init((kind, kernel), FitCell::default)
     }
 
     /// The linked-image table module managers register through.

@@ -11,8 +11,8 @@ use vp2_repro::rtr::SystemKind;
 use vp2_repro::service::{ServiceConfig, TrafficConfig};
 use vp2_repro::sim::{SimTime, SplitMix64};
 
-/// A small two-shard cluster restricted to two kernels so that boot
-/// calibration stays cheap in debug builds.
+/// A small two-shard cluster restricted to two kernels so that boot and
+/// the cost-model probes its routing reads stay cheap in debug builds.
 fn small_cluster(policy: RoutePolicy) -> Cluster {
     Cluster::new(ClusterConfig {
         kernels: vec![Kernel::Jenkins, Kernel::PatMatch],
@@ -131,7 +131,7 @@ fn quarantined_shard_sheds_hardware_work_until_cooldown_expires() {
 
 #[test]
 fn quarantine_deadline_lives_on_the_machine_clock_not_stream_time() {
-    // A shard's boot origin (boot + calibration + warm-up) is many
+    // A shard's boot origin (program downloads + warm-up) is many
     // milliseconds of machine time, all of it *before* stream instant 0.
     // The quarantine deadline is stamped on the machine clock, and
     // `Shard::flush` maps stream arrivals onto that clock via the boot
@@ -281,8 +281,8 @@ fn least_loaded_counts_quarantine_diversions_as_shed() {
 #[test]
 fn flush_maps_stream_time_onto_the_machine_clock() {
     // Sixteen cheap requests, one every millisecond, all buffered until a
-    // single final flush. The machine clock starts well past zero (boot,
-    // calibration, warm-up), so if the flush rebased arrivals against
+    // single final flush. The machine clock starts well past zero
+    // (program downloads, warm-up), so if the flush rebased arrivals against
     // "now" instead of the shard's boot origin, every arrival would clamp
     // to the flush instant: the machine would never idle between requests
     // and the run would finish in a fraction of the stream's 15 ms span.

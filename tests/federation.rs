@@ -192,11 +192,11 @@ fn cost_model_routing_beats_round_robin_and_the_flash_crowd_engages_stealing() {
 
 #[test]
 fn shared_boots_match_standalone_calibrations_at_any_thread_count() {
-    // One federation boot shares calibrations and images between every
+    // One federation boot shares fit cells and images between every
     // shard; each shard must still end up with exactly the cost model a
     // standalone calibration of its kind and kernels yields, plus its own
-    // warm-up observation. The mixed pool serves fewer kernels, so its
-    // shards need calibrations of their own.
+    // warm-up observation. The mixed pool serves fewer kernels, yet its
+    // shards share the fit cells of those kernels with the other pools.
     let mixed_kernels = vec![Kernel::Brightness, Kernel::Jenkins];
     let mut standalone: Vec<((SystemKind, Vec<Kernel>), CostModel)> = Vec::new();
     for threads in [1, 4] {
