@@ -23,6 +23,12 @@ echo "== cargo test --release -p ppc405-sim =="
 # release; this step runs the larger one.
 cargo test -q --release -p ppc405-sim
 
+echo "== cargo test --release --test address_map =="
+# The boundary walk of every address-map window: a debug build panics on
+# an overflowing address computation, a release build wraps it, so a
+# path that only stays in bounds by panicking would pass in debug alone.
+cargo test -q --release --test address_map
+
 echo "== cargo test --release -p vp2-bitstream =="
 # The streaming applier's differential fuzz against the parse-then-apply
 # oracle likewise runs its larger budget in release.

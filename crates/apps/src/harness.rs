@@ -51,31 +51,41 @@ pub fn set_fifo_capture(m: &mut Machine, on: bool) {
 
 /// Copies a byte buffer into simulated memory (no simulated time), and
 /// drops any stale cached copies of the range.
+///
+/// # Panics
+/// Panics unless the range lies wholly inside one memory.
 pub fn store_bytes(m: &mut Machine, addr: u32, bytes: &[u8]) {
-    m.platform.poke_bytes(addr, bytes);
+    m.platform
+        .bytes_mut(addr, bytes.len())
+        .expect("the buffer lies in memory")
+        .copy_from_slice(bytes);
     m.invalidate_dcache_range(addr, bytes.len());
 }
 
 /// Reads a byte buffer back from simulated memory (flushing any dirty
 /// cache lines covering it first, at zero simulated cost).
+///
+/// # Panics
+/// Panics unless the range lies wholly inside one memory.
 pub fn load_bytes(m: &mut Machine, addr: u32, len: usize) -> Vec<u8> {
     m.flush_dcache_range(addr, len);
-    m.platform.peek_bytes(addr, len)
+    m.platform
+        .bytes(addr, len)
+        .expect("the buffer lies in memory")
+        .to_vec()
 }
 
 /// Stores a sequence of big-endian words.
 pub fn store_words(m: &mut Machine, addr: u32, words: &[u32]) {
-    for (i, &w) in words.iter().enumerate() {
-        m.platform.poke_mem(addr + 4 * i as u32, w);
-    }
-    m.invalidate_dcache_range(addr, words.len() * 4);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_be_bytes()).collect();
+    store_bytes(m, addr, &bytes);
 }
 
 /// Loads a sequence of big-endian words (flushing covering cache lines).
 pub fn load_words(m: &mut Machine, addr: u32, n: usize) -> Vec<u32> {
-    m.flush_dcache_range(addr, n * 4);
-    (0..n)
-        .map(|i| m.platform.peek_mem(addr + 4 * i as u32))
+    load_bytes(m, addr, 4 * n)
+        .chunks_exact(4)
+        .map(|w| u32::from_be_bytes(w.try_into().expect("4 bytes")))
         .collect()
 }
 

@@ -1,52 +1,31 @@
 //! The executing machine: CPU + bus fabric + memories + dock + peripherals.
 //!
 //! [`Platform`] implements the CPU's [`MemoryPort`]: every load/store is
-//! routed through the address map, pays the bus-protocol costs of its path
-//! (including the PLB→OPB bridge on the 32-bit system) and contends with
-//! DMA for bus occupancy. DMA bursts execute as discrete events whenever
-//! simulated time passes them ([`Platform::advance`]), so CPU and DMA
-//! activity genuinely interleave.
+//! routed through the system's [`AddressMap`], pays the bus-protocol costs
+//! of its path (including the PLB→OPB bridge on the 32-bit system) and
+//! contends with DMA for bus occupancy. DMA bursts execute as discrete
+//! events whenever simulated time passes them ([`Platform::advance`]), so
+//! CPU and DMA activity genuinely interleave.
+//!
+//! A guest cannot crash the host through the map. An access to an unmapped
+//! address, and a DMA window the engine cannot move, are refused: the read
+//! returns 0, the write is dropped, no bus time passes, and the CPU takes a
+//! machine check ([`MemoryPort::take_fault`]). DESIGN.md §5 decision 8
+//! holds the whole contract.
 
 use crate::system::SystemKind;
 use crate::timing::{SystemTiming, DMA_BURST_BEATS, LINE_BEATS_32, LINE_BEATS_64};
 use coreconnect_sim::dma::{DmaDirection, DmaStatus};
-use coreconnect_sim::memory::{DdrController, MemArray, OcmRam, SramController};
+use coreconnect_sim::map::{self, AddressMap, Target};
 use coreconnect_sim::periph::{Gpio, JtagPpc, Uart};
-use coreconnect_sim::{map, Bridge, Bus, BusTiming, HwIcap, InterruptController};
+use coreconnect_sim::{Bridge, Bus, BusTiming, HwIcap, InterruptController, MemArray};
 use dock::{DynamicModule, OpbDock, PlbDock};
 use ppc405_sim::mem::{MemoryPort, LINE_BYTES};
-use ppc405_sim::{Cpu, CpuConfig, Program, StepOutcome};
+use ppc405_sim::{Cpu, CpuConfig, Fault, Program, StepOutcome};
 use rtr_trace::{EventKind, Tracer};
 use vp2_bitstream::{apply_upset, BurstConfig, BurstPlan, Upset};
 use vp2_fabric::{ConfigMemory, Device, DynamicRegion, FrameAddress};
 use vp2_sim::SimTime;
-
-/// External memory: SRAM (32-bit system) or DDR (64-bit system).
-#[derive(Debug)]
-pub enum ExtMem {
-    /// 32 MB SRAM on the OPB.
-    Sram(SramController),
-    /// 512 MB DDR on the PLB.
-    Ddr(DdrController),
-}
-
-impl ExtMem {
-    /// The backing array.
-    pub fn mem(&self) -> &MemArray {
-        match self {
-            ExtMem::Sram(s) => &s.mem,
-            ExtMem::Ddr(d) => &d.mem,
-        }
-    }
-
-    /// The backing array, mutably.
-    pub fn mem_mut(&mut self) -> &mut MemArray {
-        match self {
-            ExtMem::Sram(s) => &mut s.mem,
-            ExtMem::Ddr(d) => &mut d.mem,
-        }
-    }
-}
 
 /// The dock variant.
 pub enum Docks {
@@ -95,15 +74,17 @@ fn for_each_line(addr: u32, len: usize, mut f: impl FnMut(u32)) {
     }
 }
 
-/// Active DMA bookkeeping (64-bit system only).
+/// Active DMA bookkeeping (64-bit system only). The engine addresses
+/// external memory by offset: a window is checked against the map once,
+/// when the run starts.
 #[derive(Debug, Clone)]
 struct DmaRun {
     /// Hardware block-interleave mode: writes fill the module, valid
     /// outputs land in the FIFO, and the engine drains the FIFO to
     /// `drain_cursor` whenever it fills (and once at the end).
     interleaved: bool,
-    /// Destination cursor for FIFO drains.
-    drain_cursor: u32,
+    /// External-memory offset the next FIFO drain writes to.
+    drain_cursor: usize,
     /// Earliest start of the next burst.
     ready_at: SimTime,
 }
@@ -137,9 +118,10 @@ pub struct Platform {
     /// PLB→OPB bridge.
     pub bridge: Bridge,
     /// On-chip memory (program/stack/vectors).
-    pub ocm: OcmRam,
-    /// External memory.
-    pub ext: ExtMem,
+    pub ocm: MemArray,
+    /// External memory: 32 MB of SRAM on the 32-bit system; 64 MB backing
+    /// the 64-bit system's 512 MB DDR, plenty for every experiment.
+    pub ext: MemArray,
     /// The dock.
     pub dock: Docks,
     /// Configuration port.
@@ -152,6 +134,11 @@ pub struct Platform {
     pub gpio: Option<Gpio>,
     /// JTAG download stub.
     pub jtag: JtagPpc,
+    /// The system's address map.
+    pub map: AddressMap,
+    /// The address of a refused access the CPU has not yet taken its
+    /// machine check for.
+    fault: Option<u32>,
     dma_run: Option<DmaRun>,
     /// DMA CSR scratch registers (src, dst, len).
     csr_scratch: (u32, u32, u32),
@@ -182,28 +169,10 @@ impl Platform {
         config: ConfigMemory,
     ) -> Self {
         let idcode = vp2_bitstream::idcode_for(device.kind);
-        let (ext, dock_v, gpio) = match kind {
-            SystemKind::Bit32 => (
-                ExtMem::Sram(SramController::new(32 * 1024 * 1024)),
-                Docks::Opb(OpbDock::new()),
-                Some(Gpio::new()),
-            ),
-            SystemKind::Bit64 => (
-                // 512 MB DDR on the board; 64 MB backing array is plenty
-                // for every experiment and keeps memory use sane.
-                ExtMem::Ddr(DdrController::new(64 * 1024 * 1024)),
-                Docks::Plb(PlbDock::new()),
-                None,
-            ),
+        let (ext_bytes, dock_v, gpio) = match kind {
+            SystemKind::Bit32 => (32 << 20, Docks::Opb(OpbDock::new()), Some(Gpio::new())),
+            SystemKind::Bit64 => (64 << 20, Docks::Plb(PlbDock::new()), None),
         };
-        let mut ext = ext;
-        if let ExtMem::Sram(s) = &mut ext {
-            s.wait_states = timing.extmem_wait;
-        }
-        if let ExtMem::Ddr(d) = &mut ext {
-            d.first_beat_wait = timing.extmem_first_beat_wait;
-            d.per_beat_wait = timing.extmem_wait;
-        }
         Platform {
             kind,
             timing,
@@ -213,14 +182,16 @@ impl Platform {
             plb: Bus::new(BusTiming::plb(timing.plb)),
             opb: Bus::new(BusTiming::opb(timing.opb)),
             bridge: Bridge::default(),
-            ocm: OcmRam::new(map::OCM_SIZE as usize),
-            ext,
+            ocm: MemArray::new(map::OCM_SIZE as usize),
+            ext: MemArray::new(ext_bytes as usize),
             dock: dock_v,
             icap: HwIcap::new(timing.icap, idcode),
             intc: InterruptController::new(),
             uart: Uart::new(),
             gpio,
             jtag: JtagPpc::new(),
+            map: AddressMap::new(ext_bytes, kind == SystemKind::Bit64),
+            fault: None,
             dma_run: None,
             csr_scratch: (0, 0, 0),
             seu: None,
@@ -315,20 +286,6 @@ impl Platform {
         }
     }
 
-    /// External-memory line transfer completion time.
-    fn ext_line(&mut self, now: SimTime) -> SimTime {
-        match self.kind {
-            SystemKind::Bit32 => {
-                let ws = self.timing.extmem_wait;
-                self.opb_bridged_burst(now, LINE_BEATS_32, ws)
-            }
-            SystemKind::Bit64 => {
-                let ws = self.timing.extmem_first_beat_wait;
-                self.plb.transfer(now, LINE_BEATS_64, ws)
-            }
-        }
-    }
-
     /// Dock data-window single-beat completion time (reads: full latency).
     fn dock_single(&mut self, now: SimTime) -> SimTime {
         let ws = self.timing.dock_wait;
@@ -378,21 +335,44 @@ impl Platform {
     // DMA (64-bit system).
     // ------------------------------------------------------------------
 
-    /// Programs and starts a DMA transfer from the dock CSRs.
-    fn dma_start(&mut self, now: SimTime, ctl: u32, src: u32, dst: u32, len: u32) {
-        let Docks::Plb(d) = &mut self.dock else {
-            panic!("DMA CSR on the 32-bit system");
+    /// Programs and starts a DMA transfer from the dock CSRs, or refuses
+    /// it with a machine check. The engine moves only beat-aligned windows
+    /// wholly inside external memory: the memory side of the transfer
+    /// and, in interleaved mode, the drain window at `dst` too.
+    fn dma_start(&mut self, now: SimTime, ctl: u32) {
+        let Docks::Plb(d) = &self.dock else {
+            return;
         };
+        let beat = d.dma.beat_bytes;
+        let (src, dst, len) = self.csr_scratch;
         let interleaved = ctl & 0b100 != 0;
         let dir = if ctl & 0b10 != 0 {
             DmaDirection::DockToMem
         } else {
             DmaDirection::MemToDock
         };
-        match dir {
-            DmaDirection::MemToDock => d.dma.program(src, len, dir),
-            DmaDirection::DockToMem => d.dma.program(dst, len, dir),
-        }
+        let addr = if dir == DmaDirection::MemToDock {
+            src
+        } else {
+            dst
+        };
+        let drain = if interleaved { dst } else { addr };
+        // The external-memory offset of a window, or the address refused.
+        let window = |a: u32| match self.resolve(a, len as usize) {
+            Some((true, off)) if (a | len).is_multiple_of(beat) => Ok(off),
+            _ => Err(a),
+        };
+        let (off, drain) = match (window(addr), window(drain)) {
+            (Ok(off), Ok(drain)) => (off, drain),
+            (Err(bad), _) | (_, Err(bad)) => {
+                self.fault = Some(bad);
+                return;
+            }
+        };
+        let Docks::Plb(d) = &mut self.dock else {
+            return;
+        };
+        d.dma.program(off as u32, len, dir);
         d.fifo_capture = interleaved;
         self.tracer.emit(
             now,
@@ -404,7 +384,7 @@ impl Platform {
         );
         self.dma_run = Some(DmaRun {
             interleaved,
-            drain_cursor: dst,
+            drain_cursor: drain,
             ready_at: now,
         });
     }
@@ -453,6 +433,7 @@ impl Platform {
             return self.dma_complete();
         };
 
+        let base = burst.mem_addr as usize;
         match burst.dir {
             DmaDirection::MemToDock => {
                 // Read burst from memory…
@@ -464,9 +445,8 @@ impl Platform {
                 let Docks::Plb(dck) = &mut self.dock else {
                     unreachable!()
                 };
-                let base = (burst.mem_addr - map::EXTMEM_BASE) as usize;
                 for i in 0..burst.beats as usize {
-                    let v = self.ext.mem().read_u64(base + 8 * i);
+                    let v = self.ext.read_u64(base + 8 * i);
                     dck.write_data(v);
                 }
                 dck.dma.burst_done(&burst);
@@ -488,11 +468,8 @@ impl Platform {
                 while vals.len() < burst.beats as usize {
                     vals.push(dck.read_data());
                 }
-                let base = (burst.mem_addr - map::EXTMEM_BASE) as usize;
-                for (i, v) in vals.into_iter().enumerate() {
-                    self.ext.mem_mut().write_u64(base + 8 * i, v);
-                }
                 dck.dma.burst_done(&burst);
+                self.dma_store(base, &vals);
                 if let Some(r) = &mut self.dma_run {
                     r.ready_at = write_done;
                 }
@@ -511,6 +488,17 @@ impl Platform {
             return self.dma_complete();
         }
         true
+    }
+
+    /// Writes DMA beats to external memory from offset `off` on. A drain
+    /// can outrun its window (a run restarted over a FIFO an earlier run
+    /// filled), so beats past the end of memory are dropped.
+    fn dma_store(&mut self, off: usize, vals: &[u64]) {
+        for (i, &v) in vals.iter().enumerate() {
+            if off + 8 * i + 8 <= self.ext.len() {
+                self.ext.write_u64(off + 8 * i, v);
+            }
+        }
     }
 
     /// Drains the whole FIFO to memory at the drain cursor (one pass of the
@@ -539,11 +527,8 @@ impl Platform {
                 unreachable!()
             };
             let vals = dck.fifo_pop(beats as usize);
-            let base = (cursor - map::EXTMEM_BASE) as usize;
-            for (i, v) in vals.into_iter().enumerate() {
-                self.ext.mem_mut().write_u64(base + 8 * i, v);
-            }
-            cursor += (beats * 8) as u32;
+            self.dma_store(cursor, &vals);
+            cursor += 8 * beats as usize;
             t = write_done;
             remaining -= beats;
         }
@@ -572,11 +557,15 @@ impl Platform {
         false
     }
 
-    /// Wait states for an external-memory burst.
+    /// Wait states for an external-memory burst: every SRAM beat waits;
+    /// the DDR activates a row on the first beat and streams the rest.
     fn ext_burst_ws(&self, beats: u64) -> u64 {
-        match &self.ext {
-            ExtMem::Sram(s) => beats * s.wait_states,
-            ExtMem::Ddr(d) => d.burst_wait_states(beats),
+        let t = &self.timing;
+        match self.kind {
+            SystemKind::Bit32 => beats * t.extmem_wait,
+            SystemKind::Bit64 => {
+                beats.min(1) * t.extmem_first_beat_wait + beats.saturating_sub(1) * t.extmem_wait
+            }
         }
     }
 
@@ -597,216 +586,206 @@ impl Platform {
     // MMIO dispatch.
     // ------------------------------------------------------------------
 
-    fn mmio_read(&mut self, now: SimTime, addr: u32) -> (u32, SimTime) {
-        if (map::DOCK_BASE..map::DOCK_BASE + map::DOCK_SIZE).contains(&addr) {
-            let end = self.dock_single(now);
-            let v = match &mut self.dock {
-                Docks::Opb(d) => d.mmio_read(addr - map::DOCK_BASE),
-                Docks::Plb(d) => {
+    fn mmio_read(&mut self, now: SimTime, addr: u32, target: Target) -> (u32, SimTime) {
+        match target {
+            Target::Dock(off) => {
+                let end = self.dock_single(now);
+                let v = match &mut self.dock {
+                    Docks::Opb(d) => d.mmio_read(off),
                     // 32-bit CPU loads return the low 32 bits of the 64-bit
                     // read channel (strobed). CPU-visible port decoding is
-                    // 4-byte-granular, identical to the OPB dock — the paper
-                    // transferred the applications "without any
+                    // 4-byte-granular, identical to the OPB dock — the
+                    // paper transferred the applications "without any
                     // modifications", so driver offsets must mean the same
                     // thing on both systems. DMA beats always hit port 0.
-                    d.read_data_at(addr - map::DOCK_BASE) as u32
-                }
-            };
-            return (v, end);
+                    Docks::Plb(d) => d.read_data_at(off) as u32,
+                };
+                (v, end)
+            }
+            Target::DockCsr(off) => {
+                let end = self.dock_single(now);
+                let v = match (&mut self.dock, off) {
+                    (Docks::Plb(d), map::DOCK_CSR_STATUS) => d.status(),
+                    (Docks::Plb(d), map::DOCK_CSR_FIFO_LEVEL) => d.fifo_level() as u32,
+                    _ => 0,
+                };
+                (v, end)
+            }
+            Target::Hwicap(off) => {
+                let end = self.periph_single(now);
+                let v = match off {
+                    map::HWICAP_STATUS => {
+                        u32::from(self.icap.busy(now)) | (u32::from(self.icap.error()) << 1)
+                    }
+                    _ => 0,
+                };
+                (v, end)
+            }
+            Target::Intc(off) => {
+                let end = self.periph_single(now);
+                let v = match off {
+                    0 => self.intc.pending(),
+                    4 => self.intc.active(),
+                    _ => 0,
+                };
+                (v, end)
+            }
+            Target::Gpio => {
+                let end = self.periph_single(now);
+                (self.gpio.as_ref().map_or(0, |g| g.buttons), end)
+            }
+            Target::Uart => {
+                let end = self.periph_single(now);
+                (u32::from(self.uart.tx_busy(now)), end)
+            }
+            Target::Ocm(_) | Target::Ext(_) | Target::Unmapped => {
+                self.fault = Some(addr);
+                (0, now)
+            }
         }
-        if (map::DOCK_CSR_BASE..map::DOCK_CSR_BASE + 0x100).contains(&addr) {
-            let end = self.dock_single(now);
-            let off = addr - map::DOCK_CSR_BASE;
-            let v = match (&mut self.dock, off) {
-                (Docks::Plb(d), map::DOCK_CSR_STATUS) => d.status(),
-                (Docks::Plb(d), map::DOCK_CSR_FIFO_LEVEL) => d.fifo_level() as u32,
-                _ => 0,
-            };
-            return (v, end);
-        }
-        if (map::HWICAP_BASE..map::HWICAP_BASE + 0x100).contains(&addr) {
-            let end = self.periph_single(now);
-            let v = match addr - map::HWICAP_BASE {
-                map::HWICAP_STATUS => {
-                    u32::from(self.icap.busy(now)) | (u32::from(self.icap.error()) << 1)
-                }
-                _ => 0,
-            };
-            return (v, end);
-        }
-        if (map::INTC_BASE..map::INTC_BASE + 0x100).contains(&addr) {
-            let end = self.periph_single(now);
-            let v = match addr - map::INTC_BASE {
-                0 => self.intc.pending(),
-                4 => self.intc.active(),
-                _ => 0,
-            };
-            return (v, end);
-        }
-        if (map::GPIO_BASE..map::GPIO_BASE + 0x100).contains(&addr) {
-            let end = self.periph_single(now);
-            let v = self.gpio.as_ref().map_or(0, |g| g.buttons);
-            return (v, end);
-        }
-        if (map::UART_BASE..map::UART_BASE + 0x100).contains(&addr) {
-            let end = self.periph_single(now);
-            let v = u32::from(self.uart.tx_busy(now));
-            return (v, end);
-        }
-        panic!("MMIO read from unmapped address {addr:#010x}");
     }
 
-    fn mmio_write(&mut self, now: SimTime, addr: u32, data: u32) -> SimTime {
-        if (map::DOCK_BASE..map::DOCK_BASE + map::DOCK_SIZE).contains(&addr) {
-            let end = self.dock_write_single(now);
-            match &mut self.dock {
-                Docks::Opb(d) => {
-                    d.mmio_write(addr - map::DOCK_BASE, data);
-                }
-                Docks::Plb(d) => {
+    fn mmio_write(&mut self, now: SimTime, addr: u32, target: Target, data: u32) -> SimTime {
+        match target {
+            Target::Dock(off) => {
+                let end = self.dock_write_single(now);
+                match &mut self.dock {
+                    Docks::Opb(d) => {
+                        d.mmio_write(off, data);
+                    }
                     // 32-bit programmatic store: zero-extended beat (the
-                    // paper's point — load/store cannot use the full width).
-                    // Port decoding matches the OPB dock (see read path).
-                    d.write_data_at(addr - map::DOCK_BASE, u64::from(data));
-                }
-            }
-            return end;
-        }
-        if (map::DOCK_CSR_BASE..map::DOCK_CSR_BASE + 0x100).contains(&addr) {
-            let end = self.dock_write_single(now);
-            let off = addr - map::DOCK_CSR_BASE;
-            match off {
-                map::DOCK_CSR_DMA_SRC => self.csr_scratch_mut().0 = data,
-                map::DOCK_CSR_DMA_DST => self.csr_scratch_mut().1 = data,
-                map::DOCK_CSR_DMA_LEN => self.csr_scratch_mut().2 = data,
-                map::DOCK_CSR_DMA_CTL if data & 1 != 0 => {
-                    let (src, dst, len) = *self.csr_scratch_mut();
-                    self.dma_start(end, data, src, dst, len);
-                }
-                map::DOCK_CSR_IRQ_ACK => {
-                    if let Docks::Plb(d) = &mut self.dock {
-                        d.ack_irq();
-                        if d.dma.status() == DmaStatus::Done {
-                            d.dma.ack();
-                        }
-                    }
-                    self.intc.acknowledge(map::IRQ_DOCK_DMA);
-                }
-                _ => {}
-            }
-            return end;
-        }
-        if (map::HWICAP_BASE..map::HWICAP_BASE + 0x100).contains(&addr) {
-            let end = self.periph_write_single(now);
-            match addr - map::HWICAP_BASE {
-                map::HWICAP_DATA => self.icap.write_data(data, &mut self.config),
-                map::HWICAP_CTL if data & 1 != 0 => {
-                    // Commit finishes the stream the data writes applied;
-                    // errors latch in the status register.
-                    let _ = self.icap.commit(end, &mut self.config);
-                }
-                _ => {}
-            }
-            return end;
-        }
-        if (map::INTC_BASE..map::INTC_BASE + 0x100).contains(&addr) {
-            let end = self.periph_write_single(now);
-            match addr - map::INTC_BASE {
-                0 => {
-                    // Write-one-to-acknowledge.
-                    for bit in 0..32 {
-                        if data & (1 << bit) != 0 {
-                            self.intc.acknowledge(bit);
-                        }
+                    // paper's point — load/store cannot use the full
+                    // width). Port decoding matches the OPB dock (see the
+                    // read path).
+                    Docks::Plb(d) => {
+                        d.write_data_at(off, u64::from(data));
                     }
                 }
-                4 => {
-                    for bit in 0..32 {
-                        if data & (1 << bit) != 0 {
-                            self.intc.enable(bit);
-                        } else {
-                            self.intc.disable(bit);
+                end
+            }
+            Target::DockCsr(off) => {
+                let end = self.dock_write_single(now);
+                match off {
+                    map::DOCK_CSR_DMA_SRC => self.csr_scratch.0 = data,
+                    map::DOCK_CSR_DMA_DST => self.csr_scratch.1 = data,
+                    map::DOCK_CSR_DMA_LEN => self.csr_scratch.2 = data,
+                    map::DOCK_CSR_DMA_CTL if data & 1 != 0 => self.dma_start(end, data),
+                    map::DOCK_CSR_IRQ_ACK => {
+                        if let Docks::Plb(d) = &mut self.dock {
+                            d.ack_irq();
+                            if d.dma.status() == DmaStatus::Done {
+                                d.dma.ack();
+                            }
                         }
+                        self.intc.acknowledge(map::IRQ_DOCK_DMA);
+                    }
+                    _ => {}
+                }
+                end
+            }
+            Target::Hwicap(off) => {
+                let end = self.periph_write_single(now);
+                match off {
+                    map::HWICAP_DATA => self.icap.write_data(data, &mut self.config),
+                    map::HWICAP_CTL if data & 1 != 0 => {
+                        // Commit finishes the stream the data writes
+                        // applied; errors latch in the status register.
+                        let _ = self.icap.commit(end, &mut self.config);
+                    }
+                    _ => {}
+                }
+                end
+            }
+            Target::Intc(off) => {
+                let end = self.periph_write_single(now);
+                for bit in 0..32 {
+                    let set = data & (1 << bit) != 0;
+                    match off {
+                        // Write-one-to-acknowledge.
+                        0 if set => self.intc.acknowledge(bit),
+                        4 if set => self.intc.enable(bit),
+                        4 => self.intc.disable(bit),
+                        _ => {}
                     }
                 }
-                _ => {}
+                end
             }
-            return end;
-        }
-        if (map::GPIO_BASE..map::GPIO_BASE + 0x100).contains(&addr) {
-            let end = self.periph_write_single(now);
-            if let Some(g) = &mut self.gpio {
-                g.leds = data;
+            Target::Gpio => {
+                let end = self.periph_write_single(now);
+                if let Some(g) = &mut self.gpio {
+                    g.leds = data;
+                }
+                end
             }
-            return end;
+            Target::Uart => {
+                let end = self.periph_write_single(now);
+                self.uart.tx(end, data as u8);
+                end
+            }
+            Target::Ocm(_) | Target::Ext(_) | Target::Unmapped => {
+                self.fault = Some(addr);
+                now
+            }
         }
-        if (map::UART_BASE..map::UART_BASE + 0x100).contains(&addr) {
-            let end = self.periph_write_single(now);
-            self.uart.tx(end, data as u8);
-            return end;
-        }
-        panic!("MMIO write to unmapped address {addr:#010x}");
-    }
-
-    /// DMA CSR scratch registers (src, dst, len).
-    fn csr_scratch_mut(&mut self) -> &mut (u32, u32, u32) {
-        &mut self.csr_scratch
     }
 
     // Direct (zero-time) memory access for loaders and checks.
 
-    /// Reads a word without charging time (test/loader path).
-    pub fn peek_mem(&self, addr: u32) -> u32 {
-        if map::is_ocm(addr) {
-            self.ocm.mem.read(addr as usize, 4)
-        } else if map::is_extmem(addr) {
-            self.ext.mem().read((addr - map::EXTMEM_BASE) as usize, 4)
+    /// Where `[addr, addr+len)` lies if it is wholly inside one memory:
+    /// whether that is external memory, and the offset into it.
+    fn resolve(&self, addr: u32, len: usize) -> Option<(bool, usize)> {
+        let (ext, off) = match self.map.decode(addr) {
+            Target::Ocm(off) => (false, off as usize),
+            Target::Ext(off) => (true, off as usize),
+            _ => return None,
+        };
+        (off + len <= self.array(ext).len()).then_some((ext, off))
+    }
+
+    /// The on-chip or the external memory array.
+    fn array(&self, ext: bool) -> &MemArray {
+        if ext {
+            &self.ext
         } else {
-            panic!("peek of non-memory address {addr:#010x}");
+            &self.ocm
         }
     }
 
-    /// Writes a word without charging time (test/loader path).
-    pub fn poke_mem(&mut self, addr: u32, data: u32) {
-        if map::is_ocm(addr) {
-            self.ocm.mem.write(addr as usize, 4, data);
-        } else if map::is_extmem(addr) {
-            self.ext
-                .mem_mut()
-                .write((addr - map::EXTMEM_BASE) as usize, 4, data);
+    /// [`Platform::array`], mutably.
+    fn array_mut(&mut self, ext: bool) -> &mut MemArray {
+        if ext {
+            &mut self.ext
         } else {
-            panic!("poke of non-memory address {addr:#010x}");
+            &mut self.ocm
         }
     }
 
-    /// Writes a byte slice without charging time.
-    pub fn poke_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        if map::is_ocm(addr) {
-            self.ocm
-                .mem
-                .slice_mut(addr as usize, bytes.len())
-                .copy_from_slice(bytes);
-        } else if map::is_extmem(addr) {
-            self.ext
-                .mem_mut()
-                .slice_mut((addr - map::EXTMEM_BASE) as usize, bytes.len())
-                .copy_from_slice(bytes);
-        } else {
-            panic!("poke of non-memory address {addr:#010x}");
-        }
+    /// The backing bytes of `[addr, addr+len)` without charging time
+    /// (test/loader path), or `None` unless the range lies wholly inside
+    /// one memory.
+    pub fn bytes(&self, addr: u32, len: usize) -> Option<&[u8]> {
+        let (ext, off) = self.resolve(addr, len)?;
+        Some(self.array(ext).slice(off, len))
     }
 
-    /// Reads a byte slice without charging time.
-    pub fn peek_bytes(&self, addr: u32, len: usize) -> Vec<u8> {
-        if map::is_ocm(addr) {
-            self.ocm.mem.slice(addr as usize, len).to_vec()
-        } else if map::is_extmem(addr) {
-            self.ext
-                .mem()
-                .slice((addr - map::EXTMEM_BASE) as usize, len)
-                .to_vec()
-        } else {
-            panic!("peek of non-memory address {addr:#010x}");
+    /// [`Platform::bytes`], mutably.
+    pub fn bytes_mut(&mut self, addr: u32, len: usize) -> Option<&mut [u8]> {
+        let (ext, off) = self.resolve(addr, len)?;
+        Some(self.array_mut(ext).slice_mut(off, len))
+    }
+
+    /// Line transfer completion time for on-chip or external memory.
+    fn line_time(&mut self, now: SimTime, ext: bool) -> SimTime {
+        match (ext, self.kind) {
+            (false, _) => self.plb.transfer(now, LINE_BEATS_64, 0),
+            (true, SystemKind::Bit32) => {
+                let ws = self.timing.extmem_wait;
+                self.opb_bridged_burst(now, LINE_BEATS_32, ws)
+            }
+            (true, SystemKind::Bit64) => {
+                let ws = self.timing.extmem_first_beat_wait;
+                self.plb.transfer(now, LINE_BEATS_64, ws)
+            }
         }
     }
 }
@@ -814,90 +793,78 @@ impl Platform {
 impl MemoryPort for Platform {
     fn read(&mut self, now: SimTime, addr: u32, size: u8) -> (u32, SimTime) {
         self.advance(now);
-        if map::is_ocm(addr) {
-            let end = self.plb_single(now, 0);
-            let v = self.ocm.mem.read(addr as usize, size);
-            (v, end.saturating_sub(now))
-        } else if map::is_extmem(addr) {
-            let end = self.ext_single(now);
-            let v = self
-                .ext
-                .mem()
-                .read((addr - map::EXTMEM_BASE) as usize, size);
-            (v, end.saturating_sub(now))
-        } else {
-            let (v, end) = self.mmio_read(now, addr);
-            // Sub-word MMIO reads extract from the 32-bit register value.
-            let v = match size {
-                4 => v,
-                2 => v & 0xFFFF,
-                1 => v & 0xFF,
-                _ => panic!("bad size"),
-            };
-            (v, end.saturating_sub(now))
-        }
+        let (v, end) = match self.map.decode(addr) {
+            Target::Ocm(off) => {
+                let end = self.plb_single(now, 0);
+                (self.ocm.read(off as usize, size), end)
+            }
+            Target::Ext(off) => {
+                let end = self.ext_single(now);
+                (self.ext.read(off as usize, size), end)
+            }
+            target => {
+                let (v, end) = self.mmio_read(now, addr, target);
+                // Sub-word MMIO reads extract from the 32-bit register.
+                let mask = match size {
+                    1 => 0xFF,
+                    2 => 0xFFFF,
+                    _ => u32::MAX,
+                };
+                (v & mask, end)
+            }
+        };
+        (v, end.saturating_sub(now))
     }
 
     fn write(&mut self, now: SimTime, addr: u32, size: u8, data: u32) -> SimTime {
         self.advance(now);
-        if map::is_ocm(addr) {
-            let end = self.plb_single(now, 0);
-            self.ocm.mem.write(addr as usize, size, data);
-            end.saturating_sub(now)
-        } else if map::is_extmem(addr) {
-            let end = self.ext_single(now);
-            self.ext
-                .mem_mut()
-                .write((addr - map::EXTMEM_BASE) as usize, size, data);
-            end.saturating_sub(now)
-        } else {
-            let end = self.mmio_write(now, addr, data);
-            end.saturating_sub(now)
-        }
+        let end = match self.map.decode(addr) {
+            Target::Ocm(off) => {
+                let end = self.plb_single(now, 0);
+                self.ocm.write(off as usize, size, data);
+                end
+            }
+            Target::Ext(off) => {
+                let end = self.ext_single(now);
+                self.ext.write(off as usize, size, data);
+                end
+            }
+            target => self.mmio_write(now, addr, target, data),
+        };
+        end.saturating_sub(now)
     }
 
     fn read_line(&mut self, now: SimTime, addr: u32, buf: &mut [u8; LINE_BYTES]) -> SimTime {
         self.advance(now);
-        if map::is_ocm(addr) {
-            let end = self.plb.transfer(now, LINE_BEATS_64, 0);
-            buf.copy_from_slice(self.ocm.mem.slice(addr as usize, LINE_BYTES));
-            end.saturating_sub(now)
-        } else if map::is_extmem(addr) {
-            let end = self.ext_line(now);
-            buf.copy_from_slice(
-                self.ext
-                    .mem()
-                    .slice((addr - map::EXTMEM_BASE) as usize, LINE_BYTES),
-            );
-            end.saturating_sub(now)
-        } else {
-            panic!("line fill from MMIO address {addr:#010x}");
-        }
+        let Some((ext, off)) = self.resolve(addr, LINE_BYTES) else {
+            self.fault = Some(addr);
+            buf.fill(0);
+            return SimTime::ZERO;
+        };
+        let end = self.line_time(now, ext);
+        buf.copy_from_slice(self.array(ext).slice(off, LINE_BYTES));
+        end.saturating_sub(now)
     }
 
     fn write_line(&mut self, now: SimTime, addr: u32, buf: &[u8; LINE_BYTES]) -> SimTime {
         self.advance(now);
-        if map::is_ocm(addr) {
-            let end = self.plb.transfer(now, LINE_BEATS_64, 0);
-            self.ocm
-                .mem
-                .slice_mut(addr as usize, LINE_BYTES)
-                .copy_from_slice(buf);
-            end.saturating_sub(now)
-        } else if map::is_extmem(addr) {
-            let end = self.ext_line(now);
-            self.ext
-                .mem_mut()
-                .slice_mut((addr - map::EXTMEM_BASE) as usize, LINE_BYTES)
-                .copy_from_slice(buf);
-            end.saturating_sub(now)
-        } else {
-            panic!("line writeback to MMIO address {addr:#010x}");
-        }
+        let Some((ext, off)) = self.resolve(addr, LINE_BYTES) else {
+            self.fault = Some(addr);
+            return SimTime::ZERO;
+        };
+        let end = self.line_time(now, ext);
+        self.array_mut(ext)
+            .slice_mut(off, LINE_BYTES)
+            .copy_from_slice(buf);
+        end.saturating_sub(now)
     }
 
     fn is_cacheable(&self, addr: u32) -> bool {
-        map::is_cacheable(addr)
+        matches!(self.map.decode(addr), Target::Ocm(_) | Target::Ext(_))
+    }
+
+    fn take_fault(&mut self) -> Option<u32> {
+        self.fault.take()
     }
 }
 
@@ -931,6 +898,12 @@ impl Machine {
     /// point the whole machine has reached).
     pub fn now(&self) -> SimTime {
         self.cpu.now()
+    }
+
+    /// The last guest fault: what raised it, at which instruction, naming
+    /// which address (see [`Platform`] and DESIGN.md §5 decision 8).
+    pub fn last_fault(&self) -> Option<Fault> {
+        self.cpu.last_fault()
     }
 
     /// Installs a tracer on the platform (see [`Platform::set_tracer`]).
@@ -996,7 +969,10 @@ impl Machine {
             bytes.extend_from_slice(&w.to_be_bytes());
         }
         let t = self.platform.jtag.download_time(bytes.len() as u64);
-        self.platform.poke_bytes(prog.base, &bytes);
+        self.platform
+            .bytes_mut(prog.base, bytes.len())
+            .expect("the program lies in memory")
+            .copy_from_slice(&bytes);
         let resume = self.cpu.now() + t;
         self.cpu.advance_time_to(resume);
         // Code changed underneath the caches.
@@ -1022,7 +998,9 @@ impl Machine {
                 unreachable!("flush only writes")
             }
             fn write_line(&mut self, _: SimTime, addr: u32, buf: &[u8; LINE_BYTES]) -> SimTime {
-                self.0.poke_bytes(addr, buf);
+                if let Some(line) = self.0.bytes_mut(addr, LINE_BYTES) {
+                    line.copy_from_slice(buf);
+                }
                 SimTime::ZERO
             }
             fn is_cacheable(&self, _: u32) -> bool {
@@ -1142,7 +1120,8 @@ mod tests {
         m.load_program(&prog);
         let (_, r3) = m.call(prog.label("entry"), &[], 10_000);
         assert_eq!(r3, 1234);
-        assert_eq!(m.platform.peek_mem(map::EXTMEM_BASE), 1234, "flushed");
+        let word = m.platform.bytes(map::EXTMEM_BASE, 4).unwrap();
+        assert_eq!(word, 1234u32.to_be_bytes(), "flushed");
     }
 
     #[test]

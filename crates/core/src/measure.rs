@@ -78,16 +78,24 @@ pub fn bind_echo(m: &mut Machine) {
 
 const PROG_BASE: u32 = 0x1000;
 
+/// Writes big-endian words into memory from `addr` on, without charging
+/// time.
+fn poke_words(m: &mut Machine, addr: u32, words: &[u32]) {
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_be_bytes()).collect();
+    m.platform
+        .bytes_mut(addr, bytes.len())
+        .expect("the buffer lies in memory")
+        .copy_from_slice(&bytes);
+}
+
 /// Measures program-controlled transfers of `n` 32-bit values; returns the
 /// average time per transfer.
 pub fn program_transfer_time(m: &mut Machine, kind: TransferKind, n: u32) -> SimTime {
     assert!(n > 0);
     bind_echo(m);
     // Source data in external memory.
-    for i in 0..n {
-        m.platform
-            .poke_mem(map::EXTMEM_BASE + 4 * i, 0xA000_0000 | i);
-    }
+    let words: Vec<u32> = (0..n).map(|i| 0xA000_0000 | i).collect();
+    poke_words(m, map::EXTMEM_BASE, &words);
     let body = match kind {
         TransferKind::Write => {
             r#"
@@ -155,11 +163,8 @@ pub fn dma_transfer_time(m: &mut Machine, kind: TransferKind, n: u32) -> SimTime
     assert!(n > 0);
     bind_echo(m);
     let bytes = n * 8;
-    for i in 0..n {
-        m.platform
-            .poke_mem(map::EXTMEM_BASE + 8 * i, 0xB000_0000 | i);
-        m.platform.poke_mem(map::EXTMEM_BASE + 8 * i + 4, i);
-    }
+    let words: Vec<u32> = (0..n).flat_map(|i| [0xB000_0000 | i, i]).collect();
+    poke_words(m, map::EXTMEM_BASE, &words);
     // Output buffer for read-back placed after the source region.
     let out_base = map::EXTMEM_BASE + bytes.next_multiple_of(64);
     let ctl = match kind {
@@ -202,6 +207,11 @@ pub fn dma_transfer_time(m: &mut Machine, kind: TransferKind, n: u32) -> SimTime
 mod tests {
     use super::*;
     use crate::system::{build_system, SystemKind};
+
+    /// The big-endian word at `addr`.
+    fn peek(m: &Machine, addr: u32) -> u32 {
+        u32::from_be_bytes(m.platform.bytes(addr, 4).unwrap().try_into().unwrap())
+    }
 
     #[test]
     fn program_writes_reach_the_dock() {
@@ -291,11 +301,7 @@ mod tests {
         );
         // The destination buffer received the echo value in the low words.
         for i in [0u32, 31, 63] {
-            assert_eq!(
-                m.platform.peek_mem(out_base + 8 * i + 4),
-                0x7777_7777,
-                "entry {i}"
-            );
+            assert_eq!(peek(&m, out_base + 8 * i + 4), 0x7777_7777, "entry {i}");
         }
         // Completion raised the dock interrupt through the controller.
         assert!(m.platform.intc.pending() & (1 << map::IRQ_DOCK_DMA) != 0);
@@ -311,8 +317,8 @@ mod tests {
         // source.
         for i in [0u32, 1, 2047, 2048, 4095] {
             let want_hi = 0xB000_0000 | i;
-            let got_hi = m.platform.peek_mem(out_base + 8 * i);
-            let got_lo = m.platform.peek_mem(out_base + 8 * i + 4);
+            let got_hi = peek(&m, out_base + 8 * i);
+            let got_lo = peek(&m, out_base + 8 * i + 4);
             assert_eq!((got_hi, got_lo), (want_hi, i), "entry {i}");
         }
         let Docks::Plb(d) = &m.platform.dock else {

@@ -171,19 +171,6 @@ impl DmaEngine {
             self.status = DmaStatus::Done;
         }
     }
-
-    /// Bytes still to move.
-    pub fn remaining_bytes(&self) -> u64 {
-        if self.status != DmaStatus::Busy {
-            return 0;
-        }
-        let mut total = 0u64;
-        for (i, s) in self.segments.iter().enumerate().skip(self.current) {
-            let done = if i == self.current { self.offset } else { 0 };
-            total += u64::from(s.len - done);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -247,7 +234,6 @@ mod tests {
             ],
             DmaDirection::MemToDock,
         );
-        assert_eq!(dma.remaining_bytes(), 40);
         let b1 = dma.next_burst(u64::MAX).unwrap();
         assert_eq!((b1.mem_addr, b1.beats), (0, 3));
         dma.burst_done(&b1);
@@ -296,7 +282,6 @@ mod tests {
         }
         assert_eq!(moved, u64::from(total), "every byte delivered exactly once");
         assert_eq!(dma.bytes_moved, u64::from(total));
-        assert_eq!(dma.remaining_bytes(), 0);
     }
 
     #[test]

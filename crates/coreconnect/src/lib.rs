@@ -28,5 +28,5 @@ pub use bridge::Bridge;
 pub use dma::{DmaDirection, DmaEngine, DmaStatus};
 pub use icap::HwIcap;
 pub use intc::InterruptController;
-pub use memory::{DdrController, OcmRam, SramController};
+pub use memory::MemArray;
 pub use timing::{Bus, BusTiming};

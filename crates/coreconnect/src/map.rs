@@ -1,8 +1,9 @@
 //! System address map (shared by both systems).
 //!
 //! Mirrors the EDK-style layout: on-chip memory low, external memory in the
-//! 0x2xxx_xxxx window, peripherals and the dock high (all peripheral ranges
-//! are uncacheable).
+//! 0x2xxx_xxxx window, the dock and the peripherals high. One system's map
+//! is an [`AddressMap`]: its [`AddressMap::decode`] is the only place an
+//! address is tested against these constants.
 
 /// On-chip (BRAM) memory base — program, stack, interrupt vectors.
 pub const OCM_BASE: u32 = 0x0000_0000;
@@ -10,7 +11,8 @@ pub const OCM_BASE: u32 = 0x0000_0000;
 pub const OCM_SIZE: u32 = 128 * 1024;
 
 /// External memory base (32 MB SRAM on the 32-bit system, 512 MB DDR on the
-/// 64-bit system).
+/// 64-bit system, of which the model backs 64 MB; [`AddressMap`] maps only
+/// the backed bytes).
 pub const EXTMEM_BASE: u32 = 0x2000_0000;
 
 /// Dock data window: writes enter the dynamic region's write channel, reads
@@ -59,20 +61,76 @@ pub const IRQ_DOCK_DMA: u32 = 0;
 /// Interrupt line assignment: UART.
 pub const IRQ_UART: u32 = 1;
 
-/// Is `addr` in a cacheable range? Only real memory is cacheable; the dock,
-/// ICAP and peripherals must be accessed uncached.
-pub fn is_cacheable(addr: u32) -> bool {
-    addr < 0x8000_0000
+/// Bytes of each peripheral's register window (the dock CSRs, the HWICAP,
+/// the INTC, the UART and the GPIO); the rest of its 64 KiB page is
+/// unmapped.
+pub const REG_WINDOW: u32 = 0x100;
+
+/// What an address decodes to, with its offset into the target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// On-chip memory.
+    Ocm(u32),
+    /// External memory.
+    Ext(u32),
+    /// The dock's data window.
+    Dock(u32),
+    /// The PLB dock's control/status registers.
+    DockCsr(u32),
+    /// The HWICAP's registers.
+    Hwicap(u32),
+    /// The interrupt controller's registers.
+    Intc(u32),
+    /// The UART.
+    Uart,
+    /// The GPIO.
+    Gpio,
+    /// Nothing: an access here is a bus error.
+    Unmapped,
 }
 
-/// Is `addr` in the external-memory window?
-pub fn is_extmem(addr: u32) -> bool {
-    (EXTMEM_BASE..0x6000_0000).contains(&addr)
+/// One system's address map: the constants above, with external memory
+/// bounded by the system's backing array and the dock CSRs present only
+/// on the PLB dock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AddressMap {
+    ext_bytes: u32,
+    dock_csr: bool,
 }
 
-/// Is `addr` in on-chip memory?
-pub fn is_ocm(addr: u32) -> bool {
-    addr < OCM_SIZE
+impl AddressMap {
+    /// The map of a system with `ext_bytes` of external memory, with or
+    /// without the PLB dock's CSRs.
+    pub fn new(ext_bytes: u32, dock_csr: bool) -> Self {
+        AddressMap {
+            ext_bytes: ext_bytes.min(DOCK_BASE - EXTMEM_BASE),
+            dock_csr,
+        }
+    }
+
+    /// Decodes `addr`. Each peripheral owns a 64 KiB page and decodes its
+    /// first [`REG_WINDOW`] bytes.
+    #[inline]
+    pub fn decode(&self, addr: u32) -> Target {
+        let (ocm, ext, dock) = (
+            addr.wrapping_sub(OCM_BASE),
+            addr.wrapping_sub(EXTMEM_BASE),
+            addr.wrapping_sub(DOCK_BASE),
+        );
+        let off = addr & 0xFFFF;
+        let reg = off < REG_WINDOW;
+        match addr & !0xFFFF {
+            _ if ocm < OCM_SIZE => Target::Ocm(ocm),
+            _ if ext < self.ext_bytes => Target::Ext(ext),
+            _ if dock < DOCK_SIZE => Target::Dock(dock),
+            DOCK_CSR_BASE if reg && self.dock_csr => Target::DockCsr(off),
+            HWICAP_BASE if reg => Target::Hwicap(off),
+            INTC_BASE if reg => Target::Intc(off),
+            UART_BASE if reg => Target::Uart,
+            GPIO_BASE if reg => Target::Gpio,
+            _ => Target::Unmapped,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -80,21 +138,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cacheability() {
-        assert!(is_cacheable(OCM_BASE));
-        assert!(is_cacheable(EXTMEM_BASE));
-        assert!(!is_cacheable(DOCK_BASE));
-        assert!(!is_cacheable(HWICAP_BASE));
-        assert!(!is_cacheable(INTC_BASE));
-    }
-
-    #[test]
-    fn window_membership() {
-        assert!(is_ocm(0));
-        assert!(is_ocm(OCM_SIZE - 1));
-        assert!(!is_ocm(OCM_SIZE));
-        assert!(is_extmem(EXTMEM_BASE));
-        assert!(!is_extmem(OCM_BASE));
-        assert!(!is_extmem(DOCK_BASE));
+    fn decode_bounds_external_memory_by_its_size() {
+        let map = AddressMap::new(32 << 20, false);
+        assert_eq!(map.decode(OCM_SIZE - 1), Target::Ocm(OCM_SIZE - 1));
+        assert_eq!(map.decode(OCM_SIZE), Target::Unmapped);
+        assert_eq!(map.decode(EXTMEM_BASE), Target::Ext(0));
+        assert_eq!(map.decode(EXTMEM_BASE + (32 << 20)), Target::Unmapped);
+        assert_eq!(map.decode(DOCK_CSR_BASE), Target::Unmapped, "no CSRs");
+        let map = AddressMap::new(64 << 20, true);
+        assert_eq!(map.decode(DOCK_CSR_BASE + 0xFF), Target::DockCsr(0xFF));
+        assert_eq!(map.decode(HWICAP_BASE + REG_WINDOW), Target::Unmapped);
     }
 }

@@ -1,9 +1,9 @@
-//! Memory controllers: on-chip BRAM, external SRAM (OPB), external DDR
-//! (PLB).
+//! Memory: the backing store of on-chip BRAM, external SRAM (OPB) and
+//! external DDR (PLB).
 //!
-//! Each controller owns its backing store and reports wait states to the
-//! bus. Wait-state parameters are the calibration points documented in
-//! EXPERIMENTS.md:
+//! The machine charges each memory's wait states from its system timing
+//! (`rtr_core::timing::SystemTiming`); they are the calibration points
+//! documented in EXPERIMENTS.md:
 //!
 //! * OCM (BRAM): 0 wait states — single-cycle on-chip memory;
 //! * SRAM on the 32-bit system's OPB: asynchronous SRAM behind a small
@@ -79,79 +79,6 @@ impl MemArray {
     }
 }
 
-/// On-chip BRAM memory (program/stack/vectors). Zero wait states.
-#[derive(Debug, Clone)]
-pub struct OcmRam {
-    /// Backing store.
-    pub mem: MemArray,
-}
-
-impl OcmRam {
-    /// `size` bytes of on-chip memory.
-    pub fn new(size: usize) -> Self {
-        OcmRam {
-            mem: MemArray::new(size),
-        }
-    }
-
-    /// Wait states per beat.
-    pub fn wait_states(&self) -> u64 {
-        0
-    }
-}
-
-/// External asynchronous SRAM behind the small OPB controller used by the
-/// 32-bit system ("using the OPB instead of the PLB to access external
-/// memory requires a much smaller controller").
-#[derive(Debug, Clone)]
-pub struct SramController {
-    /// Backing store.
-    pub mem: MemArray,
-    /// Wait states per 32-bit access.
-    pub wait_states: u64,
-}
-
-impl SramController {
-    /// 32 MB SRAM with the default 2 wait states.
-    pub fn new(size: usize) -> Self {
-        SramController {
-            mem: MemArray::new(size),
-            wait_states: 2,
-        }
-    }
-}
-
-/// External DDR DRAM on the 64-bit system's PLB.
-#[derive(Debug, Clone)]
-pub struct DdrController {
-    /// Backing store.
-    pub mem: MemArray,
-    /// Wait states on the first beat of a transaction (activation + CAS).
-    pub first_beat_wait: u64,
-    /// Wait states on each subsequent beat of a burst.
-    pub per_beat_wait: u64,
-}
-
-impl DdrController {
-    /// DDR with default timing (5 cycles first beat, streaming thereafter).
-    pub fn new(size: usize) -> Self {
-        DdrController {
-            mem: MemArray::new(size),
-            first_beat_wait: 5,
-            per_beat_wait: 0,
-        }
-    }
-
-    /// Total wait states for a burst of `beats`.
-    pub fn burst_wait_states(&self, beats: u64) -> u64 {
-        if beats == 0 {
-            0
-        } else {
-            self.first_beat_wait + self.per_beat_wait * (beats - 1)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,22 +101,5 @@ mod tests {
         assert_eq!(m.slice(2, 3), &[9, 8, 7]);
         assert_eq!(m.len(), 8);
         assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn ddr_burst_wait_states() {
-        let d = DdrController::new(64);
-        assert_eq!(d.burst_wait_states(0), 0);
-        assert_eq!(d.burst_wait_states(1), 5);
-        assert_eq!(d.burst_wait_states(16), 5);
-        let mut d2 = d.clone();
-        d2.per_beat_wait = 1;
-        assert_eq!(d2.burst_wait_states(4), 8);
-    }
-
-    #[test]
-    fn controllers_default_timing() {
-        assert_eq!(OcmRam::new(64).wait_states(), 0);
-        assert_eq!(SramController::new(64).wait_states, 2);
     }
 }

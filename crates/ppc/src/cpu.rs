@@ -42,6 +42,26 @@
 //! Every method that touches memory is generic over the [`MemoryPort`], so
 //! the machine's interpreter loop is monomorphised over its platform and
 //! the cache hit paths inline.
+//!
+//! An access the memory system refuses and an undecodable word do not
+//! stop the core: the guest takes an exception, recorded as a [`Fault`]
+//! (an unaligned access or fetch is still asserted). Every exception
+//! saves the PC to resume at in SRR0 and `MSR[EE]` in SRR1, clears
+//! `MSR[EE]`, costs 4 cycles of entry and jumps to its vector, an offset
+//! from [`CpuConfig::vector_base`]:
+//!
+//! - machine check ([`MACHINE_CHECK_VECTOR`]): the memory system refused
+//!   an uncached access ([`MemoryPort::take_fault`]). A refused load or
+//!   store retires (the load writes 0, the store is dropped) and SRR0
+//!   holds the next instruction, so `rfi` resumes after it. A refused
+//!   fetch executes nothing and SRR0 holds the fetch address;
+//! - external interrupt ([`EXTERNAL_VECTOR`]): taken before an
+//!   instruction, SRR0 holds that instruction;
+//! - program ([`PROGRAM_VECTOR`]): an undecodable word does not retire and
+//!   SRR0 holds its address.
+//!
+//! Unlike the 405, the machine check uses SRR0/SRR1 and `rfi`, not the
+//! critical-interrupt pair SRR2/SRR3 and `rfci`.
 
 use crate::cache::Cache;
 use crate::isa::TAKEN_BRANCH_PENALTY;
@@ -98,8 +118,42 @@ pub struct CpuConfig {
     pub dcache_bytes: usize,
     /// Associativity of both caches.
     pub ways: usize,
-    /// External-interrupt vector address.
-    pub irq_vector: u32,
+    /// Base of the exception vectors (the 405's EVPR): each vector sits at
+    /// its fixed offset above it.
+    pub vector_base: u32,
+}
+
+/// Offset of the machine-check vector from [`CpuConfig::vector_base`].
+pub const MACHINE_CHECK_VECTOR: u32 = 0x0200;
+/// Offset of the external-interrupt vector.
+pub const EXTERNAL_VECTOR: u32 = 0x0500;
+/// Offset of the program-exception vector.
+pub const PROGRAM_VECTOR: u32 = 0x0700;
+
+/// What raised a guest exception (see the module docs for each one's
+/// vector and SRR0).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// The memory system refused an instruction fetch: a machine check.
+    Fetch,
+    /// The memory system refused a load: a machine check.
+    Load,
+    /// The memory system refused a store: a machine check.
+    Store,
+    /// An undecodable instruction word: a program exception.
+    Illegal(u32),
+}
+
+/// A guest exception the core took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fault {
+    /// What raised it.
+    pub kind: FaultKind,
+    /// The instruction that raised it.
+    pub pc: u32,
+    /// The address the refused access named (the memory system's report);
+    /// for [`FaultKind::Illegal`], the word's own address.
+    pub addr: u32,
 }
 
 impl CpuConfig {
@@ -111,7 +165,7 @@ impl CpuConfig {
             icache_bytes: 16 * 1024,
             dcache_bytes: 16 * 1024,
             ways: 2,
-            irq_vector: 0x0000_0500,
+            vector_base: 0,
         }
     }
 }
@@ -134,7 +188,7 @@ pub struct CpuStats {
     pub taken_branches: u64,
     /// Loads + stores executed.
     pub mem_ops: u64,
-    /// Interrupts taken.
+    /// Interrupts and exceptions taken.
     pub interrupts: u64,
 }
 
@@ -151,6 +205,7 @@ pub struct Cpu {
     srr0: u32,
     srr1_ee: bool,
     irq_line: bool,
+    last_fault: Option<Fault>,
     cfg: CpuConfig,
     /// Instruction cache.
     pub icache: Cache,
@@ -260,6 +315,7 @@ impl Cpu {
             srr0: 0,
             srr1_ee: false,
             irq_line: false,
+            last_fault: None,
             cfg,
             icache,
             dcache,
@@ -335,6 +391,16 @@ impl Cpu {
         self.msr_ee
     }
 
+    /// Save/restore register 0: where the last exception resumes.
+    pub fn srr0(&self) -> u32 {
+        self.srr0
+    }
+
+    /// The last exception a guest fault raised, if any.
+    pub fn last_fault(&self) -> Option<Fault> {
+        self.last_fault
+    }
+
     /// Core clock domain.
     pub fn clock(&self) -> ClockDomain {
         self.cfg.clock
@@ -388,18 +454,38 @@ impl Cpu {
         }
     }
 
+    /// Enters the handler at `vector`, to resume at `srr0`.
+    #[inline]
+    fn enter(&mut self, vector: u32, srr0: u32) {
+        self.srr0 = srr0;
+        self.srr1_ee = self.msr_ee;
+        self.msr_ee = false;
+        self.pc = self.cfg.vector_base.wrapping_add(vector);
+        self.stats.interrupts += 1;
+        // Exception entry latency.
+        self.now += self.cfg.clock.cycles(4);
+    }
+
     /// Enters the external-interrupt handler if one is pending.
     #[inline]
     fn take_pending_interrupt(&mut self) {
         if self.msr_ee && self.irq_line {
-            self.srr0 = self.pc;
-            self.srr1_ee = self.msr_ee;
-            self.msr_ee = false;
-            self.pc = self.cfg.irq_vector;
-            self.stats.interrupts += 1;
-            // Exception entry latency.
-            self.now += self.cfg.clock.cycles(4);
+            self.enter(EXTERNAL_VECTOR, self.pc);
         }
+    }
+
+    /// Records a guest fault raised by the instruction at `pc` and takes
+    /// its exception.
+    #[cold]
+    #[inline(never)]
+    fn fault(&mut self, kind: FaultKind, pc: u32, addr: u32) {
+        let (vector, srr0) = match kind {
+            FaultKind::Load | FaultKind::Store => (MACHINE_CHECK_VECTOR, pc.wrapping_add(4)),
+            FaultKind::Fetch => (MACHINE_CHECK_VECTOR, pc),
+            FaultKind::Illegal(_) => (PROGRAM_VECTOR, pc),
+        };
+        self.last_fault = Some(Fault { kind, pc, addr });
+        self.enter(vector, srr0);
     }
 
     /// Executes one instruction (or takes a pending interrupt).
@@ -433,22 +519,23 @@ impl Cpu {
         } else {
             let (word, t) = mem.read(self.now, pc, 4);
             self.now += t;
+            if let Some(addr) = mem.take_fault() {
+                self.fault(FaultKind::Fetch, pc, addr);
+                return Exit::Stop;
+            }
             Single::translate(word)
         };
         self.exec_run(&single, pc, 0, mem).0
     }
 
     /// Runs a block: the micro-op lines of resident I-cache lines, from the
-    /// PC on, until `halt`, `wrteei`, `rfi`, an uncached load or store,
-    /// `budget` retired instructions, or a PC the block cannot fetch
-    /// (unaligned or uncacheable). Returns the instructions retired; 0
-    /// means nothing ran and the caller must [`step`](Cpu::step) — with
-    /// caches off, when halted, or with an interrupt pending. Leaves
-    /// exactly the state that many steps would, provided no one drives the
-    /// interrupt line in between.
-    ///
-    /// # Panics
-    /// Panics like [`Cpu::step`] on an undecodable word.
+    /// PC on, until `halt`, `wrteei`, `rfi`, an uncached load or store, an
+    /// exception, `budget` instructions, or a PC the block cannot fetch
+    /// (unaligned or uncacheable). Returns the instructions run (retired,
+    /// or an undecodable word); 0 means nothing ran and the caller must
+    /// [`step`](Cpu::step) — with caches off, when halted, or with an
+    /// interrupt pending. Leaves exactly the state that many steps would,
+    /// provided no one drives the interrupt line in between.
     #[inline]
     pub fn run_block<M: MemoryPort + ?Sized>(&mut self, mem: &mut M, budget: u64) -> u64 {
         if self.halted || !self.cfg.caches_enabled || (self.msr_ee && self.irq_line) {
@@ -533,14 +620,18 @@ impl Cpu {
                 imm,
             } = ops.op(k);
             // A load or store at `ra + rb + imm`: flush the pending run,
-            // then access memory; an uncached access ends the block.
+            // then access memory; an uncached access ends the block, and
+            // one the memory system refused raises a machine check.
             macro_rules! access {
-                ($access:ident, $size:literal) => {{
+                ($access:ident, $size:literal, $kind:ident) => {{
                     self.charge(ops, from, k + 1);
                     from = k + 1;
                     let addr = self.r(ra).wrapping_add(self.r(rb)).wrapping_add(imm);
                     if self.$access(rd, addr, $size, mem) {
                         self.pc = at(k + 1);
+                        if let Some(addr) = mem.take_fault() {
+                            self.fault(FaultKind::$kind, at(k), addr);
+                        }
                         return (Exit::Stop, k + 1);
                     }
                 }};
@@ -571,12 +662,12 @@ impl Cpu {
                 Op::Srwi => self.w(rd, self.r(ra).wrapping_shr(imm)),
                 Op::Srawi => self.w(rd, (self.r(ra) as i32).wrapping_shr(imm) as u32),
                 Op::Rotlwi => self.w(rd, self.r(ra).rotate_left(imm)),
-                Op::Lw => access!(load_to, 4),
-                Op::Lh => access!(load_to, 2),
-                Op::Lb => access!(load_to, 1),
-                Op::Sw => access!(store_from, 4),
-                Op::Sh => access!(store_from, 2),
-                Op::Sb => access!(store_from, 1),
+                Op::Lw => access!(load_to, 4, Load),
+                Op::Lh => access!(load_to, 2, Load),
+                Op::Lb => access!(load_to, 1, Load),
+                Op::Sw => access!(store_from, 4, Store),
+                Op::Sh => access!(store_from, 2, Store),
+                Op::Sb => access!(store_from, 1, Store),
                 Op::Cmpw => self.cr = Cr::signed(self.r(ra) as i32, self.r(rb) as i32),
                 Op::Cmplw => self.cr = Cr::unsigned(self.r(ra), self.r(rb)),
                 Op::Cmpwi => self.cr = Cr::signed(self.r(ra) as i32, imm as i32),
@@ -629,7 +720,11 @@ impl Cpu {
                     return (Exit::Stop, k + 1);
                 }
                 Op::Nop => {}
-                Op::Illegal => illegal(imm, at(k)),
+                Op::Illegal => {
+                    self.charge(ops, from, k);
+                    self.fault(FaultKind::Illegal(imm), at(k), at(k));
+                    return (Exit::Stop, k + 1);
+                }
                 Op::End => {
                     self.charge(ops, from, k);
                     self.pc = at(k);
@@ -683,12 +778,6 @@ impl Cpu {
         }
         self.halted
     }
-}
-
-/// The panic for executing an undecodable word.
-#[cold]
-fn illegal(word: u32, pc: u32) -> ! {
-    panic!("illegal instruction {word:#010x} at {pc:#010x}")
 }
 
 #[cfg(test)]
@@ -1048,14 +1137,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "illegal instruction 0xfc000000 at 0x00000008")]
-    fn executing_an_undecodable_word_panics_with_the_word() {
+    fn executing_an_undecodable_word_takes_the_program_exception() {
         let mut mem = FlatMem::new(4096);
         load_program(&mut mem, 0, &[Instr::Nop, Instr::Nop]);
         mem.store_u32(8, 0xFC00_0000);
+        load_program(&mut mem, PROGRAM_VECTOR, &[Instr::Halt]);
         // The fill decodes the whole line, illegal word included; only
-        // executing it may panic.
-        cpu200().run_until_halt(&mut mem, 10);
+        // executing it raises the exception.
+        let mut cpu = cpu200();
+        assert!(cpu.run_until_halt(&mut mem, 10));
+        assert_eq!(cpu.srr0(), 0x8, "SRR0 holds the undecodable word");
+        assert_eq!(cpu.pc(), PROGRAM_VECTOR, "halted at the vector");
+        assert_eq!(cpu.stats.retired, 3, "two nops and the handler's halt");
+        assert_eq!(
+            cpu.last_fault(),
+            Some(Fault {
+                kind: FaultKind::Illegal(0xFC00_0000),
+                pc: 0x8,
+                addr: 0x8,
+            })
+        );
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! through `exec`, a `match` over [`Instr`] that charges each instruction
 //! by itself: `retired` and `now` before the operation, the PC after it,
 //! and `r0` re-zeroed after every register write. It shares only the cache
-//! and memory access paths with the engines under test.
+//! and memory access paths and exception entry with the engines under
+//! test.
 //!
 //! `micro_ops_match_the_instr_reference` runs generated programs (the
 //! integration tests' `gen`) on the micro-op engines and on this one, and
 //! requires equal architectural state, time, memory and counters after
 //! every block.
 
-use super::{illegal, Cpu, Cr, StepOutcome};
+use super::{Cpu, Cr, FaultKind, StepOutcome};
 use crate::isa::{base_cycles, decode, Instr, TAKEN_BRANCH_PENALTY};
 use crate::mem::MemoryPort;
 
@@ -36,10 +37,16 @@ impl Cpu {
         } else {
             let (word, t) = mem.read(self.now, self.pc, 4);
             self.now += t;
+            if let Some(addr) = mem.take_fault() {
+                self.fault(FaultKind::Fetch, self.pc, addr);
+                return StepOutcome::Executed;
+            }
             word
         };
-        let instr = decode(word).unwrap_or_else(|| illegal(word, self.pc));
-        self.exec(instr, mem);
+        match decode(word) {
+            Some(instr) => self.exec(instr, mem),
+            None => self.fault(FaultKind::Illegal(word), self.pc, self.pc),
+        }
         if self.halted {
             StepOutcome::Halted
         } else {
@@ -56,13 +63,23 @@ impl Cpu {
     fn load_into<M: MemoryPort + ?Sized>(&mut self, rd: u8, addr: u32, size: u8, mem: &mut M) {
         let (v, _) = self.load(addr, size, mem);
         self.set(rd, v);
-        self.pc += 4;
+        self.refused(FaultKind::Load, mem);
     }
 
     fn store_reg<M: MemoryPort + ?Sized>(&mut self, rd: u8, addr: u32, size: u8, mem: &mut M) {
         let v = self.reg(rd);
         self.store(addr, size, v, mem);
+        self.refused(FaultKind::Store, mem);
+    }
+
+    /// Moves past a load or store, into the machine check if the memory
+    /// system refused it.
+    fn refused<M: MemoryPort + ?Sized>(&mut self, kind: FaultKind, mem: &mut M) {
+        let pc = self.pc;
         self.pc += 4;
+        if let Some(addr) = mem.take_fault() {
+            self.fault(kind, pc, addr);
+        }
     }
 
     fn branch(&mut self, off: i16, taken: bool) {
@@ -259,7 +276,7 @@ mod gen;
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Cpu, CpuConfig};
+    use super::super::{Cpu, CpuConfig, Fault, FaultKind};
     use super::gen::{Case, IrqMem, MEM_BYTES};
     use crate::mem::LINE_BYTES;
     use crate::uop::{Op, Uop, SINK, WORDS_PER_LINE};
@@ -306,6 +323,7 @@ mod tests {
             (b.msr_ee, b.irq_line, b.srr0, b.srr1_ee),
             "{what}: interrupt state"
         );
+        assert_eq!(a.last_fault, b.last_fault, "{what}: last fault");
         assert_eq!(a.halted, b.halted, "{what}: halted");
         assert_eq!(a.stats, b.stats, "{what}: cpu stats");
         assert_eq!(a.icache.stats, b.icache.stats, "{what}: icache stats");
@@ -325,6 +343,10 @@ mod tests {
     #[derive(Default)]
     struct Coverage {
         interrupts: u64,
+        /// Cases that ended in the program exception.
+        illegal: u64,
+        /// Machine checks taken.
+        checks: u64,
         budget_cut: u64,
         cache_off: u64,
         /// Program words that write `r0`.
@@ -350,7 +372,7 @@ mod tests {
                 })
                 .count() as u64;
             let mut cfg = CpuConfig::ppc405(ClockDomain::from_mhz("cpu", 300));
-            cfg.irq_vector = case.vector;
+            cfg.vector_base = case.vectors;
             cfg.icache_bytes = 128 << rng.below(8);
             cfg.dcache_bytes = 128 << rng.below(8);
             cfg.caches_enabled = !rng.chance(1, 8);
@@ -392,6 +414,14 @@ mod tests {
                 "case {n}: written-back memory"
             );
             seen.interrupts += uop.cpu.stats.interrupts;
+            seen.checks += u64::from(uop.cpu.regs[27]);
+            seen.illegal += u64::from(matches!(
+                uop.cpu.last_fault,
+                Some(Fault {
+                    kind: FaultKind::Illegal(_),
+                    ..
+                })
+            ));
         }
         let min = CASES / 6;
         assert!(seen.interrupts > min, "interrupts: {}", seen.interrupts);
@@ -399,5 +429,11 @@ mod tests {
         assert!(seen.cache_off > CASES / 20, "cache-off: {}", seen.cache_off);
         assert!(seen.r0_writes > min, "r0 writes: {}", seen.r0_writes);
         assert!(seen.straddles > min, "straddles: {}", seen.straddles);
+        assert!(seen.checks > min, "machine checks: {}", seen.checks);
+        assert!(
+            seen.illegal > CASES / 20,
+            "program exceptions: {}",
+            seen.illegal
+        );
     }
 }

@@ -34,7 +34,7 @@ mod uop;
 
 pub use asm::{assemble, AsmError, Program};
 pub use cache::Cache;
-pub use cpu::{Cpu, CpuConfig, StepOutcome};
+pub use cpu::{Cpu, CpuConfig, Fault, FaultKind, StepOutcome};
 pub use isa::{decode, disassemble, encode, Instr};
 pub use mem::{FlatMem, MemoryPort};
 

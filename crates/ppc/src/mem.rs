@@ -31,6 +31,14 @@ pub trait MemoryPort {
     /// Is the address cacheable? MMIO ranges (the docks, the HWICAP, ...)
     /// must return `false`.
     fn is_cacheable(&self, addr: u32) -> bool;
+
+    /// The address the last uncached access named if the memory system
+    /// refused it (a bus error: the core takes a machine check), clearing
+    /// the record. A refused read returns 0 and a refused write is
+    /// dropped. Memory that refuses nothing keeps the default.
+    fn take_fault(&mut self) -> Option<u32> {
+        None
+    }
 }
 
 /// Simple flat memory with fixed access times — the unit-test memory system.

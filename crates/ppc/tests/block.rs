@@ -9,10 +9,12 @@
 //! run drives its core like `Machine::run_until_halt`: a block of a random
 //! budget (one step when no block can run), then the level is sampled
 //! into the core's interrupt line. The step run steps its core once per
-//! instruction the block retired, sampling after every step like
+//! instruction the block ran, sampling after every step like
 //! `Machine::step`. After every block both must agree on registers, PC,
-//! memory, `now`, the interrupt state, all four `CpuStats` counters and
-//! both caches' `CacheStats`; at `halt` they must also agree on memory
+//! memory, `now`, the interrupt state, SRR0 and the last fault (so the
+//! machine checks and program exceptions the cases raise enter alike),
+//! all four `CpuStats` counters and both caches' `CacheStats`; at `halt`
+//! they must also agree on memory
 //! with the D-caches written back. Cache sizes run from 128 B (the
 //! executing line gets evicted) to 16 KB.
 
@@ -20,7 +22,7 @@ mod gen;
 
 use gen::{Case, IrqMem, MEM_BYTES};
 use ppc405_sim::mem::LINE_BYTES;
-use ppc405_sim::{Cpu, CpuConfig};
+use ppc405_sim::{Cpu, CpuConfig, Fault, FaultKind};
 use vp2_sim::{ClockDomain, SimTime, SplitMix64};
 
 /// Cases: a quick sweep in debug builds, a deeper one in release.
@@ -62,6 +64,8 @@ fn assert_same(block: &Run, step: &Run, what: &str) {
     assert_eq!(a.icache.stats, b.icache.stats, "{what}: icache stats");
     assert_eq!(a.dcache.stats, b.dcache.stats, "{what}: dcache stats");
     assert_eq!(a.halted(), b.halted(), "{what}: halted");
+    assert_eq!(a.srr0(), b.srr0(), "{what}: srr0");
+    assert_eq!(a.last_fault(), b.last_fault(), "{what}: last fault");
     assert_eq!(
         (a.interrupts_enabled(), a.irq_line()),
         (b.interrupts_enabled(), b.irq_line()),
@@ -82,6 +86,8 @@ fn assert_same(block: &Run, step: &Run, what: &str) {
 #[derive(Default)]
 struct Coverage {
     interrupts: u64,
+    /// Cases that ended in the program exception.
+    illegal: u64,
     /// Blocks longer than a cache line, so they chained across lines.
     chained: u64,
     /// Blocks cut short by their budget.
@@ -97,7 +103,7 @@ fn block_engine_matches_step_engine() {
         let mut rng = SplitMix64::new(0xB10C_0405 + n);
         let case = Case::draw(&mut rng);
         let mut cfg = CpuConfig::ppc405(ClockDomain::from_mhz("cpu", 300));
-        cfg.irq_vector = case.vector;
+        cfg.vector_base = case.vectors;
         cfg.icache_bytes = 128 << rng.below(8);
         cfg.dcache_bytes = 128 << rng.below(8);
         let init = Run {
@@ -138,6 +144,13 @@ fn block_engine_matches_step_engine() {
             "case {n}: written-back memory"
         );
         seen.interrupts += block.cpu.stats.interrupts;
+        seen.illegal += u64::from(matches!(
+            block.cpu.last_fault(),
+            Some(Fault {
+                kind: FaultKind::Illegal(_),
+                ..
+            })
+        ));
     }
     assert!(
         seen.interrupts > 50,
@@ -151,4 +164,5 @@ fn block_engine_matches_step_engine() {
         seen.budget_cut
     );
     assert!(seen.fallbacks > 50, "step fallbacks: {}", seen.fallbacks);
+    assert!(seen.illegal > 15, "program exceptions: {}", seen.illegal);
 }

@@ -2,17 +2,21 @@
 //!
 //! A [`Case`] is a program at address 0 (ALU ops, loads and stores into a
 //! cached data window, uncached accesses to an I/O window, a doorbell that
-//! raises the interrupt level, `wrteei 0/1`, forward skips, bounded loops,
-//! and an undecodable word parked after `halt` in the same cache line) plus
-//! an interrupt handler at [`Case::vector`]. Some ops write `r0`, whose
-//! writes must vanish, and some compare-and-branch pairs straddle a cache
-//! line boundary. [`IrqMem`] is the memory that turns the doorbell into an
-//! interrupt level. Cases are drawn from `SplitMix64`, so a failure
-//! reproduces exactly and the tests need no external crates.
+//! raises the interrupt level, accesses the memory refuses, `wrteei 0/1`,
+//! forward skips, bounded loops, and an undecodable word parked after
+//! `halt` in the same cache line) plus handlers at the exception vectors
+//! above [`Case::vectors`]. Some ops write `r0`, whose writes must vanish,
+//! and some compare-and-branch pairs straddle a cache line boundary. One
+//! program in eight has an undecodable word where it will execute, and its
+//! program-exception handler halts. [`IrqMem`] is the memory that turns
+//! the doorbell into an interrupt level and refuses the fault word. Cases
+//! are drawn from `SplitMix64`, so a failure reproduces exactly and the
+//! tests need no external crates.
 
 // Each test crate that includes this module uses only part of it.
 #![allow(dead_code)]
 
+use ppc405_sim::cpu::{EXTERNAL_VECTOR, MACHINE_CHECK_VECTOR, PROGRAM_VECTOR};
 use ppc405_sim::isa::{Form, Reg, Row, ROWS};
 use ppc405_sim::mem::{MemoryPort, LINE_BYTES};
 use ppc405_sim::{decode, encode, FlatMem, Instr};
@@ -30,6 +34,9 @@ const UNCACHED: u32 = 0x6000;
 pub const DOORBELL: u32 = UNCACHED;
 /// Uncached words generated accesses may touch, above the doorbell.
 const IO_WORDS: u64 = 63;
+/// The uncached word the memory refuses (a bus error: a machine check),
+/// above the I/O words.
+const FAULT: u32 = UNCACHED + 0x100;
 /// Holds `DATA`; never written by generated ops.
 const BASE_REG: Reg = 20;
 /// Loop counter; never written by generated ops.
@@ -43,39 +50,56 @@ const ONE_REG: Reg = 24;
 /// The handler's entry count and scratch register.
 const IRQ_COUNT_REG: Reg = 25;
 const IRQ_SCRATCH_REG: Reg = 26;
+/// The machine-check handler's entry count.
+const CHECK_COUNT_REG: Reg = 27;
 /// A word no opcode decodes to.
 pub const ILLEGAL: u32 = 0xFC00_0000;
 
-/// A generated program and where its interrupt handler lives.
+/// A generated program and where its exception handlers live.
 pub struct Case {
     /// Program words, loaded at address 0.
     code: Vec<u32>,
-    /// The interrupt vector: cached, or in the uncached window, where no
-    /// block can run it.
-    pub vector: u32,
+    /// The exception vector base: the handlers are cached, or in the
+    /// uncached window, where no block can run them.
+    pub vectors: u32,
 }
 
 impl Case {
     pub fn draw(rng: &mut SplitMix64) -> Case {
         let code = program(rng);
-        let vector = if rng.chance(3, 4) { 0x3000 } else { 0x7000 };
-        Case { code, vector }
+        let vectors = if rng.chance(3, 4) { 0x2000 } else { 0x6800 };
+        Case { code, vectors }
     }
 
-    /// The case's memory: program, handler and the uncached window.
     /// The program's words.
     pub fn code(&self) -> &[u32] {
         &self.code
     }
 
+    /// The case's memory: program, handlers and the uncached window.
     pub fn memory(&self) -> FlatMem {
         let mut mem = FlatMem::new(MEM_BYTES);
         mem.uncached_base = UNCACHED;
         for (i, &w) in self.code.iter().enumerate() {
             mem.store_u32(4 * i as u32, w);
         }
-        for (i, ins) in handler().into_iter().enumerate() {
-            mem.store_u32(self.vector + 4 * i as u32, encode(ins));
+        let check = [
+            Instr::Addi {
+                rd: CHECK_COUNT_REG,
+                ra: CHECK_COUNT_REG,
+                imm: 1,
+            },
+            Instr::Rfi,
+        ];
+        let handlers: [(u32, &[Instr]); 3] = [
+            (EXTERNAL_VECTOR, &handler()),
+            (MACHINE_CHECK_VECTOR, &check),
+            (PROGRAM_VECTOR, &[Instr::Halt]),
+        ];
+        for (vector, code) in handlers {
+            for (i, &ins) in code.iter().enumerate() {
+                mem.store_u32(self.vectors + vector + 4 * i as u32, encode(ins));
+            }
         }
         mem
     }
@@ -84,9 +108,10 @@ impl Case {
 /// [`FlatMem`] plus the interrupt level its doorbell word drives: an
 /// uncached load from the doorbell raises the level and a store sets it,
 /// so either kind of uncached access can reach a device that interrupts.
-/// It also logs every access with the instant it was made at: `FlatMem`'s
-/// fixed access times would hide an access made at the wrong instant,
-/// which a real bus would time differently.
+/// It refuses every access to [`FAULT`], as a platform refuses an unmapped
+/// address. It also logs every access with the instant it was made at:
+/// `FlatMem`'s fixed access times would hide an access made at the wrong
+/// instant, which a real bus would time differently.
 #[derive(Clone)]
 pub struct IrqMem {
     pub flat: FlatMem,
@@ -94,6 +119,8 @@ pub struct IrqMem {
     /// `(kind, address, instant)` of every access, in order: kinds `r`
     /// and `w` are single beats, `R` and `W` line fills and writebacks.
     pub log: Vec<(char, u32, SimTime)>,
+    /// The refused access not yet reported.
+    fault: Option<u32>,
 }
 
 impl IrqMem {
@@ -102,6 +129,7 @@ impl IrqMem {
             flat,
             level: false,
             log: Vec::new(),
+            fault: None,
         }
     }
 }
@@ -112,6 +140,10 @@ impl MemoryPort for IrqMem {
         if addr == DOORBELL {
             self.level = true;
         }
+        if addr == FAULT {
+            self.fault = Some(addr);
+            return (0, self.flat.beat_time);
+        }
         self.flat.read(now, addr, size)
     }
 
@@ -119,6 +151,10 @@ impl MemoryPort for IrqMem {
         self.log.push(('w', addr, now));
         if addr == DOORBELL {
             self.level = data & 1 == 1;
+        }
+        if addr == FAULT {
+            self.fault = Some(addr);
+            return self.flat.beat_time;
         }
         self.flat.write(now, addr, size, data)
     }
@@ -135,6 +171,10 @@ impl MemoryPort for IrqMem {
 
     fn is_cacheable(&self, addr: u32) -> bool {
         self.flat.is_cacheable(addr)
+    }
+
+    fn take_fault(&mut self) -> Option<u32> {
+        self.fault.take()
     }
 }
 
@@ -270,11 +310,13 @@ fn mem_op(rng: &mut SplitMix64, out: &mut Vec<Instr>) {
     });
 }
 
-/// An interrupt-mask change, a doorbell ring (a store or a load), or an
-/// uncached access to an I/O word above the doorbell.
+/// An interrupt-mask change, a doorbell ring (a store or a load), an
+/// uncached access to an I/O word above the doorbell, or an access the
+/// memory refuses.
 fn io_op(rng: &mut SplitMix64) -> Instr {
     let word = (4 * (1 + rng.below(IO_WORDS))) as i16;
-    match rng.below(6) {
+    let refused = (FAULT - UNCACHED) as i16;
+    match rng.below(7) {
         0 => Instr::Wrteei { imm: 0 },
         1 => Instr::Wrteei { imm: 1 },
         2 => Instr::Stw {
@@ -291,6 +333,16 @@ fn io_op(rng: &mut SplitMix64) -> Instr {
             rd: dst(rng),
             ra: IO_REG,
             imm: word,
+        },
+        5 if rng.chance(1, 2) => Instr::Lwz {
+            rd: dst(rng),
+            ra: IO_REG,
+            imm: refused,
+        },
+        5 => Instr::Stw {
+            rd: src(rng),
+            ra: IO_REG,
+            imm: refused,
         },
         _ => Instr::Stw {
             rd: src(rng),
@@ -367,6 +419,7 @@ fn program(rng: &mut SplitMix64) -> Vec<u32> {
             imm: imm(rng),
         });
     }
+    let body = code.len();
     for _ in 0..1 + rng.below(24) {
         if rng.chance(1, 4) {
             // Bounded loop: `count` iterations of a straight-line body.
@@ -400,6 +453,12 @@ fn program(rng: &mut SplitMix64) -> Vec<u32> {
     }
     code.push(Instr::Halt);
     let mut words: Vec<u32> = code.into_iter().map(encode).collect();
+    if rng.chance(1, 8) {
+        // Past the prologue, before `halt`: every word there executes
+        // unless a compare's branch skips it.
+        let at = body + rng.below((words.len() - 1 - body) as u64) as usize;
+        words[at] = ILLEGAL;
+    }
     words.push(ILLEGAL);
     words
 }

@@ -15,7 +15,7 @@ mod gen;
 
 use gen::{Case, ILLEGAL, MEM_BYTES};
 use ppc405_sim::mem::LINE_BYTES;
-use ppc405_sim::{decode, Cpu, CpuConfig};
+use ppc405_sim::{decode, Cpu, CpuConfig, Fault};
 use vp2_sim::{ClockDomain, SimTime, SplitMix64};
 
 /// Cases: a quick sweep in debug builds, a deeper one in release.
@@ -27,6 +27,7 @@ struct Outcome {
     retired: u64,
     taken_branches: u64,
     mem_ops: u64,
+    fault: Option<Fault>,
 }
 
 fn run(case: &Case, cfg: CpuConfig) -> Outcome {
@@ -43,6 +44,7 @@ fn run(case: &Case, cfg: CpuConfig) -> Outcome {
         retired: cpu.stats.retired,
         taken_branches: cpu.stats.taken_branches,
         mem_ops: cpu.stats.mem_ops,
+        fault: cpu.last_fault(),
     }
 }
 
@@ -53,7 +55,7 @@ fn predecoded_fetch_matches_decode_per_fetch() {
         let mut rng = SplitMix64::new(0x5EED_0405 + n);
         let case = Case::draw(&mut rng);
         let mut cached = CpuConfig::ppc405(ClockDomain::from_mhz("cpu", 300));
-        cached.irq_vector = case.vector;
+        cached.vector_base = case.vectors;
         // Small caches force line evictions and rebuilds of the micro-op
         // lines; the full 16 KB ones keep every line resident.
         let bytes = [128, 256, 1024, 16 * 1024][rng.below(4) as usize];
@@ -69,5 +71,6 @@ fn predecoded_fetch_matches_decode_per_fetch() {
         assert_eq!(a.retired, b.retired, "case {n}: retired");
         assert_eq!(a.taken_branches, b.taken_branches, "case {n}: branches");
         assert_eq!(a.mem_ops, b.mem_ops, "case {n}: memory ops");
+        assert_eq!(a.fault, b.fault, "case {n}: last fault");
     }
 }

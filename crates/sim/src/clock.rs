@@ -78,12 +78,6 @@ impl ClockDomain {
         SimTime(self.period_ps * n)
     }
 
-    /// Number of *whole* cycles elapsed at instant `t` (cycles since t=0).
-    #[inline]
-    pub fn cycles_at(&self, t: SimTime) -> u64 {
-        t.as_ps() / self.period_ps
-    }
-
     /// `ps % period_ps` without a division. With `2^64 − 1 = recip·p + b`
     /// and `0 ≤ b < p`, the multiply-high `q = ⌊ps·recip / 2^64⌋` falls
     /// short of `ps / p` by `ps·(b + 1) / (p·2^64) < 1`, so `q` is the
@@ -113,24 +107,6 @@ impl ClockDomain {
         } else {
             SimTime(ps - rem + self.period_ps)
         }
-    }
-
-    /// The first clock edge strictly after `t`.
-    #[inline]
-    pub fn edge_after(&self, t: SimTime) -> SimTime {
-        self.next_edge(SimTime(t.as_ps() + 1))
-    }
-
-    /// Time to wait from `t` until the next edge (zero if `t` is on an edge).
-    #[inline]
-    pub fn sync_delay(&self, t: SimTime) -> SimTime {
-        self.next_edge(t) - t
-    }
-
-    /// Converts a duration to a (rounded-up) number of cycles in this domain.
-    #[inline]
-    pub fn cycles_ceil(&self, d: SimTime) -> u64 {
-        d.as_ps().div_ceil(self.period_ps)
     }
 }
 
@@ -170,25 +146,6 @@ mod tests {
         assert_eq!(clk.next_edge(SimTime::from_ns(20)), SimTime::from_ns(20));
         assert_eq!(clk.next_edge(SimTime::from_ns(21)), SimTime::from_ns(40));
         assert_eq!(clk.next_edge(SimTime::from_ps(1)), SimTime::from_ns(20));
-    }
-
-    #[test]
-    fn edge_after_is_strict() {
-        let clk = ClockDomain::from_mhz("opb", 50);
-        assert_eq!(clk.edge_after(SimTime::ZERO), SimTime::from_ns(20));
-        assert_eq!(clk.edge_after(SimTime::from_ns(20)), SimTime::from_ns(40));
-        assert_eq!(clk.edge_after(SimTime::from_ns(19)), SimTime::from_ns(20));
-    }
-
-    #[test]
-    fn sync_delay_bounds() {
-        let clk = ClockDomain::from_mhz("plb", 100); // 10 ns
-        assert_eq!(clk.sync_delay(SimTime::from_ns(10)), SimTime::ZERO);
-        assert_eq!(clk.sync_delay(SimTime::from_ns(13)), SimTime::from_ns(7));
-        for ps in 0..50_000 {
-            let d = clk.sync_delay(SimTime::from_ps(ps));
-            assert!(d < clk.period());
-        }
     }
 
     /// The `%` formulas the reciprocal replaced.
@@ -231,36 +188,7 @@ mod tests {
                     SimTime(want),
                     "p = {p}, t = {t}: next_edge"
                 );
-                assert_eq!(
-                    clk.sync_delay(at),
-                    SimTime(want - t),
-                    "p = {p}, t = {t}: sync_delay"
-                );
-                if t < last {
-                    let strict = next_edge_by_rem(p, want.max(t + 1));
-                    assert_eq!(
-                        clk.edge_after(at),
-                        SimTime(strict),
-                        "p = {p}, t = {t}: edge_after"
-                    );
-                }
             }
         }
-    }
-
-    #[test]
-    fn cycles_ceil_rounds_up() {
-        let clk = ClockDomain::from_mhz("plb", 100);
-        assert_eq!(clk.cycles_ceil(SimTime::from_ns(10)), 1);
-        assert_eq!(clk.cycles_ceil(SimTime::from_ns(11)), 2);
-        assert_eq!(clk.cycles_ceil(SimTime::ZERO), 0);
-    }
-
-    #[test]
-    fn cycles_at_counts_whole_cycles() {
-        let clk = ClockDomain::from_mhz("cpu", 200);
-        assert_eq!(clk.cycles_at(SimTime::from_ns(4)), 0);
-        assert_eq!(clk.cycles_at(SimTime::from_ns(5)), 1);
-        assert_eq!(clk.cycles_at(SimTime::from_ns(52)), 10);
     }
 }

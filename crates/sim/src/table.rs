@@ -50,12 +50,6 @@ impl TextTable {
         self
     }
 
-    /// Appends one row from `&str` cells.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -133,8 +127,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = TextTable::new("Demo", &["name", "value"]);
-        t.row_str(&["alpha", "1"]);
-        t.row_str(&["b", "12345"]);
+        t.row(&["alpha".into(), "1".into()]);
+        t.row(&["b".into(), "12345".into()]);
         let s = t.render();
         assert!(s.contains("Demo"));
         let lines: Vec<&str> = s.lines().collect();
@@ -150,7 +144,7 @@ mod tests {
     #[should_panic(expected = "row arity mismatch")]
     fn arity_mismatch_panics() {
         let mut t = TextTable::new("x", &["a", "b"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".into()]);
     }
 
     #[test]
@@ -166,7 +160,7 @@ mod tests {
     fn row_count_tracks() {
         let mut t = TextTable::new("x", &["a"]);
         assert_eq!(t.row_count(), 0);
-        t.row_str(&["r"]);
+        t.row(&["r".into()]);
         assert_eq!(t.row_count(), 1);
     }
 }
